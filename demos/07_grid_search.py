@@ -12,8 +12,9 @@ from pathlib import Path
 from photonrc.dataset import Split, index_frames, load_manifest, stream_frames
 from photonrc.hog import hog_stack
 from photonrc.pca import fit_pca, transform
+from photonrc.pipeline import prepare_data
 from photonrc.synthetic import generate_corpus
-from photonrc.tuning import GridSpec, best_trial, prepare_data, run_grid
+from photonrc.tuning import GridSpec, best_trial, run_grid
 
 work = Path(tempfile.mkdtemp(prefix="photonrc_demo_"))
 manifest_path = generate_corpus(

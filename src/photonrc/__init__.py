@@ -4,103 +4,17 @@ The package covers the full human-action-classification pipeline: PGM
 frame ingestion, HOG descriptors, covariance-method PCA, quantized sin^2
 reservoir dynamics in intensity and phase variants, ridge-trained linear
 readout, winner-takes-all scoring, and exhaustive hyperparameter search.
+The top level re-exports the entry points; everything else lives in the
+submodules (``photonrc.pipeline``, ``photonrc.reservoir``, ...).
 """
 
-from .cache import CacheWriter, read_cache, read_cache_header, write_cache
-from .classify import (
-    ConfusionMatrix,
-    FrameDecision,
-    SequenceDecision,
-    classify_frames,
-    classify_sequence,
-    classify_stream,
-    confusion,
-)
-from .dataset import (
-    ACTIONS,
-    Action,
-    Frame,
-    FrameIndex,
-    Manifest,
-    SequenceMeta,
-    Split,
-    index_frames,
-    load_manifest,
-    make_split,
-    read_pgm,
-    save_manifest,
-    stream_frames,
-    write_pgm,
-)
-from .errors import (
-    DataError,
-    DegenerateTargetError,
-    DimensionError,
-    LabelError,
-    MissingFrameError,
-    NotAPipelineDirError,
-    NumericalError,
-    ParseError,
-    PhotonRcError,
-    PipelineStageError,
-    RankError,
-    SchemaError,
-    SingularError,
-)
-from .hog import (
-    HogConfig,
-    cell_histograms,
-    descriptor_layout,
-    feature_count,
-    gradient_field,
-    hog_descriptor,
-)
-from .pca import PcaModel, fit_pca, load_pca_model, reconstruct, save_pca_model, transform
-from .pipeline import (
-    PipelineConfig,
-    PipelineReport,
-    derive_stream_seed,
-    describe_artifacts,
-    run_pipeline,
-)
-from .readout import (
-    ReadoutModel,
-    apply_readout,
-    encode_targets,
-    load_readout_model,
-    nmse,
-    nmse_per_output,
-    save_readout_model,
-    train_ridge,
-)
-from .reservoir import (
-    HyperParams,
-    ReservoirMatrices,
-    ReservoirSpec,
-    first_coincidence,
-    generate_matrices,
-    intensity_response,
-    load_reservoir_spec,
-    quantize_intensity,
-    quantize_phase,
-    run_reservoir,
-    save_reservoir_spec,
-    step_intensity,
-    step_phase,
-)
+from .cache import read_cache
+from .dataset import index_frames, load_manifest, stream_frames
+from .errors import PhotonRcError
+from .hog import feature_count
+from .pipeline import PipelineConfig, derive_stream_seed, prepare_data, run_pipeline
+from .reservoir import generate_matrices, quantize_phase, step_intensity, step_phase
 from .synthetic import generate_corpus
-from .tuning import (
-    GridSpec,
-    PreparedData,
-    TrialResult,
-    best_trial,
-    default_grid,
-    load_grid_spec,
-    prepare_data,
-    read_grid_log,
-    run_grid,
-    run_trial,
-    save_grid_spec,
-)
+from .tuning import GridSpec, run_grid
 
 __version__ = "0.1.0"

@@ -27,24 +27,6 @@ VERSION = 1
 _HEAD = struct.Struct("<8sIQQI")
 
 
-def write_cache(path, rows, layout=None):
-    """Write a 2-D float array as a feature cache.
-
-    Values are stored as float32; pass the result of :func:`read_cache`
-    onward when bit-stable round-trips matter.
-    """
-    rows = np.ascontiguousarray(rows, dtype="<f4")
-    if rows.ndim != 2:
-        raise ValueError("cache rows must be a 2-D array")
-    if layout is None:
-        layout = (rows.shape[1],)
-    layout = tuple(int(v) for v in layout)
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, VERSION, rows.shape[0], rows.shape[1], len(layout)))
-        fh.write(struct.pack(f"<{len(layout)}Q", *layout))
-        fh.write(rows.tobytes())
-
-
 class CacheWriter:
     """Incremental cache writer; keeps memory bounded for long frame streams.
 
@@ -109,12 +91,16 @@ def read_cache_header(path):
     return count, dim, layout
 
 
+def data_offset(layout):
+    """Byte offset of the first value in a cache whose header holds ``layout``."""
+    return _HEAD.size + 8 * len(layout)
+
+
 def read_cache(path):
     """Load a cache; returns (values float32 array (rows, dim), layout tuple)."""
     count, dim, layout = read_cache_header(path)
-    offset = _HEAD.size + 8 * len(layout)
     with open(path, "rb") as fh:
-        fh.seek(offset)
+        fh.seek(data_offset(layout))
         data = np.fromfile(fh, dtype="<f4", count=count * dim)
     if data.size != count * dim:
         raise ParseError(f"{path}: expected {count * dim} values, found {data.size}")

@@ -21,13 +21,6 @@ N_CLASSES = len(ACTIONS)
 
 
 @dataclass(frozen=True)
-class FrameDecision:
-    frame_index: int
-    class_index: int
-    outputs: np.ndarray  # the 6 readout values behind the decision
-
-
-@dataclass(frozen=True)
 class SequenceDecision:
     sequence_id: str
     class_index: int
@@ -46,23 +39,19 @@ class ConfusionMatrix:
         return int(np.count_nonzero(self.counts.sum(axis=1)))
 
 
-def classify_frames(outputs, first_frame_index=0):
-    """Per-row argmax decisions (lowest index wins ties)."""
+def classify_frames(outputs):
+    """Per-row argmax class indices (lowest index wins ties)."""
     Y = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
     if Y.shape[1] != N_CLASSES:
         raise DimensionError(f"expected {N_CLASSES} output columns, got {Y.shape[1]}")
-    winners = np.argmax(Y, axis=1)  # np.argmax returns the first maximum
-    return [
-        FrameDecision(frame_index=first_frame_index + t, class_index=int(winners[t]), outputs=Y[t])
-        for t in range(Y.shape[0])
-    ]
+    return np.argmax(Y, axis=1)  # np.argmax returns the first maximum
 
 
-def classify_sequence(decisions, sequence_id=""):
-    """Majority vote over one sequence's frame decisions."""
-    if not decisions:
+def classify_sequence(frame_classes, sequence_id=""):
+    """Majority vote over one sequence's frame class indices."""
+    if len(frame_classes) == 0:
         raise DimensionError("cannot classify an empty sequence")
-    votes = np.bincount([d.class_index for d in decisions], minlength=N_CLASSES)
+    votes = np.bincount(frame_classes, minlength=N_CLASSES)
     fractions = votes / votes.sum()
     return SequenceDecision(
         sequence_id=sequence_id,
@@ -78,13 +67,11 @@ def classify_stream(outputs, spans):
     produced by the frame index; returns (decisions, truth class indices).
     """
     Y = np.asarray(outputs, dtype=np.float64)
-    decisions = []
-    truths = []
-    for sequence_id, start, stop, action in spans:
-        frame_decisions = classify_frames(Y[start:stop], first_frame_index=start)
-        decisions.append(classify_sequence(frame_decisions, sequence_id=sequence_id))
-        truths.append(int(action))
-    return decisions, truths
+    decisions = [
+        classify_sequence(classify_frames(Y[start:stop]), sequence_id)
+        for sequence_id, start, stop, _ in spans
+    ]
+    return decisions, [int(action) for *_, action in spans]
 
 
 def confusion(decisions, truths):

@@ -2,55 +2,40 @@
 
 Subcommands mirror the pipeline stages (extract-hog, pca fit/transform,
 reservoir run, train, evaluate), plus gridsearch, pipeline run, and
-describe.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-error.
+describe.  Each stage command calls the stage function of
+:mod:`photonrc.pipeline` that ``pipeline run`` calls, so a chain of stage
+commands writes the bytes a pipeline run with the same settings writes.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
 
 import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import hog
-from .cache import CacheWriter, read_cache
-from .classify import (
-    classify_stream,
-    confusion,
-    score_line,
-    write_confusion,
-    write_sequence_results,
-)
-from .dataset import Split, index_frames, load_manifest, stream_frames
-from .errors import (
-    DataError,
-    NumericalError,
-    PipelineStageError,
-    SchemaError,
-)
-from .pca import fit_pca, load_pca_model, save_pca_model, transform
+from .cache import CacheWriter, read_cache, read_cache_header
+from .classify import score_line
+from .dataset import load_manifest
+from .errors import DataError, NumericalError, PipelineStageError, SchemaError
+from .hog import HogConfig
+from .pca import load_pca_model
 from .pipeline import (
     PipelineConfig,
-    derive_stream_seed,
     describe_artifacts,
-    feature_transform_for,
+    evaluate_readout,
+    extract_hog,
+    fit_pca_model,
+    pca_fit_rows,
+    prepare_data,
+    project,
+    reservoir_spec,
+    reservoir_states,
     run_pipeline,
+    train_readout,
+    write_results,
 )
-from .readout import (
-    apply_readout,
-    encode_targets,
-    load_readout_model,
-    save_readout_model,
-    train_ridge,
-)
-from .reservoir import (
-    HyperParams,
-    ReservoirSpec,
-    load_reservoir_spec,
-    run_reservoir,
-    save_reservoir_spec,
-)
-from .tuning import best_trial, load_grid_spec, prepare_data, run_grid
+from .readout import load_readout_model, save_readout_model
+from .reservoir import HyperParams, load_reservoir_spec, save_reservoir_spec
+from .tuning import best_trial, load_grid_spec, run_grid
 
 
 class _UsageError(Exception):
@@ -183,39 +168,30 @@ def _out_path(args, flag_value, default_name):
     return os.path.join(args.out_dir, default_name)
 
 
+def _hyperparams(args):
+    return HyperParams(
+        feedback_gain=args.feedback_gain,
+        input_gain=args.input_gain,
+        coupling_gain=args.coupling_gain,
+        coupling_density=args.coupling_density,
+    )
+
+
 def cmd_extract_hog(args):
     manifest = load_manifest(args.manifest)
-    config = hog.HogConfig(cell_size=args.cell, block_size=args.block, num_bins=args.bins)
+    config = HogConfig(cell_size=args.cell, block_size=args.block, num_bins=args.bins)
     out = _out_path(args, args.out, "hog.rcf")
-    layout = hog.descriptor_layout(manifest.resolution, config)
-    dim = hog.feature_count(manifest.resolution, config)
-    count = 0
-    with CacheWriter(out, dim, layout=layout) as writer:
-        for frame in stream_frames(manifest):
-            values, _ = hog.hog_descriptor(frame.pixels, config)
-            writer.append(values)
-            count += 1
+    extract_hog(manifest, out, config)
+    count, dim, layout = read_cache_header(out)
     print(f"wrote {out}: {count} frames x {dim} features, layout {layout}")
     return 0
 
 
-def _check_rows(path, values, manifest, index):
-    if values.shape[0] != index.total_frames:
-        raise SchemaError(
-            f"{path}: {values.shape[0]} rows, but the manifest "
-            f"counts {index.total_frames} frames"
-        )
-
-
 def cmd_pca_fit(args):
-    manifest = load_manifest(args.manifest)
-    index = index_frames(manifest)
-    values, _ = read_cache(args.features)
-    _check_rows(args.features, values, manifest, index)
-    rows = index.rows_for(Split.TRAIN) if args.pca_fit_on == "train" else np.arange(values.shape[0])
-    model = fit_pca(values[rows], args.components)
+    data = prepare_data(args.manifest, args.features)
+    rows = pca_fit_rows(data, args.pca_fit_on)
     out = _out_path(args, args.out, "pca.bin")
-    save_pca_model(model, out)
+    model = fit_pca_model(data.features, rows, args.components, out)
     print(
         f"wrote {out}: {model.n_components} components over {model.feature_dim} features, "
         f"explained variance {100 * model.explained_fraction():.2f}%"
@@ -227,10 +203,8 @@ def cmd_pca_transform(args):
     model = load_pca_model(args.model)
     values, _ = read_cache(args.features)
     out = _out_path(args, args.out, "features.rcf")
-    projected = transform(model, values)
-    with CacheWriter(out, model.n_components) as writer:
-        writer.append(projected)
-    print(f"wrote {out}: {projected.shape[0]} frames x {model.n_components} components")
+    project(model, values, out)
+    print(f"wrote {out}: {values.shape[0]} frames x {model.n_components} components")
     return 0
 
 
@@ -243,53 +217,27 @@ def cmd_reservoir_run(args):
                 f"spec expects {spec.input_dim}-wide inputs, cache has {values.shape[1]}"
             )
     else:
-        spec = ReservoirSpec(
-            n_nodes=args.n_nodes,
-            input_dim=values.shape[1],
-            variant=args.variant,
-            params=HyperParams(
-                feedback_gain=args.feedback_gain,
-                input_gain=args.input_gain,
-                coupling_gain=args.coupling_gain,
-                coupling_density=args.coupling_density,
-            ),
-            seed=derive_stream_seed(args.seed, "reservoir"),
+        spec = reservoir_spec(
+            args.n_nodes, values.shape[1], args.variant, _hyperparams(args), args.seed
         )
     spans = None
     if args.reset_per_sequence:
         if not args.manifest:
             raise _UsageError("--reset-per-sequence requires --manifest")
-        manifest = load_manifest(args.manifest)
-        index = index_frames(manifest)
-        _check_rows(args.features, values, manifest, index)
-        spans = [(s, e) for _, s, e, _ in index.spans_for()]
+        spans = prepare_data(args.manifest, values).all_spans
     if args.save_spec:
         os.makedirs(os.path.dirname(os.path.abspath(args.save_spec)), exist_ok=True)
         save_reservoir_spec(spec, args.save_spec)
-    matrices = spec.build()
-    states = run_reservoir(matrices, values, variant=spec.variant, spans=spans)
     out = _out_path(args, args.out, "states.rcf")
     with CacheWriter(out, spec.n_nodes) as writer:
-        writer.append(states)
-    print(f"wrote {out}: {states.shape[0]} steps x {spec.n_nodes} nodes ({spec.variant})")
+        writer.append(reservoir_states(spec, values, spans))
+    print(f"wrote {out}: {values.shape[0]} steps x {spec.n_nodes} nodes ({spec.variant})")
     return 0
 
 
 def cmd_train(args):
-    manifest = load_manifest(args.manifest)
-    index = index_frames(manifest)
-    values, _ = read_cache(args.states)
-    _check_rows(args.states, values, manifest, index)
-    encoding = encode_targets(index.frame_actions())
-    rows = index.rows_for(Split.TRAIN)
-    if rows.size == 0:
-        raise SchemaError("manifest has no train-split sequences")
-    model = train_ridge(
-        values[rows],
-        encoding.targets[rows],
-        ridge_lambda=args.ridge_lambda,
-        feature_transform=feature_transform_for(args.variant),
-    )
+    data = prepare_data(args.manifest, args.states)
+    model = train_readout(data.features, data, args.ridge_lambda, args.variant)
     out = _out_path(args, args.out, "readout.bin")
     save_readout_model(model, out)
     print(
@@ -300,25 +248,12 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    manifest = load_manifest(args.manifest)
-    index = index_frames(manifest)
-    values, _ = read_cache(args.states)
-    _check_rows(args.states, values, manifest, index)
+    data = prepare_data(args.manifest, args.states)
     model = load_readout_model(args.model)
-    outputs = apply_readout(model, values)
-    spans = index.spans_for(Split.TEST)
-    if not spans:
-        raise SchemaError("manifest has no test-split sequences")
-    decisions, truths = classify_stream(outputs, spans)
-    matrix = confusion(decisions, truths)
+    decisions, truths, matrix, _ = evaluate_readout(model, data.features, data)
     out_dir = args.out or args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    write_sequence_results(os.path.join(out_dir, "sequence_results.csv"), decisions, truths)
-    write_confusion(os.path.join(out_dir, "confusion.csv"), matrix)
-    line = score_line(matrix)
-    with open(os.path.join(out_dir, "score.txt"), "w", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-    print(line)
+    print(write_results(out_dir, decisions, truths, matrix))
     return 0
 
 
@@ -362,12 +297,7 @@ def cmd_pipeline_run(args):
         pca_components=args.components,
         n_nodes=args.n_nodes,
         variant=args.variant,
-        params=HyperParams(
-            feedback_gain=args.feedback_gain,
-            input_gain=args.input_gain,
-            coupling_gain=args.coupling_gain,
-            coupling_density=args.coupling_density,
-        ),
+        params=_hyperparams(args),
         ridge_lambda=args.ridge_lambda,
         seed=args.seed,
         cache_policy=args.cache_policy,

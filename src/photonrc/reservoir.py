@@ -24,7 +24,7 @@ coupling values) so a seed pins the reservoir down exactly.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -90,12 +90,7 @@ class HyperParams:
             raise ValueError("coupling_density must lie in [0, 1]")
 
     def as_dict(self):
-        return {
-            "feedback_gain": self.feedback_gain,
-            "input_gain": self.input_gain,
-            "coupling_gain": self.coupling_gain,
-            "coupling_density": self.coupling_density,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -15,24 +15,35 @@ seed), so worker count and completion order never affect the outcome.
 
 import csv
 import itertools
+import json
 import math
 import os
 import threading
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import read_cache
-from .dataset import Split, index_frames, load_manifest, make_split
-from .errors import PhotonRcError, SchemaError
-from .classify import classify_stream, confusion
-from .pipeline import derive_stream_seed, feature_transform_for
-from .readout import apply_readout, encode_targets, nmse_per_output, train_ridge
-from .reservoir import VARIANTS, HyperParams, generate_matrices, run_reservoir
+from .errors import ParseError, PhotonRcError, SchemaError
+from .pipeline import evaluate_readout, reservoir_spec, reservoir_states, train_readout
+from .reservoir import VARIANTS, HyperParams
+
+# not called here; bound so that perfbench/tracing.py WRAPS can patch them on this module
+from .pipeline import (  # noqa: F401
+    apply_readout,
+    classify_stream,
+    confusion,
+    encode_targets,
+    index_frames,
+    load_manifest,
+    nmse_per_output,
+    read_cache,
+    run_reservoir,
+    train_ridge,
+)
+from .reservoir import generate_matrices  # noqa: F401
 
 ALPHA_RANGE = (0.1, 1.5)     # feedback gain search window
 SMALL_GAIN_RANGE = (0.0001, 1.0)  # input gain, coupling gain, density window
@@ -57,6 +68,13 @@ LOG_FIELDS = [
 ]
 
 
+# the value lists of a grid, in the order its cells vary (the last fastest)
+AXES = ("feedback_gain", "input_gain", "coupling_gain", "coupling_density", "ridge_lambda", "seeds")
+
+# an error row's gains as the grid gave them, which HyperParams may reject
+CellGains = namedtuple("CellGains", LOG_FIELDS[:4])
+
+
 def _check_range(name, values, lo, hi, allow):
     for v in values:
         if not (lo <= v <= hi) and not allow:
@@ -79,10 +97,8 @@ class GridSpec:
     allow_out_of_range: bool = False
 
     def __post_init__(self):
-        for name in ("feedback_gain", "input_gain", "coupling_gain",
-                     "coupling_density", "ridge_lambda", "seeds"):
-            values = getattr(self, name)
-            object.__setattr__(self, name, tuple(values))
+        for name in AXES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} value list is empty")
         if self.variant not in VARIANTS:
@@ -95,27 +111,11 @@ class GridSpec:
 
     def cells(self):
         """Cartesian product of all value lists, in deterministic order."""
-        return list(
-            itertools.product(
-                self.feedback_gain,
-                self.input_gain,
-                self.coupling_gain,
-                self.coupling_density,
-                self.ridge_lambda,
-                self.seeds,
-            )
-        )
+        return list(itertools.product(*(getattr(self, name) for name in AXES)))
 
     @property
     def trial_count(self):
-        return (
-            len(self.feedback_gain)
-            * len(self.input_gain)
-            * len(self.coupling_gain)
-            * len(self.coupling_density)
-            * len(self.ridge_lambda)
-            * len(self.seeds)
-        )
+        return math.prod(len(getattr(self, name)) for name in AXES)
 
 
 def default_grid(n_nodes=1024, variant="intensity", seeds=(0,)):
@@ -132,25 +132,16 @@ def default_grid(n_nodes=1024, variant="intensity", seeds=(0,)):
 
 
 def save_grid_spec(spec, path):
-    doc = {
-        "feedback_gain": list(spec.feedback_gain),
-        "input_gain": list(spec.input_gain),
-        "coupling_gain": list(spec.coupling_gain),
-        "coupling_density": list(spec.coupling_density),
-        "ridge_lambda": list(spec.ridge_lambda),
-        "n_nodes": spec.n_nodes,
-        "variant": spec.variant,
-        "seeds": list(spec.seeds),
-        "allow_out_of_range": spec.allow_out_of_range,
-    }
+    doc = {name: list(getattr(spec, name)) for name in AXES}
+    doc.update(
+        n_nodes=spec.n_nodes, variant=spec.variant, allow_out_of_range=spec.allow_out_of_range
+    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_grid_spec(path):
-    from .errors import ParseError
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -175,87 +166,11 @@ def load_grid_spec(path):
 
 
 # ---------------------------------------------------------------------------
-# Prepared data
-
-@dataclass(frozen=True)
-class PreparedData:
-    """Reservoir-ready features plus the row bookkeeping of their manifest."""
-
-    features: np.ndarray  # (T, K) float32, the cache contents
-    targets: np.ndarray   # (T, 6) one-hot
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    all_spans: tuple      # (sequence_id, start, stop, action) over every sequence
-    test_spans: tuple
-
-    @property
-    def input_dim(self):
-        return self.features.shape[1]
-
-
-def prepare_data(manifest, features, validation_fraction=None, seed=0):
-    """Bind a feature cache to its manifest.
-
-    ``manifest`` is a Manifest or a path; ``features`` is an array or a
-    cache path.  Row counts must match the manifest's total frame count.
-
-    With ``validation_fraction`` set, a stratified validation subset is
-    carved out of the train split and trials score on it instead of the
-    test split, which then stays untouched for the final model.
-    """
-    if isinstance(manifest, (str, os.PathLike)):
-        manifest = load_manifest(manifest)
-    if isinstance(features, (str, os.PathLike)):
-        features, _ = read_cache(features)
-    features = np.asarray(features, dtype=np.float32)
-    index = index_frames(manifest)
-    if features.shape[0] != index.total_frames:
-        raise SchemaError(
-            f"feature cache has {features.shape[0]} rows, "
-            f"manifest counts {index.total_frames} frames"
-        )
-    encoding = encode_targets(index.frame_actions())
-
-    if validation_fraction is None:
-        train_rows = index.rows_for(Split.TRAIN)
-        test_rows = index.rows_for(Split.TEST)
-        test_spans = tuple(index.spans_for(Split.TEST))
-    else:
-        train_seqs = [s for s in manifest.sequences if s.split is Split.TRAIN]
-        relabeled = make_split(
-            train_seqs,
-            1.0 - validation_fraction,
-            derive_stream_seed(seed, "validation"),
-        )
-        # TEST after relabeling = validation; the real test split is untouched
-        role = {s.sequence_id: s.split for s in relabeled}
-        train_chunks, eval_chunks, eval_spans = [], [], []
-        for seq_id, start, stop, action in index.spans_for():
-            if role.get(seq_id) is Split.TRAIN:
-                train_chunks.append(np.arange(start, stop))
-            elif role.get(seq_id) is Split.TEST:
-                eval_chunks.append(np.arange(start, stop))
-                eval_spans.append((seq_id, start, stop, action))
-        train_rows = np.concatenate(train_chunks) if train_chunks else np.empty(0, np.intp)
-        test_rows = np.concatenate(eval_chunks) if eval_chunks else np.empty(0, np.intp)
-        test_spans = tuple(eval_spans)
-
-    return PreparedData(
-        features=features,
-        targets=encoding.targets,
-        train_rows=train_rows,
-        test_rows=test_rows,
-        all_spans=tuple(index.spans_for()),
-        test_spans=test_spans,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Trials
 
 @dataclass(frozen=True)
 class TrialResult:
-    params: HyperParams
+    params: HyperParams  # CellGains when status is "error"
     ridge_lambda: object  # float or None (auto)
     seed: int
     score: float
@@ -279,26 +194,15 @@ class TrialResult:
 def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequence=False):
     """Reservoir + readout + score for one hyperparameter cell.
 
-    States round-trip through float32 exactly as the pipeline's state cache
-    does, so a one-cell grid reproduces a pipeline run bit for bit.
+    These are the pipeline's reservoir, train and evaluate stages on
+    in-memory arrays; the states are float32 as in the pipeline's state
+    cache, so a one-cell grid reproduces a pipeline run bit for bit.
     """
     start = time.perf_counter()
-    matrices = generate_matrices(
-        n_nodes, data.input_dim, params, derive_stream_seed(seed, "reservoir")
-    )
-    spans = [(s, e) for _, s, e, _ in data.all_spans] if reset_per_sequence else None
-    states = run_reservoir(matrices, data.features, variant=variant, spans=spans)
-    states = states.astype(np.float32)
-    model = train_ridge(
-        states[data.train_rows],
-        data.targets[data.train_rows],
-        ridge_lambda=ridge_lambda,
-        feature_transform=feature_transform_for(variant),
-    )
-    outputs = apply_readout(model, states)
-    decisions, truths = classify_stream(outputs, data.test_spans)
-    matrix = confusion(decisions, truths)
-    per_class = nmse_per_output(outputs[data.test_rows], data.targets[data.test_rows])
+    spec = reservoir_spec(n_nodes, data.input_dim, variant, params, seed)
+    states = reservoir_states(spec, data.features, data.all_spans if reset_per_sequence else None)
+    model = train_readout(states, data, ridge_lambda, variant)
+    _, _, matrix, per_class = evaluate_readout(model, states, data)
     return TrialResult(
         params=params,
         ridge_lambda=ridge_lambda,
@@ -330,12 +234,8 @@ def _result_row(result):
 
 def _row_result(row):
     lam = row["ridge_lambda"]
-    params = HyperParams(
-        feedback_gain=float(row["feedback_gain"]),
-        input_gain=float(row["input_gain"]),
-        coupling_gain=float(row["coupling_gain"]),
-        coupling_density=float(row["coupling_density"]),
-    )
+    gains = HyperParams if row["status"] == "ok" else CellGains
+    params = gains(*(float(row[name]) for name in LOG_FIELDS[:4]))
     return TrialResult(
         params=params,
         ridge_lambda=None if lam == "" else float(lam),
@@ -359,18 +259,21 @@ def read_grid_log(path):
         if missing:
             raise SchemaError(f"{path}: grid log missing columns {sorted(missing)}")
         for row in reader:
-            results.append(_row_result(row))
+            try:
+                results.append(_row_result(row))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"{path}: malformed grid-log row at line {reader.line_num}"
+                ) from exc
     return results
 
 
-def _raw_params(fg, ig, cg, cd):
-    # record the cell's raw values even when they fail HyperParams validation
-    params = HyperParams.__new__(HyperParams)
-    object.__setattr__(params, "feedback_gain", fg)
-    object.__setattr__(params, "input_gain", ig)
-    object.__setattr__(params, "coupling_gain", cg)
-    object.__setattr__(params, "coupling_density", cd)
-    return params
+def _drop_torn_row(path):
+    """Cut a last row that lacks its newline, which every row written in full ends with."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _error_result(params, ridge_lambda, seed, wall_time, exc):
@@ -414,6 +317,7 @@ def run_grid(
     cells = spec.cells()
     done = {}
     if resume and log_path and os.path.isfile(log_path):
+        _drop_torn_row(log_path)  # its cell then runs again
         for result in read_grid_log(log_path):
             done[result.key()] = result
 
@@ -441,7 +345,7 @@ def run_grid(
             )
         except (PhotonRcError, OverflowError, ValueError) as exc:
             result = _error_result(
-                _raw_params(fg, ig, cg, cd), lam, seed, time.perf_counter() - start, exc
+                CellGains(fg, ig, cg, cd), lam, seed, time.perf_counter() - start, exc
             )
         if writer is not None:
             with log_lock:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from photonrc import generate_corpus
-from photonrc.cache import CacheWriter
-from photonrc.dataset import index_frames, load_manifest, stream_frames
-from photonrc.hog import descriptor_layout, feature_count, hog_descriptor
-from photonrc.pca import fit_pca, transform
+from photonrc.dataset import load_manifest
+from photonrc.pipeline import extract_hog, fit_pca_model, pca_fit_rows, prepare_data, project
 
 
 @pytest.fixture(scope="session")
@@ -25,30 +23,18 @@ def tiny_manifest(tiny_corpus):
 @pytest.fixture(scope="session")
 def tiny_features(tmp_path_factory, tiny_corpus, tiny_manifest):
     """HOG cache plus a 24-component projected feature cache for the corpus."""
-    from photonrc.dataset import Split
-
     out = tmp_path_factory.mktemp("tiny_features")
-    manifest = tiny_manifest
-    dim = feature_count(manifest.resolution)
     hog_path = out / "hog.rcf"
-    with CacheWriter(hog_path, dim, layout=descriptor_layout(manifest.resolution)) as w:
-        for frame in stream_frames(manifest):
-            values, _ = hog_descriptor(frame.pixels)
-            w.append(values)
-    from photonrc.cache import read_cache
-
-    hog_values, _ = read_cache(hog_path)
-    index = index_frames(manifest)
-    model = fit_pca(hog_values[index.rows_for(Split.TRAIN)], 24)
-    projected = transform(model, hog_values)
+    extract_hog(tiny_manifest, hog_path)
+    hog = prepare_data(tiny_manifest, hog_path)
+    model = fit_pca_model(hog.features, pca_fit_rows(hog, "train"), 24, out / "pca.bin")
     feat_path = out / "features.rcf"
-    with CacheWriter(feat_path, 24) as w:
-        w.append(projected)
+    project(model, hog.features, feat_path)
     return {
         "manifest_path": tiny_corpus,
         "hog": str(hog_path),
         "features": str(feat_path),
-        "n_frames": hog_values.shape[0],
+        "n_frames": hog.features.shape[0],
     }
 
 

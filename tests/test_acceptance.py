@@ -11,12 +11,19 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from photonrc.cache import CacheWriter, read_cache
 from photonrc.classify import SequenceDecision, confusion
 from photonrc.dataset import Split, index_frames, load_manifest, stream_frames
 from photonrc.hog import feature_count, hog_descriptor, hog_stack
 from photonrc.pca import fit_pca, transform
-from photonrc.pipeline import PipelineConfig, run_pipeline
+from photonrc.pipeline import (
+    PipelineConfig,
+    extract_hog,
+    fit_pca_model,
+    pca_fit_rows,
+    prepare_data,
+    project,
+    run_pipeline,
+)
 from photonrc.readout import train_ridge
 from photonrc.reservoir import (
     PHASE_STEP,
@@ -31,7 +38,7 @@ from photonrc.reservoir import (
     step_phase,
 )
 from photonrc.synthetic import generate_corpus
-from photonrc.tuning import GridSpec, best_trial, prepare_data, run_grid
+from photonrc.tuning import GridSpec, best_trial, run_grid
 
 from _oracles import hog_oracle, ridge_oracle
 
@@ -190,19 +197,13 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
     manifest_path = generate_corpus(
         tmp_path / "corpus", n_subjects=5, n_repetitions=4, seed=11
     )
-    manifest = load_manifest(manifest_path)
-    index = index_frames(manifest)
-    dim = feature_count(manifest.resolution)
     hog_path = tmp_path / "hog.rcf"
-    with CacheWriter(hog_path, dim) as writer:
-        for frame in stream_frames(manifest):
-            values, _ = hog_descriptor(frame.pixels)
-            writer.append(values)
-    hog_values, _ = read_cache(hog_path)
-    model = fit_pca(hog_values[index.rows_for(Split.TRAIN)], 2000)
-    features = transform(model, hog_values).astype(np.float32)
+    extract_hog(load_manifest(manifest_path), hog_path)
+    hog = prepare_data(manifest_path, hog_path)
+    pca = fit_pca_model(hog.features, pca_fit_rows(hog, "train"), 2000, tmp_path / "pca.bin")
+    project(pca, hog.features, tmp_path / "features.rcf")
 
-    data = prepare_data(manifest_path, features)
+    data = prepare_data(manifest_path, tmp_path / "features.rcf")
     spec = GridSpec(
         feedback_gain=(0.6, 0.8, 1.0),
         input_gain=(0.005, 0.01, 0.02),

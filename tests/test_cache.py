@@ -5,20 +5,21 @@ import struct
 import numpy as np
 import pytest
 
-from photonrc.cache import (
-    MAGIC,
-    CacheWriter,
-    read_cache,
-    read_cache_header,
-    write_cache,
-)
+from photonrc.cache import MAGIC, CacheWriter, read_cache, read_cache_header
 from photonrc.errors import ParseError
+
+
+def _write_at_once(path, rows, layout=None):
+    """Write a whole array through one CacheWriter append."""
+    rows = np.asarray(rows)
+    with CacheWriter(path, rows.shape[1], layout=layout) as writer:
+        writer.append(rows)
 
 
 def test_write_read_round_trip(tmp_path, rng):
     rows = rng.standard_normal((13, 7)).astype(np.float32)
     path = tmp_path / "cache.rcf"
-    write_cache(path, rows, layout=(7,))
+    _write_at_once(path, rows, layout=(7,))
     back, layout = read_cache(path)
     assert layout == (7,)
     np.testing.assert_array_equal(back, rows)
@@ -27,7 +28,7 @@ def test_write_read_round_trip(tmp_path, rng):
 def test_layout_defaults_to_width(tmp_path, rng):
     rows = rng.standard_normal((3, 5))
     path = tmp_path / "cache.rcf"
-    write_cache(path, rows)
+    _write_at_once(path, rows)
     _, layout = read_cache(path)
     assert layout == (5,)
 
@@ -35,7 +36,7 @@ def test_layout_defaults_to_width(tmp_path, rng):
 def test_multi_entry_layout_round_trips(tmp_path, rng):
     rows = rng.standard_normal((2, 9576))
     path = tmp_path / "hog.rcf"
-    write_cache(path, rows, layout=(19, 14, 4, 9))
+    _write_at_once(path, rows, layout=(19, 14, 4, 9))
     count, dim, layout = read_cache_header(path)
     assert (count, dim) == (2, 9576)
     assert layout == (19, 14, 4, 9)
@@ -44,7 +45,7 @@ def test_multi_entry_layout_round_trips(tmp_path, rng):
 def test_values_stored_as_float32(tmp_path):
     rows = np.array([[1.0 / 3.0]])
     path = tmp_path / "c.rcf"
-    write_cache(path, rows)
+    _write_at_once(path, rows)
     back, _ = read_cache(path)
     assert back.dtype == np.float32
     assert back[0, 0] == np.float32(1.0 / 3.0)
@@ -54,7 +55,7 @@ def test_incremental_writer_matches_bulk(tmp_path, rng):
     rows = rng.standard_normal((10, 4))
     bulk = tmp_path / "bulk.rcf"
     streamed = tmp_path / "streamed.rcf"
-    write_cache(bulk, rows)
+    _write_at_once(bulk, rows)
     with CacheWriter(streamed, 4) as writer:
         writer.append(rows[:3])
         writer.append(rows[3])  # single row, 1-D
@@ -103,7 +104,7 @@ def test_truncated_header_rejected(tmp_path):
 
 def test_truncated_body_rejected(tmp_path, rng):
     path = tmp_path / "cut.rcf"
-    write_cache(path, rng.standard_normal((4, 4)))
+    _write_at_once(path, rng.standard_normal((4, 4)))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="expected"):

@@ -7,7 +7,6 @@ import pytest
 
 from photonrc.classify import (
     ConfusionMatrix,
-    FrameDecision,
     classify_frames,
     classify_sequence,
     classify_stream,
@@ -20,45 +19,33 @@ from photonrc.errors import DimensionError
 
 
 def _decisions(classes):
-    return [
-        FrameDecision(frame_index=i, class_index=c, outputs=np.zeros(6))
-        for i, c in enumerate(classes)
-    ]
+    return np.asarray(classes, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Frame decisions
 
 def test_argmax_decision():
-    decisions = classify_frames([[0.1, 0.9, 0.2, 0.0, 0.0, 0.0]])
-    assert decisions[0].class_index == 1
+    assert classify_frames([[0.1, 0.9, 0.2, 0.0, 0.0, 0.0]]).tolist() == [1]
 
 
 def test_ties_break_toward_lowest_index():
     decisions = classify_frames([[0.5] * 6, [0.0, 0.3, 0.3, 0.0, 0.0, 0.0]])
-    assert decisions[0].class_index == 0
-    assert decisions[1].class_index == 1
-
-
-def test_frame_indices_offset():
-    decisions = classify_frames(np.zeros((3, 6)), first_frame_index=10)
-    assert [d.frame_index for d in decisions] == [10, 11, 12]
+    assert decisions.tolist() == [0, 1]
 
 
 def test_decisions_invariant_under_monotone_maps(rng):
     outputs = rng.standard_normal((50, 6))
-    base = [d.class_index for d in classify_frames(outputs)]
+    base = classify_frames(outputs).tolist()
     for fn in (np.exp, lambda v: 2.0 * v + 1.0, np.arctan, lambda v: v**3):
-        mapped = [d.class_index for d in classify_frames(fn(outputs))]
-        assert mapped == base
+        assert classify_frames(fn(outputs)).tolist() == base
 
 
 def test_decisions_invariant_under_uniform_shift(rng):
     outputs = rng.standard_normal((40, 6))
-    base = [d.class_index for d in classify_frames(outputs)]
+    base = classify_frames(outputs).tolist()
     for c in (-3.0, 0.25, 100.0):
-        shifted = [d.class_index for d in classify_frames(outputs + c)]
-        assert shifted == base
+        assert classify_frames(outputs + c).tolist() == base
 
 
 def test_wrong_column_count_rejected(rng):

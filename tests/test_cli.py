@@ -131,7 +131,7 @@ def test_reservoir_reset_needs_manifest(cli_env, tmp_path):
     assert main(argv + ["--manifest", cli_env["manifest"]]) == 0
 
 
-def test_gridsearch_runs_and_resumes(cli_env, tmp_path, capsys):
+def _gridsearch_argv(cli_env, tmp_path):
     grid_path = tmp_path / "grid.json"
     save_grid_spec(
         GridSpec(
@@ -140,11 +140,15 @@ def test_gridsearch_runs_and_resumes(cli_env, tmp_path, capsys):
         ),
         grid_path,
     )
-    log = tmp_path / "grid_log.csv"
-    argv = [
+    return [
         "gridsearch", "--grid", str(grid_path), "--manifest", cli_env["manifest"],
-        "--features", cli_env["features"], "--log", str(log),
+        "--features", cli_env["features"], "--log", str(tmp_path / "grid_log.csv"),
     ]
+
+
+def test_gridsearch_runs_and_resumes(cli_env, tmp_path, capsys):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "grid_log.csv"
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "2 trials (0 failed)" in out
@@ -154,6 +158,27 @@ def test_gridsearch_runs_and_resumes(cli_env, tmp_path, capsys):
     assert main(argv + ["--resume"]) == 0
     assert "2 trials (0 failed)" in capsys.readouterr().out
     assert len(log.read_text().splitlines()) == 3  # nothing recomputed
+
+
+def test_gridsearch_resume_reruns_a_torn_last_row(cli_env, tmp_path, capsys):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "grid_log.csv"
+    assert main(argv) == 0
+    log.write_bytes(log.read_bytes()[:-40])
+    assert main(argv + ["--resume"]) == 0
+    assert "2 trials (0 failed)" in capsys.readouterr().out
+    assert len(log.read_text().splitlines()) == 3
+
+
+def test_gridsearch_malformed_log_is_data_error(cli_env, tmp_path, capsys):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "grid_log.csv"
+    assert main(argv) == 0
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[1] = b"0.5,oops\r\n"
+    log.write_bytes(b"".join(lines))
+    assert main(argv + ["--resume"]) == 2
+    assert "malformed grid-log row" in capsys.readouterr().err
 
 
 def test_pipeline_run_and_describe(cli_env, tmp_path, capsys):
@@ -173,6 +198,38 @@ def test_pipeline_run_and_describe(cli_env, tmp_path, capsys):
     text = capsys.readouterr().out
     assert f"pipeline run in {out_dir}" in text
     assert "score:" in text
+
+
+def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
+    manifest = str(tiny_corpus)
+    chain = tmp_path / "chain"
+    steps = [
+        ["extract-hog", "--manifest", manifest],
+        ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
+        ["pca", "transform", "--model", str(chain / "pca.bin"), "--in", str(chain / "hog.rcf")],
+        ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64"],
+        ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
+        ["evaluate", "--model", str(chain / "readout.bin"),
+         "--states", str(chain / "states.rcf"), "--manifest", manifest],
+    ]
+    assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
+    piped = tmp_path / "pipe"
+    assert main([
+        "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,
+        "--components", "24", "--n-nodes", "64",
+    ]) == 0
+    capsys.readouterr()
+    artifacts = json.loads((piped / "pipeline.json").read_text())["artifacts"]
+    pairs = {
+        "hog.rcf": artifacts["hog"],
+        "pca.bin": artifacts["pca_model"],
+        "features.rcf": artifacts["features"],
+        "states.rcf": artifacts["states"],
+        "readout.bin": artifacts["readout_model"],
+    }
+    pairs.update({name: name for name in ("score.txt", "confusion.csv", "sequence_results.csv")})
+    for chained, pipelined in pairs.items():
+        assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), chained
 
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):

@@ -24,17 +24,30 @@ from photonrc.pipeline import (
     describe_artifacts,
     feature_transform_for,
     file_sha256,
+    prepare_data,
     run_pipeline,
 )
 from photonrc.readout import TRANSFORM_NONLINEAR_PHASE, TRANSFORM_RAW
 from photonrc.reservoir import HyperParams
-from photonrc.tuning import prepare_data, run_trial
+from photonrc.tuning import run_trial
 
 PARAMS = HyperParams(
     feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.05
 )
 
 RESULT_FILES = ("sequence_results.csv", "confusion.csv", "score.txt")
+
+# SHA-256 of the `pipe` run's outputs, pinned with numpy 2.4.6, scipy 1.17.1
+# and scipy-openblas 0.3.31 on x86-64; another BLAS may round differently.
+# config.json and the artifact names are left out: the manifest they hash
+# holds an absolute frame_store_root, so they change with the directory.
+GOLDEN_SHA256 = {
+    "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
+    "readout_model": "46c0ad241017550697d6211f7ddfbd744ce07f0e38354bfd9896046f3111db3c",
+    "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
+    "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
+    "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
+}
 
 
 def _config(manifest_path, out_dir, **overrides):
@@ -133,6 +146,14 @@ def test_artifact_names_embed_digests(pipe):
     assert report.artifacts["readout_model"] == f"readout_{report.digests['train']}.bin"
 
 
+def test_golden_digests(pipe):
+    _, report = pipe
+    out = Path(report.out_dir)
+    got = {name: file_sha256(out / report.artifacts[name]) for name in ("states", "readout_model")}
+    got.update({name: file_sha256(out / name) for name in RESULT_FILES})
+    assert got == GOLDEN_SHA256
+
+
 def test_warm_rerun_is_bit_identical(pipe):
     config, report = pipe
     before = _result_bytes(report.out_dir)
@@ -166,6 +187,20 @@ def test_rebuild_policy_recomputes_but_agrees(pipe, tmp_path):
     assert rebuilt.score == report.score
     assert os.path.getmtime(hog_path) > mtime  # rebuild ignores the valid cache
     assert _result_bytes(clone) == _result_bytes(report.out_dir)
+
+
+@pytest.mark.parametrize("artifact", ["states", "readout_model"])
+def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
+    config, report = pipe
+    copy_dir = tmp_path / "torn"
+    shutil.copytree(report.out_dir, copy_dir)
+    victim = copy_dir / report.artifacts[artifact]
+    data = victim.read_bytes()
+    victim.write_bytes(data[: len(data) // 2])
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert again.score == report.score
+    assert victim.read_bytes() == data
+    assert _result_bytes(copy_dir) == _result_bytes(report.out_dir)
 
 
 def test_single_cell_trial_matches_pipeline(pipe):

@@ -8,6 +8,7 @@ import pytest
 
 from photonrc.dataset import Split, load_manifest
 from photonrc.errors import ParseError, SchemaError
+from photonrc.pipeline import prepare_data
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import (
     GridSpec,
@@ -17,7 +18,6 @@ from photonrc.tuning import (
     best_trial,
     default_grid,
     load_grid_spec,
-    prepare_data,
     read_grid_log,
     run_grid,
     run_trial,
@@ -185,6 +185,26 @@ def test_run_grid_logs_and_resumes(prepared, tmp_path):
     by_key = {r.key(): r.score for r in resumed}
     for r in results:
         assert by_key[r.key()] == r.score
+
+
+def test_resume_reruns_a_torn_last_row(prepared, tmp_path):
+    log = tmp_path / "grid_log.csv"
+    full = run_grid(_small_grid(), prepared, workers=1, log_path=log)
+    log.write_bytes(log.read_bytes()[:-40])  # a crash in the middle of the last row
+    resumed = run_grid(_small_grid(), prepared, workers=1, log_path=log, resume=True)
+    assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in full]
+    assert log.read_bytes().endswith(b"\n")
+    assert sorted(r.key() for r in read_grid_log(log)) == sorted(r.key() for r in full)
+
+
+def test_resume_rejects_a_malformed_inner_row(prepared, tmp_path):
+    log = tmp_path / "grid_log.csv"
+    run_grid(_small_grid(), prepared, workers=1, log_path=log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[1] = b"0.5,oops\r\n"
+    log.write_bytes(b"".join(lines))
+    with pytest.raises(SchemaError, match="line 2"):
+        run_grid(_small_grid(), prepared, workers=1, log_path=log, resume=True)
 
 
 def test_failed_cells_are_recorded_and_skipped(prepared, tmp_path):
