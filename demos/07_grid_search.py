@@ -2,8 +2,11 @@
 
 # Hyperparameter grid search with a checkpoint log and resume.
 #
-# Every (feedback, input, coupling, density, lambda, seed) cell runs one
-# reservoir trial; finished cells land in a CSV immediately, so an
+# Every (feedback, input, coupling, density, lambda, seed) cell is one
+# trial.  Cells that differ only in lambda share one reservoir run, and
+# each lambda then trains and scores its own readout on those states, so a
+# trial's printed time is its readout time plus an equal share of its
+# reservoir run.  Finished cells land in a CSV immediately, so an
 # interrupted sweep restarts where it stopped instead of from scratch.
 
 import tempfile

@@ -227,16 +227,23 @@ def _stage(name):
         raise PipelineStageError(name, exc) from exc
 
 
+def _cache_shape(path):
+    """(rows, dim) of a cache file; ParseError unless its size is the header's rows x dim."""
+    rows, dim, layout = read_cache_header(path)
+    size = data_offset(layout) + 4 * rows * dim
+    actual = os.path.getsize(path)
+    if actual != size:
+        raise ParseError(f"{path}: {actual} bytes, a {rows} x {dim} cache takes {size} bytes")
+    return rows, dim
+
+
 def _cache_is_valid(path, expected_rows, expected_dim):
     if not os.path.isfile(path):
         return False
     try:
-        rows, dim, layout = read_cache_header(path)
-    except PhotonRcError:
+        return _cache_shape(path) == (expected_rows, expected_dim)
+    except PhotonRcError:  # a file cut short after a valid header is a miss too
         return False
-    # a file cut short after a valid header is a miss, not a reusable cache
-    size = data_offset(layout) + 4 * rows * dim
-    return (rows, dim) == (expected_rows, expected_dim) and os.path.getsize(path) == size
 
 
 def feature_transform_for(variant):
@@ -514,7 +521,7 @@ def describe_artifacts(out_dir):
             note = f"{os.path.getsize(path)} bytes"
             if filename.endswith(".rcf"):
                 try:
-                    rows, dim, _ = read_cache_header(path)
+                    rows, dim = _cache_shape(path)
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

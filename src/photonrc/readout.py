@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SingularError,
 )
-from .reservoir import quantize_intensity
+from .reservoir import detect
 
 N_CLASSES = 6
 RESIDUAL_RTOL = 1e-6
@@ -84,8 +84,7 @@ class ReadoutModel:
 
 def _transform_states(states, feature_transform):
     if feature_transform == TRANSFORM_NONLINEAR_PHASE:
-        s = np.sin(states)
-        return quantize_intensity(s * s)
+        return detect(states)
     return states
 
 

@@ -13,7 +13,9 @@ Two update variants share the same coupling matrices:
     phase:      x(n+1) = q8( W f(x(n)) + B u(n) ),   f(x) = q10( sin^2 x )
 
 In the intensity variant the state lives on the 10-bit intensity grid, in
-the phase variant on the 8-bit phase grid.
+the phase variant on the 8-bit phase grid.  Every quantized phase is one of
+256 codes (:func:`phase_code`), so both variants step on integer codes and
+read q10(sin^2) from the 256-entry table :data:`RESPONSE`.
 
 W has the feedback gain on its diagonal and round(density * N^2) coupling
 entries scattered off the diagonal, each drawn from a uniform distribution
@@ -40,21 +42,42 @@ PRNG_FAMILY = "numpy-pcg64"
 VARIANTS = ("intensity", "phase")
 
 
-def quantize_phase(x, levels=PHASE_LEVELS):
-    """Truncate phases to the grid k * 2pi/levels, k in [0, levels).
+def _phase_grid(levels):
+    """Grid values k * 2pi/levels, as float products, for k in [0, levels + 1].
 
-    Values are wrapped into [0, 2pi) first.  Truncation uses floor with a
-    one-step correction so every representable grid point maps to itself
-    despite floating-point division error.
+    The two values past the last code are what the truncation's one-step
+    corrections compare against.
     """
-    step = TWO_PI / levels
+    return np.arange(levels + 2, dtype=np.float64) * (TWO_PI / levels)
+
+
+_PHASE_GRID = _phase_grid(PHASE_LEVELS)
+
+
+def phase_code(x, levels=PHASE_LEVELS):
+    """Truncation codes k in [0, levels) of phases on the grid k * 2pi/levels.
+
+    Values are wrapped into [0, 2pi] with ``np.mod`` first.  Truncation
+    divides and floors, then corrects by one step up and one step down
+    against the grid values themselves, so every representable grid point
+    maps to its own code despite floating-point division error.  ``np.mod``
+    can return 2pi itself, whose code wraps to 0.
+    """
+    grid = _PHASE_GRID if levels == PHASE_LEVELS else _phase_grid(levels)
     y = np.mod(np.asarray(x, dtype=np.float64), TWO_PI)
-    k = np.floor(y / step)
-    k = np.where((k + 1.0) * step <= y, k + 1.0, k)
-    k = np.where(k * step > y, k - 1.0, k)
-    k = np.where(k >= levels, k - levels, k)  # mod can return 2pi itself; 2pi wraps to 0
-    k = np.where(k < 0.0, 0.0, k)
-    return k * step
+    if np.isnan(y).any():  # np.mod maps infinities to nan as well
+        raise ValueError("phases must be finite")
+    k = np.asarray(y / grid[1]).astype(np.intp)  # floor, as y >= 0
+    k += grid[1:][k] <= y
+    k -= grid[k] > y
+    np.putmask(k, k == levels, 0)
+    return k
+
+
+def quantize_phase(x, levels=PHASE_LEVELS):
+    """Truncate phases to the grid k * 2pi/levels, k in [0, levels); see :func:`phase_code`."""
+    grid = _PHASE_GRID if levels == PHASE_LEVELS else _phase_grid(levels)
+    return grid[phase_code(x, levels)]
 
 
 def quantize_intensity(y, levels=INTENSITY_LEVELS):
@@ -67,10 +90,19 @@ def quantize_intensity(y, levels=INTENSITY_LEVELS):
     return np.floor(z * max_code + 0.5) / max_code
 
 
+def detect(phase):
+    """Detector reading q10(sin^2(phase)) of an unquantized phase."""
+    s = np.sin(phase)
+    return quantize_intensity(s * s)
+
+
+# detector reading of every phase code: q10(sin^2(k * 2pi/256))
+RESPONSE = detect(_PHASE_GRID[:PHASE_LEVELS])
+
+
 def intensity_response(phase):
     """Detector reading for a given interferometer phase: q10(sin^2(q8(phase)))."""
-    s = np.sin(quantize_phase(phase))
-    return quantize_intensity(s * s)
+    return RESPONSE[phase_code(phase)]
 
 
 @dataclass(frozen=True)
@@ -176,17 +208,12 @@ def generate_matrices(n_nodes, input_dim, params, seed):
 
 def step_intensity(matrices, state, drive):
     """One intensity-variant update; ``drive`` is B u(n), precomputed."""
-    return intensity_response(matrices.weights @ state + drive)
+    return RESPONSE[phase_code(matrices.weights @ state + drive)]
 
 
 def step_phase(matrices, state, drive):
     """One phase-variant update; feedback passes through f(x) = q10(sin^2 x)."""
-    s = np.sin(state)
-    fed = quantize_intensity(s * s)
-    return quantize_phase(matrices.weights @ fed + drive)
-
-
-_STEPPERS = {"intensity": step_intensity, "phase": step_phase}
+    return _PHASE_GRID[phase_code(matrices.weights @ detect(state) + drive)]
 
 
 def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spans=None):
@@ -196,10 +223,15 @@ def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spa
     is an optional list of (start, stop) row ranges; the state resets to
     ``initial_state`` at the start of each span, which cuts memory across
     sequence boundaries.
+
+    Both variants step on phase codes: every node phase is one of the 256
+    codes of :func:`phase_code`, so the response q10(sin^2) is a lookup in
+    :data:`RESPONSE`.  A phase-variant state is stored as its grid value;
+    only the feedback of ``initial_state``, which may lie off the grid, is
+    computed with :func:`detect`.
     """
-    if variant not in _STEPPERS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    step = _STEPPERS[variant]
     U = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if U.shape[1] != matrices.input_dim:
         raise SchemaError(
@@ -216,12 +248,17 @@ def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spa
     drive = U @ matrices.input_weights.T  # (T, N), the one dense GEMM
     if spans is None:
         spans = [(0, n_steps)]
+    weights = matrices.weights
+    phase = variant == "phase"
+    # what the couplings read: the intensity itself, or f(x) of a phase
+    fed0 = detect(x0) if phase else x0
     states = np.empty((n_steps, n))
     for start, stop in spans:
-        x = x0.copy()
+        fed = fed0
         for t in range(start, stop):
-            x = step(matrices, x, drive[t])
-            states[t] = x
+            k = phase_code(weights @ fed + drive[t])
+            fed = RESPONSE[k]
+            states[t] = _PHASE_GRID[k] if phase else fed
     return states
 
 

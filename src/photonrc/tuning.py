@@ -2,12 +2,17 @@
 
 HOG extraction and PCA do not depend on the reservoir hyperparameters, so
 a grid search consumes one prepared feature cache and re-runs only the
-reservoir, readout training, and scoring per cell.  Every Cartesian
-combination of the value lists (times every seed) becomes one trial;
-trials run on a bounded thread pool, own their matrices and state
-privately, and append to a checkpoint log as they finish, so an
-interrupted search resumes without recomputing.  Failed trials are
-recorded with an error tag rather than aborting the grid.
+reservoir, readout training, and scoring.  Every Cartesian combination of
+the value lists (times every seed) becomes one trial.  The reservoir
+states do not depend on the ridge lambda either, so the trials that share
+their gains and seed form one group: its reservoir runs once, and each of
+its lambdas trains and scores a readout on those states.  Groups run on a
+bounded thread pool, own their matrices and states privately, and append
+each trial to a checkpoint log as it finishes, so an interrupted search
+resumes without recomputing.  Failed trials are recorded with an error tag
+rather than aborting the grid; a trial's wall time is its own readout
+training and scoring time plus an equal share of its group's reservoir
+time.
 
 Results are canonically ordered (score descending, then parameters, then
 seed), so worker count and completion order never affect the outcome.
@@ -103,6 +108,11 @@ class GridSpec:
                 raise ValueError(f"{name} value list is empty")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for lam in self.ridge_lambda:
+            if lam is not None and not (math.isfinite(lam) and lam >= 0):
+                raise ValueError(
+                    f"ridge_lambda value {lam} must be null (auto) or finite and nonnegative"
+                )
         allow = self.allow_out_of_range
         _check_range("feedback_gain", self.feedback_gain, *ALPHA_RANGE, allow)
         _check_range("input_gain", self.input_gain, *SMALL_GAIN_RANGE, allow)
@@ -180,37 +190,85 @@ class TrialResult:
     error: str = ""
 
     def key(self):
-        lam = -1.0 if self.ridge_lambda is None else float(self.ridge_lambda)
-        return (
-            self.params.feedback_gain,
-            self.params.input_gain,
-            self.params.coupling_gain,
-            self.params.coupling_density,
-            lam,
-            self.seed,
+        p = self.params
+        return _cell_key(
+            p.feedback_gain, p.input_gain, p.coupling_gain, p.coupling_density,
+            self.ridge_lambda, self.seed,
         )
 
 
-def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequence=False):
-    """Reservoir + readout + score for one hyperparameter cell.
+def _cell_key(feedback_gain, input_gain, coupling_gain, coupling_density, ridge_lambda, seed):
+    """A cell's identity and sort key; auto lambda (None) sorts first and equals no number."""
+    lam = -math.inf if ridge_lambda is None else float(ridge_lambda)
+    return (feedback_gain, input_gain, coupling_gain, coupling_density, lam, seed)
 
-    These are the pipeline's reservoir, train and evaluate stages on
-    in-memory arrays; the states are float32 as in the pipeline's state
-    cache, so a one-cell grid reproduces a pipeline run bit for bit.
+
+# the failures a trial records as an error row instead of raising
+_TRIAL_ERRORS = (PhotonRcError, OverflowError, ValueError)
+
+
+def _run_group(data, n_nodes, variant, gains, seed, ridge_lambdas, reset_per_sequence=False,
+              on_result=None):
+    """Trials of every ridge lambda in ``ridge_lambdas`` for one (gains, seed).
+
+    The states depend on the gains and the seed, not on lambda, so the
+    pipeline's reservoir stage runs once and its train and evaluate stages
+    run once per lambda on those in-memory states.  The states are float32
+    as in the pipeline's state cache, so a one-cell grid reproduces a
+    pipeline run bit for bit.
+
+    ``gains`` are the four gains in :class:`CellGains` order.  Gains that
+    :class:`HyperParams` rejects, or a failing reservoir, give every lambda
+    an error result; a failing train or evaluate fails its own lambda only.
+    A result's wall time is its own train and evaluate time plus an equal
+    share of the reservoir's build and run time.  ``on_result`` is called
+    with each result as soon as it is made; the results are returned in
+    ``ridge_lambdas`` order.
     """
     start = time.perf_counter()
-    spec = reservoir_spec(n_nodes, data.input_dim, variant, params, seed)
-    states = reservoir_states(spec, data.features, data.all_spans if reset_per_sequence else None)
-    model = train_readout(states, data, ridge_lambda, variant)
-    _, _, matrix, per_class = evaluate_readout(model, states, data)
-    return TrialResult(
-        params=params,
-        ridge_lambda=ridge_lambda,
-        seed=seed,
-        score=matrix.score,
-        nmse_per_class=per_class,
-        wall_time=time.perf_counter() - start,
-    )
+    failure = None
+    try:
+        params = HyperParams(*gains)
+        spec = reservoir_spec(n_nodes, data.input_dim, variant, params, seed)
+        spans = data.all_spans if reset_per_sequence else None
+        states = reservoir_states(spec, data.features, spans)
+    except _TRIAL_ERRORS as exc:
+        failure = exc
+    share = (time.perf_counter() - start) / len(ridge_lambdas)
+    results = []
+    for lam in ridge_lambdas:
+        start = time.perf_counter()
+        error = failure
+        if error is None:
+            try:
+                model = train_readout(states, data, lam, variant)
+                _, _, matrix, per_class = evaluate_readout(model, states, data)
+            except _TRIAL_ERRORS as exc:
+                error = exc
+        wall_time = share + time.perf_counter() - start
+        if error is None:
+            result = TrialResult(
+                params=params,
+                ridge_lambda=lam,
+                seed=seed,
+                score=matrix.score,
+                nmse_per_class=per_class,
+                wall_time=wall_time,
+            )
+        else:
+            result = _error_result(CellGains(*gains), lam, seed, wall_time, error)
+        if on_result is not None:
+            on_result(result)
+        results.append(result)
+    return results
+
+
+def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequence=False):
+    """Reservoir + readout + score for one hyperparameter cell: a one-lambda :func:`_run_group`."""
+    return _run_group(
+        data, n_nodes, variant, CellGains(**params.as_dict()), seed, (ridge_lambda,),
+        reset_per_sequence,
+    )[0]
 
 
 def _result_row(result):
@@ -311,8 +369,12 @@ def run_grid(
 ):
     """Evaluate every grid cell; returns TrialResults in canonical order.
 
-    With ``log_path`` set, each finished trial is appended to the CSV
-    checkpoint immediately; ``resume=True`` skips cells already present.
+    The pending cells are grouped by (gains, seed) and each group is one
+    :func:`_run_group` task on the thread pool: one reservoir run, then one
+    readout per ridge lambda.  With ``log_path`` set, each finished trial
+    is appended to the CSV checkpoint immediately; ``resume=True`` skips
+    cells already present, so a group whose cells are all logged runs no
+    reservoir.
     """
     cells = spec.cells()
     done = {}
@@ -332,48 +394,41 @@ def run_grid(
             writer.writeheader()
             log_fh.flush()
 
-    def evaluate(cell):
-        fg, ig, cg, cd, lam, seed = cell
-        start = time.perf_counter()
-        try:
-            params = HyperParams(
-                feedback_gain=fg, input_gain=ig, coupling_gain=cg, coupling_density=cd
-            )
-            result = run_trial(
-                data, spec.n_nodes, spec.variant, params, lam, seed,
-                reset_per_sequence=reset_per_sequence,
-            )
-        except (PhotonRcError, OverflowError, ValueError) as exc:
-            result = _error_result(
-                CellGains(fg, ig, cg, cd), lam, seed, time.perf_counter() - start, exc
-            )
-        if writer is not None:
-            with log_lock:
-                writer.writerow(_result_row(result))
-                log_fh.flush()
-        return result
+    def log(result):
+        with log_lock:
+            writer.writerow(_result_row(result))
+            log_fh.flush()
 
-    pending = []
+    # the pending lambdas of each (gains, seed), which share one reservoir run
+    groups = {}
     results = []
-    for cell in cells:
-        fg, ig, cg, cd, lam, seed = cell
-        key = (fg, ig, cg, cd, -1.0 if lam is None else float(lam), seed)
+    for fg, ig, cg, cd, lam, seed in cells:
+        key = _cell_key(fg, ig, cg, cd, lam, seed)
         if key in done:
             results.append(done[key])
         else:
-            pending.append(cell)
+            groups.setdefault((CellGains(fg, ig, cg, cd), seed), []).append(lam)
+
+    def evaluate(group):
+        (gains, seed), lambdas = group
+        return _run_group(
+            data, spec.n_nodes, spec.variant, gains, seed, lambdas,
+            reset_per_sequence=reset_per_sequence,
+            on_result=log if writer is not None else None,
+        )
 
     try:
-        if workers == 1 or len(pending) <= 1:
-            results.extend(evaluate(cell) for cell in pending)
+        if workers == 1 or len(groups) <= 1:
+            batches = [evaluate(group) for group in groups.items()]
         else:
             max_workers = workers or min(8, os.cpu_count() or 1)
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results.extend(pool.map(evaluate, pending))
+                batches = list(pool.map(evaluate, groups.items()))
     finally:
         if log_fh is not None:
             log_fh.close()
-
+    for batch in batches:
+        results.extend(batch)
     return sort_results(results)
 
 

@@ -60,3 +60,55 @@ def ridge_oracle(states, targets, lam):
     D = np.asarray(targets, dtype=np.float64)
     gram = X.T @ X + lam * np.eye(X.shape[1])
     return np.linalg.solve(gram, X.T @ D)
+
+
+# ---------------------------------------------------------------------------
+# Reservoir: the float formulas the phase-code kernel replaced
+
+def quantize_phase_oracle(x, levels=256):
+    """Truncate to the grid k * 2pi/levels with a float floor and four corrections."""
+    step = 2.0 * np.pi / levels
+    y = np.mod(np.asarray(x, dtype=np.float64), 2.0 * np.pi)
+    k = np.floor(y / step)
+    k = np.where((k + 1.0) * step <= y, k + 1.0, k)
+    k = np.where(k * step > y, k - 1.0, k)
+    k = np.where(k >= levels, k - levels, k)
+    k = np.where(k < 0.0, 0.0, k)
+    return k * step
+
+
+def quantize_intensity_oracle(y, levels=1024):
+    max_code = levels - 1
+    z = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
+    return np.floor(z * max_code + 0.5) / max_code
+
+
+def intensity_response_oracle(phase):
+    """q10(sin^2(q8(phase))), evaluated on every call."""
+    s = np.sin(quantize_phase_oracle(phase))
+    return quantize_intensity_oracle(s * s)
+
+
+def run_reservoir_oracle(matrices, inputs, variant, initial_state=None, spans=None):
+    """Step-by-step reservoir over the float formulas.
+
+    The coupling and drive products are the package's own (one CSR product
+    per step, one GEMM for the drive), so the comparison isolates the
+    quantizer and response chain, whose rounding this reproduces exactly.
+    """
+    U = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    drive = U @ matrices.input_weights.T
+    n = matrices.n_nodes
+    x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=np.float64)
+    states = np.empty((U.shape[0], n))
+    for start, stop in spans or [(0, U.shape[0])]:
+        x = x0
+        for t in range(start, stop):
+            if variant == "intensity":
+                x = intensity_response_oracle(matrices.weights @ x + drive[t])
+            else:
+                s = np.sin(x)
+                fed = quantize_intensity_oracle(s * s)
+                x = quantize_phase_oracle(matrices.weights @ fed + drive[t])
+            states[t] = x
+    return states

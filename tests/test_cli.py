@@ -181,6 +181,18 @@ def test_gridsearch_malformed_log_is_data_error(cli_env, tmp_path, capsys):
     assert "malformed grid-log row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [-1.0, "NaN", "Infinity"])
+def test_gridsearch_rejects_an_invalid_lambda(cli_env, tmp_path, capsys, bad):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    grid_path = tmp_path / "grid.json"
+    doc = json.loads(grid_path.read_text())
+    doc["ridge_lambda"] = [None, bad]
+    grid_path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert "ridge_lambda" in capsys.readouterr().err
+    assert not (tmp_path / "grid_log.csv").exists()
+
+
 def test_pipeline_run_and_describe(cli_env, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main([

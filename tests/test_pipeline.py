@@ -350,6 +350,18 @@ def test_describe_flags_corrupt_caches(pipe, tmp_path):
     assert "INTEGRITY WARNING" in text
 
 
+def test_describe_flags_a_truncated_cache(pipe, tmp_path):
+    _, report = pipe
+    copy_dir = tmp_path / "copy"
+    shutil.copytree(report.out_dir, copy_dir)
+    victim = copy_dir / report.artifacts["states"]
+    data = victim.read_bytes()
+    victim.write_bytes(data[: len(data) // 2])  # the header survives, half the rows do not
+    line = next(l for l in describe_artifacts(copy_dir).splitlines() if "states:" in l)
+    assert "INTEGRITY WARNING" in line
+    assert f"{len(data)} bytes" in line  # the size the header announces
+
+
 def test_describe_grid_only_directory(tmp_path):
     (tmp_path / "grid_log.csv").write_text("header\nrow1\nrow2\n")
     text = describe_artifacts(tmp_path)

@@ -4,14 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from _oracles import (
+    intensity_response_oracle,
+    quantize_intensity_oracle,
+    quantize_phase_oracle,
+    run_reservoir_oracle,
+)
 from photonrc.errors import ParseError, SchemaError
 from photonrc.reservoir import (
     INTENSITY_LEVELS,
     PHASE_LEVELS,
     PHASE_STEP,
+    RESPONSE,
     TWO_PI,
+    VARIANTS,
     HyperParams,
     ReservoirMatrices,
     ReservoirSpec,
@@ -20,12 +31,14 @@ from photonrc.reservoir import (
     generate_matrices,
     intensity_response,
     load_reservoir_spec,
+    phase_code,
     quantize_intensity,
     quantize_phase,
     run_reservoir,
     sample_offdiagonal,
     save_reservoir_spec,
     step_intensity,
+    step_phase,
 )
 
 PHASE_GRID = np.arange(PHASE_LEVELS) * PHASE_STEP
@@ -360,6 +373,120 @@ def test_fading_memory_is_reported_not_fatal():
             f"initial-state memory persisted in {trials - coincided} of {trials} trials",
             stacklevel=1,
         )
+
+
+# ---------------------------------------------------------------------------
+# The phase-code kernel against the float formulas it replaced
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _adversarial(levels):
+    """Grid values, their one-ulp neighbours, 2pi shifts, signed zeros, large magnitudes."""
+    grid = np.arange(levels + 2) * (TWO_PI / levels)
+    near = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+    shifted = [near + m * TWO_PI for m in (-3, -2, -1, 1, 2, 3)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, TWO_PI, -TWO_PI,
+               np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0),
+               1e3, -1e3, np.nextafter(1e3, 0.0), 999.5, -999.5]
+    return np.concatenate([near, -near, *shifted, special])
+
+
+@pytest.mark.parametrize("levels", [PHASE_LEVELS, 1, 3, 7, 100, 1000])
+def test_quantize_phase_matches_formula_on_adversarial_values(levels):
+    x = _adversarial(levels)
+    assert _same(quantize_phase(x, levels), quantize_phase_oracle(x, levels))
+    codes = phase_code(x, levels)
+    assert codes.min() >= 0 and codes.max() < levels
+
+
+def test_intensity_response_matches_formula_on_adversarial_values():
+    x = _adversarial(PHASE_LEVELS)
+    assert _same(intensity_response(x), intensity_response_oracle(x))
+    assert _same(RESPONSE, intensity_response_oracle(PHASE_GRID))
+
+
+def test_kernel_matches_formula_on_scalars():
+    for x in (0.0, -0.0, 1.0, TWO_PI, -1e-300, 999.5):
+        assert quantize_phase(x) == quantize_phase_oracle(x)
+        assert intensity_response(x) == intensity_response_oracle(x)
+
+
+def test_phase_code_rejects_non_finite_phases():
+    for bad in (np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            phase_code(np.array([0.5, bad]))
+
+
+_phases = arrays(
+    np.float64, st.integers(1, 64), elements=st.floats(-1e3, 1e3, allow_subnormal=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_phases, levels=st.integers(1, 2048))
+def test_quantize_phase_matches_formula(x, levels):
+    assert _same(quantize_phase(x, levels), quantize_phase_oracle(x, levels))
+    assert _same(quantize_phase(x), quantize_phase_oracle(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_phases)
+def test_intensity_response_matches_formula(x):
+    assert _same(intensity_response(x), intensity_response_oracle(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    steps=st.integers(0, 24),
+    variant=st.sampled_from(VARIANTS),
+    scale=st.sampled_from([0.1, 3.0, 300.0]),
+    cuts=st.lists(st.integers(0, 24), max_size=3),
+    off_grid_start=st.booleans(),
+)
+def test_run_reservoir_matches_step_by_step_formulas(
+    seed, n, steps, variant, scale, cuts, off_grid_start
+):
+    rng = np.random.default_rng(seed)
+    params = HyperParams(
+        feedback_gain=rng.uniform(0.0, 1.5),
+        input_gain=rng.uniform(0.0, 1.0),
+        coupling_gain=rng.uniform(0.0, 1.0),
+        coupling_density=rng.uniform(0.0, 0.4),
+    )
+    m = generate_matrices(n, 3, params, seed=seed)
+    inputs = scale * rng.uniform(-1.0, 1.0, size=(steps, 3))
+    bounds = sorted({0, steps, *(c for c in cuts if c < steps)})
+    spans = list(zip(bounds[:-1], bounds[1:])) if cuts else None
+    # a phase start off the grid exercises the formula path of the first step
+    x0 = rng.uniform(-10.0, 10.0, size=n) if off_grid_start else None
+    got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
+    want = run_reservoir_oracle(m, inputs, variant, initial_state=x0, spans=spans)
+    assert _same(got, want)
+
+    # the public single steps, from an arbitrary state
+    x = rng.uniform(-10.0, 10.0, size=n)
+    drive = scale * rng.uniform(-1.0, 1.0, size=n)
+    assert _same(
+        step_intensity(m, x, drive), intensity_response_oracle(m.weights @ x + drive)
+    )
+    s = np.sin(x)
+    fed = quantize_intensity_oracle(s * s)
+    assert _same(step_phase(m, x, drive), quantize_phase_oracle(m.weights @ fed + drive))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_reservoir_matches_formulas_at_scale(variant, rng):
+    m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
+    inputs = rng.normal(size=(60, 8)) * 4.0
+    spans = [(0, 25), (25, 60)]
+    x0 = rng.uniform(-7.0, 7.0, size=256)
+    got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
+    assert _same(got, run_reservoir_oracle(m, inputs, variant, initial_state=x0, spans=spans))
 
 
 # ---------------------------------------------------------------------------

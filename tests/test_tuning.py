@@ -1,16 +1,19 @@
 """Grid definitions, trial runs, checkpointing, and resume."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+import photonrc.pipeline
 from photonrc.dataset import Split, load_manifest
 from photonrc.errors import ParseError, SchemaError
 from photonrc.pipeline import prepare_data
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import (
+    CellGains,
     GridSpec,
     TrialResult,
     _result_row,
@@ -76,6 +79,20 @@ def test_cells_enumerate_the_product():
     assert cells[0] == (0.5, 0.01, 0.1, 0.01, None, 0)
     assert cells[1] == (0.5, 0.01, 0.1, 0.01, None, 1)
     assert cells[2] == (0.5, 0.01, 0.1, 0.01, 1e-3, 0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf])
+def test_invalid_lambda_rejected(bad, tmp_path):
+    with pytest.raises(ValueError, match="ridge_lambda"):
+        _small_grid(ridge_lambda=(None, bad))
+    assert _small_grid(ridge_lambda=(None, 0.0, 2.5)).ridge_lambda == (None, 0.0, 2.5)
+    path = tmp_path / "grid.json"
+    save_grid_spec(_small_grid(), path)
+    doc = json.loads(path.read_text())
+    doc["ridge_lambda"] = [None, bad]
+    path.write_text(json.dumps(doc))  # nan and inf as NaN and Infinity
+    with pytest.raises(SchemaError, match="ridge_lambda"):
+        load_grid_spec(path)
 
 
 def test_default_grid_is_in_range():
@@ -243,6 +260,103 @@ def test_superset_grid_never_scores_worse(prepared):
     subset = run_grid(_small_grid(feedback_gain=(0.5,)), prepared, workers=1)
     superset = run_grid(_small_grid(), prepared, workers=1)
     assert best_trial(superset).score >= best_trial(subset).score
+
+
+# ---------------------------------------------------------------------------
+# The grid plan: one reservoir run per (gains, seed), one readout per lambda
+
+LAMBDAS = (None, 1e-3, 1.0)
+
+
+def _count_reservoir_runs(monkeypatch):
+    calls = []
+    original = photonrc.pipeline.run_reservoir
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(photonrc.pipeline, "run_reservoir", counted)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("reset", [False, True])
+def test_grid_plan_runs_one_reservoir_per_group(prepared, monkeypatch, workers, reset):
+    spec = _small_grid(ridge_lambda=LAMBDAS)
+    calls = _count_reservoir_runs(monkeypatch)
+    results = run_grid(spec, prepared, workers=workers, reset_per_sequence=reset)
+    assert len(calls) == 2  # one per feedback gain, none per lambda
+    assert len(results) == 6 and all(r.status == "ok" for r in results)
+    assert all(r.wall_time > 0 for r in results)
+    for r in results:
+        alone = run_trial(
+            prepared, N_NODES, spec.variant, r.params, r.ridge_lambda, r.seed,
+            reset_per_sequence=reset,
+        )
+        assert alone.score == r.score
+        np.testing.assert_array_equal(alone.nmse_per_class, r.nmse_per_class)
+
+
+def test_resume_runs_only_the_missing_cells_of_a_group(prepared, monkeypatch, tmp_path):
+    spec = _small_grid(ridge_lambda=LAMBDAS)
+    log = tmp_path / "grid_log.csv"
+    full = run_grid(spec, prepared, workers=1, log_path=log)
+    header, *rows = log.read_text().splitlines(keepends=True)
+    kept = [r for r in rows if r.startswith("0.5,")]  # feedback gain 0.5: every lambda
+    kept += [r for r in rows if r.startswith("0.7,")][:1]  # feedback gain 0.7: one lambda
+    log.write_text(header + "".join(kept))
+
+    calls = _count_reservoir_runs(monkeypatch)
+    resumed = run_grid(spec, prepared, workers=2, log_path=log, resume=True)
+    assert len(calls) == 1  # the complete group runs no reservoir
+    assert len(log.read_text().splitlines()) == 1 + 6  # the two missing cells appended
+    assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in full]
+
+
+def test_a_failing_lambda_fails_only_its_own_cell(prepared, monkeypatch):
+    spec = _small_grid(ridge_lambda=LAMBDAS)
+    clean = {r.key(): r.score for r in run_grid(spec, prepared, workers=1)}
+    original = photonrc.pipeline.train_ridge
+
+    def fragile(states, targets, ridge_lambda=None, **kwargs):
+        if ridge_lambda == 1e-3:
+            raise ValueError("boom")
+        return original(states, targets, ridge_lambda=ridge_lambda, **kwargs)
+
+    monkeypatch.setattr(photonrc.pipeline, "train_ridge", fragile)
+    results = run_grid(spec, prepared, workers=2)
+    for r in results:
+        if r.ridge_lambda == 1e-3:
+            assert r.status == "error" and r.error == "ValueError: boom"
+            assert isinstance(r.params, CellGains)
+        else:
+            assert r.status == "ok" and r.score == clean[r.key()]
+
+
+def test_a_failing_reservoir_fails_every_lambda_of_its_group(prepared):
+    # density 1.0 needs more couplings than N=16 has off-diagonal slots
+    spec = _small_grid(feedback_gain=(0.5,), coupling_density=(0.01, 1.0), ridge_lambda=LAMBDAS)
+    results = run_grid(spec, prepared, workers=2)
+    bad = [r for r in results if r.params.coupling_density == 1.0]
+    assert len(bad) == 3
+    assert all(r.status == "error" and "OverflowError" in r.error for r in bad)
+    assert all(isinstance(r.params, CellGains) for r in bad)
+    assert all(r.status == "ok" for r in results if r.params.coupling_density == 0.01)
+
+
+def test_auto_lambda_is_not_a_logged_negative_lambda(prepared, tmp_path):
+    # a log written before negative lambdas were rejected may hold one
+    log = tmp_path / "grid_log.csv"
+    run_grid(_small_grid(feedback_gain=(0.5,)), prepared, workers=1, log_path=log)
+    header, row = log.read_text().splitlines(keepends=True)
+    fields = row.split(",")
+    fields[4] = "-1.0"  # ridge_lambda
+    log.write_text(header + ",".join(fields))
+    resumed = run_grid(_small_grid(feedback_gain=(0.5,)), prepared, workers=1,
+                       log_path=log, resume=True)
+    assert [r.ridge_lambda for r in resumed] == [None]
+    assert len(log.read_text().splitlines()) == 3  # the auto-lambda cell ran
 
 
 # ---------------------------------------------------------------------------
