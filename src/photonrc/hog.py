@@ -15,8 +15,20 @@ and a descriptor of 19 * 14 * 4 * 9 = 9576 values.  The layout tuple is
 (19, 14, 4, 9): block columns, block rows, cells per block, bins; the
 value array itself is ordered row-major by (block row, block column, cell,
 bin).
+
+A pixel's two votes (bins and weights) are a function of its gradient pair
+(dx, dy) alone.  On a uint8 frame, which is what ``read_pgm`` returns, both
+components are integers in [-255, 255], so only 511 x 511 pairs exist.
+:func:`cell_histograms` takes those integer differences and looks the votes
+up in a table built by applying the one vote formula, :func:`_votes`, to
+every pair.  The table holds exactly the float64 numbers the formula gives,
+and the two histogram sums run over the same slots in the same pixel order,
+so the result is bit-identical to applying the formula per pixel.  Frames
+of any other dtype (float, uint16, signed integers) can hold gradients
+outside that grid and apply the formula to their float64 gradients.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +64,8 @@ class HogConfig:
 DEFAULT_CONFIG = HogConfig()
 
 
-def gradient(pixels):
-    """Centered-difference gradients with replicate edge padding.
-
-    Returns (dx, dy) as float64 arrays shaped like the input; dx is the
-    horizontal derivative (columns), dy the vertical (rows).
-    """
-    img = np.asarray(pixels, dtype=np.float64)
+def _differences(img):
+    """Centered differences of a 2-D frame in its own dtype, replicate-padded."""
     if img.ndim != 2:
         raise DimensionError("frame must be a 2-D grayscale array")
     if img.shape[0] < 3 or img.shape[1] < 3:
@@ -76,21 +83,100 @@ def gradient(pixels):
     return dx, dy
 
 
-def gradient_field(pixels):
-    """Per-pixel (magnitude, orientation-in-degrees) with angles in [0, 180)."""
-    dx, dy = gradient(pixels)
+def gradient(pixels):
+    """Centered-difference gradients with replicate edge padding.
+
+    Returns (dx, dy) as float64 arrays shaped like the input; dx is the
+    horizontal derivative (columns), dy the vertical (rows).  On a uint8
+    frame every value is an integer in [-255, 255]; :func:`cell_histograms`
+    takes those same differences in int32 and looks up the votes of each
+    pair in a table (see the module docstring).  Frames of every other
+    dtype vote from these float64 gradients.
+    """
+    return _differences(np.asarray(pixels, dtype=np.float64))
+
+
+def _orientation(dx, dy):
     mag = np.hypot(dx, dy)
     theta = np.degrees(np.arctan2(dy, dx)) % 180.0
     theta = np.where(theta >= 180.0, theta - 180.0, theta)  # mod can emit 180.0 exactly
     return mag, theta
 
 
+def gradient_field(pixels):
+    """Per-pixel (magnitude, orientation-in-degrees) with angles in [0, 180)."""
+    return _orientation(*gradient(pixels))
+
+
+def _votes(dx, dy, num_bins):
+    """The vote formula: (bin_lo, bin_hi, w_lo, w_hi) of each gradient pair.
+
+    Each pixel splits its magnitude between the two nearest bin centers,
+    wrapping between the last and the first; the weights are the two
+    products the histogram sums.
+    """
+    mag, theta = _orientation(dx, dy)
+    bin_width = 180.0 / num_bins
+    t = (theta - bin_width / 2.0) / bin_width
+    base = np.floor(t)
+    w_hi = t - base
+    bin_lo = base.astype(np.int64) % num_bins
+    bin_hi = (bin_lo + 1) % num_bins
+    return bin_lo, bin_hi, mag * (1.0 - w_hi), mag * w_hi
+
+
+_REACH = 255                 # largest |dx| or |dy| of a uint8 frame
+_SIDE = 2 * _REACH + 1       # integer gradient values per axis
+_KEY_OFFSET = _REACH * _SIDE + _REACH
+
+
+@functools.lru_cache(maxsize=4)
+def _vote_table(num_bins):
+    """:func:`_votes` of every integer pair, indexed by (dx + 255) * 511 + (dy + 255).
+
+    Returns (bins, weights): (511 * 511, 2) arrays holding (bin_lo, bin_hi)
+    in the smallest integer type that fits and (w_lo, w_hi) in float64,
+    about 4.7 MB per bin count.  Built one dx row at a time, so no
+    full-size float64 temporary exists.
+    """
+    bins = np.empty((_SIDE, _SIDE, 2), dtype=np.min_scalar_type(num_bins - 1))
+    weights = np.empty((_SIDE, _SIDE, 2))
+    dy = np.arange(-_REACH, _REACH + 1, dtype=np.float64)
+    for row, dx in enumerate(range(-_REACH, _REACH + 1)):
+        votes = _votes(np.full(_SIDE, float(dx)), dy, num_bins)
+        bins[row, :, 0], bins[row, :, 1], weights[row, :, 0], weights[row, :, 1] = votes
+    table = bins.reshape(-1, 2), weights.reshape(-1, 2)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_pairs(cells_y, cells_x, cell, num_bins):
+    """Where each kept pixel's bin 0 sits: (rows, cols, 2) offsets into two stacked histograms.
+
+    The lower votes sum into the first cells_y * cells_x * num_bins slots,
+    the upper votes into the second block of as many.
+    """
+    cell_row = np.arange(cells_y * cell) // cell
+    cell_col = np.arange(cells_x * cell) // cell
+    first = (cell_row[:, None] * cells_x + cell_col[None, :]) * num_bins
+    slots = np.stack([first, first + cells_y * cells_x * num_bins], axis=-1)
+    slots.flags.writeable = False
+    return slots
+
+
 def cell_histograms(pixels, config=DEFAULT_CONFIG):
     """Per-cell orientation histograms, shape (cells_y, cells_x, num_bins).
 
-    Pixels beyond the last full cell (right/bottom border) do not vote.
+    Pixels beyond the last full cell (right/bottom border) do not vote.  A
+    uint8 frame looks its votes up in the table of :func:`_vote_table`;
+    every other dtype computes them by formula from float64 gradients.
+    Both give the same bytes.
     """
-    img = np.asarray(pixels, dtype=np.float64)
+    img = np.asarray(pixels)
+    if img.dtype != np.uint8:
+        img = img.astype(np.float64, copy=False)
     if img.ndim != 2:
         raise DimensionError("frame must be a 2-D grayscale array")
     height, width = img.shape
@@ -103,35 +189,29 @@ def cell_histograms(pixels, config=DEFAULT_CONFIG):
             f"{config.block_size}x{config.block_size}-cell block"
         )
 
-    mag, theta = gradient_field(img)
-    # truncate partial cells at the right/bottom border
-    mag = mag[: cells_y * cell, : cells_x * cell]
-    theta = theta[: cells_y * cell, : cells_x * cell]
+    nb = config.num_bins
+    rows, cols = cells_y * cell, cells_x * cell  # partial border cells are truncated
+    if img.dtype == np.uint8:
+        dx, dy = _differences(img.astype(np.int32))
+        key = dx[:rows, :cols] * _SIDE
+        key += dy[:rows, :cols]
+        key += _KEY_OFFSET
+        bins, weights = (np.take(a, key, axis=0) for a in _vote_table(nb))
+    else:
+        dx, dy = _differences(img)
+        bin_lo, bin_hi, w_lo, w_hi = _votes(dx[:rows, :cols], dy[:rows, :cols], nb)
+        bins = np.stack([bin_lo, bin_hi], axis=-1)
+        weights = np.stack([w_lo, w_hi], axis=-1)
 
-    # split each vote between the two nearest bin centers (wrapping)
-    first_center = config.bin_width / 2.0
-    t = (theta - first_center) / config.bin_width
-    base = np.floor(t)
-    w_hi = t - base
-    bin_lo = base.astype(np.int64) % config.num_bins
-    bin_hi = (bin_lo + 1) % config.num_bins
-
-    cell_row = np.arange(cells_y * cell) // cell
-    cell_col = np.arange(cells_x * cell) // cell
-    cell_id = cell_row[:, None] * cells_x + cell_col[None, :]
-
-    n_slots = cells_y * cells_x * config.num_bins
-    hist = np.bincount(
-        (cell_id * config.num_bins + bin_lo).ravel(),
-        weights=(mag * (1.0 - w_hi)).ravel(),
-        minlength=n_slots,
+    # one pass sums the lower and the upper votes into separate halves, each
+    # in pixel order; adding the halves gives the per-cell histograms
+    n_slots = cells_y * cells_x * nb
+    sums = np.bincount(
+        (_slot_pairs(cells_y, cells_x, cell, nb) + bins).ravel(),
+        weights=weights.ravel(),
+        minlength=2 * n_slots,
     )
-    hist += np.bincount(
-        (cell_id * config.num_bins + bin_hi).ravel(),
-        weights=(mag * w_hi).ravel(),
-        minlength=n_slots,
-    )
-    return hist.reshape(cells_y, cells_x, config.num_bins)
+    return (sums[:n_slots] + sums[n_slots:]).reshape(cells_y, cells_x, nb)
 
 
 def _block_grid(cells_y, cells_x, config):

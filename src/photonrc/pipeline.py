@@ -148,7 +148,7 @@ class PipelineReport:
 class PreparedData:
     """Per-frame rows (HOG, PCA features or states) plus their manifest's row bookkeeping."""
 
-    features: np.ndarray  # (T, K) float32, the cache contents
+    features: np.ndarray  # (T, K) float32, the cache contents; None when only rows are bound
     targets: np.ndarray   # (T, 6) one-hot
     train_rows: np.ndarray
     test_rows: np.ndarray
@@ -164,7 +164,8 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     """Bind a cache of per-frame rows to its manifest.
 
     ``manifest`` is a Manifest or a path; ``features`` is an array or a
-    cache path.  Row counts must match the manifest's total frame count.
+    cache path, whose row count must match the manifest's total frame
+    count, or None to bind the manifest's rows without any values.
 
     With ``validation_fraction`` set, a stratified validation subset is
     carved out of the train split and trials score on it instead of the
@@ -174,13 +175,10 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
         manifest = load_manifest(manifest)
     if isinstance(features, (str, os.PathLike)):
         features, _ = read_cache(features)
-    features = np.asarray(features, dtype=np.float32)
     index = index_frames(manifest)
-    if features.shape[0] != index.total_frames:
-        raise SchemaError(
-            f"feature cache has {features.shape[0]} rows, "
-            f"manifest counts {index.total_frames} frames"
-        )
+    if features is not None:
+        features = np.asarray(features, dtype=np.float32)
+        _check_rows(features.shape[0], index.total_frames)
     encoding = encode_targets(index.frame_actions())
 
     if validation_fraction is None:
@@ -217,6 +215,11 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     )
 
 
+def _check_rows(rows, frames):
+    if rows != frames:
+        raise SchemaError(f"feature cache has {rows} rows, manifest counts {frames} frames")
+
+
 @contextlib.contextmanager
 def _stage(name):
     try:
@@ -228,20 +231,20 @@ def _stage(name):
 
 
 def _cache_shape(path):
-    """(rows, dim) of a cache file; ParseError unless its size is the header's rows x dim."""
+    """(rows, dim, layout) of a cache file; ParseError unless its size fits rows x dim."""
     rows, dim, layout = read_cache_header(path)
     size = data_offset(layout) + 4 * rows * dim
     actual = os.path.getsize(path)
     if actual != size:
         raise ParseError(f"{path}: {actual} bytes, a {rows} x {dim} cache takes {size} bytes")
-    return rows, dim
+    return rows, dim, layout
 
 
 def _cache_is_valid(path, expected_rows, expected_dim):
     if not os.path.isfile(path):
         return False
     try:
-        return _cache_shape(path) == (expected_rows, expected_dim)
+        return _cache_shape(path)[:2] == (expected_rows, expected_dim)
     except PhotonRcError:  # a file cut short after a valid header is a miss too
         return False
 
@@ -266,7 +269,7 @@ def extract_hog(manifest, path, hog_config=DEFAULT_CONFIG):
 
 def pca_fit_rows(data, fit_on):
     """Rows the PCA is fitted on: the train split (``"train"``) or every frame."""
-    return data.train_rows if fit_on == "train" else np.arange(data.features.shape[0])
+    return data.train_rows if fit_on == "train" else np.arange(data.targets.shape[0])
 
 
 def fit_pca_model(values, rows, n_components, path):
@@ -373,8 +376,10 @@ def run_pipeline(config):
         hog_path = os.path.join(out_dir, hog_name)
         if not (reuse and _cache_is_valid(hog_path, n_frames, feature_dim)):
             extract_hog(manifest, hog_path, config.hog_config)
-        hog_values, hog_layout = read_cache(hog_path)
-        data = prepare_data(manifest, hog_values)
+        # only a PCA refit loads the descriptors; the rows bind from the header
+        hog_rows, _, hog_layout = _cache_shape(hog_path)
+        _check_rows(hog_rows, n_frames)
+        data = prepare_data(manifest, None)
         artifacts["hog"] = hog_name
         digests["hog"] = hog_digest
 
@@ -393,9 +398,11 @@ def run_pipeline(config):
         proj_path = os.path.join(out_dir, proj_name)
         have_model = reuse and os.path.isfile(model_path)
         if not (have_model and _cache_is_valid(proj_path, n_frames, config.pca_components)):
+            hog_values, _ = read_cache(hog_path)
             rows = pca_fit_rows(data, config.pca_fit_on)
             pca_model = fit_pca_model(hog_values, rows, config.pca_components, model_path)
             project(pca_model, hog_values, proj_path)
+            del hog_values
         proj_values, _ = read_cache(proj_path)
         artifacts["pca_model"] = model_name
         artifacts["features"] = proj_name
@@ -521,7 +528,7 @@ def describe_artifacts(out_dir):
             note = f"{os.path.getsize(path)} bytes"
             if filename.endswith(".rcf"):
                 try:
-                    rows, dim = _cache_shape(path)
+                    rows, dim, _ = _cache_shape(path)
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

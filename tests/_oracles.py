@@ -54,6 +54,58 @@ def hog_oracle(pixels, cell_size=8, block_size=2, num_bins=9, stride=1, eps=1e-1
     return np.concatenate(out)
 
 
+# ---------------------------------------------------------------------------
+# HOG: the float formula the vote table replaced
+
+def cell_histograms_oracle(pixels, cell_size=8, num_bins=9):
+    """Per-cell histograms by the float formula on every pixel.
+
+    The vectorized formula the vote table replaced: float64 centered
+    differences, hypot, arctan2 in degrees folded into [0, 180), the linear
+    split between the two nearest bin centers, and two bincounts, lower
+    votes first.  Its bytes are the reference the table route must equal.
+    """
+    img = np.asarray(pixels, dtype=np.float64)
+    dx = np.empty_like(img)
+    dx[:, 1:-1] = img[:, 2:] - img[:, :-2]
+    dx[:, 0] = img[:, 1] - img[:, 0]
+    dx[:, -1] = img[:, -1] - img[:, -2]
+    dy = np.empty_like(img)
+    dy[1:-1, :] = img[2:, :] - img[:-2, :]
+    dy[0, :] = img[1, :] - img[0, :]
+    dy[-1, :] = img[-1, :] - img[-2, :]
+    mag = np.hypot(dx, dy)
+    theta = np.degrees(np.arctan2(dy, dx)) % 180.0
+    theta = np.where(theta >= 180.0, theta - 180.0, theta)
+
+    cells_y = img.shape[0] // cell_size
+    cells_x = img.shape[1] // cell_size
+    mag = mag[: cells_y * cell_size, : cells_x * cell_size]
+    theta = theta[: cells_y * cell_size, : cells_x * cell_size]
+    bin_width = 180.0 / num_bins
+    t = (theta - bin_width / 2.0) / bin_width
+    base = np.floor(t)
+    w_hi = t - base
+    bin_lo = base.astype(np.int64) % num_bins
+    bin_hi = (bin_lo + 1) % num_bins
+
+    cell_row = np.arange(cells_y * cell_size) // cell_size
+    cell_col = np.arange(cells_x * cell_size) // cell_size
+    cell_id = cell_row[:, None] * cells_x + cell_col[None, :]
+    n_slots = cells_y * cells_x * num_bins
+    hist = np.bincount(
+        (cell_id * num_bins + bin_lo).ravel(),
+        weights=(mag * (1.0 - w_hi)).ravel(),
+        minlength=n_slots,
+    )
+    hist += np.bincount(
+        (cell_id * num_bins + bin_hi).ravel(),
+        weights=(mag * w_hi).ravel(),
+        minlength=n_slots,
+    )
+    return hist.reshape(cells_y, cells_x, num_bins)
+
+
 def ridge_oracle(states, targets, lam):
     """Explicit normal-equations solve (X'X + lam I) W = X'D."""
     X = np.asarray(states, dtype=np.float64)

@@ -11,6 +11,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from photonrc import pipeline
+from photonrc.cache import read_cache_header
+from photonrc.dataset import index_frames
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -51,3 +55,24 @@ def test_bench_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_extract_hog_describes_each_frame_with_one_hog_descriptor_call(
+    tiny_manifest, tmp_path, monkeypatch
+):
+    # tracing.py reads hog.frames and hog.ms_per_frame off these calls, and a
+    # run without them counts as a reused HOG stage
+    calls = []
+    real = pipeline.hog_descriptor
+
+    def counting(pixels, config):
+        calls.append(pixels.shape)
+        return real(pixels, config)
+
+    monkeypatch.setattr(pipeline, "hog_descriptor", counting)
+    path = tmp_path / "hog.rcf"
+    pipeline.extract_hog(tiny_manifest, path)
+    frames = index_frames(tiny_manifest).total_frames
+    assert len(calls) == frames
+    assert set(calls) == {tiny_manifest.resolution}
+    assert read_cache_header(path)[0] == frames

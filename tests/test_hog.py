@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from photonrc import hog
 from photonrc.errors import DimensionError
 from photonrc.hog import (
     DEFAULT_CONFIG,
@@ -16,7 +19,7 @@ from photonrc.hog import (
     hog_stack,
 )
 
-from _oracles import hog_oracle
+from _oracles import cell_histograms_oracle, hog_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +266,180 @@ def test_hog_stack_shapes(rng):
     np.testing.assert_array_equal(stacked[1], single)
     with pytest.raises(DimensionError):
         hog_stack([])
+
+
+# ---------------------------------------------------------------------------
+# Vote table: uint8 frames look their votes up, every other dtype computes them
+
+GRADIENTS = np.arange(-255, 256)
+
+
+def _key(dx, dy):
+    return (np.asarray(dx) + 255) * 511 + (np.asarray(dy) + 255)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _table_columns(num_bins):
+    """The vote table as (bin_lo, bin_hi, w_lo, w_hi), in the order _votes returns them."""
+    bins, weights = hog._vote_table(num_bins)
+    return bins[:, 0], bins[:, 1], weights[:, 0], weights[:, 1]
+
+
+@pytest.mark.parametrize("num_bins", [2, 9, 12])
+def test_vote_table_equals_formula_on_every_pair(num_bins):
+    table = _table_columns(num_bins)
+    assert all(a.size == 511 * 511 for a in table)
+    dx, dy = (g.ravel() for g in np.meshgrid(GRADIENTS, GRADIENTS, indexing="ij"))
+    # every pair in a shuffled order, so a misplaced row or column shows
+    order = np.random.default_rng(num_bins).permutation(dx.size)
+    dx, dy = dx[order], dy[order]
+    expected = hog._votes(dx.astype(np.float64), dy.astype(np.float64), num_bins)
+    key = _key(dx, dy)
+    for got, want in zip(table, expected):
+        np.testing.assert_array_equal(got[key], want)
+    for got, want in zip(table[2:], expected[2:]):
+        assert _same_bytes(got[key], want)
+
+
+def test_vote_table_equals_formula_on_scalar_pairs():
+    bin_lo, bin_hi, w_lo, w_hi = _table_columns(9)
+    rng = np.random.default_rng(5)
+    edges = [(a, b) for a in (-255, -1, 0, 1, 255) for b in GRADIENTS[::5]]
+    pairs = edges + [(b, a) for a, b in edges] + list(zip(*rng.integers(-255, 256, (2, 1500))))
+    for dx, dy in pairs:
+        want = hog._votes(np.float64(dx), np.float64(dy), 9)
+        key = _key(dx, dy)
+        assert [bin_lo[key], bin_hi[key]] == [int(want[0]), int(want[1])], (dx, dy)
+        assert [w_lo[key], w_hi[key]] == [float(want[2]), float(want[3])], (dx, dy)
+
+
+def test_vote_table_is_compact_and_read_only():
+    bins, weights = hog._vote_table(9)
+    assert (bins.dtype, weights.dtype) == (np.uint8, np.float64)
+    assert bins.nbytes + weights.nbytes <= 5_000_000
+    assert not bins.flags.writeable and not weights.flags.writeable
+
+
+def _frame(seed, shape, style):
+    rng = np.random.default_rng(seed)
+    if style == "binary":  # every gradient component in {-255, 0, 255}
+        return (rng.integers(0, 2, shape) * 255).astype(np.uint8)
+    if style == "smooth":
+        yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+        return (127.5 + 127.5 * np.sin(xx / 3.0 + seed) * np.cos(yy / 5.0)).astype(np.uint8)
+    return rng.integers(0, 256, shape, dtype=np.uint8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    num_bins=st.integers(2, 12),
+    cell=st.integers(2, 8),
+    block=st.integers(1, 3),
+    stride=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(["uniform", "binary", "smooth"]),
+)
+def test_uint8_frames_match_their_float_copy(data, num_bins, cell, block, stride, seed, style):
+    config = HogConfig(cell_size=cell, block_size=block, num_bins=num_bins, block_stride=stride)
+    least = max(3, cell * block)
+    shape = (
+        data.draw(st.integers(least, least + 2 * cell + 1)),
+        data.draw(st.integers(least, least + 2 * cell + 1)),
+    )
+    img = _frame(seed, shape, style)
+    hist = cell_histograms(img, config)
+    assert _same_bytes(hist, cell_histograms(img.astype(np.float64), config))
+    assert _same_bytes(hist, cell_histograms_oracle(img, cell, num_bins))
+    values, layout = hog_descriptor(img, config)
+    float_values, float_layout = hog_descriptor(img.astype(np.float64), config)
+    assert layout == float_layout
+    assert _same_bytes(values, float_values)
+
+
+def _steps():
+    """Frames whose gradients reach +-255 along rows, columns and both diagonals."""
+    yy, xx = np.mgrid[0:40, 0:48]
+    masks = (xx >= 24, yy >= 20, xx + yy >= 44, xx - yy >= 4, (xx // 3 + yy // 3) % 2 == 0)
+    frames = [np.where(mask, 255, 0).astype(np.uint8) for mask in masks]
+    return frames + [255 - f for f in frames] + [_frame(0, (48, 56), "binary")]
+
+
+def test_full_scale_steps_match_the_formula():
+    seen = set()
+    for img in _steps():
+        for config in (DEFAULT_CONFIG, HogConfig(cell_size=4, num_bins=6)):
+            hist = cell_histograms(img, config)
+            oracle = cell_histograms_oracle(img, config.cell_size, config.num_bins)
+            assert _same_bytes(hist, oracle)
+            assert _same_bytes(hist, cell_histograms(img.astype(np.float64), config))
+        dx, dy = gradient(img)
+        seen |= set(zip(dx.ravel().tolist(), dy.ravel().tolist()))
+    assert {(a, b) for a in (-255.0, 0.0, 255.0) for b in (-255.0, 0.0, 255.0)} <= seen
+
+
+def test_uint8_frames_take_the_table(rng, monkeypatch):
+    img = rng.integers(0, 256, size=(24, 32), dtype=np.uint8)
+    expected = cell_histograms(img)  # builds the table if no earlier test did
+
+    def no_formula(*args):
+        raise AssertionError("a uint8 frame applied the vote formula")
+
+    monkeypatch.setattr(hog, "_votes", no_formula)
+    assert _same_bytes(cell_histograms(img), expected)
+
+
+@pytest.mark.parametrize(
+    "img",
+    [
+        np.array([[0, 300, 65535, 7], [256, 1, 40000, 999], [5, 70, 1000, 12345]] * 6,
+                 dtype=np.uint16)[:, [0, 1, 2, 3] * 5],
+        (np.arange(18 * 21).reshape(18, 21) * 37 % 256 - 128).astype(np.int8),
+    ],
+    ids=["uint16", "int8"],
+)
+def test_other_dtypes_take_the_formula(img, monkeypatch):
+    def no_table(*args):
+        raise AssertionError(f"a {img.dtype} frame looked its votes up")
+
+    monkeypatch.setattr(hog, "_vote_table", no_table)
+    config = HogConfig(cell_size=4)
+    hist = cell_histograms(img, config)
+    assert _same_bytes(hist, cell_histograms_oracle(img, 4, 9))
+    gx, gy = gradient(img)
+    assert max(np.abs(gx).max(), np.abs(gy).max()) > 255 or img.min() < 0
+
+
+@pytest.mark.parametrize(
+    "shape, config",
+    [
+        ((64,), DEFAULT_CONFIG),                     # not 2-D
+        ((4, 4, 4), DEFAULT_CONFIG),                 # not 2-D
+        ((2, 12), HogConfig(cell_size=2, block_size=1)),  # under the 3-pixel kernel
+        ((12, 2), HogConfig(cell_size=2, block_size=1)),
+        ((15, 8), DEFAULT_CONFIG),                   # no full block
+        ((120, 0), DEFAULT_CONFIG),
+    ],
+)
+def test_uint8_dimension_errors_are_unchanged(shape, config):
+    img = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(DimensionError) as float_error:
+        cell_histograms(img.astype(np.float64), config)
+    with pytest.raises(DimensionError) as uint8_error:
+        cell_histograms(img, config)
+    assert str(uint8_error.value) == str(float_error.value)
+    with pytest.raises(DimensionError):
+        hog_descriptor(img, config)
+
+
+def test_formula_folds_an_angle_that_rounds_to_180():
+    # column 0 has dx = 1e17 and dy = -1 or -2: the angle mod 180 rounds to 180.0
+    yy, xx = np.mgrid[0:16, 0:16].astype(np.float64)
+    img = xx * 1e17 - yy
+    _, theta = gradient_field(img)
+    assert np.all(theta[:, 0] == 0.0)
+    config = HogConfig(cell_size=4)
+    assert _same_bytes(cell_histograms(img, config), cell_histograms_oracle(img, 4, 9))

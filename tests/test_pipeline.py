@@ -17,6 +17,7 @@ from photonrc.errors import (
     PipelineStageError,
     SchemaError,
 )
+from photonrc import pipeline as pipeline_module
 from photonrc.hog import HogConfig
 from photonrc.pipeline import (
     PipelineConfig,
@@ -42,6 +43,8 @@ RESULT_FILES = ("sequence_results.csv", "confusion.csv", "score.txt")
 # config.json and the artifact names are left out: the manifest they hash
 # holds an absolute frame_store_root, so they change with the directory.
 GOLDEN_SHA256 = {
+    "hog": "c91bb087a1b721f5791ecd1610976aac2ccb4768da2fc99b40cad9f33e538f3f",
+    "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
     "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
     "readout_model": "46c0ad241017550697d6211f7ddfbd744ce07f0e38354bfd9896046f3111db3c",
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
@@ -149,7 +152,10 @@ def test_artifact_names_embed_digests(pipe):
 def test_golden_digests(pipe):
     _, report = pipe
     out = Path(report.out_dir)
-    got = {name: file_sha256(out / report.artifacts[name]) for name in ("states", "readout_model")}
+    got = {
+        name: file_sha256(out / report.artifacts[name])
+        for name in ("hog", "features", "states", "readout_model")
+    }
     got.update({name: file_sha256(out / name) for name in RESULT_FILES})
     assert got == GOLDEN_SHA256
 
@@ -201,6 +207,45 @@ def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
     assert again.score == report.score
     assert victim.read_bytes() == data
     assert _result_bytes(copy_dir) == _result_bytes(report.out_dir)
+
+
+def _record_cache_reads(monkeypatch):
+    read = []
+    real = pipeline_module.read_cache
+
+    def recording(path):
+        read.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(pipeline_module, "read_cache", recording)
+    return read
+
+
+def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypatch):
+    config, report = pipe
+    copy_dir = tmp_path / "warm"
+    shutil.copytree(report.out_dir, copy_dir)
+    read = _record_cache_reads(monkeypatch)
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert again.score == report.score
+    assert report.artifacts["hog"] not in read
+    assert report.artifacts["features"] in read
+    for name in (*RESULT_FILES, "pipeline.json"):
+        assert (copy_dir / name).read_bytes() == (Path(report.out_dir) / name).read_bytes()
+
+
+def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
+    config, report = pipe
+    copy_dir = tmp_path / "refit"
+    shutil.copytree(report.out_dir, copy_dir)
+    (copy_dir / report.artifacts["pca_model"]).unlink()
+    read = _record_cache_reads(monkeypatch)
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert read.count(report.artifacts["hog"]) == 1
+    assert again.score == report.score
+    assert (copy_dir / "pipeline.json").read_bytes() == (
+        Path(report.out_dir) / "pipeline.json"
+    ).read_bytes()
 
 
 def test_single_cell_trial_matches_pipeline(pipe):
