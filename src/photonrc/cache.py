@@ -15,6 +15,7 @@ The same container stores HOG descriptors, PCA-projected features, and
 reservoir state trajectories; only the layout tuple differs.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -31,8 +32,8 @@ class CacheWriter:
     """Incremental cache writer; keeps memory bounded for long frame streams.
 
     The row count in the header is patched when the writer closes, so a
-    crashed run leaves a header announcing 0 rows rather than a silently
-    short file.
+    crashed run leaves a header announcing 0 rows, which no reader accepts
+    once values follow it.
     """
 
     def __init__(self, path, feature_dim, layout=None):
@@ -73,35 +74,45 @@ class CacheWriter:
             self._fh = None
 
 
-def read_cache_header(path):
-    """Return (frame_count, feature_dim, layout) without loading the data."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEAD.size)
-        if len(head) < _HEAD.size:
-            raise ParseError(f"{path}: truncated cache header")
-        magic, version, count, dim, layout_len = _HEAD.unpack(head)
-        if magic != MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ParseError(f"{path}: unsupported cache version {version}")
-        raw = fh.read(8 * layout_len)
-        if len(raw) < 8 * layout_len:
-            raise ParseError(f"{path}: truncated layout")
-        layout = struct.unpack(f"<{layout_len}Q", raw)
+def _read_header(fh, path):
+    """Parse the header of the open cache ``fh``, leaving it at the first value."""
+    head = fh.read(_HEAD.size)
+    if len(head) < _HEAD.size:
+        raise ParseError(f"{path}: truncated cache header")
+    magic, version, count, dim, layout_len = _HEAD.unpack(head)
+    if magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported cache version {version}")
+    raw = fh.read(8 * layout_len)
+    if len(raw) < 8 * layout_len:
+        raise ParseError(f"{path}: truncated layout")
+    layout = struct.unpack(f"<{layout_len}Q", raw)
+    size = os.fstat(fh.fileno()).st_size
+    expected = fh.tell() + 4 * count * dim
+    if size != expected:
+        raise ParseError(
+            f"{path}: {size} bytes, expected {expected} bytes for {count} x {dim} values"
+        )
     return count, dim, layout
 
 
-def data_offset(layout):
-    """Byte offset of the first value in a cache whose header holds ``layout``."""
-    return _HEAD.size + 8 * len(layout)
+def read_cache_header(path):
+    """Return (frame_count, feature_dim, layout) without loading the data.
+
+    Raises ParseError unless the file's size is exactly what the header
+    announces: a file cut short or carrying trailing bytes is rejected.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def read_cache(path):
-    """Load a cache; returns (values float32 array (rows, dim), layout tuple)."""
-    count, dim, layout = read_cache_header(path)
+    """Load a cache; returns (values float32 array (rows, dim), layout tuple).
+
+    Rejects what :func:`read_cache_header` rejects.
+    """
     with open(path, "rb") as fh:
-        fh.seek(data_offset(layout))
+        count, dim, layout = _read_header(fh, path)
         data = np.fromfile(fh, dtype="<f4", count=count * dim)
-    if data.size != count * dim:
-        raise ParseError(f"{path}: expected {count * dim} values, found {data.size}")
     return data.reshape(count, dim), layout

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .cache import CacheWriter, read_cache, read_cache_header
 from .classify import score_line
@@ -49,10 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_hyperparam_flags(parser):
-    parser.add_argument("--feedback-gain", type=float, default=0.8)
-    parser.add_argument("--input-gain", type=float, default=0.01)
-    parser.add_argument("--coupling-gain", type=float, default=0.1)
-    parser.add_argument("--coupling-density", type=float, default=0.01)
+    for gain in fields(HyperParams):
+        parser.add_argument("--" + gain.name.replace("_", "-"), type=float, default=gain.default)
 
 
 def build_parser():
@@ -169,12 +168,7 @@ def _out_path(args, flag_value, default_name):
 
 
 def _hyperparams(args):
-    return HyperParams(
-        feedback_gain=args.feedback_gain,
-        input_gain=args.input_gain,
-        coupling_gain=args.coupling_gain,
-        coupling_density=args.coupling_density,
-    )
+    return HyperParams(**{gain.name: getattr(args, gain.name) for gain in fields(HyperParams)})
 
 
 def cmd_extract_hog(args):

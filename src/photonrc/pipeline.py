@@ -14,8 +14,9 @@ content hash, upstream digests, stage parameters), so reruns and grid
 trials reuse whatever already matches and never reuse anything stale.
 With the default "reuse" cache policy a warm rerun reproduces the cold
 run's result files bit for bit; "rebuild" recomputes every stage.  A
-cache file shorter than its header announces, or a readout file that
-does not parse, counts as a miss and is recomputed.
+cache whose size is not what its header announces, or a readout file
+that does not parse, counts as a miss and is recomputed.  A stage reads
+its upstream cache only when it recomputes.
 
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
@@ -29,11 +30,11 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cache import CacheWriter, data_offset, read_cache, read_cache_header
+from .cache import CacheWriter, read_cache, read_cache_header
 from .hog import DEFAULT_CONFIG, HogConfig, descriptor_layout, feature_count, hog_descriptor
 from .classify import (
     classify_stream,
@@ -96,11 +97,7 @@ class PipelineConfig:
     pca_components: int = 2000
     n_nodes: int = 1024
     variant: str = "intensity"
-    params: HyperParams = field(
-        default_factory=lambda: HyperParams(
-            feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.01
-        )
-    )
+    params: HyperParams = HyperParams()
     ridge_lambda: float | None = None  # None picks the scale-adaptive default
     seed: int = 0
     cache_policy: str = "reuse"  # "reuse" | "rebuild"
@@ -178,46 +175,32 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     index = index_frames(manifest)
     if features is not None:
         features = np.asarray(features, dtype=np.float32)
-        _check_rows(features.shape[0], index.total_frames)
+        if features.shape[0] != index.total_frames:
+            raise SchemaError(
+                f"feature cache has {features.shape[0]} rows, "
+                f"manifest counts {index.total_frames} frames"
+            )
     encoding = encode_targets(index.frame_actions())
 
-    if validation_fraction is None:
-        train_rows = index.rows_for(Split.TRAIN)
-        test_rows = index.rows_for(Split.TEST)
-        test_spans = tuple(index.spans_for(Split.TEST))
-    else:
+    if validation_fraction is not None:
         train_seqs = [s for s in manifest.sequences if s.split is Split.TRAIN]
         relabeled = make_split(
             train_seqs,
             1.0 - validation_fraction,
             derive_stream_seed(seed, "validation"),
         )
-        # TEST after relabeling = validation; the real test split is untouched
+        # TEST after relabeling = validation; the real test sequences get no role
         role = {s.sequence_id: s.split for s in relabeled}
-        train_chunks, eval_chunks, eval_spans = [], [], []
-        for seq_id, start, stop, action in index.spans_for():
-            if role.get(seq_id) is Split.TRAIN:
-                train_chunks.append(np.arange(start, stop))
-            elif role.get(seq_id) is Split.TEST:
-                eval_chunks.append(np.arange(start, stop))
-                eval_spans.append((seq_id, start, stop, action))
-        train_rows = np.concatenate(train_chunks) if train_chunks else np.empty(0, np.intp)
-        test_rows = np.concatenate(eval_chunks) if eval_chunks else np.empty(0, np.intp)
-        test_spans = tuple(eval_spans)
+        index = replace(index, splits=tuple(role.get(seq_id) for seq_id in index.sequence_ids))
 
     return PreparedData(
         features=features,
         targets=encoding.targets,
-        train_rows=train_rows,
-        test_rows=test_rows,
+        train_rows=index.rows_for(Split.TRAIN),
+        test_rows=index.rows_for(Split.TEST),
         all_spans=tuple(index.spans_for()),
-        test_spans=test_spans,
+        test_spans=tuple(index.spans_for(Split.TEST)),
     )
-
-
-def _check_rows(rows, frames):
-    if rows != frames:
-        raise SchemaError(f"feature cache has {rows} rows, manifest counts {frames} frames")
 
 
 @contextlib.contextmanager
@@ -230,22 +213,13 @@ def _stage(name):
         raise PipelineStageError(name, exc) from exc
 
 
-def _cache_shape(path):
-    """(rows, dim, layout) of a cache file; ParseError unless its size fits rows x dim."""
-    rows, dim, layout = read_cache_header(path)
-    size = data_offset(layout) + 4 * rows * dim
-    actual = os.path.getsize(path)
-    if actual != size:
-        raise ParseError(f"{path}: {actual} bytes, a {rows} x {dim} cache takes {size} bytes")
-    return rows, dim, layout
-
-
 def _cache_is_valid(path, expected_rows, expected_dim):
+    """The reuse rule for every cache: a complete file of the expected shape."""
     if not os.path.isfile(path):
         return False
     try:
-        return _cache_shape(path)[:2] == (expected_rows, expected_dim)
-    except PhotonRcError:  # a file cut short after a valid header is a miss too
+        return read_cache_header(path)[:2] == (expected_rows, expected_dim)
+    except PhotonRcError:  # a bad header, or a size the header does not announce
         return False
 
 
@@ -356,109 +330,108 @@ def run_pipeline(config):
     artifacts = {}
     digests = {}
 
+    def name(stage, payload, *files):
+        """Record ``stage``'s digest and artifact names; returns the artifact paths.
+
+        ``files`` are (artifact key, name pattern) pairs, and ``{}`` in a
+        pattern stands for the digest of ``payload``.
+        """
+        digests[stage] = digest = _digest({"stage": stage, **payload})
+        paths = []
+        for key, pattern in files:
+            artifacts[key] = pattern.format(digest)
+            paths.append(os.path.join(out_dir, artifacts[key]))
+        return paths
+
     with _stage("dataset"):
         manifest = load_manifest(config.manifest_path)
         if not manifest.sequences:
             raise SchemaError(f"{config.manifest_path}: manifest lists no sequences")
-        n_frames = index_frames(manifest).total_frames
+        data = prepare_data(manifest, None)
+        n_frames = data.targets.shape[0]
         manifest_hash = file_sha256(config.manifest_path)
+        hog_layout = descriptor_layout(manifest.resolution, config.hog_config)
         feature_dim = feature_count(manifest.resolution, config.hog_config)
 
     with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(config.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    # each stage reads its upstream cache only when it recomputes
     with _stage("hog"):
-        hog_digest = _digest(
-            {"stage": "hog", "manifest": manifest_hash, "config": config.as_dict()["hog"]}
+        (hog_path,) = name(
+            "hog",
+            {"manifest": manifest_hash, "config": config.as_dict()["hog"]},
+            ("hog", "hog_{}.rcf"),
         )
-        hog_name = f"hog_{hog_digest}.rcf"
-        hog_path = os.path.join(out_dir, hog_name)
         if not (reuse and _cache_is_valid(hog_path, n_frames, feature_dim)):
             extract_hog(manifest, hog_path, config.hog_config)
-        # only a PCA refit loads the descriptors; the rows bind from the header
-        hog_rows, _, hog_layout = _cache_shape(hog_path)
-        _check_rows(hog_rows, n_frames)
-        data = prepare_data(manifest, None)
-        artifacts["hog"] = hog_name
-        digests["hog"] = hog_digest
 
     with _stage("pca"):
-        pca_digest = _digest(
+        model_path, features_path = name(
+            "pca",
             {
-                "stage": "pca",
-                "upstream": hog_digest,
+                "upstream": digests["hog"],
                 "components": config.pca_components,
                 "fit_on": config.pca_fit_on,
-            }
+            },
+            ("pca_model", "pca_{}.bin"),
+            ("features", "features_{}.rcf"),
         )
-        model_name = f"pca_{pca_digest}.bin"
-        proj_name = f"features_{pca_digest}.rcf"
-        model_path = os.path.join(out_dir, model_name)
-        proj_path = os.path.join(out_dir, proj_name)
-        have_model = reuse and os.path.isfile(model_path)
-        if not (have_model and _cache_is_valid(proj_path, n_frames, config.pca_components)):
+        if not (
+            reuse
+            and os.path.isfile(model_path)
+            and _cache_is_valid(features_path, n_frames, config.pca_components)
+        ):
             hog_values, _ = read_cache(hog_path)
             rows = pca_fit_rows(data, config.pca_fit_on)
             pca_model = fit_pca_model(hog_values, rows, config.pca_components, model_path)
-            project(pca_model, hog_values, proj_path)
+            project(pca_model, hog_values, features_path)
             del hog_values
-        proj_values, _ = read_cache(proj_path)
-        artifacts["pca_model"] = model_name
-        artifacts["features"] = proj_name
-        digests["pca"] = pca_digest
 
     with _stage("reservoir"):
         spec = reservoir_spec(
             config.n_nodes, config.pca_components, config.variant, config.params, config.seed
         )
-        res_digest = _digest(
+        spec_path, states_path = name(
+            "reservoir",
             {
-                "stage": "reservoir",
-                "upstream": pca_digest,
+                "upstream": digests["pca"],
                 "n_nodes": config.n_nodes,
                 "variant": config.variant,
                 "hyperparameters": config.params.as_dict(),
                 "seed": spec.seed,
                 "reset_per_sequence": config.reset_per_sequence,
-            }
+            },
+            ("reservoir_spec", "reservoir_{}.json"),
+            ("states", "states_{}.rcf"),
         )
-        spec_name = f"reservoir_{res_digest}.json"
-        states_name = f"states_{res_digest}.rcf"
-        states_path = os.path.join(out_dir, states_name)
-        save_reservoir_spec(spec, os.path.join(out_dir, spec_name))
+        save_reservoir_spec(spec, spec_path)
         if not (reuse and _cache_is_valid(states_path, n_frames, config.n_nodes)):
+            features, _ = read_cache(features_path)
             spans = data.all_spans if config.reset_per_sequence else None
             with CacheWriter(states_path, config.n_nodes) as writer:
-                writer.append(reservoir_states(spec, proj_values, spans))
-        state_values, _ = read_cache(states_path)
-        artifacts["reservoir_spec"] = spec_name
-        artifacts["states"] = states_name
-        digests["reservoir"] = res_digest
+                writer.append(reservoir_states(spec, features, spans))
+            del features
+        states, _ = read_cache(states_path)
 
     with _stage("train"):
-        train_digest = _digest(
-            {
-                "stage": "train",
-                "upstream": res_digest,
-                "ridge_lambda": config.ridge_lambda,
-            }
+        (readout_path,) = name(
+            "train",
+            {"upstream": digests["reservoir"], "ridge_lambda": config.ridge_lambda},
+            ("readout_model", "readout_{}.bin"),
         )
-        readout_name = f"readout_{train_digest}.bin"
-        readout_path = os.path.join(out_dir, readout_name)
         model = None
         if reuse and os.path.isfile(readout_path):
             with contextlib.suppress(ParseError):  # a torn readout file is a miss
                 model = load_readout_model(readout_path)
         if model is None:
-            trained = train_readout(state_values, data, config.ridge_lambda, config.variant)
+            trained = train_readout(states, data, config.ridge_lambda, config.variant)
             save_readout_model(trained, readout_path)
             model = load_readout_model(readout_path)
-        artifacts["readout_model"] = readout_name
-        digests["train"] = train_digest
 
     with _stage("evaluate"):
-        decisions, truths, matrix, per_class = evaluate_readout(model, state_values, data)
+        decisions, truths, matrix, per_class = evaluate_readout(model, states, data)
         write_results(out_dir, decisions, truths, matrix)
         artifacts["sequence_results"] = "sequence_results.csv"
         artifacts["confusion"] = "confusion.csv"
@@ -506,8 +479,13 @@ def describe_artifacts(out_dir):
         if trials is not None:
             return f"grid-search directory: {trials} trials logged in grid_log.csv"
         raise NotAPipelineDirError(f"{out_dir}: no {PIPELINE_FILE} found")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{summary_path}: {exc}") from None
+    if not isinstance(summary, dict):
+        raise SchemaError(f"{summary_path}: expected a JSON object, found {type(summary).__name__}")
 
     lines = [f"pipeline run in {out_dir}"]
     dims = summary.get("dimensions", {})
@@ -528,7 +506,7 @@ def describe_artifacts(out_dir):
             note = f"{os.path.getsize(path)} bytes"
             if filename.endswith(".rcf"):
                 try:
-                    rows, dim, _ = _cache_shape(path)
+                    rows, dim, _ = read_cache_header(path)
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

@@ -107,12 +107,15 @@ def intensity_response(phase):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Gains and coupling density of one reservoir configuration."""
+    """Gains and coupling density of one reservoir configuration.
 
-    feedback_gain: float
-    input_gain: float
-    coupling_gain: float
-    coupling_density: float
+    The defaults are those of a pipeline run and of the CLI flags.
+    """
+
+    feedback_gain: float = 0.8
+    input_gain: float = 0.01
+    coupling_gain: float = 0.1
+    coupling_density: float = 0.01
 
     def __post_init__(self):
         for name in ("feedback_gain", "input_gain", "coupling_gain"):

@@ -418,12 +418,9 @@ def run_grid(
         )
 
     try:
-        if workers == 1 or len(groups) <= 1:
-            batches = [evaluate(group) for group in groups.items()]
-        else:
-            max_workers = workers or min(8, os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                batches = list(pool.map(evaluate, groups.items()))
+        max_workers = workers or min(8, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            batches = list(pool.map(evaluate, groups.items()))
     finally:
         if log_fh is not None:
             log_fh.close()

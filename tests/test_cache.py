@@ -111,6 +111,16 @@ def test_truncated_body_rejected(tmp_path, rng):
         read_cache(path)
 
 
+def test_trailing_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "long.rcf"
+    _write_at_once(path, rng.standard_normal((4, 4)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ParseError, match="expected"):
+        read_cache_header(path)
+    with pytest.raises(ParseError, match="expected"):
+        read_cache(path)
+
+
 def test_unsupported_version_rejected(tmp_path):
     head = struct.Struct("<8sIQQI").pack(MAGIC, 99, 0, 1, 1)
     path = tmp_path / "v99.rcf"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from photonrc.cache import CacheWriter, read_cache, read_cache_header
-from photonrc.cli import main
+from photonrc.cli import _hyperparams, build_parser, main
 from photonrc.hog import HogConfig, feature_count
+from photonrc.pipeline import PipelineConfig
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, save_grid_spec
 
@@ -253,6 +254,11 @@ def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Usage errors (exit 1)
 
+def test_hyperparameter_flags_default_to_the_pipeline_defaults():
+    args = build_parser().parse_args(["pipeline", "run", "--manifest", "m.json"])
+    assert _hyperparams(args) == PipelineConfig(manifest_path="m.json", out_dir=".").params
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["polish"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -311,6 +317,25 @@ def test_row_count_mismatch_is_data_error(cli_env, tmp_path, capsys):
 def test_describe_empty_directory_is_data_error(tmp_path, capsys):
     assert main(["describe", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["not-json", "not-an-object"])
+def test_describe_bad_pipeline_json_is_data_error(tmp_path, capsys, text):
+    (tmp_path / "pipeline.json").write_text(text)
+    assert main(["describe", str(tmp_path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_cache_with_trailing_bytes(cli_env, tmp_path, capsys):
+    long = tmp_path / "long.rcf"
+    with open(cli_env["states"], "rb") as fh:
+        long.write_bytes(fh.read() + b"\x00" * 4)
+    code = main([
+        "evaluate", "--model", cli_env["readout"], "--states", str(long),
+        "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
+    ])
+    assert code == 2
+    assert "expected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,8 @@ def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypa
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
     assert again.score == report.score
     assert report.artifacts["hog"] not in read
-    assert report.artifacts["features"] in read
+    assert report.artifacts["features"] not in read
+    assert report.artifacts["states"] in read
     for name in (*RESULT_FILES, "pipeline.json"):
         assert (copy_dir / name).read_bytes() == (Path(report.out_dir) / name).read_bytes()
 
