@@ -57,7 +57,10 @@ def _add_hyperparam_flags(parser):
 def build_parser():
     parser = _Parser(prog="photonrc", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker bound for gridsearch")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted and ignored: gridsearch runs on one thread",
+    )
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,7 +227,7 @@ def cmd_reservoir_run(args):
         save_reservoir_spec(spec, args.save_spec)
     out = _out_path(args, args.out, "states.rcf")
     with CacheWriter(out, spec.n_nodes) as writer:
-        writer.append(reservoir_states(spec, values, spans))
+        writer.append(reservoir_states([spec], values, spans))
     print(f"wrote {out}: {values.shape[0]} steps x {spec.n_nodes} nodes ({spec.variant})")
     return 0
 

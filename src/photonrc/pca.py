@@ -12,6 +12,7 @@ the sample mean, eigenvalues, components, total variance, and sample count,
 all float64, so that saving and loading reproduce the model bit for bit.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -144,17 +145,36 @@ def save_pca_model(model, path):
         fh.write(np.ascontiguousarray(model.components, dtype="<f8").tobytes())
 
 
+def _read_pca_header(fh, path):
+    """Parse the header of the open model file ``fh``; the file's size must match it."""
+    head = fh.read(_PCA_HEAD.size)
+    if len(head) < _PCA_HEAD.size:
+        raise ParseError(f"{path}: truncated PCA model header")
+    magic, k, dim, n_samples, total_variance = _PCA_HEAD.unpack(head)
+    if magic != PCA_MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = _PCA_HEAD.size + 8 * (dim + k + k * dim)
+    if size != expected:
+        what = "truncated PCA model data" if size < expected else "trailing bytes after PCA model"
+        raise ParseError(f"{path}: {what}: {size} bytes, expected {expected} bytes")
+    return k, dim, n_samples, total_variance
+
+
+def read_pca_header(path):
+    """(components, feature dimension) of a PCA model file.
+
+    Raises ParseError unless the file's size is exactly what its header
+    announces, so a torn write never passes for a model.
+    """
+    with open(path, "rb") as fh:
+        return _read_pca_header(fh, path)[:2]
+
+
 def load_pca_model(path):
     with open(path, "rb") as fh:
-        head = fh.read(_PCA_HEAD.size)
-        if len(head) < _PCA_HEAD.size:
-            raise ParseError(f"{path}: truncated PCA model header")
-        magic, k, dim, n_samples, total_variance = _PCA_HEAD.unpack(head)
-        if magic != PCA_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
+        k, dim, n_samples, total_variance = _read_pca_header(fh, path)
         body = np.fromfile(fh, dtype="<f8", count=dim + k + k * dim)
-    if body.size != dim + k + k * dim:
-        raise ParseError(f"{path}: truncated PCA model data")
     mean = body[:dim].copy()
     eigenvalues = body[dim : dim + k].copy()
     components = body[dim + k :].reshape(k, dim).copy()

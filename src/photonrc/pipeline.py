@@ -14,9 +14,9 @@ content hash, upstream digests, stage parameters), so reruns and grid
 trials reuse whatever already matches and never reuse anything stale.
 With the default "reuse" cache policy a warm rerun reproduces the cold
 run's result files bit for bit; "rebuild" recomputes every stage.  A
-cache whose size is not what its header announces, or a readout file
-that does not parse, counts as a miss and is recomputed.  A stage reads
-its upstream cache only when it recomputes.
+cache or PCA model whose size is not what its header announces, or a
+readout file that does not parse, counts as a miss and is recomputed.  A
+stage reads its upstream cache only when it recomputes.
 
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
@@ -45,7 +45,7 @@ from .classify import (
 )
 from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
 from .errors import NotAPipelineDirError, ParseError, PhotonRcError, PipelineStageError, SchemaError
-from .pca import fit_pca, load_pca_model, save_pca_model, transform
+from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
 from .readout import (
     TRANSFORM_NONLINEAR_PHASE,
     TRANSFORM_RAW,
@@ -53,6 +53,7 @@ from .readout import (
     encode_targets,
     load_readout_model,
     nmse_per_output,
+    normal_equations,
     save_readout_model,
     train_ridge,
 )
@@ -62,6 +63,7 @@ from .reservoir import (
     ReservoirSpec,
     run_reservoir,
     save_reservoir_spec,
+    stack_matrices,
 )
 
 PIPELINE_FILE = "pipeline.json"
@@ -213,12 +215,16 @@ def _stage(name):
         raise PipelineStageError(name, exc) from exc
 
 
-def _cache_is_valid(path, expected_rows, expected_dim):
-    """The reuse rule for every cache: a complete file of the expected shape."""
+def _is_complete(path, read_header, *shape):
+    """The reuse rule for a cache or PCA model: a complete file of the expected shape.
+
+    ``read_header`` returns the file's shape first and raises unless the
+    file's size is what its header announces.
+    """
     if not os.path.isfile(path):
         return False
     try:
-        return read_cache_header(path)[:2] == (expected_rows, expected_dim)
+        return tuple(read_header(path)[:2]) == shape
     except PhotonRcError:  # a bad header, or a size the header does not announce
         return False
 
@@ -269,29 +275,48 @@ def reservoir_spec(n_nodes, input_dim, variant, params, seed):
     )
 
 
-def reservoir_states(spec, inputs, spans=None):
-    """Drive the reservoir ``spec`` describes with ``inputs``; returns float32 states.
+def reservoir_states(specs, inputs, spans=None):
+    """Drive the reservoirs ``specs`` describe with ``inputs``; returns float32 states.
 
-    ``spans`` lists (sequence_id, start, stop, action) tuples whose starts
-    reset the state; None runs one unbroken stream.  The states are rounded
-    to float32 as the state cache stores them, so an in-memory trial sees
-    exactly the values a pipeline run reads back.
+    The reservoirs, which share one variant, step in lockstep as one
+    block-diagonal reservoir (:func:`stack_matrices`): the result holds each
+    spec's N columns side by side in spec order, each equal to that spec's
+    own run.  ``spans`` lists (sequence_id, start, stop, action) tuples
+    whose starts reset the state; None runs one unbroken stream.  The states
+    are rounded to float32 as the state cache stores them, so an in-memory
+    trial sees exactly the values a pipeline run reads back.
     """
+    variants = {spec.variant for spec in specs}
+    if len(variants) != 1:
+        raise ValueError(f"lockstep reservoirs need one variant, got {sorted(variants)}")
     if spans is not None:
         spans = [(start, stop) for _, start, stop, _ in spans]
-    states = run_reservoir(spec.build(), inputs, variant=spec.variant, spans=spans)
-    return states.astype(np.float32)
+    matrices = stack_matrices([spec.build() for spec in specs])
+    return run_reservoir(matrices, inputs, variant=variants.pop(), spans=spans, dtype=np.float32)
 
 
-def train_readout(states, data, ridge_lambda, variant):
-    """Ridge-train the readout on the train rows of ``states``."""
+def _train_set(states, data):
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
+    return states[data.train_rows], data.targets[data.train_rows]
+
+
+def readout_equations(states, data, variant):
+    """The normal equations of a readout on the train rows of ``states``."""
+    return normal_equations(*_train_set(states, data), feature_transform_for(variant))
+
+
+def train_readout(states, data, ridge_lambda, variant, normal=None):
+    """Ridge-train the readout on the train rows of ``states``.
+
+    ``normal`` is :func:`readout_equations` of the same states, for a caller
+    that trains several lambdas on them.
+    """
     return train_ridge(
-        states[data.train_rows],
-        data.targets[data.train_rows],
+        *_train_set(states, data),
         ridge_lambda=ridge_lambda,
         feature_transform=feature_transform_for(variant),
+        normal=normal,
     )
 
 
@@ -364,7 +389,7 @@ def run_pipeline(config):
             {"manifest": manifest_hash, "config": config.as_dict()["hog"]},
             ("hog", "hog_{}.rcf"),
         )
-        if not (reuse and _cache_is_valid(hog_path, n_frames, feature_dim)):
+        if not (reuse and _is_complete(hog_path, read_cache_header, n_frames, feature_dim)):
             extract_hog(manifest, hog_path, config.hog_config)
 
     with _stage("pca"):
@@ -380,8 +405,8 @@ def run_pipeline(config):
         )
         if not (
             reuse
-            and os.path.isfile(model_path)
-            and _cache_is_valid(features_path, n_frames, config.pca_components)
+            and _is_complete(model_path, read_pca_header, config.pca_components, feature_dim)
+            and _is_complete(features_path, read_cache_header, n_frames, config.pca_components)
         ):
             hog_values, _ = read_cache(hog_path)
             rows = pca_fit_rows(data, config.pca_fit_on)
@@ -407,11 +432,11 @@ def run_pipeline(config):
             ("states", "states_{}.rcf"),
         )
         save_reservoir_spec(spec, spec_path)
-        if not (reuse and _cache_is_valid(states_path, n_frames, config.n_nodes)):
+        if not (reuse and _is_complete(states_path, read_cache_header, n_frames, config.n_nodes)):
             features, _ = read_cache(features_path)
             spans = data.all_spans if config.reset_per_sequence else None
             with CacheWriter(states_path, config.n_nodes) as writer:
-                writer.append(reservoir_states(spec, features, spans))
+                writer.append(reservoir_states([spec], features, spans))
             del features
         states, _ = read_cache(states_path)
 
@@ -467,6 +492,29 @@ def run_pipeline(config):
     return report
 
 
+# the pipeline.json fields describe reads, their JSON types, and their items' types
+_SUMMARY_FIELDS = {
+    "dimensions": (dict, None),
+    "artifacts": (dict, str),
+    "digests": (dict, None),
+    "stages": (list, str),
+}
+
+
+def _check_summary(summary, path):
+    """Raise SchemaError unless every field describe reads has the type it reads."""
+    for key, (kind, item) in _SUMMARY_FIELDS.items():
+        value = summary.get(key, kind())
+        items = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or (
+            item is not None and not all(isinstance(v, item) for v in items)
+        ):
+            raise SchemaError(f"{path}: malformed {key!r} field: {value!r}")
+    score = summary.get("score", 0.0)
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise SchemaError(f"{path}: malformed 'score' field: {score!r}")
+
+
 def describe_artifacts(out_dir):
     """Human-readable summary of a pipeline (or grid-search) directory."""
     summary_path = os.path.join(out_dir, PIPELINE_FILE)
@@ -486,6 +534,7 @@ def describe_artifacts(out_dir):
         raise ParseError(f"{summary_path}: {exc}") from None
     if not isinstance(summary, dict):
         raise SchemaError(f"{summary_path}: expected a JSON object, found {type(summary).__name__}")
+    _check_summary(summary, summary_path)
 
     lines = [f"pipeline run in {out_dir}"]
     dims = summary.get("dimensions", {})
@@ -505,8 +554,14 @@ def describe_artifacts(out_dir):
         if os.path.isfile(path):
             note = f"{os.path.getsize(path)} bytes"
             if filename.endswith(".rcf"):
+                read_header = read_cache_header
+            elif name == "pca_model":
+                read_header = read_pca_header
+            else:
+                read_header = None
+            if read_header is not None:
                 try:
-                    rows, dim, _ = read_cache_header(path)
+                    rows, dim = read_header(path)[:2]
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

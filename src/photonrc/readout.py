@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SingularError,
 )
-from .reservoir import detect
+from .reservoir import PHASE_LEVELS, PHASE_STEP, detect
 
 N_CLASSES = 6
 RESIDUAL_RTOL = 1e-6
@@ -82,9 +82,31 @@ class ReadoutModel:
         return self.weights.shape[1]
 
 
+# the phase grid k * 2pi/256 as the float32 state cache stores it, and f(x) of it
+_GRID32 = (np.arange(PHASE_LEVELS) * PHASE_STEP).astype(np.float32).astype(np.float64)
+_RESPONSE32 = detect(_GRID32)
+
+
+def _detect_states(X):
+    """detect(X), looked up by phase code when every value of X is in :data:`_GRID32`.
+
+    Rounding X to its nearest code and comparing the code's grid value with
+    X is exact, so the lookup returns detect's bytes or is not taken.
+    """
+    scaled = np.multiply(X, 1.0 / PHASE_STEP)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, PHASE_LEVELS - 1, out=scaled)
+    with np.errstate(invalid="ignore"):  # nan has no code, and fails the check below
+        codes = scaled.astype(np.uint8)
+    del scaled
+    if np.array_equal(_GRID32[codes], X):
+        return _RESPONSE32[codes]
+    return detect(X)
+
+
 def _transform_states(states, feature_transform):
     if feature_transform == TRANSFORM_NONLINEAR_PHASE:
-        return detect(states)
+        return _detect_states(states)
     return states
 
 
@@ -94,12 +116,28 @@ def default_lambda(states):
     return DEFAULT_LAMBDA_SCALE * float(np.einsum("ij,ij->", X, X)) / X.shape[1]
 
 
-def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_RAW):
-    """Fit the readout weights by ridge regression.
+@dataclass(frozen=True)
+class NormalEquations:
+    """The ridge system of one training set, which any number of lambdas solve.
 
-    ``ridge_lambda=None`` picks the scale-adaptive default; 0 is exact
-    least squares (minimum-norm when the system is underdetermined).
+    ``features`` is X, the states after the feature transform; ``gram`` is
+    X'X when X has at least as many rows as columns (the primal route) and
+    XX' otherwise (the dual route); ``rhs`` is X'D.
     """
+
+    features: np.ndarray
+    targets: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
+    feature_transform: str
+
+    @property
+    def primal(self):
+        return self.features.shape[0] >= self.features.shape[1]
+
+
+def normal_equations(states, targets, feature_transform=TRANSFORM_RAW):
+    """Build the :class:`NormalEquations` of ``states`` and one-hot ``targets``."""
     X = np.asarray(states, dtype=np.float64)
     D = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or D.ndim != 2:
@@ -111,23 +149,44 @@ def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_
     if X.shape[0] < 1:
         raise DimensionError("need at least one training row")
     X = _transform_states(X, feature_transform)
+    return NormalEquations(
+        features=X,
+        targets=D,
+        gram=X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T,
+        rhs=X.T @ D,
+        feature_transform=feature_transform,
+    )
+
+
+def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_RAW,
+                normal=None):
+    """Fit the readout weights by ridge regression.
+
+    ``ridge_lambda=None`` picks the scale-adaptive default; 0 is exact
+    least squares (minimum-norm when the system is underdetermined).
+    ``normal`` is :func:`normal_equations` of these same states, targets and
+    transform, for a caller that solves several lambdas on one training
+    set; without it they are built here.
+    """
+    if normal is None:
+        normal = normal_equations(states, targets, feature_transform)
+    elif normal.features.shape != np.shape(states) or normal.feature_transform != feature_transform:
+        raise ValueError("normal equations were built from other states or another transform")
+    X = normal.features
     if ridge_lambda is None:
         ridge_lambda = default_lambda(X)
     lam = float(ridge_lambda)
     if lam < 0:
         raise ValueError("ridge_lambda must be nonnegative")
 
-    n_rows, n_feat = X.shape
-    rhs = X.T @ D
+    rhs = normal.rhs
+    gram = normal.gram.copy()
+    gram[np.diag_indices_from(gram)] += lam
     try:
-        if n_rows >= n_feat:
-            gram = X.T @ X
-            gram[np.diag_indices_from(gram)] += lam
-            W = linalg.solve(gram, rhs, assume_a="pos")
-        else:
-            gram = X @ X.T
-            gram[np.diag_indices_from(gram)] += lam
-            W = X.T @ linalg.solve(gram, D, assume_a="pos")
+        factor = linalg.cho_factor(gram, overwrite_a=True)
+        W = linalg.cho_solve(factor, rhs if normal.primal else normal.targets)
+        if not normal.primal:
+            W = X.T @ W
     except linalg.LinAlgError as exc:
         raise SingularError(f"regularized system not solvable: {exc}") from exc
     if not np.all(np.isfinite(W)):

@@ -64,9 +64,15 @@ def phase_code(x, levels=PHASE_LEVELS):
     can return 2pi itself, whose code wraps to 0.
     """
     grid = _PHASE_GRID if levels == PHASE_LEVELS else _phase_grid(levels)
-    y = np.mod(np.asarray(x, dtype=np.float64), TWO_PI)
-    if np.isnan(y).any():  # np.mod maps infinities to nan as well
-        raise ValueError("phases must be finite")
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and np.abs(x).max() < TWO_PI:  # false for nan
+        # np.mod of |x| < 2pi is x, or the sum x + 2pi for x < 0: the same
+        # float operation without np.mod's costly fmod
+        y = np.where(x < 0, x + TWO_PI, x)
+    else:
+        y = np.mod(x, TWO_PI)
+        if np.isnan(y).any():  # np.mod maps infinities to nan as well
+            raise ValueError("phases must be finite")
     k = np.asarray(y / grid[1]).astype(np.intp)  # floor, as y >= 0
     k += grid[1:][k] <= y
     k -= grid[k] > y
@@ -158,13 +164,11 @@ def sample_offdiagonal(rng, n_nodes, count):
         raise OverflowError(
             f"cannot place {count} couplings in the {space} off-diagonal slots"
         )
+    # draw t_j uniform in [0, j] for every j at once, in the order the walk uses them
+    draws = rng.integers(0, np.arange(space - count, space) + 1)
     chosen = set()
-    for j in range(space - count, space):
-        t = int(rng.integers(0, j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
+    for j, t in zip(range(space - count, space), draws.tolist()):
+        chosen.add(j if t in chosen else t)
     pos = np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
     rows = pos // (n - 1)
     offsets = pos % (n - 1)
@@ -219,8 +223,31 @@ def step_phase(matrices, state, drive):
     return _PHASE_GRID[phase_code(matrices.weights @ detect(state) + drive)]
 
 
-def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spans=None):
-    """Drive the reservoir with ``inputs`` (T, K); returns states (T, N).
+def stack_matrices(matrices):
+    """One block-diagonal reservoir made of several, to step them in lockstep.
+
+    Node i of the j-th reservoir becomes node i + (nodes before it) of the
+    stack, and every row keeps its coupling entries in their order.  So a
+    stacked step does, row by row, the float operations of the separate
+    steps, and the stack's states are the separate states side by side.
+    """
+    if len(matrices) == 1:
+        return matrices[0]
+    return ReservoirMatrices(
+        weights=sparse.block_diag([m.weights for m in matrices], format="csr"),
+        input_weights=np.vstack([m.input_weights for m in matrices]),
+    )
+
+
+# input rows whose drive B u(n) one GEMM computes; a row's drive bytes do not
+# depend on the block it is computed in
+DRIVE_ROWS = 256
+
+
+def run_reservoir(
+    matrices, inputs, variant="intensity", initial_state=None, spans=None, dtype=np.float64
+):
+    """Drive the reservoir with ``inputs`` (T, K); returns states (T, N) of ``dtype``.
 
     ``states[t]`` is the node state after consuming ``inputs[t]``.  ``spans``
     is an optional list of (start, stop) row ranges; the state resets to
@@ -231,11 +258,13 @@ def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spa
     codes of :func:`phase_code`, so the response q10(sin^2) is a lookup in
     :data:`RESPONSE`.  A phase-variant state is stored as its grid value;
     only the feedback of ``initial_state``, which may lie off the grid, is
-    computed with :func:`detect`.
+    computed with :func:`detect`.  The run keeps one uint8 code per state
+    and the drive of :data:`DRIVE_ROWS` input rows at a time, and turns the
+    codes into states of ``dtype`` at the end.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    U = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    U = np.atleast_2d(np.asarray(inputs))
     if U.shape[1] != matrices.input_dim:
         raise SchemaError(
             f"inputs have {U.shape[1]} columns, reservoir expects {matrices.input_dim}"
@@ -248,21 +277,27 @@ def run_reservoir(matrices, inputs, variant="intensity", initial_state=None, spa
         x0 = np.asarray(initial_state, dtype=np.float64)
         if x0.shape != (n,):
             raise SchemaError(f"initial_state must have shape ({n},)")
-    drive = U @ matrices.input_weights.T  # (T, N), the one dense GEMM
     if spans is None:
         spans = [(0, n_steps)]
     weights = matrices.weights
+    input_weights = matrices.input_weights
     phase = variant == "phase"
     # what the couplings read: the intensity itself, or f(x) of a phase
     fed0 = detect(x0) if phase else x0
-    states = np.empty((n_steps, n))
+    codes = np.empty((n_steps, n), dtype=np.uint8)
+    lo = hi = 0  # the input rows whose drive is in memory
     for start, stop in spans:
         fed = fed0
         for t in range(start, stop):
-            k = phase_code(weights @ fed + drive[t])
+            if not lo <= t < hi:
+                lo = t - t % DRIVE_ROWS
+                hi = min(lo + DRIVE_ROWS, n_steps)
+                drive = np.asarray(U[lo:hi], dtype=np.float64) @ input_weights.T
+            k = phase_code(weights @ fed + drive[t - lo])
             fed = RESPONSE[k]
-            states[t] = _PHASE_GRID[k] if phase else fed
-    return states
+            codes[t] = k
+    table = _PHASE_GRID[:PHASE_LEVELS] if phase else RESPONSE
+    return table.astype(dtype)[codes]
 
 
 def first_coincidence(states_a, states_b):

@@ -6,16 +6,24 @@ reservoir, readout training, and scoring.  Every Cartesian combination of
 the value lists (times every seed) becomes one trial.  The reservoir
 states do not depend on the ridge lambda either, so the trials that share
 their gains and seed form one group: its reservoir runs once, and each of
-its lambdas trains and scores a readout on those states.  Groups run on a
-bounded thread pool, own their matrices and states privately, and append
-each trial to a checkpoint log as it finishes, so an interrupted search
-resumes without recomputing.  Failed trials are recorded with an error tag
-rather than aborting the grid; a trial's wall time is its own readout
-training and scoring time plus an equal share of its group's reservoir
-time.
+its lambdas trains and scores a readout on those states.
+
+The pending groups run in stacks of up to :data:`STACK_NODES` reservoir
+nodes.  A stack is one block-diagonal reservoir over one chunked drive, so
+its groups share one step loop, and each group's states equal those of its
+own run byte for byte.  Each group then forms its readout's normal
+equations once and solves them for each of its lambdas.  Everything runs
+on the calling thread, and each trial is appended to a checkpoint log as
+it finishes, so an interrupted search resumes without recomputing.  Failed
+trials are recorded with an error tag rather than aborting the grid; a
+stack that fails runs its groups again one at a time, so an error lands on
+its own group.  A trial's wall time is its own readout training and scoring
+time, plus an equal share of its group's normal equations, plus an equal
+share of its stack's reservoir build and run time over every trial the
+stack serves.
 
 Results are canonically ordered (score descending, then parameters, then
-seed), so worker count and completion order never affect the outcome.
+seed), so the stacking and completion order never affect the outcome.
 """
 
 import csv
@@ -23,16 +31,20 @@ import itertools
 import json
 import math
 import os
-import threading
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, PhotonRcError, SchemaError
-from .pipeline import evaluate_readout, reservoir_spec, reservoir_states, train_readout
+from .pipeline import (
+    evaluate_readout,
+    readout_equations,
+    reservoir_spec,
+    reservoir_states,
+    train_readout,
+)
 from .reservoir import VARIANTS, HyperParams
 
 # not called here; bound so that perfbench/tracing.py WRAPS can patch them on this module
@@ -49,6 +61,11 @@ from .pipeline import (  # noqa: F401
     train_ridge,
 )
 from .reservoir import generate_matrices  # noqa: F401
+
+# the most reservoir nodes one lockstep run steps: the cost per step and
+# cell falls up to 4,096 stacked nodes and is flat beyond, while the
+# stack's float32 states grow with it
+STACK_NODES = 4096
 
 ALPHA_RANGE = (0.1, 1.5)     # feedback gain search window
 SMALL_GAIN_RANGE = (0.0001, 1.0)  # input gain, coupling gain, density window
@@ -207,68 +224,85 @@ def _cell_key(feedback_gain, input_gain, coupling_gain, coupling_density, ridge_
 _TRIAL_ERRORS = (PhotonRcError, OverflowError, ValueError)
 
 
-def _run_group(data, n_nodes, variant, gains, seed, ridge_lambdas, reset_per_sequence=False,
-              on_result=None):
-    """Trials of every ridge lambda in ``ridge_lambdas`` for one (gains, seed).
+def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_result=None):
+    """Trials of several (gains, seed) groups whose reservoirs run in lockstep.
 
-    The states depend on the gains and the seed, not on lambda, so the
-    pipeline's reservoir stage runs once and its train and evaluate stages
-    run once per lambda on those in-memory states.  The states are float32
-    as in the pipeline's state cache, so a one-cell grid reproduces a
-    pipeline run bit for bit.
+    ``groups`` lists ((gains, seed), lambdas) pairs, the gains in
+    :class:`CellGains` order.  One :func:`reservoir_states` call runs every
+    group's reservoir, whose states are float32 as in the pipeline's state
+    cache, so a one-cell grid reproduces a pipeline run bit for bit.  Each
+    group then builds its readout's normal equations once, and its train
+    and evaluate stages run once per lambda.
 
-    ``gains`` are the four gains in :class:`CellGains` order.  Gains that
-    :class:`HyperParams` rejects, or a failing reservoir, give every lambda
-    an error result; a failing train or evaluate fails its own lambda only.
-    A result's wall time is its own train and evaluate time plus an equal
-    share of the reservoir's build and run time.  ``on_result`` is called
-    with each result as soon as it is made; the results are returned in
-    ``ridge_lambdas`` order.
+    Gains that :class:`HyperParams` rejects, or a failing reservoir, fail
+    the whole stack; its groups then run again one at a time, and a
+    one-group stack gives every lambda of its group an error result.  A
+    failing train or evaluate fails its own lambda only.  ``on_result`` is
+    called with each result as soon as it is made; the results are returned
+    in ``groups`` order, each group's in ``lambdas`` order.
     """
     start = time.perf_counter()
     failure = None
     try:
-        params = HyperParams(*gains)
-        spec = reservoir_spec(n_nodes, data.input_dim, variant, params, seed)
+        specs = [
+            reservoir_spec(n_nodes, data.input_dim, variant, HyperParams(*gains), seed)
+            for (gains, seed), _ in groups
+        ]
         spans = data.all_spans if reset_per_sequence else None
-        states = reservoir_states(spec, data.features, spans)
+        states = reservoir_states(specs, data.features, spans)
     except _TRIAL_ERRORS as exc:
+        if len(groups) > 1:
+            return [
+                result
+                for group in groups
+                for result in _run_stack(
+                    data, n_nodes, variant, [group], reset_per_sequence, on_result
+                )
+            ]
         failure = exc
-    share = (time.perf_counter() - start) / len(ridge_lambdas)
+    share = (time.perf_counter() - start) / sum(len(lambdas) for _, lambdas in groups)
     results = []
-    for lam in ridge_lambdas:
+    for j, ((gains, seed), lambdas) in enumerate(groups):
         start = time.perf_counter()
         error = failure
         if error is None:
+            group_states = states[:, j * n_nodes:(j + 1) * n_nodes]
             try:
-                model = train_readout(states, data, lam, variant)
-                _, _, matrix, per_class = evaluate_readout(model, states, data)
+                normal = readout_equations(group_states, data, variant)
             except _TRIAL_ERRORS as exc:
                 error = exc
-        wall_time = share + time.perf_counter() - start
-        if error is None:
-            result = TrialResult(
-                params=params,
-                ridge_lambda=lam,
-                seed=seed,
-                score=matrix.score,
-                nmse_per_class=per_class,
-                wall_time=wall_time,
-            )
-        else:
-            result = _error_result(CellGains(*gains), lam, seed, wall_time, error)
-        if on_result is not None:
-            on_result(result)
-        results.append(result)
+        group_share = share + (time.perf_counter() - start) / len(lambdas)
+        for lam in lambdas:
+            start = time.perf_counter()
+            trial_error = error
+            if trial_error is None:
+                try:
+                    model = train_readout(group_states, data, lam, variant, normal)
+                    _, _, matrix, per_class = evaluate_readout(model, group_states, data)
+                except _TRIAL_ERRORS as exc:
+                    trial_error = exc
+            wall_time = group_share + time.perf_counter() - start
+            if trial_error is None:
+                result = TrialResult(
+                    params=HyperParams(*gains),
+                    ridge_lambda=lam,
+                    seed=seed,
+                    score=matrix.score,
+                    nmse_per_class=per_class,
+                    wall_time=wall_time,
+                )
+            else:
+                result = _error_result(CellGains(*gains), lam, seed, wall_time, trial_error)
+            if on_result is not None:
+                on_result(result)
+            results.append(result)
     return results
 
 
 def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequence=False):
-    """Reservoir + readout + score for one hyperparameter cell: a one-lambda :func:`_run_group`."""
-    return _run_group(
-        data, n_nodes, variant, CellGains(**params.as_dict()), seed, (ridge_lambda,),
-        reset_per_sequence,
-    )[0]
+    """Reservoir + readout + score for one hyperparameter cell: a one-group :func:`_run_stack`."""
+    group = ((CellGains(**params.as_dict()), seed), (ridge_lambda,))
+    return _run_stack(data, n_nodes, variant, [group], reset_per_sequence)[0]
 
 
 def _result_row(result):
@@ -369,12 +403,17 @@ def run_grid(
 ):
     """Evaluate every grid cell; returns TrialResults in canonical order.
 
-    The pending cells are grouped by (gains, seed) and each group is one
-    :func:`_run_group` task on the thread pool: one reservoir run, then one
-    readout per ridge lambda.  With ``log_path`` set, each finished trial
-    is appended to the CSV checkpoint immediately; ``resume=True`` skips
-    cells already present, so a group whose cells are all logged runs no
-    reservoir.
+    The pending cells are grouped by (gains, seed), and the groups, in grid
+    order, into stacks of up to :data:`STACK_NODES` nodes (at least one
+    group each).  Each stack is one :func:`_run_stack`: one lockstep
+    reservoir run, then one readout per group and lambda.  With ``log_path``
+    set, each finished trial is appended to the CSV checkpoint immediately;
+    ``resume=True`` skips cells already present, so a group whose cells are
+    all logged runs no reservoir.
+
+    ``workers`` is accepted and has no effect: the grid runs on the calling
+    thread, as its step loop holds the interpreter lock and its readouts
+    measured no faster on a second thread.
     """
     cells = spec.cells()
     done = {}
@@ -383,9 +422,8 @@ def run_grid(
         for result in read_grid_log(log_path):
             done[result.key()] = result
 
-    log_lock = threading.Lock()
     log_fh = None
-    writer = None
+    on_result = None
     if log_path:
         fresh = not (resume and os.path.isfile(log_path) and os.path.getsize(log_path))
         log_fh = open(log_path, "a", newline="", encoding="utf-8")
@@ -394,8 +432,7 @@ def run_grid(
             writer.writeheader()
             log_fh.flush()
 
-    def log(result):
-        with log_lock:
+        def on_result(result):
             writer.writerow(_result_row(result))
             log_fh.flush()
 
@@ -408,24 +445,18 @@ def run_grid(
             results.append(done[key])
         else:
             groups.setdefault((CellGains(fg, ig, cg, cd), seed), []).append(lam)
-
-    def evaluate(group):
-        (gains, seed), lambdas = group
-        return _run_group(
-            data, spec.n_nodes, spec.variant, gains, seed, lambdas,
-            reset_per_sequence=reset_per_sequence,
-            on_result=log if writer is not None else None,
-        )
+    pending = list(groups.items())
+    per_stack = max(1, STACK_NODES // spec.n_nodes)
 
     try:
-        max_workers = workers or min(8, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            batches = list(pool.map(evaluate, groups.items()))
+        for i in range(0, len(pending), per_stack):
+            results += _run_stack(
+                data, spec.n_nodes, spec.variant, pending[i:i + per_stack],
+                reset_per_sequence, on_result,
+            )
     finally:
         if log_fh is not None:
             log_fh.close()
-    for batch in batches:
-        results.extend(batch)
     return sort_results(results)
 
 

@@ -164,3 +164,13 @@ def run_reservoir_oracle(matrices, inputs, variant, initial_state=None, spans=No
                 x = quantize_phase_oracle(matrices.weights @ fed + drive[t])
             states[t] = x
     return states
+
+
+def sample_offdiagonal_oracle(rng, n_nodes, count):
+    """Floyd's algorithm with one scalar draw per step; returns sorted linear positions."""
+    space = n_nodes * n_nodes - n_nodes
+    chosen = set()
+    for j in range(space - count, space):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)

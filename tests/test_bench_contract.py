@@ -11,9 +11,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from photonrc import pipeline
+from photonrc import pipeline, reservoir
 from photonrc.cache import read_cache_header
 from photonrc.dataset import index_frames
+from photonrc.tuning import GridSpec, run_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,3 +77,32 @@ def test_extract_hog_describes_each_frame_with_one_hog_descriptor_call(
     assert len(calls) == frames
     assert set(calls) == {tiny_manifest.resolution}
     assert read_cache_header(path)[0] == frames
+
+
+def test_run_grid_calls_the_traced_reservoir_and_readout_names(tiny_features, monkeypatch):
+    # tracing.py reads the grid's reservoir and readout figures off these calls
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("run_reservoir", "train_ridge", "apply_readout"):
+        counting(pipeline, name)
+    counting(reservoir, "generate_matrices")
+    spec = GridSpec(
+        feedback_gain=(0.5, 0.7), input_gain=(0.01,), coupling_gain=(0.1,),
+        coupling_density=(0.01,), ridge_lambda=(None, 1e-3), n_nodes=16,
+    )
+    data = pipeline.prepare_data(tiny_features["manifest_path"], tiny_features["features"])
+    results = run_grid(spec, data)
+    assert all(r.status == "ok" for r in results)
+    # two cells in one lockstep run, one readout per cell and lambda
+    assert sorted(calls) == sorted(
+        ["generate_matrices"] * 2 + ["run_reservoir"] + ["train_ridge", "apply_readout"] * 4
+    )

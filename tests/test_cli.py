@@ -319,7 +319,11 @@ def test_describe_empty_directory_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[1, 2]", '{"dimensions": [1]}', '{"artifacts": {"x": 5}}'],
+    ids=["not-json", "not-an-object", "dimensions-not-an-object", "artifact-not-a-name"],
+)
 def test_describe_bad_pipeline_json_is_data_error(tmp_path, capsys, text):
     (tmp_path / "pipeline.json").write_text(text)
     assert main(["describe", str(tmp_path)]) == 2

@@ -8,6 +8,7 @@ from photonrc.pca import (
     PcaModel,
     fit_pca,
     load_pca_model,
+    read_pca_header,
     reconstruct,
     save_pca_model,
     transform,
@@ -187,3 +188,16 @@ def test_model_file_corruption_detected(tmp_path, rng):
     cut.write_bytes(data[:-16])
     with pytest.raises(ParseError, match="truncated"):
         load_pca_model(cut)
+
+
+def test_model_file_size_must_match_its_header(tmp_path, rng):
+    path = tmp_path / "pca.bin"
+    save_pca_model(fit_pca(rng.standard_normal((25, 7)), 4), path)
+    assert read_pca_header(path) == (4, 7)
+    data = path.read_bytes()
+    for name, body in (("half", data[: len(data) // 2]), ("long", data + b"\x00" * 8)):
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(body)
+        for read in (read_pca_header, load_pca_model):
+            with pytest.raises(ParseError, match="expected"):
+                read(bad)

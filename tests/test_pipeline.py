@@ -249,6 +249,21 @@ def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
     ).read_bytes()
 
 
+def test_reuse_refits_a_torn_pca_model(pipe, tmp_path):
+    config, report = pipe
+    copy_dir = tmp_path / "torn"
+    shutil.copytree(report.out_dir, copy_dir)
+    model = copy_dir / report.artifacts["pca_model"]
+    whole = model.read_bytes()
+    model.write_bytes(whole[: len(whole) // 2])
+    line = next(l for l in describe_artifacts(copy_dir).splitlines() if "pca_model:" in l)
+    assert "INTEGRITY WARNING" in line
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert model.read_bytes() == whole
+    assert again.score == report.score
+    assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir)
+
+
 def test_single_cell_trial_matches_pipeline(pipe):
     config, report = pipe
     data = prepare_data(

@@ -22,11 +22,12 @@ from photonrc.readout import (
     encode_targets,
     load_readout_model,
     nmse,
+    normal_equations,
     nmse_per_output,
     save_readout_model,
     train_ridge,
 )
-from photonrc.reservoir import quantize_intensity
+from photonrc.reservoir import PHASE_LEVELS, PHASE_STEP, detect, quantize_intensity
 
 from _oracles import ridge_oracle
 
@@ -168,6 +169,37 @@ def test_phase_variant_transform_is_applied_during_training(rng):
     reference = train_ridge(pre, D, ridge_lambda=0.2)
     np.testing.assert_allclose(direct.weights, reference.weights, atol=1e-12)
     assert direct.feature_transform == TRANSFORM_NONLINEAR_PHASE
+
+
+def test_phase_transform_of_cached_states_is_detect(rng):
+    # float32 phase-grid states, as the state cache holds them, take the lookup
+    grid32 = (np.arange(PHASE_LEVELS) * PHASE_STEP).astype(np.float32)
+    on_grid = grid32[rng.integers(0, PHASE_LEVELS, size=(301, 77))].astype(np.float64)
+    off_grid = on_grid.copy()
+    off_grid[150, 3] += 1e-9
+    nan = on_grid.copy()
+    nan[7, 7] = np.nan
+    weights = rng.standard_normal((6, 77))
+    model = ReadoutModel(weights, 0.1, TRANSFORM_NONLINEAR_PHASE)
+    for states in (on_grid, off_grid, nan, -on_grid, on_grid + 2 * np.pi):
+        want = detect(states) @ weights.T
+        np.testing.assert_array_equal(apply_readout(model, states), want)
+
+
+@pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
+@pytest.mark.parametrize("transform", [TRANSFORM_RAW, TRANSFORM_NONLINEAR_PHASE])
+def test_shared_normal_equations_train_each_lambda_alike(rng, rows, transform):
+    states = rng.uniform(0, 2 * np.pi, size=(rows, 12)).astype(np.float32)
+    D = encode_targets(rng.integers(0, 6, size=rows)).targets
+    normal = normal_equations(states, D, transform)
+    assert normal.primal == (rows >= 12)
+    for lam in (None, 1e-3, 0.5):
+        alone = train_ridge(states, D, lam, transform)
+        shared = train_ridge(states, D, lam, transform, normal=normal)
+        assert shared.weights.tobytes() == alone.weights.tobytes()
+        assert shared.ridge_lambda == alone.ridge_lambda
+    with pytest.raises(ValueError, match="other states"):
+        train_ridge(states[:-1], D[:-1], 0.1, transform, normal=normal)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from _oracles import (
     quantize_intensity_oracle,
     quantize_phase_oracle,
     run_reservoir_oracle,
+    sample_offdiagonal_oracle,
 )
 from photonrc.errors import ParseError, SchemaError
 from photonrc.reservoir import (
+    DRIVE_ROWS,
     INTENSITY_LEVELS,
     PHASE_LEVELS,
     PHASE_STEP,
@@ -37,6 +39,7 @@ from photonrc.reservoir import (
     run_reservoir,
     sample_offdiagonal,
     save_reservoir_spec,
+    stack_matrices,
     step_intensity,
     step_phase,
 )
@@ -168,6 +171,19 @@ def test_sample_offdiagonal_can_fill_every_slot(rng):
     assert pairs == expected
     with pytest.raises(OverflowError):
         sample_offdiagonal(rng, 4, 13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 300, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_offdiagonal_matches_scalar_floyd_draws(n, seed):
+    count = min(coupling_count(n, 0.01) + 1, n * n - n)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows, cols = sample_offdiagonal(fast, n, count)
+    pos = sample_offdiagonal_oracle(slow, n, count)
+    # the linear off-diagonal index of (row, col), as the oracle counts them
+    assert (rows * (n - 1) + cols - (cols > rows)).tolist() == pos
+    # the generator is left where the scalar loop leaves it
+    assert fast.integers(0, 2**62) == slow.integers(0, 2**62)
 
 
 def test_generated_matrices_structure():
@@ -487,6 +503,43 @@ def test_run_reservoir_matches_formulas_at_scale(variant, rng):
     x0 = rng.uniform(-7.0, 7.0, size=256)
     got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
     assert _same(got, run_reservoir_oracle(m, inputs, variant, initial_state=x0, spans=spans))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_reservoir_drive_blocks_match_one_gemm(variant, rng):
+    # three drive blocks, and spans that cross both block edges
+    rows = DRIVE_ROWS
+    m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
+    inputs = rng.normal(size=(2 * rows + 88, 8)) * 4.0
+    spans = [(0, rows - 56), (rows - 56, 2 * rows + 1), (2 * rows + 1, 2 * rows + 88)]
+    want = run_reservoir_oracle(m, inputs, variant, spans=spans)
+    assert _same(run_reservoir(m, inputs, variant=variant, spans=spans), want)
+    assert _same(
+        run_reservoir(m, inputs, variant=variant, spans=spans, dtype=np.float32),
+        want.astype(np.float32),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_reservoirs_step_as_the_separate_ones(variant, rng):
+    parts = [
+        generate_matrices(n, 6, HyperParams(fg, 0.3, 0.4, 0.05), seed=seed)
+        for n, fg, seed in ((40, 0.8, 1), (17, 1.2, 2), (40, 0.1, 1))
+    ]
+    stack = stack_matrices(parts)
+    assert stack.n_nodes == 97 and stack.input_dim == 6
+    inputs = rng.normal(size=(300, 6)) * 3.0
+    x0 = rng.uniform(-7.0, 7.0, size=97)
+    spans = [(0, 120), (120, 300)]
+    got = run_reservoir(stack, inputs, variant=variant, initial_state=x0, spans=spans)
+    start = 0
+    for m in parts:
+        stop = start + m.n_nodes
+        alone = run_reservoir(m, inputs, variant=variant, initial_state=x0[start:stop],
+                              spans=spans)
+        assert _same(got[:, start:stop], alone)
+        start = stop
+    assert stack_matrices(parts[:1]) is parts[0]
 
 
 # ---------------------------------------------------------------------------

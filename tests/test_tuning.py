@@ -1,6 +1,7 @@
 """Grid definitions, trial runs, checkpointing, and resume."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 import photonrc.pipeline
+import photonrc.tuning
 from photonrc.dataset import Split, load_manifest
 from photonrc.errors import ParseError, SchemaError
 from photonrc.pipeline import prepare_data
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import (
+    LOG_FIELDS,
     CellGains,
     GridSpec,
     TrialResult,
@@ -263,7 +266,8 @@ def test_superset_grid_never_scores_worse(prepared):
 
 
 # ---------------------------------------------------------------------------
-# The grid plan: one reservoir run per (gains, seed), one readout per lambda
+# The grid plan: every pending (gains, seed) in one lockstep reservoir run per
+# stack of STACK_NODES nodes, one readout per lambda
 
 LAMBDAS = (None, 1e-3, 1.0)
 
@@ -286,16 +290,57 @@ def test_grid_plan_runs_one_reservoir_per_group(prepared, monkeypatch, workers, 
     spec = _small_grid(ridge_lambda=LAMBDAS)
     calls = _count_reservoir_runs(monkeypatch)
     results = run_grid(spec, prepared, workers=workers, reset_per_sequence=reset)
-    assert len(calls) == 2  # one per feedback gain, none per lambda
+    assert len(calls) == 1  # both feedback gains in one stack, no run per lambda
     assert len(results) == 6 and all(r.status == "ok" for r in results)
     assert all(r.wall_time > 0 for r in results)
+    _assert_equal_to_standalone_runs(prepared, spec, results, reset)
+
+
+def _assert_equal_to_standalone_runs(prepared, spec, results, reset):
+    """Each result equals the one-cell grid of its own cell."""
     for r in results:
-        alone = run_trial(
-            prepared, N_NODES, spec.variant, r.params, r.ridge_lambda, r.seed,
-            reset_per_sequence=reset,
-        )
-        assert alone.score == r.score
+        cell = {name: (getattr(r.params, name),) for name in LOG_FIELDS[:4]}
+        one = dataclasses.replace(spec, ridge_lambda=(r.ridge_lambda,), seeds=(r.seed,), **cell)
+        (alone,) = run_grid(one, prepared, reset_per_sequence=reset)
+        assert (alone.status, alone.error) == (r.status, r.error)
+        np.testing.assert_array_equal(alone.score, r.score)
         np.testing.assert_array_equal(alone.nmse_per_class, r.nmse_per_class)
+
+
+@pytest.mark.parametrize("variant", ["intensity", "phase"])
+@pytest.mark.parametrize("reset", [False, True])
+def test_stacks_past_the_cap_equal_standalone_runs(prepared, monkeypatch, variant, reset):
+    # 2 gains x 2 seeds = 4 groups, at most 3 to a stack: one stack of 3, one of 1
+    monkeypatch.setattr(photonrc.tuning, "STACK_NODES", 3 * N_NODES + N_NODES // 2)
+    spec = _small_grid(variant=variant, ridge_lambda=LAMBDAS, seeds=(0, 1))
+    calls = _count_reservoir_runs(monkeypatch)
+    results = run_grid(spec, prepared, reset_per_sequence=reset)
+    assert len(calls) == 2
+    assert len(results) == 12 and all(r.status == "ok" for r in results)
+    _assert_equal_to_standalone_runs(prepared, spec, results, reset)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(coupling_density=1.0), dict(input_gain=1e308), dict(coupling_gain=-1.0)],
+    ids=["fails-to-build", "fails-to-run", "rejected-gains"],
+)
+def test_a_failing_group_fails_alone_in_its_stack(prepared, monkeypatch, bad):
+    # one stack of four groups over mixed seeds, two of them bad; the stack
+    # runs its groups again one at a time
+    (axis, value), = bad.items()
+    good = getattr(_small_grid(), axis)[0]
+    spec = _small_grid(
+        feedback_gain=(0.5,), seeds=(0, 1), allow_out_of_range=True,
+        **{axis: (good, value)},
+    )
+    calls = _count_reservoir_runs(monkeypatch)
+    results = run_grid(spec, prepared)
+    failed = [r for r in results if r.status == "error"]
+    assert len(failed) == 2 and all(getattr(r.params, axis) == value for r in failed)
+    # the stack's run raises, or its build or gain check fails before any run
+    assert len(calls) == (1 + 4 if axis == "input_gain" else 2)
+    _assert_equal_to_standalone_runs(prepared, spec, results, False)
 
 
 def test_resume_runs_only_the_missing_cells_of_a_group(prepared, monkeypatch, tmp_path):
