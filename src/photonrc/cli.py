@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .cache import CacheWriter, read_cache, read_cache_header
+from .cache import CacheRows, CacheWriter, read_cache, read_cache_header
 from .classify import score_line
 from .dataset import load_manifest
 from .errors import DataError, NumericalError, PipelineStageError, SchemaError
@@ -185,10 +185,10 @@ def cmd_extract_hog(args):
 
 
 def cmd_pca_fit(args):
-    data = prepare_data(args.manifest, args.features)
+    data = prepare_data(args.manifest, CacheRows(args.features))
     rows = pca_fit_rows(data, args.pca_fit_on)
     out = _out_path(args, args.out, "pca.bin")
-    model = fit_pca_model(data.features, rows, args.components, out)
+    model = fit_pca_model(args.features, rows, args.components, out)
     print(
         f"wrote {out}: {model.n_components} components over {model.feature_dim} features, "
         f"explained variance {100 * model.explained_fraction():.2f}%"
@@ -198,10 +198,9 @@ def cmd_pca_fit(args):
 
 def cmd_pca_transform(args):
     model = load_pca_model(args.model)
-    values, _ = read_cache(args.features)
     out = _out_path(args, args.out, "features.rcf")
-    project(model, values, out)
-    print(f"wrote {out}: {values.shape[0]} frames x {model.n_components} components")
+    frames = project(model, args.features, out)
+    print(f"wrote {out}: {frames} frames x {model.n_components} components")
     return 0
 
 

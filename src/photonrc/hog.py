@@ -137,7 +137,8 @@ def _vote_table(num_bins):
     Returns (bins, weights): (511 * 511, 2) arrays holding (bin_lo, bin_hi)
     in the smallest integer type that fits and (w_lo, w_hi) in float64,
     about 4.7 MB per bin count.  Built one dx row at a time, so no
-    full-size float64 temporary exists.
+    full-size float64 temporary exists.  ``pipeline.extract_hog`` clears
+    this cache when it returns; a rebuild takes about 30 ms.
     """
     bins = np.empty((_SIDE, _SIDE, 2), dtype=np.min_scalar_type(num_bins - 1))
     weights = np.empty((_SIDE, _SIDE, 2))

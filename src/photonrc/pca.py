@@ -7,9 +7,16 @@ through v = Z'u / sqrt((n-1) mu).  Both routes yield the same subspace;
 eigenvalues are clamped at zero and each component's sign is fixed so its
 largest-magnitude entry is positive.
 
+Memory: fitting holds one float64 copy of the data, which it centres in
+place, the n x n Gram (or D x D covariance) matrix and its eigenvectors,
+and one copy of the components.  On the Gram route the components are a
+transposed view of the back-projection Z'U; sign fixing and saving work on
+them a block of rows at a time, so no whole second copy is ever made.
+
 The model file is a flat little-endian binary (magic ``RCPCA001``) holding
 the sample mean, eigenvalues, components, total variance, and sample count,
 all float64, so that saving and loading reproduce the model bit for bit.
+A loaded model's arrays are views into the one buffer its body is read into.
 """
 
 import os
@@ -22,6 +29,9 @@ from .errors import DimensionError, ParseError, RankError
 
 PCA_MAGIC = b"RCPCA001"
 _PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
+# component rows per block when fixing signs and saving: 64 rows of a
+# 9,576-wide HOG model are 4.9 MB
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -52,16 +62,24 @@ class PcaModel:
 
 
 def _fix_signs(components):
-    # orient each component so its largest-magnitude entry is positive
-    idx = np.argmax(np.abs(components), axis=1)
-    flip = components[np.arange(components.shape[0]), idx] < 0
-    components[flip] *= -1.0
+    # orient each component so its largest-magnitude entry is positive,
+    # negating rows in place a block at a time (negation is exact)
+    for start in range(0, components.shape[0], _BLOCK_ROWS):
+        block = components[start : start + _BLOCK_ROWS]
+        idx = np.argmax(np.abs(block), axis=1)
+        flip = block[np.arange(block.shape[0]), idx] < 0
+        np.multiply(block, -1.0, out=block, where=flip[:, None])
     return components
 
 
 def fit_pca(data, n_components):
-    """Fit a PCA model to ``data`` of shape (n_samples, feature_dim)."""
-    X = np.asarray(data, dtype=np.float64)
+    """Fit a PCA model to ``data`` of shape (n_samples, feature_dim).
+
+    ``data`` is any array-like, such as a :class:`~photonrc.cache.CacheRows`
+    that reads rows from a cache file.  It is read into one new float64
+    array, which is centred in place, so the caller's array never changes.
+    """
+    X = np.array(data, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionError("PCA input must be a 2-D array")
     n, dim = X.shape
@@ -72,19 +90,24 @@ def fit_pca(data, n_components):
         raise DimensionError(f"n_components must lie in [1, {dim}], got {k}")
 
     mean = X.mean(axis=0)
-    Z = X - mean
+    X -= mean  # X is the centred data Z from here on
     denom = n - 1
-    total_variance = float(np.einsum("ij,ij->", Z, Z)) / denom
+    total_variance = float(np.einsum("ij,ij->", X, X)) / denom
 
     if n >= dim:
-        cov = (Z.T @ Z) / denom
+        cov = X.T @ X
+        del X
+        cov /= denom
         vals, vecs = np.linalg.eigh(cov)
+        del cov
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = np.maximum(vals[order], 0.0)
         components = vecs[:, order].T.copy()
     else:
-        gram = (Z @ Z.T) / denom
+        gram = X @ X.T
+        gram /= denom
         vals, vecs = np.linalg.eigh(gram)
+        del gram
         vals = np.maximum(vals, 0.0)
         tol = max(n, dim) * np.finfo(np.float64).eps * (vals[-1] if vals[-1] > 0 else 1.0)
         rank = int(np.count_nonzero(vals > tol))
@@ -94,14 +117,15 @@ def fit_pca(data, n_components):
             )
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = vals[order]
-        # map Gram eigenvectors into feature space and renormalize
-        components = (Z.T @ vecs[:, order]).T
+        # map Gram eigenvectors into feature space and renormalize; the
+        # (K, D) components are a transposed view of the (D, K) product
+        components = (X.T @ vecs[:, order]).T
         components /= np.sqrt(denom * eigenvalues)[:, None]
 
     _fix_signs(components)
     return PcaModel(
         mean=mean,
-        components=np.ascontiguousarray(components),
+        components=components,
         eigenvalues=eigenvalues,
         total_variance=total_variance,
         n_samples=n,
@@ -110,7 +134,7 @@ def fit_pca(data, n_components):
 
 def transform(model, data):
     """Project rows onto the principal axes: (X - mean) @ components'."""
-    X = np.asarray(data, dtype=np.float64)
+    X = np.asarray(data)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[None, :]
@@ -118,7 +142,8 @@ def transform(model, data):
         raise DimensionError(
             f"data has {X.shape[1]} features, model expects {model.feature_dim}"
         )
-    out = (X - model.mean) @ model.components.T
+    # one pass makes the float64 centred rows, with no float64 copy before it
+    out = np.subtract(X, model.mean, dtype=np.float64) @ model.components.T
     return out[0] if squeeze else out
 
 
@@ -142,7 +167,9 @@ def save_pca_model(model, path):
         fh.write(_PCA_HEAD.pack(PCA_MAGIC, k, dim, model.n_samples, model.total_variance))
         fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.components, dtype="<f8").tobytes())
+        for start in range(0, k, _BLOCK_ROWS):
+            block = model.components[start : start + _BLOCK_ROWS]
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def _read_pca_header(fh, path):
@@ -175,13 +202,10 @@ def load_pca_model(path):
     with open(path, "rb") as fh:
         k, dim, n_samples, total_variance = _read_pca_header(fh, path)
         body = np.fromfile(fh, dtype="<f8", count=dim + k + k * dim)
-    mean = body[:dim].copy()
-    eigenvalues = body[dim : dim + k].copy()
-    components = body[dim + k :].reshape(k, dim).copy()
     return PcaModel(
-        mean=mean,
-        components=components,
-        eigenvalues=eigenvalues,
+        mean=body[:dim],
+        components=body[dim + k :].reshape(k, dim),
+        eigenvalues=body[dim : dim + k],
         total_variance=float(total_variance),
         n_samples=int(n_samples),
     )

@@ -18,6 +18,13 @@ cache or PCA model whose size is not what its header announces, or a
 readout file that does not parse, counts as a miss and is recomputed.  A
 stage reads its upstream cache only when it recomputes.
 
+The PCA stage never holds the whole HOG cache.  The fit reads its rows
+through :class:`~photonrc.cache.CacheRows` straight into one float64 array,
+which it centres in place, and the projection reads, projects and writes
+``cache.CHUNK_ROWS`` rows at a time.  At its peak the stage holds the fit
+rows in float64, one copy of the components, the Gram matrix with its
+eigenvectors, and one chunk.
+
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
 in-memory originals; this is what makes warm and cold runs byte-identical.
@@ -34,8 +41,15 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cache import CacheWriter, read_cache, read_cache_header
-from .hog import DEFAULT_CONFIG, HogConfig, descriptor_layout, feature_count, hog_descriptor
+from .cache import CacheRows, CacheWriter, read_cache, read_cache_header
+from .hog import (
+    DEFAULT_CONFIG,
+    HogConfig,
+    _vote_table,
+    descriptor_layout,
+    feature_count,
+    hog_descriptor,
+)
 from .classify import (
     classify_stream,
     confusion,
@@ -162,9 +176,10 @@ class PreparedData:
 def prepare_data(manifest, features, validation_fraction=None, seed=0):
     """Bind a cache of per-frame rows to its manifest.
 
-    ``manifest`` is a Manifest or a path; ``features`` is an array or a
-    cache path, whose row count must match the manifest's total frame
-    count, or None to bind the manifest's rows without any values.
+    ``manifest`` is a Manifest or a path; ``features`` is an array, a
+    cache path, or a :class:`CacheRows` (counted, not read), whose row
+    count must match the manifest's total frame count, or None to bind
+    the manifest's rows without any values.
 
     With ``validation_fraction`` set, a stratified validation subset is
     carved out of the train split and trials score on it instead of the
@@ -176,7 +191,8 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
         features, _ = read_cache(features)
     index = index_frames(manifest)
     if features is not None:
-        features = np.asarray(features, dtype=np.float32)
+        if not isinstance(features, CacheRows):
+            features = np.asarray(features, dtype=np.float32)
         if features.shape[0] != index.total_frames:
             raise SchemaError(
                 f"feature cache has {features.shape[0]} rows, "
@@ -238,13 +254,20 @@ def feature_transform_for(variant):
 # Stage bodies
 
 def extract_hog(manifest, path, hog_config=DEFAULT_CONFIG):
-    """Write the HOG descriptor of every frame in the manifest's stream to a cache."""
+    """Write the HOG descriptor of every frame in the manifest's stream to a cache.
+
+    The HOG vote table is released on return, so it is not resident
+    through the later stages.
+    """
     layout = descriptor_layout(manifest.resolution, hog_config)
     dim = feature_count(manifest.resolution, hog_config)
-    with CacheWriter(path, dim, layout=layout) as writer:
-        for frame in stream_frames(manifest):
-            values, _ = hog_descriptor(frame.pixels, hog_config)
-            writer.append(values)
+    try:
+        with CacheWriter(path, dim, layout=layout) as writer:
+            for frame in stream_frames(manifest):
+                values, _ = hog_descriptor(frame.pixels, hog_config)
+                writer.append(values)
+    finally:
+        _vote_table.cache_clear()
 
 
 def pca_fit_rows(data, fit_on):
@@ -252,16 +275,26 @@ def pca_fit_rows(data, fit_on):
     return data.train_rows if fit_on == "train" else np.arange(data.targets.shape[0])
 
 
-def fit_pca_model(values, rows, n_components, path):
-    """Fit PCA on ``values[rows]``, save it, and return the model read back from ``path``."""
-    save_pca_model(fit_pca(values[rows], n_components), path)
+def fit_pca_model(hog_path, rows, n_components, path):
+    """Fit PCA on rows ``rows`` of the HOG cache at ``hog_path``, save it to
+    ``path``, and return the model read back from there.
+
+    The fit reads those rows from disk straight into its one float64 array;
+    the fitted model is dropped once saved, so one copy of the components
+    is held at a time.
+    """
+    save_pca_model(fit_pca(CacheRows(hog_path, rows), n_components), path)
     return load_pca_model(path)
 
 
-def project(model, values, path):
-    """Write the PCA projection of ``values`` to a feature cache."""
+def project(model, hog_path, path):
+    """Write the PCA projection of every row of the HOG cache at ``hog_path``
+    to a feature cache, a chunk of rows at a time; returns the row count."""
+    hog = CacheRows(hog_path)
     with CacheWriter(path, model.n_components) as writer:
-        writer.append(transform(model, values))
+        for chunk in hog.chunks():
+            writer.append(transform(model, chunk))
+    return hog.shape[0]
 
 
 def reservoir_spec(n_nodes, input_dim, variant, params, seed):
@@ -408,11 +441,12 @@ def run_pipeline(config):
             and _is_complete(model_path, read_pca_header, config.pca_components, feature_dim)
             and _is_complete(features_path, read_cache_header, n_frames, config.pca_components)
         ):
-            hog_values, _ = read_cache(hog_path)
             rows = pca_fit_rows(data, config.pca_fit_on)
-            pca_model = fit_pca_model(hog_values, rows, config.pca_components, model_path)
-            project(pca_model, hog_values, features_path)
-            del hog_values
+            project(
+                fit_pca_model(hog_path, rows, config.pca_components, model_path),
+                hog_path,
+                features_path,
+            )
 
     with _stage("reservoir"):
         spec = reservoir_spec(

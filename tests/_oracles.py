@@ -174,3 +174,12 @@ def sample_offdiagonal_oracle(rng, n_nodes, count):
         t = int(rng.integers(0, j + 1))
         chosen.add(j if t in chosen else t)
     return sorted(chosen)
+
+
+def fix_signs_oracle(components):
+    """The whole-array sign rule: each row's largest-magnitude entry made positive."""
+    components = np.array(components, dtype=np.float64)
+    idx = np.argmax(np.abs(components), axis=1)
+    flip = components[np.arange(components.shape[0]), idx] < 0
+    components[flip] *= -1.0
+    return components

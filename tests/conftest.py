@@ -26,15 +26,15 @@ def tiny_features(tmp_path_factory, tiny_corpus, tiny_manifest):
     out = tmp_path_factory.mktemp("tiny_features")
     hog_path = out / "hog.rcf"
     extract_hog(tiny_manifest, hog_path)
-    hog = prepare_data(tiny_manifest, hog_path)
-    model = fit_pca_model(hog.features, pca_fit_rows(hog, "train"), 24, out / "pca.bin")
+    data = prepare_data(tiny_manifest, None)
+    model = fit_pca_model(hog_path, pca_fit_rows(data, "train"), 24, out / "pca.bin")
     feat_path = out / "features.rcf"
-    project(model, hog.features, feat_path)
+    n_frames = project(model, hog_path, feat_path)
     return {
         "manifest_path": tiny_corpus,
         "hog": str(hog_path),
         "features": str(feat_path),
-        "n_frames": hog.features.shape[0],
+        "n_frames": n_frames,
     }
 
 

@@ -199,9 +199,9 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
     )
     hog_path = tmp_path / "hog.rcf"
     extract_hog(load_manifest(manifest_path), hog_path)
-    hog = prepare_data(manifest_path, hog_path)
-    pca = fit_pca_model(hog.features, pca_fit_rows(hog, "train"), 2000, tmp_path / "pca.bin")
-    project(pca, hog.features, tmp_path / "features.rcf")
+    rows = pca_fit_rows(prepare_data(manifest_path, None), "train")
+    pca = fit_pca_model(hog_path, rows, 2000, tmp_path / "pca.bin")
+    project(pca, hog_path, tmp_path / "features.rcf")
 
     data = prepare_data(manifest_path, tmp_path / "features.rcf")
     spec = GridSpec(

@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from photonrc import pipeline, reservoir
-from photonrc.cache import read_cache_header
+from photonrc.cache import CacheRows, read_cache_header
 from photonrc.dataset import index_frames
 from photonrc.tuning import GridSpec, run_grid
 
@@ -106,3 +106,23 @@ def test_run_grid_calls_the_traced_reservoir_and_readout_names(tiny_features, mo
     assert sorted(calls) == sorted(
         ["generate_matrices"] * 2 + ["run_reservoir"] + ["train_ridge", "apply_readout"] * 4
     )
+
+
+def test_cold_pipeline_calls_the_traced_pca_names(tiny_corpus, tmp_path, monkeypatch):
+    # tracing.py reads pca.fit_s, pca.transform_s, pca.fit_rows and the
+    # model file's cache figures off these calls
+    calls = []
+    for name in ("fit_pca", "transform", "save_pca_model", "load_pca_model"):
+        real = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    config = pipeline.PipelineConfig(
+        manifest_path=str(tiny_corpus), out_dir=str(tmp_path), pca_components=8, n_nodes=16
+    )
+    report = pipeline.run_pipeline(config)
+    chunks = len(list(CacheRows(tmp_path / report.artifacts["hog"]).chunks()))
+    assert calls == ["fit_pca", "save_pca_model", "load_pca_model"] + ["transform"] * chunks

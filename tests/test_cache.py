@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from photonrc.cache import MAGIC, CacheWriter, read_cache, read_cache_header
+from photonrc import cache
+from photonrc.cache import MAGIC, CacheRows, CacheWriter, read_cache, read_cache_header
 from photonrc.errors import ParseError
 
 
@@ -127,3 +128,74 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_bytes(head + struct.pack("<Q", 1))
     with pytest.raises(ParseError, match="version"):
         read_cache_header(path)
+
+
+# ---------------------------------------------------------------------------
+# CacheRows: selected rows, read a chunk at a time
+
+def _cache(path, rng, rows=50, dim=6):
+    values = rng.standard_normal((rows, dim)).astype(np.float32)
+    _write_at_once(path, values)
+    return values
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [None, "sorted", "strided", "reversed", "empty"],
+)
+def test_cache_rows_equal_the_whole_cache_indexed(tmp_path, rng, monkeypatch, rows):
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 7)
+    path = tmp_path / "c.rcf"
+    values = _cache(path, rng)
+    select = {
+        None: None,
+        "sorted": np.r_[0:9, 11, 12, 20:41, 49],
+        "strided": np.arange(1, 50, 3),
+        "reversed": np.arange(49, -1, -2),
+        "empty": np.array([], dtype=np.int64),
+    }[rows]
+    expected = read_cache(path)[0] if select is None else read_cache(path)[0][select]
+    got = CacheRows(path, select)
+    assert got.shape == expected.shape
+    for dtype in (None, np.float64):
+        out = np.array(got, dtype=dtype)
+        assert out.dtype == (np.float32 if dtype is None else np.float64)
+        np.testing.assert_array_equal(out, expected.astype(out.dtype))
+    blocks = list(got.chunks())
+    assert all(b.dtype == np.float32 and b.shape[1] == values.shape[1] for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize(
+    "rows, sizes",
+    [(14, [7, 7]), (15, [7, 8]), (16, [7, 9]), (17, [7, 7, 3]), (2, [2]), (0, [0])],
+)
+def test_cache_rows_join_a_short_last_chunk_to_the_one_before(
+    tmp_path, rng, monkeypatch, rows, sizes
+):
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 7)
+    path = tmp_path / "c.rcf"
+    _cache(path, rng, rows=rows)
+    assert [b.shape[0] for b in CacheRows(path).chunks()] == sizes
+
+
+def test_cache_rows_make_a_new_array(tmp_path, rng):
+    path = tmp_path / "c.rcf"
+    _cache(path, rng)
+    with pytest.raises(ValueError):
+        np.array(CacheRows(path), copy=False)
+    with pytest.raises(IndexError):
+        CacheRows(path, [0, 50])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+def test_cache_rows_reject_what_read_cache_rejects(tmp_path, rng, damage):
+    path = tmp_path / "c.rcf"
+    _cache(path, rng)
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] if damage == "truncated" else data + b"\x00" * 4)
+    with pytest.raises(ParseError) as whole:
+        read_cache(path)
+    with pytest.raises(ParseError) as rows:
+        CacheRows(path, [0, 1])
+    assert str(rows.value) == str(whole.value)

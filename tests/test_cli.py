@@ -302,6 +302,20 @@ def test_corrupt_cache_is_data_error(cli_env, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated", "overlong"])
+@pytest.mark.parametrize("command", ["fit", "transform"])
+def test_torn_hog_cache_is_data_error_for_pca(cli_env, tmp_path, capsys, damage, command):
+    data = open(cli_env["hog"], "rb").read()
+    bad = tmp_path / "hog.rcf"
+    bad.write_bytes(data[:-4] if damage == "truncated" else data + b"\x00" * 4)
+    source = ["--manifest", cli_env["manifest"], "--k", "4"] if command == "fit" else [
+        "--model", cli_env["pca"]
+    ]
+    code = main(["pca", command, "--in", str(bad), *source, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "expected" in capsys.readouterr().err
+
+
 def test_row_count_mismatch_is_data_error(cli_env, tmp_path, capsys):
     small = tmp_path / "small.rcf"
     with CacheWriter(small, 4) as writer:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from photonrc.cache import CacheRows, CacheWriter
 from photonrc.errors import DimensionError, ParseError, RankError
 from photonrc.pca import (
     PcaModel,
+    _fix_signs,
     fit_pca,
     load_pca_model,
     read_pca_header,
@@ -13,6 +15,8 @@ from photonrc.pca import (
     save_pca_model,
     transform,
 )
+
+from _oracles import fix_signs_oracle
 
 
 def _data_with_diagonal_covariance(n, variances, rng):
@@ -201,3 +205,58 @@ def test_model_file_size_must_match_its_header(tmp_path, rng):
         for read in (read_pca_header, load_pca_model):
             with pytest.raises(ParseError, match="expected"):
                 read(bad)
+
+
+# ---------------------------------------------------------------------------
+# One float64 copy of the data, sign fixing and saving a block at a time
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["covariance", "gram"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fit_leaves_its_input_unchanged(rng, shape, dtype):
+    X = (rng.standard_normal(shape) + 3.0).astype(dtype)
+    before = X.copy()
+    fit_pca(X, 5)
+    assert X.dtype == dtype
+    assert X.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+def test_block_wise_sign_fix_equals_the_whole_array_rule(rng, order, rows):
+    components = np.asarray(rng.standard_normal((rows, 30)), order=order)
+    components[::5, 3] = 9.0   # ties between the largest entries
+    components[::5, 7] = -9.0
+    expected = fix_signs_oracle(components)
+    got = _fix_signs(components)
+    assert got is components
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(60, 9), (9, 60)], ids=["covariance", "gram"])
+def test_fit_on_cache_rows_equals_fit_on_the_array(tmp_path, rng, shape):
+    values = rng.standard_normal(shape).astype(np.float32)
+    path = tmp_path / "c.rcf"
+    with CacheWriter(path, shape[1]) as writer:
+        writer.append(values)
+    rows = np.arange(0, shape[0], 2)
+    a = tmp_path / "a.bin"
+    b = tmp_path / "b.bin"
+    save_pca_model(fit_pca(values[rows], 4), a)
+    save_pca_model(fit_pca(CacheRows(path, rows), 4), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(300, 20), (30, 300)], ids=["covariance", "gram"])
+def test_saved_model_is_the_row_major_bytes_of_the_fit(tmp_path, rng, shape):
+    model = fit_pca(rng.standard_normal(shape), 20)  # more rows than one save block
+    path = tmp_path / "pca.bin"
+    save_pca_model(model, path)
+    k, dim = model.components.shape
+    body = path.read_bytes()[-8 * k * dim :]
+    assert body == np.ascontiguousarray(model.components, dtype="<f8").tobytes()
+    back = load_pca_model(path)
+    assert back.components.flags.c_contiguous
+    # mean, eigenvalues and components are views into one buffer
+    base = back.mean.base
+    assert base is not None and back.eigenvalues.base is base
+    assert np.shares_memory(back.components, base)

@@ -5,12 +5,14 @@ import json
 import os
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photonrc.cache import read_cache
+from photonrc import cache
+from photonrc.cache import CacheRows, CacheWriter, read_cache
 from photonrc.dataset import Manifest, save_manifest
 from photonrc.errors import (
     NotAPipelineDirError,
@@ -18,7 +20,8 @@ from photonrc.errors import (
     SchemaError,
 )
 from photonrc import pipeline as pipeline_module
-from photonrc.hog import HogConfig
+from photonrc.hog import HogConfig, _vote_table
+from photonrc.pca import fit_pca, save_pca_model, transform
 from photonrc.pipeline import (
     PipelineConfig,
     derive_stream_seed,
@@ -195,7 +198,7 @@ def test_rebuild_policy_recomputes_but_agrees(pipe, tmp_path):
     assert _result_bytes(clone) == _result_bytes(report.out_dir)
 
 
-@pytest.mark.parametrize("artifact", ["states", "readout_model"])
+@pytest.mark.parametrize("artifact", ["hog", "states", "readout_model"])
 def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
     config, report = pipe
     copy_dir = tmp_path / "torn"
@@ -210,39 +213,51 @@ def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
 
 
 def _record_cache_reads(monkeypatch):
-    read = []
+    """Record whole-cache reads, and the passes a CacheRows makes, by file name."""
+    reads, passes = [], []
     real = pipeline_module.read_cache
 
     def recording(path):
-        read.append(Path(path).name)
+        reads.append(Path(path).name)
         return real(path)
 
+    class RecordingRows(CacheRows):
+        def chunks(self):
+            passes.append((Path(self.path).name, self.shape[0]))
+            return super().chunks()
+
     monkeypatch.setattr(pipeline_module, "read_cache", recording)
-    return read
+    monkeypatch.setattr(pipeline_module, "CacheRows", RecordingRows)
+    return reads, passes
 
 
 def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypatch):
     config, report = pipe
     copy_dir = tmp_path / "warm"
     shutil.copytree(report.out_dir, copy_dir)
-    read = _record_cache_reads(monkeypatch)
+    reads, passes = _record_cache_reads(monkeypatch)
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
     assert again.score == report.score
-    assert report.artifacts["hog"] not in read
-    assert report.artifacts["features"] not in read
-    assert report.artifacts["states"] in read
+    assert passes == []
+    assert report.artifacts["hog"] not in reads
+    assert report.artifacts["features"] not in reads
+    assert report.artifacts["states"] in reads
     for name in (*RESULT_FILES, "pipeline.json"):
         assert (copy_dir / name).read_bytes() == (Path(report.out_dir) / name).read_bytes()
 
 
 def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
+    # one pass over the fit rows, one over every row, and no whole-cache read
     config, report = pipe
     copy_dir = tmp_path / "refit"
     shutil.copytree(report.out_dir, copy_dir)
     (copy_dir / report.artifacts["pca_model"]).unlink()
-    read = _record_cache_reads(monkeypatch)
+    reads, passes = _record_cache_reads(monkeypatch)
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
-    assert read.count(report.artifacts["hog"]) == 1
+    data = prepare_data(config.manifest_path, None)
+    hog = report.artifacts["hog"]
+    assert passes == [(hog, data.train_rows.size), (hog, data.targets.shape[0])]
+    assert hog not in reads
     assert again.score == report.score
     assert (copy_dir / "pipeline.json").read_bytes() == (
         Path(report.out_dir) / "pipeline.json"
@@ -275,6 +290,97 @@ def test_single_cell_trial_matches_pipeline(pipe):
     )
     assert result.score == report.score
     np.testing.assert_array_equal(result.nmse_per_class, report.nmse_per_class)
+
+
+def test_overlong_hog_cache_is_recomputed_on_reuse(pipe, tmp_path):
+    config, report = pipe
+    copy_dir = tmp_path / "long"
+    shutil.copytree(report.out_dir, copy_dir)
+    victim = copy_dir / report.artifacts["hog"]
+    data = victim.read_bytes()
+    victim.write_bytes(data + b"\x00" * 4)
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert again.score == report.score
+    assert victim.read_bytes() == data
+
+
+def test_extract_hog_releases_the_vote_table(tiny_manifest, tmp_path):
+    pipeline_module.extract_hog(tiny_manifest, tmp_path / "hog.rcf")
+    assert _vote_table.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# The PCA stage: HOG rows streamed from disk, bounded memory
+
+def _whole_transform_bytes(model, values, path):
+    with CacheWriter(path, model.n_components) as writer:
+        writer.append(transform(model, values))
+    return Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("fit_on", ["train", "all"])
+def test_chunked_pca_stage_equals_the_whole_array_route(pipe, tmp_path, monkeypatch, fit_on):
+    config, report = pipe
+    hog = Path(report.out_dir) / report.artifacts["hog"]
+    values, _ = read_cache(hog)
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+    assert values.shape[0] % 64 not in (0, 1)
+    rows = pipeline_module.pca_fit_rows(prepare_data(config.manifest_path, None), fit_on)
+    whole = tmp_path / "whole.bin"
+    save_pca_model(fit_pca(values[rows], 24), whole)
+    model = pipeline_module.fit_pca_model(hog, rows, 24, tmp_path / "pca.bin")
+    assert (tmp_path / "pca.bin").read_bytes() == whole.read_bytes()
+    assert pipeline_module.project(model, hog, tmp_path / "f.rcf") == values.shape[0]
+    expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
+    assert (tmp_path / "f.rcf").read_bytes() == expected
+
+
+@pytest.mark.parametrize("n_frames", [1025, 1124, 1300])
+def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, n_frames):
+    # 512-row chunks; a last chunk of 1 or 100 rows joins the one before
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 512)
+    values = rng.standard_normal((n_frames, 3000)).astype(np.float32)
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, values.shape[1]) as writer:
+        writer.append(values)
+    model = pipeline_module.fit_pca_model(hog, np.arange(0, n_frames, 3), 50, tmp_path / "p.bin")
+    pipeline_module.project(model, hog, tmp_path / "f.rcf")
+    expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
+    assert (tmp_path / "f.rcf").read_bytes() == expected
+    # equal before the float32 rounding too
+    chunked = np.concatenate([transform(model, c) for c in CacheRows(hog).chunks()])
+    assert chunked.tobytes() == transform(model, values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_frames, n_fit, dim, k",
+    [(700, 500, 6000, 100), (3500, 3000, 300, 64)],
+    ids=["gram", "covariance"],
+)
+def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frames, n_fit, dim, k):
+    # numpy reports its array allocations to tracemalloc; LAPACK's eigh
+    # workspace is outside what it sees
+    chunk_rows = 128
+    monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(5)
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, dim) as writer:
+        for start in range(0, n_frames, 100):
+            writer.append(rng.standard_normal((min(100, n_frames - start), dim)))
+    rows = np.sort(rng.choice(n_frames, n_fit, replace=False))
+    tracemalloc.start()
+    try:
+        model = pipeline_module.fit_pca_model(hog, rows, k, tmp_path / "pca.bin")
+        pipeline_module.project(model, hog, tmp_path / "f.rcf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = min(n_fit, dim)  # the Gram matrix is n x n, the covariance D x D
+    chunk = 3 * chunk_rows // 2 * dim  # the longest chunk, a short last one joined
+    budget = 8 * (n_fit * dim + k * dim + 3 * m * m + chunk)
+    # slack: the float32 chunk a read fills, and 1 MB for the small arrays
+    slack = 4 * chunk + (1 << 20)
+    assert peak < budget + slack
 
 
 # ---------------------------------------------------------------------------
