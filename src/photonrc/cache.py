@@ -85,35 +85,38 @@ class CacheWriter:
             self._fh = None
 
 
+def read_checked_header(fh, path, head, magic, body_size):
+    """Unpack struct ``head`` from the open file ``fh``; returns its fields after
+    ``magic``, the first, and leaves ``fh`` just past the header.  The one
+    integrity rule of every binary artifact: unless the file is exactly
+    ``head.size + body_size(*fields)`` bytes, ParseError says ``truncated`` or
+    ``trailing bytes`` and the size expected."""
+    raw = fh.read(head.size)
+    if len(raw) < head.size:
+        raise ParseError(f"{path}: truncated: {len(raw)} bytes, expected {head.size} bytes or more")
+    found, *fields = head.unpack(raw)
+    if found != magic:
+        raise ParseError(f"{path}: bad magic {found!r}")
+    size, expected = os.fstat(fh.fileno()).st_size, head.size + body_size(*fields)
+    if size != expected:
+        what = "truncated" if size < expected else "trailing bytes"
+        raise ParseError(f"{path}: {what}: {size} bytes, expected {expected} bytes")
+    return tuple(fields)
+
+
 def _read_header(fh, path):
     """Parse the header of the open cache ``fh``, leaving it at the first value."""
-    head = fh.read(_HEAD.size)
-    if len(head) < _HEAD.size:
-        raise ParseError(f"{path}: truncated cache header")
-    magic, version, count, dim, layout_len = _HEAD.unpack(head)
-    if magic != MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
+    version, count, dim, layout_len = read_checked_header(
+        fh, path, _HEAD, MAGIC, lambda version, count, dim, n: 8 * n + 4 * count * dim
+    )
     if version != VERSION:
         raise ParseError(f"{path}: unsupported cache version {version}")
-    raw = fh.read(8 * layout_len)
-    if len(raw) < 8 * layout_len:
-        raise ParseError(f"{path}: truncated layout")
-    layout = struct.unpack(f"<{layout_len}Q", raw)
-    size = os.fstat(fh.fileno()).st_size
-    expected = fh.tell() + 4 * count * dim
-    if size != expected:
-        raise ParseError(
-            f"{path}: {size} bytes, expected {expected} bytes for {count} x {dim} values"
-        )
+    layout = struct.unpack(f"<{layout_len}Q", fh.read(8 * layout_len))
     return count, dim, layout
 
 
 def read_cache_header(path):
-    """Return (frame_count, feature_dim, layout) without loading the data.
-
-    Raises ParseError unless the file's size is exactly what the header
-    announces: a file cut short or carrying trailing bytes is rejected.
-    """
+    """(frame_count, feature_dim, layout) of a cache exactly the size its header announces."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
 

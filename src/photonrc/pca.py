@@ -19,13 +19,13 @@ all float64, so that saving and loading reproduce the model bit for bit.
 A loaded model's arrays are views into the one buffer its body is read into.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, RankError
+from .cache import read_checked_header
+from .errors import DimensionError, RankError
 
 PCA_MAGIC = b"RCPCA001"
 _PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
@@ -173,27 +173,11 @@ def save_pca_model(model, path):
 
 
 def _read_pca_header(fh, path):
-    """Parse the header of the open model file ``fh``; the file's size must match it."""
-    head = fh.read(_PCA_HEAD.size)
-    if len(head) < _PCA_HEAD.size:
-        raise ParseError(f"{path}: truncated PCA model header")
-    magic, k, dim, n_samples, total_variance = _PCA_HEAD.unpack(head)
-    if magic != PCA_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    size = os.fstat(fh.fileno()).st_size
-    expected = _PCA_HEAD.size + 8 * (dim + k + k * dim)
-    if size != expected:
-        what = "truncated PCA model data" if size < expected else "trailing bytes after PCA model"
-        raise ParseError(f"{path}: {what}: {size} bytes, expected {expected} bytes")
-    return k, dim, n_samples, total_variance
+    return read_checked_header(fh, path, _PCA_HEAD, PCA_MAGIC, lambda k, d, *_: 8 * (d + k + k * d))
 
 
 def read_pca_header(path):
-    """(components, feature dimension) of a PCA model file.
-
-    Raises ParseError unless the file's size is exactly what its header
-    announces, so a torn write never passes for a model.
-    """
+    """(K, D) of a PCA model file exactly the size its header announces."""
     with open(path, "rb") as fh:
         return _read_pca_header(fh, path)[:2]
 

@@ -14,9 +14,10 @@ content hash, upstream digests, stage parameters), so reruns and grid
 trials reuse whatever already matches and never reuse anything stale.
 With the default "reuse" cache policy a warm rerun reproduces the cold
 run's result files bit for bit; "rebuild" recomputes every stage.  A
-cache or PCA model whose size is not what its header announces, or a
-readout file that does not parse, counts as a miss and is recomputed.  A
-stage reads its upstream cache only when it recomputes.
+binary artifact, the readout included, is reused only if it has the
+expected shape and exactly the size its header announces (one rule,
+:func:`_is_complete`); otherwise it is recomputed.  A stage reads its
+upstream cache only when it recomputes.
 
 The PCA stage never holds the whole HOG cache.  The fit reads its rows
 through :class:`~photonrc.cache.CacheRows` straight into one float64 array,
@@ -61,13 +62,16 @@ from .dataset import Split, index_frames, load_manifest, make_split, stream_fram
 from .errors import NotAPipelineDirError, ParseError, PhotonRcError, PipelineStageError, SchemaError
 from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
 from .readout import (
+    N_CLASSES,
     TRANSFORM_NONLINEAR_PHASE,
     TRANSFORM_RAW,
     apply_readout,
+    check_ridge_lambda,
     encode_targets,
     load_readout_model,
     nmse_per_output,
     normal_equations,
+    read_readout_header,
     save_readout_model,
     train_ridge,
 )
@@ -127,6 +131,7 @@ class PipelineConfig:
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
         if self.pca_fit_on not in ("train", "all"):
             raise ValueError(f"pca_fit_on must be 'train' or 'all', got {self.pca_fit_on!r}")
+        check_ridge_lambda(self.ridge_lambda)
 
     def as_dict(self):
         return {
@@ -231,17 +236,21 @@ def _stage(name):
         raise PipelineStageError(name, exc) from exc
 
 
-def _is_complete(path, read_header, *shape):
-    """The reuse rule for a cache or PCA model: a complete file of the expected shape.
+def header_readers():
+    """Each binary artifact's header reader, by artifact key; built per call, so
+    a reader patched on this module is the one used."""
+    return {
+        "hog": read_cache_header, "features": read_cache_header, "states": read_cache_header,
+        "pca_model": read_pca_header, "readout_model": read_readout_header,
+    }
 
-    ``read_header`` returns the file's shape first and raises unless the
-    file's size is what its header announces.
-    """
-    if not os.path.isfile(path):
-        return False
+
+def _is_complete(path, read_header, *shape):
+    """The reuse rule for every binary artifact: ``read_header`` (its entry in
+    :func:`header_readers`) returns its shape and accepts only an exact-size file."""
     try:
-        return tuple(read_header(path)[:2]) == shape
-    except PhotonRcError:  # a bad header, or a size the header does not announce
+        return read_header(path)[:2] == shape
+    except (PhotonRcError, OSError):  # no file, a bad header, or a size it does not announce
         return False
 
 
@@ -385,6 +394,7 @@ def run_pipeline(config):
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     reuse = config.cache_policy == "reuse"
+    readers = header_readers()
     artifacts = {}
     digests = {}
 
@@ -422,7 +432,7 @@ def run_pipeline(config):
             {"manifest": manifest_hash, "config": config.as_dict()["hog"]},
             ("hog", "hog_{}.rcf"),
         )
-        if not (reuse and _is_complete(hog_path, read_cache_header, n_frames, feature_dim)):
+        if not (reuse and _is_complete(hog_path, readers["hog"], n_frames, feature_dim)):
             extract_hog(manifest, hog_path, config.hog_config)
 
     with _stage("pca"):
@@ -438,8 +448,8 @@ def run_pipeline(config):
         )
         if not (
             reuse
-            and _is_complete(model_path, read_pca_header, config.pca_components, feature_dim)
-            and _is_complete(features_path, read_cache_header, n_frames, config.pca_components)
+            and _is_complete(model_path, readers["pca_model"], config.pca_components, feature_dim)
+            and _is_complete(features_path, readers["features"], n_frames, config.pca_components)
         ):
             rows = pca_fit_rows(data, config.pca_fit_on)
             project(
@@ -466,7 +476,7 @@ def run_pipeline(config):
             ("states", "states_{}.rcf"),
         )
         save_reservoir_spec(spec, spec_path)
-        if not (reuse and _is_complete(states_path, read_cache_header, n_frames, config.n_nodes)):
+        if not (reuse and _is_complete(states_path, readers["states"], n_frames, config.n_nodes)):
             features, _ = read_cache(features_path)
             spans = data.all_spans if config.reset_per_sequence else None
             with CacheWriter(states_path, config.n_nodes) as writer:
@@ -480,14 +490,12 @@ def run_pipeline(config):
             {"upstream": digests["reservoir"], "ridge_lambda": config.ridge_lambda},
             ("readout_model", "readout_{}.bin"),
         )
-        model = None
-        if reuse and os.path.isfile(readout_path):
-            with contextlib.suppress(ParseError):  # a torn readout file is a miss
-                model = load_readout_model(readout_path)
-        if model is None:
+        if not (
+            reuse and _is_complete(readout_path, readers["readout_model"], N_CLASSES, config.n_nodes)
+        ):
             trained = train_readout(states, data, config.ridge_lambda, config.variant)
             save_readout_model(trained, readout_path)
-            model = load_readout_model(readout_path)
+        model = load_readout_model(readout_path)
 
     with _stage("evaluate"):
         decisions, truths, matrix, per_class = evaluate_readout(model, states, data)
@@ -582,20 +590,15 @@ def describe_artifacts(out_dir):
         )
     )
     lines.append(f"  stages: {', '.join(summary.get('stages', []))}")
+    readers = header_readers()
     for name, filename in sorted(summary.get("artifacts", {}).items()):
         path = os.path.join(out_dir, filename)
         note = "missing"
         if os.path.isfile(path):
             note = f"{os.path.getsize(path)} bytes"
-            if filename.endswith(".rcf"):
-                read_header = read_cache_header
-            elif name == "pca_model":
-                read_header = read_pca_header
-            else:
-                read_header = None
-            if read_header is not None:
+            if name in readers:
                 try:
-                    rows, dim = read_header(path)[:2]
+                    rows, dim = readers[name](path)[:2]
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

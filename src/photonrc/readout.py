@@ -15,7 +15,8 @@ For wide state matrices (more nodes than frames) the equations are solved
 through the dual system (XX' + lambda I) A = D with W = X'A, which
 satisfies the same normal equations exactly and yields the minimum-norm
 interpolator at lambda = 0.  Either route must leave a relative residual
-of at most 1e-6 or training fails with SingularError.
+of at most 1e-6 or training fails with SingularError.  A model file is read
+only if it is exactly the size its header announces.
 """
 
 import struct
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .cache import read_checked_header
 from .errors import (
     DegenerateTargetError,
     DimensionError,
@@ -110,6 +112,12 @@ def _transform_states(states, feature_transform):
     return states
 
 
+def check_ridge_lambda(ridge_lambda):
+    """Raise ValueError unless ``ridge_lambda`` is None (auto) or finite and >= 0."""
+    if ridge_lambda is not None and not (np.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise ValueError(f"ridge_lambda must be None (auto) or finite and >= 0, got {ridge_lambda!r}")
+
+
 def default_lambda(states):
     """Scale-adaptive default: 1e-4 * trace(X'X) / N."""
     X = np.asarray(states, dtype=np.float64)
@@ -168,16 +176,13 @@ def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_
     transform, for a caller that solves several lambdas on one training
     set; without it they are built here.
     """
+    check_ridge_lambda(ridge_lambda)
     if normal is None:
         normal = normal_equations(states, targets, feature_transform)
     elif normal.features.shape != np.shape(states) or normal.feature_transform != feature_transform:
         raise ValueError("normal equations were built from other states or another transform")
     X = normal.features
-    if ridge_lambda is None:
-        ridge_lambda = default_lambda(X)
-    lam = float(ridge_lambda)
-    if lam < 0:
-        raise ValueError("ridge_lambda must be nonnegative")
+    lam = default_lambda(X) if ridge_lambda is None else float(ridge_lambda)
 
     rhs = normal.rhs
     gram = normal.gram.copy()
@@ -267,21 +272,27 @@ def save_readout_model(model, path):
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
 
 
+def _read_readout_header(fh, path):
+    m, n, lam, code = read_checked_header(
+        fh, path, _OUT_HEAD, READOUT_MAGIC, lambda m, n, *_: 8 * m * n
+    )
+    if code not in _TRANSFORM_NAMES:
+        raise ParseError(f"{path}: unknown feature-transform code {code}")
+    return m, n, lam, _TRANSFORM_NAMES[code]
+
+
+def read_readout_header(path):
+    """(M, N, lambda, transform) of a readout file exactly the size its header announces."""
+    with open(path, "rb") as fh:
+        return _read_readout_header(fh, path)
+
+
 def load_readout_model(path):
     with open(path, "rb") as fh:
-        head = fh.read(_OUT_HEAD.size)
-        if len(head) < _OUT_HEAD.size:
-            raise ParseError(f"{path}: truncated readout model header")
-        magic, m, n, lam, code = _OUT_HEAD.unpack(head)
-        if magic != READOUT_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
-        if code not in _TRANSFORM_NAMES:
-            raise ParseError(f"{path}: unknown feature-transform code {code}")
-        data = np.fromfile(fh, dtype="<f8", count=m * n)
-    if data.size != m * n:
-        raise ParseError(f"{path}: truncated readout weights")
+        m, n, lam, feature_transform = _read_readout_header(fh, path)
+        weights = np.fromfile(fh, dtype="<f8", count=m * n)
     return ReadoutModel(
-        weights=data.reshape(m, n).copy(),
+        weights=weights.reshape(m, n),
         ridge_lambda=float(lam),
-        feature_transform=_TRANSFORM_NAMES[code],
+        feature_transform=feature_transform,
     )

@@ -125,8 +125,8 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("feedback_gain", "input_gain", "coupling_gain"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:  # false for nan
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise ValueError("coupling_density must lie in [0, 1]")
 

@@ -45,6 +45,7 @@ from .pipeline import (
     reservoir_states,
     train_readout,
 )
+from .readout import check_ridge_lambda
 from .reservoir import VARIANTS, HyperParams
 
 # not called here; bound so that perfbench/tracing.py WRAPS can patch them on this module
@@ -126,10 +127,7 @@ class GridSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         for lam in self.ridge_lambda:
-            if lam is not None and not (math.isfinite(lam) and lam >= 0):
-                raise ValueError(
-                    f"ridge_lambda value {lam} must be null (auto) or finite and nonnegative"
-                )
+            check_ridge_lambda(lam)
         allow = self.allow_out_of_range
         _check_range("feedback_gain", self.feedback_gain, *ALPHA_RANGE, allow)
         _check_range("input_gain", self.input_gain, *SMALL_GAIN_RANGE, allow)
@@ -425,10 +423,9 @@ def run_grid(
     log_fh = None
     on_result = None
     if log_path:
-        fresh = not (resume and os.path.isfile(log_path) and os.path.getsize(log_path))
-        log_fh = open(log_path, "a", newline="", encoding="utf-8")
+        log_fh = open(log_path, "a" if resume else "w", newline="", encoding="utf-8")
         writer = csv.DictWriter(log_fh, fieldnames=LOG_FIELDS)
-        if fresh:
+        if log_fh.tell() == 0:
             writer.writeheader()
             log_fh.flush()
 

@@ -161,6 +161,19 @@ def test_gridsearch_runs_and_resumes(cli_env, tmp_path, capsys):
     assert len(log.read_text().splitlines()) == 3  # nothing recomputed
 
 
+def test_gridsearch_without_resume_starts_a_fresh_log(cli_env, tmp_path, capsys):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "grid_log.csv"
+    assert main(argv) == 0
+    first = log.read_bytes()
+    assert main(argv) == 0
+    assert main(argv + ["--resume"]) == 0
+    assert "2 trials (0 failed)" in capsys.readouterr().out
+    lines = log.read_text().splitlines()
+    assert len(lines) == 3 and lines.count(lines[0]) == 1  # one header, two rows
+    assert log.read_bytes().splitlines()[0] == first.splitlines()[0]
+
+
 def test_gridsearch_resume_reruns_a_torn_last_row(cli_env, tmp_path, capsys):
     argv = _gridsearch_argv(cli_env, tmp_path)
     log = tmp_path / "grid_log.csv"
@@ -354,6 +367,58 @@ def test_evaluate_rejects_a_cache_with_trailing_bytes(cli_env, tmp_path, capsys)
     ])
     assert code == 2
     assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["short", "long"])
+def test_evaluate_rejects_a_readout_of_the_wrong_size(cli_env, tmp_path, capsys, damage):
+    bad = tmp_path / "readout.bin"
+    with open(cli_env["readout"], "rb") as fh:
+        data = fh.read()
+    bad.write_bytes(data[:-1] if damage == "short" else data + b"\x00")
+    code = main([
+        "evaluate", "--model", str(bad), "--states", cli_env["states"],
+        "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
+    ])
+    assert code == 2
+    assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--feedback-gain", "nan"],
+        ["--input-gain", "inf"],
+        ["--coupling-gain=-inf"],
+        ["--lambda", "-1"],
+        ["--lambda", "nan"],
+        ["--lambda", "inf"],
+    ],
+)
+def test_pipeline_run_rejects_bad_gains_and_lambdas_before_any_stage(
+    cli_env, tmp_path, capsys, flags
+):
+    out_dir = tmp_path / "run"
+    code = main([
+        "--out-dir", str(out_dir), "pipeline", "run",
+        "--manifest", cli_env["manifest"], "--components", "12", "--n-nodes", "32", *flags,
+    ])
+    assert code == 1
+    flag = flags[0].split("=")[0]
+    name = "ridge_lambda" if flag == "--lambda" else flag[2:].replace("-", "_")
+    assert name in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+def test_train_rejects_a_bad_lambda_before_writing(cli_env, tmp_path, capsys, bad):
+    out = tmp_path / "readout.bin"
+    code = main([
+        "train", "--states", cli_env["states"], "--manifest", cli_env["manifest"],
+        "--lambda", bad, "--out", str(out),
+    ])
+    assert code == 1
+    assert "ridge_lambda" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

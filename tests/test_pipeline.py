@@ -116,6 +116,10 @@ def test_config_validation(tiny_corpus, tmp_path):
         _config(tiny_corpus, tmp_path, cache_policy="maybe")
     with pytest.raises(ValueError, match="pca_fit_on"):
         _config(tiny_corpus, tmp_path, pca_fit_on="test")
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="ridge_lambda"):
+            _config(tiny_corpus, tmp_path, ridge_lambda=bad)
+    assert _config(tiny_corpus, tmp_path, ridge_lambda=0.0).ridge_lambda == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +202,46 @@ def test_rebuild_policy_recomputes_but_agrees(pipe, tmp_path):
     assert _result_bytes(clone) == _result_bytes(report.out_dir)
 
 
-@pytest.mark.parametrize("artifact", ["hog", "states", "readout_model"])
+# four ways a write can leave a binary artifact torn or overlong
+DAMAGES = {
+    "header": lambda data: data[:1],  # cut one byte into the header
+    "half": lambda data: data[: len(data) // 2],
+    "short": lambda data: data[:-1],
+    "long": lambda data: data + b"\x00",
+}
+BINARY_ARTIFACTS = ("hog", "states", "readout_model", "features", "pca_model")
+
+
+@pytest.mark.parametrize("artifact", BINARY_ARTIFACTS)
 def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
+    # describe flags the damaged file, a reuse run recomputes it, and then
+    # every file equals the cold run's
     config, report = pipe
-    copy_dir = tmp_path / "torn"
-    shutil.copytree(report.out_dir, copy_dir)
-    victim = copy_dir / report.artifacts[artifact]
-    data = victim.read_bytes()
-    victim.write_bytes(data[: len(data) // 2])
-    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
-    assert again.score == report.score
-    assert victim.read_bytes() == data
-    assert _result_bytes(copy_dir) == _result_bytes(report.out_dir)
+    cold = Path(report.out_dir)
+    for damage, cut in DAMAGES.items():
+        copy_dir = tmp_path / damage
+        shutil.copytree(report.out_dir, copy_dir)
+        victim = copy_dir / report.artifacts[artifact]
+        victim.write_bytes(cut(victim.read_bytes()))
+        flagged = [
+            line for line in describe_artifacts(copy_dir).splitlines()
+            if "INTEGRITY WARNING" in line
+        ]
+        assert len(flagged) == 1 and flagged[0].startswith(f"  {artifact}: "), damage
+        again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+        assert again.score == report.score
+        assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir), damage
+        for name in (*report.artifacts.values(), "pipeline.json"):
+            assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), (damage, name)
+
+
+def test_every_binary_artifact_has_a_header_reader(pipe):
+    # run_pipeline's reuse rule and describe take their readers from one table,
+    # so a binary artifact added later cannot skip the exact-size rule
+    _, report = pipe
+    binary = {k for k, name in report.artifacts.items() if name.endswith((".rcf", ".bin"))}
+    assert binary == set(BINARY_ARTIFACTS)
+    assert binary <= set(pipeline_module.header_readers())
 
 
 def _record_cache_reads(monkeypatch):

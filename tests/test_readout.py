@@ -24,6 +24,7 @@ from photonrc.readout import (
     nmse,
     normal_equations,
     nmse_per_output,
+    read_readout_header,
     save_readout_model,
     train_ridge,
 )
@@ -154,6 +155,9 @@ def test_training_validation_errors(rng):
     D = rng.standard_normal((10, 6))
     with pytest.raises(ValueError):
         train_ridge(X, D, ridge_lambda=-1.0)
+    for bad in (np.nan, np.inf, -np.inf, -1e-12):
+        with pytest.raises(ValueError, match="ridge_lambda"):
+            train_ridge(X, D, ridge_lambda=bad)
     with pytest.raises(DimensionError):
         train_ridge(X, D[:9])
     with pytest.raises(DimensionError):
@@ -336,3 +340,28 @@ def test_readout_file_corruption_detected(tmp_path, rng):
     weird.write_bytes(head + struct.pack("<d", 1.0))
     with pytest.raises(ParseError, match="transform"):
         load_readout_model(weird)
+    long = tmp_path / "long.bin"
+    long.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(ParseError, match="trailing bytes"):
+        load_readout_model(long)
+
+
+def test_readout_header_reads_the_shape_without_the_weights(tmp_path, rng):
+    model = ReadoutModel(
+        weights=rng.standard_normal((6, 5)), ridge_lambda=0.25,
+        feature_transform=TRANSFORM_NONLINEAR_PHASE,
+    )
+    path = tmp_path / "readout.bin"
+    save_readout_model(model, path)
+    assert read_readout_header(path) == (6, 5, 0.25, TRANSFORM_NONLINEAR_PHASE)
+
+
+@pytest.mark.parametrize("damage", ["header", "short", "long"])
+def test_readout_file_size_must_match_its_header(tmp_path, rng, damage):
+    path = tmp_path / "readout.bin"
+    save_readout_model(ReadoutModel(weights=rng.standard_normal((6, 5)), ridge_lambda=0.1), path)
+    data = path.read_bytes()
+    path.write_bytes({"header": data[:20], "short": data[:-1], "long": data + b"\x00"}[damage])
+    for read in (read_readout_header, load_readout_model):
+        with pytest.raises(ParseError, match="expected"):
+            read(path)

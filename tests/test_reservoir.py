@@ -146,6 +146,10 @@ def test_hyperparams_validation():
     assert HyperParams.from_dict(params.as_dict()) == params
     with pytest.raises(SchemaError):
         HyperParams.from_dict({"feedback_gain": 0.8})
+    for gain in ("feedback_gain", "input_gain", "coupling_gain", "coupling_density"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=gain):
+                HyperParams(**{gain: value})
 
 
 def test_coupling_count_rounds():

@@ -379,6 +379,21 @@ def test_a_failing_lambda_fails_only_its_own_cell(prepared, monkeypatch):
             assert r.status == "ok" and r.score == clean[r.key()]
 
 
+@pytest.mark.parametrize("axis", ["feedback_gain", "input_gain", "coupling_gain"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_gain_gets_an_error_row(prepared, tmp_path, axis, value):
+    good = getattr(_small_grid(), axis)[0]
+    spec = _small_grid(**{"feedback_gain": (0.5,), axis: (good, value)}, allow_out_of_range=True)
+    log = tmp_path / "grid_log.csv"
+    results = run_grid(spec, prepared, log_path=log)
+    assert [r.status for r in results] == ["ok", "error"]
+    bad = results[1]
+    assert isinstance(bad.params, CellGains)
+    assert bad.error == f"ValueError: {axis} must be finite and nonnegative"
+    logged = [r for r in read_grid_log(log) if r.status == "error"]
+    assert len(logged) == 1 and logged[0].error == bad.error
+
+
 def test_a_failing_reservoir_fails_every_lambda_of_its_group(prepared):
     # density 1.0 needs more couplings than N=16 has off-diagonal slots
     spec = _small_grid(feedback_gain=(0.5,), coupling_density=(0.01, 1.0), ridge_lambda=LAMBDAS)
