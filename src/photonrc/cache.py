@@ -1,4 +1,5 @@
-"""Binary cache files for per-frame feature rows and reservoir state rows.
+"""Binary cache files for per-frame feature rows and reservoir state rows, and
+the one integrity rule of every binary artifact and every JSON document.
 
 Layout (all little-endian):
 
@@ -17,14 +18,19 @@ reservoir state trajectories; only the layout tuple differs.
 :func:`read_cache` loads a whole cache; :class:`CacheRows` reads selected
 rows of one from disk a chunk at a time, so a stage that streams a cache
 never holds all of it.
+
+:func:`read_json` reads every JSON document (the manifest, both specs and
+``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
+unsorted bytes feed the manifest hash in every stage digest.
 """
 
+import json
 import os
 import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, SchemaError
 
 MAGIC = b"RCFEAT01"
 VERSION = 1
@@ -102,6 +108,35 @@ def read_checked_header(fh, path, head, magic, body_size):
         what = "truncated" if size < expected else "trailing bytes"
         raise ParseError(f"{path}: {what}: {size} bytes, expected {expected} bytes")
     return tuple(fields)
+
+
+def write_json(path, doc):
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, build):
+    """``build(doc)`` of the JSON object at ``path``.  ParseError unless the file
+    is UTF-8 JSON, SchemaError unless it holds an object that ``build`` converts
+    without SchemaError, KeyError, TypeError, ValueError or OverflowError; both
+    name ``path``, so ``build``'s own messages leave it out."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, found {type(doc).__name__}")
+    try:
+        return build(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed field: {exc}") from None
 
 
 def _read_header(fh, path):

@@ -57,10 +57,6 @@ def _add_hyperparam_flags(parser):
 def build_parser():
     parser = _Parser(prog="photonrc", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted and ignored: gridsearch runs on one thread",
-    )
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,7 +262,6 @@ def cmd_gridsearch(args):
     results = run_grid(
         spec,
         data,
-        workers=args.threads,
         log_path=log_path,
         resume=args.resume,
         reset_per_sequence=args.reset_per_sequence,

@@ -22,6 +22,10 @@ Frames are stored one per file as binary 8-bit grayscale PGM (P5).  The
 conversion, filled with the 0-based frame index and resolved against
 ``frame_store_root``.
 
+The manifest is read by :func:`photonrc.cache.read_json`, so a malformed one
+raises ParseError or SchemaError naming the file.  :func:`save_manifest`
+keeps its own unsorted writer: the manifest's bytes feed every stage digest.
+
 Sequences are identified by (subject, action, repetition), which must be
 unique across the manifest.  ``frame_count`` outside [24, 239] is legal but
 triggers a warning, since conforming recordings stay inside that window.
@@ -36,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cache import read_json
 from .errors import MissingFrameError, ParseError, SchemaError
 
 KTH_FRAME_COUNT_RANGE = (24, 239)
@@ -181,12 +186,6 @@ def write_pgm(path, pixels):
 # ---------------------------------------------------------------------------
 # Manifest I/O
 
-def _require(mapping, key, context):
-    if key not in mapping:
-        raise SchemaError(f"{context}: missing field {key!r}")
-    return mapping[key]
-
-
 def load_manifest(path, check_frames=True):
     """Load and validate a manifest file.
 
@@ -194,69 +193,57 @@ def load_manifest(path, check_frames=True):
     ``check_frames`` is False; the first absent file raises
     :class:`MissingFrameError`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: manifest must be a JSON object")
+    manifest = read_json(path, lambda raw: _build_manifest(raw, path))
+    if check_frames:
+        for seq in manifest.sequences:
+            for idx in range(seq.frame_count):
+                fp = seq.frame_path(manifest.frame_store_root, idx)
+                if not os.path.isfile(fp):
+                    raise MissingFrameError(f"{seq.sequence_id}: missing frame file {fp}")
+    return manifest
 
-    res = _require(raw, "resolution", path)
-    try:
-        resolution = (int(res["height"]), int(res["width"]))
-    except (TypeError, KeyError, ValueError):
-        raise SchemaError(f"{path}: resolution must carry integer height/width") from None
+
+def _build_manifest(raw, path):
+    res = raw["resolution"]
+    resolution = (int(res["height"]), int(res["width"]))
     if resolution[0] < 1 or resolution[1] < 1:
-        raise SchemaError(f"{path}: resolution must be positive")
+        raise SchemaError("resolution must be positive")
 
-    root = str(_require(raw, "frame_store_root", path))
+    root = str(raw["frame_store_root"])
     if not os.path.isabs(root):
         root = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), root))
-    split_seed = int(_require(raw, "split_seed", path))
+    split_seed = int(raw["split_seed"])
 
-    entries = _require(raw, "sequences", path)
+    entries = raw["sequences"]
     if not isinstance(entries, list):
-        raise SchemaError(f"{path}: sequences must be an array")
+        raise SchemaError("sequences must be an array")
     sequences = []
     seen = set()
     for i, entry in enumerate(entries):
-        ctx = f"{path}: sequences[{i}]"
+        ctx = f"sequences[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{ctx}: must be an object")
-        try:
-            seq = SequenceMeta(
-                sequence_id=str(_require(entry, "sequence_id", ctx)),
-                subject=int(_require(entry, "subject", ctx)),
-                action=Action.from_name(_require(entry, "action", ctx)),
-                repetition=int(_require(entry, "repetition", ctx)),
-                frame_count=int(_require(entry, "frame_count", ctx)),
-                split=Split.from_name(_require(entry, "split", ctx)),
-                frame_filename_pattern=str(_require(entry, "frame_filename_pattern", ctx)),
-            )
-        except ValueError:
-            raise SchemaError(f"{ctx}: non-integer numeric field") from None
+        seq = SequenceMeta(
+            sequence_id=str(entry["sequence_id"]),
+            subject=int(entry["subject"]),
+            action=Action.from_name(entry["action"]),
+            repetition=int(entry["repetition"]),
+            frame_count=int(entry["frame_count"]),
+            split=Split.from_name(entry["split"]),
+            frame_filename_pattern=str(entry["frame_filename_pattern"]),
+        )
         key = (seq.subject, seq.action, seq.repetition)
         if key in seen:
             raise SchemaError(f"{ctx}: duplicate (subject, action, repetition) {key}")
         seen.add(key)
         sequences.append(seq)
 
-    manifest = Manifest(
+    return Manifest(
         sequences=tuple(sequences),
         resolution=resolution,
         frame_store_root=root,
         split_seed=split_seed,
     )
-    if check_frames:
-        for seq in manifest.sequences:
-            for idx in range(seq.frame_count):
-                fp = seq.frame_path(root, idx)
-                if not os.path.isfile(fp):
-                    raise MissingFrameError(f"{seq.sequence_id}: missing frame file {fp}")
-    return manifest
 
 
 def save_manifest(manifest, path):

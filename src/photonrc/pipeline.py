@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cache import CacheRows, CacheWriter, read_cache, read_cache_header
+from .cache import CacheRows, CacheWriter, read_cache, read_cache_header, read_json, write_json
 from .hog import (
     DEFAULT_CONFIG,
     HogConfig,
@@ -421,9 +421,7 @@ def run_pipeline(config):
         hog_layout = descriptor_layout(manifest.resolution, config.hog_config)
         feature_dim = feature_count(manifest.resolution, config.hog_config)
 
-    with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8") as fh:
-        json.dump(config.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, CONFIG_FILE), config.as_dict())
 
     # each stage reads its upstream cache only when it recomputes
     with _stage("hog"):
@@ -528,9 +526,7 @@ def run_pipeline(config):
         "score": matrix.score,
         "populated_classes": matrix.populated_rows,
     }
-    with open(os.path.join(out_dir, PIPELINE_FILE), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, PIPELINE_FILE), summary)
     return report
 
 
@@ -543,18 +539,19 @@ _SUMMARY_FIELDS = {
 }
 
 
-def _check_summary(summary, path):
-    """Raise SchemaError unless every field describe reads has the type it reads."""
+def _check_summary(summary):
+    """Return ``summary``; SchemaError if a field describe reads has another type."""
     for key, (kind, item) in _SUMMARY_FIELDS.items():
         value = summary.get(key, kind())
         items = value.values() if isinstance(value, dict) else value
         if not isinstance(value, kind) or (
             item is not None and not all(isinstance(v, item) for v in items)
         ):
-            raise SchemaError(f"{path}: malformed {key!r} field: {value!r}")
+            raise SchemaError(f"malformed {key!r} field: {value!r}")
     score = summary.get("score", 0.0)
     if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise SchemaError(f"{path}: malformed 'score' field: {score!r}")
+        raise SchemaError(f"malformed 'score' field: {score!r}")
+    return summary
 
 
 def describe_artifacts(out_dir):
@@ -569,14 +566,7 @@ def describe_artifacts(out_dir):
         if trials is not None:
             return f"grid-search directory: {trials} trials logged in grid_log.csv"
         raise NotAPipelineDirError(f"{out_dir}: no {PIPELINE_FILE} found")
-    try:
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ParseError(f"{summary_path}: {exc}") from None
-    if not isinstance(summary, dict):
-        raise SchemaError(f"{summary_path}: expected a JSON object, found {type(summary).__name__}")
-    _check_summary(summary, summary_path)
+    summary = read_json(summary_path, _check_summary)
 
     lines = [f"pipeline run in {out_dir}"]
     dims = summary.get("dimensions", {})

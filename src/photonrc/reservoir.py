@@ -25,13 +25,13 @@ generator, consumed in a fixed order (B, then coupling positions, then
 coupling values) so a seed pins the reservoir down exactly.
 """
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError, SchemaError
+from .cache import read_json, write_json
+from .errors import SchemaError
 
 TWO_PI = 2.0 * np.pi
 PHASE_LEVELS = 256  # 8-bit modulator
@@ -347,25 +347,18 @@ def save_reservoir_spec(spec, path):
         "prng_family": spec.prng_family,
         "hyperparameters": spec.params.as_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_reservoir_spec(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return ReservoirSpec(
+    return read_json(
+        path,
+        lambda doc: ReservoirSpec(
             n_nodes=int(doc["n_nodes"]),
             input_dim=int(doc["input_dim"]),
             variant=str(doc["variant"]),
             params=HyperParams.from_dict(doc["hyperparameters"]),
             seed=int(doc["seed"]),
             prng_family=str(doc.get("prng_family", PRNG_FAMILY)),
-        )
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"{path}: malformed reservoir spec") from None
+        ),
+    )

@@ -28,7 +28,6 @@ seed), so the stacking and completion order never affect the outcome.
 
 import csv
 import itertools
-import json
 import math
 import os
 import time
@@ -37,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, PhotonRcError, SchemaError
+from .cache import read_json, write_json
+from .errors import PhotonRcError, SchemaError
 from .pipeline import (
     evaluate_readout,
     readout_equations,
@@ -161,19 +161,13 @@ def save_grid_spec(spec, path):
     doc.update(
         n_nodes=spec.n_nodes, variant=spec.variant, allow_out_of_range=spec.allow_out_of_range
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_grid_spec(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return GridSpec(
+    return read_json(
+        path,
+        lambda doc: GridSpec(
             feedback_gain=tuple(float(v) for v in doc["feedback_gain"]),
             input_gain=tuple(float(v) for v in doc["input_gain"]),
             coupling_gain=tuple(float(v) for v in doc["coupling_gain"]),
@@ -185,9 +179,8 @@ def load_grid_spec(path):
             variant=str(doc.get("variant", "intensity")),
             seeds=tuple(int(v) for v in doc.get("seeds", [0])),
             allow_out_of_range=bool(doc.get("allow_out_of_range", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed grid file ({exc})") from None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +197,26 @@ class TrialResult:
     status: str = "ok"
     error: str = ""
 
-    def key(self):
+    def cell(self):
+        """The grid cell: its four gains, ridge lambda and seed."""
         p = self.params
-        return _cell_key(
+        return (
             p.feedback_gain, p.input_gain, p.coupling_gain, p.coupling_density,
             self.ridge_lambda, self.seed,
         )
 
+    def key(self):
+        """The cell's sort key; auto lambda (None) sorts first."""
+        *gains, lam, seed = self.cell()
+        return (*gains, -math.inf if lam is None else float(lam), seed)
 
-def _cell_key(feedback_gain, input_gain, coupling_gain, coupling_density, ridge_lambda, seed):
-    """A cell's identity and sort key; auto lambda (None) sorts first and equals no number."""
-    lam = -math.inf if ridge_lambda is None else float(ridge_lambda)
-    return (feedback_gain, input_gain, coupling_gain, coupling_density, lam, seed)
+
+def _cell_fields(*cell):
+    """A cell's gains, lambda and seed as its grid-log row stores them; they
+    identify the cell on resume, where a NaN gain read back equals no float."""
+    *gains, lam, seed = cell
+    lam = "" if lam is None else repr(float(lam))
+    return tuple(repr(float(v)) for v in gains) + (lam, str(seed))
 
 
 # the failures a trial records as an error row instead of raising
@@ -304,19 +305,13 @@ def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequ
 
 
 def _result_row(result):
-    lam = "" if result.ridge_lambda is None else repr(float(result.ridge_lambda))
-    row = {
-        "feedback_gain": repr(result.params.feedback_gain),
-        "input_gain": repr(result.params.input_gain),
-        "coupling_gain": repr(result.params.coupling_gain),
-        "coupling_density": repr(result.params.coupling_density),
-        "ridge_lambda": lam,
-        "seed": str(result.seed),
-        "score": repr(float(result.score)) if math.isfinite(result.score) else "nan",
-        "wall_time": f"{result.wall_time:.6f}",
-        "status": result.status,
-        "error": result.error,
-    }
+    row = dict(zip(LOG_FIELDS, _cell_fields(*result.cell())))
+    row.update(
+        score=repr(float(result.score)) if math.isfinite(result.score) else "nan",
+        wall_time=f"{result.wall_time:.6f}",
+        status=result.status,
+        error=result.error,
+    )
     for name, value in zip(LOG_FIELDS[7:13], result.nmse_per_class):
         row[name] = repr(float(value)) if np.isfinite(value) else "nan"
     return row
@@ -406,8 +401,9 @@ def run_grid(
     group each).  Each stack is one :func:`_run_stack`: one lockstep
     reservoir run, then one readout per group and lambda.  With ``log_path``
     set, each finished trial is appended to the CSV checkpoint immediately;
-    ``resume=True`` skips cells already present, so a group whose cells are
-    all logged runs no reservoir.
+    ``resume=True`` skips the cells whose gains, lambda and seed the log
+    already stores (:func:`_cell_fields`), so a group whose cells are all
+    logged runs no reservoir.
 
     ``workers`` is accepted and has no effect: the grid runs on the calling
     thread, as its step loop holds the interpreter lock and its readouts
@@ -418,7 +414,7 @@ def run_grid(
     if resume and log_path and os.path.isfile(log_path):
         _drop_torn_row(log_path)  # its cell then runs again
         for result in read_grid_log(log_path):
-            done[result.key()] = result
+            done[_cell_fields(*result.cell())] = result
 
     log_fh = None
     on_result = None
@@ -437,7 +433,7 @@ def run_grid(
     groups = {}
     results = []
     for fg, ig, cg, cd, lam, seed in cells:
-        key = _cell_key(fg, ig, cg, cd, lam, seed)
+        key = _cell_fields(fg, ig, cg, cd, lam, seed)
         if key in done:
             results.append(done[key])
         else:

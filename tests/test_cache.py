@@ -1,13 +1,16 @@
-"""Binary feature-cache container: round trips, headers, corruption."""
+"""Binary feature-cache container: round trips, headers, corruption; the JSON rule."""
 
+import ast
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photonrc import cache
 from photonrc.cache import MAGIC, CacheRows, CacheWriter, read_cache, read_cache_header
-from photonrc.errors import ParseError
+from photonrc.errors import ParseError, SchemaError
 
 
 def _write_at_once(path, rows, layout=None):
@@ -199,3 +202,73 @@ def test_cache_rows_reject_what_read_cache_rejects(tmp_path, rng, damage):
     with pytest.raises(ParseError) as rows:
         CacheRows(path, [0, 1])
     assert str(rows.value) == str(whole.value)
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+def _json_calls(path):
+    """(enclosing top-level name, attribute) of each json.load or json.dump call in ``path``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("load", "dump")
+            ):
+                found.append((getattr(top, "name", None), node.func.attr))
+    return found
+
+
+def test_only_cache_reads_and_writes_json():
+    # save_manifest keeps its own unsorted writer: its bytes feed the manifest
+    # hash in every stage digest.  json.dumps (the digests) is another call.
+    calls = {path.name: _json_calls(path) for path in Path(cache.__file__).parent.glob("*.py")}
+    assert sorted(calls.pop("cache.py")) == [("read_json", "load"), ("write_json", "dump")]
+    assert {name: found for name, found in calls.items() if found} == {
+        "dataset.py": [("save_manifest", "dump")]
+    }
+
+
+def test_write_json_round_trips_through_read_json(tmp_path):
+    path = tmp_path / "doc.json"
+    cache.write_json(path, {"b": [1, None], "a": 0.5})
+    assert path.read_text() == '{\n  "a": 0.5,\n  "b": [\n    1,\n    null\n  ]\n}\n'
+    assert cache.read_json(path, lambda doc: doc) == {"a": 0.5, "b": [1, None]}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"a": "\xff"}', b'{"a": ', b"[" * 100_000 + b"]" * 100_000],
+    ids=["non-utf8", "not-json", "nested-too-deep"],
+)
+def test_read_json_names_a_file_it_cannot_parse(tmp_path, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        cache.read_json(path, lambda doc: doc)
+
+
+def _reject(doc):
+    raise SchemaError("unknown variant 'optical'")
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (_reject, "unknown variant 'optical'"),
+        (lambda doc: doc["missing"], "missing field 'missing'"),
+        (lambda doc: int(doc["b"][1]), "malformed field"),
+        (lambda doc: int(float("inf")), "malformed field"),
+        (lambda doc: float("x"), "malformed field"),
+    ],
+    ids=["SchemaError", "KeyError", "TypeError", "OverflowError", "ValueError"],
+)
+def test_read_json_turns_conversion_errors_into_schema_errors(tmp_path, build, message):
+    path = tmp_path / "doc.json"
+    cache.write_json(path, {"b": [1, None]})
+    with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: {message}"):
+        cache.read_json(path, build)

@@ -1,6 +1,8 @@
 """Exit codes and artifacts of the command-line interface."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ import pytest
 from photonrc.cache import CacheWriter, read_cache, read_cache_header
 from photonrc.cli import _hyperparams, build_parser, main
 from photonrc.hog import HogConfig, feature_count
-from photonrc.pipeline import PipelineConfig
+from photonrc.dataset import load_manifest
+from photonrc.errors import ParseError, SchemaError
+from photonrc.pipeline import PipelineConfig, describe_artifacts
+from photonrc.reservoir import load_reservoir_spec
 from photonrc.synthetic import generate_corpus
-from photonrc.tuning import GridSpec, save_grid_spec
+from photonrc.tuning import GridSpec, load_grid_spec, save_grid_spec
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +424,104 @@ def test_train_rejects_a_bad_lambda_before_writing(cli_env, tmp_path, capsys, ba
     assert code == 1
     assert "ridge_lambda" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each JSON input, damaged five ways: a data error (exit 2) naming the file.
+# The integer field of each document that the last two damages replace.
+INT_FIELDS = {"manifest": "split_seed", "grid": "n_nodes", "spec": "seed"}
+
+
+def _damaged(raw, damage, int_field=None):
+    """The bytes ``raw`` of a JSON object after ``damage``."""
+    if damage == "non-utf8":
+        return raw.replace(b'"', b'"\xff', 1)
+    if damage == "not-json":
+        return raw[: len(raw) // 2]
+    if damage == "array":
+        return b"[" + raw + b"]"
+    doc = json.loads(raw)
+    doc[int_field] = "INT"
+    return json.dumps(doc).replace('"INT"', "null" if damage == "null" else "1e400").encode()
+
+
+DAMAGES = ["non-utf8", "not-json", "array", "null", "1e400"]
+LOADERS = {
+    "manifest": load_manifest,
+    "grid": load_grid_spec,
+    "spec": load_reservoir_spec,
+    "pipeline": lambda path: describe_artifacts(os.path.dirname(path)),
+}
+
+
+@pytest.fixture(scope="module")
+def json_inputs(cli_env, tmp_path_factory):
+    """A sound file of each JSON input: manifest, grid spec, reservoir spec, pipeline.json."""
+    root = tmp_path_factory.mktemp("json_inputs")
+    grid = root / "grid.json"
+    save_grid_spec(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16), grid)
+    assert main([
+        "--out-dir", str(root / "run"), "pipeline", "run", "--manifest", cli_env["manifest"],
+        "--components", "12", "--n-nodes", "32", "--coupling-density", "0.05",
+    ]) == 0
+    return {
+        "manifest": cli_env["manifest"],
+        "grid": str(grid),
+        "spec": cli_env["spec"],
+        "pipeline": str(root / "run" / "pipeline.json"),
+    }
+
+
+def _damaged_copy(json_inputs, kind, damage, tmp_path):
+    source = json_inputs[kind]
+    path = tmp_path / os.path.basename(source)
+    with open(source, "rb") as fh:
+        path.write_bytes(_damaged(fh.read(), damage, INT_FIELDS.get(kind)))
+    return str(path)
+
+
+CASES = [(kind, damage) for kind in INT_FIELDS for damage in DAMAGES] + [
+    ("pipeline", damage) for damage in DAMAGES[:3]
+]
+
+
+@pytest.mark.parametrize("kind,damage", CASES)
+def test_a_damaged_json_input_is_named_by_its_loader(json_inputs, tmp_path, kind, damage):
+    path = _damaged_copy(json_inputs, kind, damage, tmp_path)
+    expected = ParseError if damage in ("non-utf8", "not-json") else SchemaError
+    with pytest.raises(expected, match=re.escape(path)):
+        LOADERS[kind](path)
+
+
+# the command reading each JSON input
+COMMANDS = {
+    "pipeline run": "manifest",
+    "train": "manifest",
+    "gridsearch": "grid",
+    "reservoir run": "spec",
+    "describe": "pipeline",
+}
+
+
+@pytest.mark.parametrize(
+    "command,damage",
+    [(command, damage) for command, kind in COMMANDS.items() for k, damage in CASES if k == kind],
+)
+def test_a_damaged_json_input_is_a_data_error(
+    cli_env, json_inputs, tmp_path, capsys, command, damage
+):
+    path = _damaged_copy(json_inputs, COMMANDS[command], damage, tmp_path)
+    argv = {
+        "pipeline run": ["pipeline", "run", "--manifest", path, "--components", "12"],
+        "train": ["train", "--states", cli_env["states"], "--manifest", path],
+        "gridsearch": [
+            "gridsearch", "--grid", path, "--manifest", cli_env["manifest"],
+            "--features", cli_env["features"],
+        ],
+        "reservoir run": ["reservoir", "run", "--features", cli_env["features"], "--spec", path],
+        "describe": ["describe", os.path.dirname(path)],
+    }[command]
+    assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+    assert path in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

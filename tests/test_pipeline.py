@@ -23,6 +23,7 @@ from photonrc import pipeline as pipeline_module
 from photonrc.hog import HogConfig, _vote_table
 from photonrc.pca import fit_pca, save_pca_model, transform
 from photonrc.pipeline import (
+    PIPELINE_FILE,
     PipelineConfig,
     derive_stream_seed,
     describe_artifacts,
@@ -49,10 +50,12 @@ GOLDEN_SHA256 = {
     "hog": "c91bb087a1b721f5791ecd1610976aac2ccb4768da2fc99b40cad9f33e538f3f",
     "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
     "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
+    "reservoir_spec": "ff67f7c9ad9f773654fe236e30ac095167669f0026a2291a08c1e5701d1f0d49",
     "readout_model": "46c0ad241017550697d6211f7ddfbd744ce07f0e38354bfd9896046f3111db3c",
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
     "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
     "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
+    "pipeline.json": "85a47f8383cd21b9d9256ba5ccbca83b57d6b86e0561d0e79f31694c9743fdd9",
 }
 
 
@@ -161,9 +164,9 @@ def test_golden_digests(pipe):
     out = Path(report.out_dir)
     got = {
         name: file_sha256(out / report.artifacts[name])
-        for name in ("hog", "features", "states", "readout_model")
+        for name in ("hog", "features", "states", "reservoir_spec", "readout_model")
     }
-    got.update({name: file_sha256(out / name) for name in RESULT_FILES})
+    got.update({name: file_sha256(out / name) for name in RESULT_FILES + (PIPELINE_FILE,)})
     assert got == GOLDEN_SHA256
 
 

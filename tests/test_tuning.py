@@ -394,6 +394,26 @@ def test_a_non_finite_gain_gets_an_error_row(prepared, tmp_path, axis, value):
     assert len(logged) == 1 and logged[0].error == bad.error
 
 
+def test_resume_does_not_rerun_a_logged_nan_gain_cell(prepared, tmp_path):
+    spec = _small_grid(feedback_gain=(0.5, math.nan), allow_out_of_range=True)
+    log = tmp_path / "grid_log.csv"
+    first = run_grid(spec, prepared, log_path=log)
+    for _ in range(2):
+        resumed = run_grid(spec, prepared, log_path=log, resume=True)
+        assert len(log.read_text().splitlines()) == 3  # header + 2 rows, no duplicate
+        assert [r.status for r in resumed] == [r.status for r in first] == ["ok", "error"]
+
+
+def test_resume_reads_a_grid_of_numpy_floats(prepared, tmp_path):
+    spec = _small_grid(feedback_gain=(np.float64(0.5), np.float64(0.7)))
+    log = tmp_path / "grid_log.csv"
+    first = run_grid(spec, prepared, log_path=log)
+    assert "np.float64" not in log.read_text()
+    resumed = run_grid(spec, prepared, log_path=log, resume=True)
+    assert len(log.read_text().splitlines()) == 3  # both cells were found in the log
+    assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in first]
+
+
 def test_a_failing_reservoir_fails_every_lambda_of_its_group(prepared):
     # density 1.0 needs more couplings than N=16 has off-diagonal slots
     spec = _small_grid(feedback_gain=(0.5,), coupling_density=(0.01, 1.0), ridge_lambda=LAMBDAS)
