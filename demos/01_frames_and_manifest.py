@@ -22,49 +22,50 @@ from photonrc.dataset import (
 )
 from photonrc.synthetic import generate_corpus
 
-work = Path(tempfile.mkdtemp(prefix="photonrc_demo_"))
+with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
+    work = Path(tmp)
 
-# Five subjects, six action classes, two repetitions each.
-manifest_path = generate_corpus(
-    work / "corpus",
-    n_subjects=5,
-    n_repetitions=2,
-    resolution=(60, 80),
-    frames_range=(24, 30),
-    seed=42,
-)
-print(f"manifest written to {manifest_path}")
+    # Five subjects, six action classes, two repetitions each.
+    manifest_path = generate_corpus(
+        work / "corpus",
+        n_subjects=5,
+        n_repetitions=2,
+        resolution=(60, 80),
+        frames_range=(24, 30),
+        seed=42,
+    )
+    print(f"manifest written to {manifest_path}")
 
-manifest = load_manifest(manifest_path)
-counts = manifest.counts()
-print(f"{len(manifest.sequences)} sequences at {manifest.resolution} "
-      f"(train {counts[Split.TRAIN]}, test {counts[Split.TEST]})")
+    manifest = load_manifest(manifest_path)
+    counts = manifest.counts()
+    print(f"{len(manifest.sequences)} sequences at {manifest.resolution} "
+          f"(train {counts[Split.TRAIN]}, test {counts[Split.TEST]})")
 
-# The split is stratified: every class keeps the same train share.
-for action in Action:
-    seqs = [s for s in manifest.sequences if s.action is action]
-    n_train = sum(1 for s in seqs if s.split is Split.TRAIN)
-    print(f"  {action.label:<13} {n_train} train / {len(seqs) - n_train} test")
+    # The split is stratified: every class keeps the same train share.
+    for action in Action:
+        seqs = [s for s in manifest.sequences if s.action is action]
+        n_train = sum(1 for s in seqs if s.split is Split.TRAIN)
+        print(f"  {action.label:<13} {n_train} train / {len(seqs) - n_train} test")
 
-# Single frames decode to uint8 arrays.
-seq = manifest.sequences[0]
-pixels = read_pgm(seq.frame_path(manifest.frame_store_root, 0))
-print(f"\nfirst frame of {seq.sequence_id}: shape {pixels.shape}, "
-      f"dtype {pixels.dtype}, mean {pixels.mean():.1f}")
+    # Single frames decode to uint8 arrays.
+    seq = manifest.sequences[0]
+    pixels = read_pgm(seq.frame_path(manifest.frame_store_root, 0))
+    print(f"\nfirst frame of {seq.sequence_id}: shape {pixels.shape}, "
+          f"dtype {pixels.dtype}, mean {pixels.mean():.1f}")
 
-# The pipeline consumes one concatenated stream over all sequences, in
-# manifest order; the frame index records where each sequence lives.
-index = index_frames(manifest)
-print(f"\nconcatenated stream: {index.total_frames} frames")
-for seq_id, start, stop, action in index.spans_for()[:4]:
-    print(f"  rows {start:>4}..{stop:<4} {seq_id} ({Action(action).label})")
-print("  ...")
+    # The pipeline consumes one concatenated stream over all sequences, in
+    # manifest order; the frame index records where each sequence lives.
+    index = index_frames(manifest)
+    print(f"\nconcatenated stream: {index.total_frames} frames")
+    for seq_id, start, stop, action in index.spans_for()[:4]:
+        print(f"  rows {start:>4}..{stop:<4} {seq_id} ({Action(action).label})")
+    print("  ...")
 
-# Streaming yields frames with their position inside the sequence.
-stream = stream_frames(manifest, split=Split.TEST)
-first = next(stream)
-print(f"\ntest-split stream starts at {first.sequence_id} "
-      f"frame {first.index_in_sequence}")
+    # Streaming yields frames with their position inside the sequence.
+    stream = stream_frames(manifest, split=Split.TEST)
+    first = next(stream)
+    print(f"\ntest-split stream starts at {first.sequence_id} "
+          f"frame {first.index_in_sequence}")
 
-mean_all = np.mean([f.pixels.mean() for f in stream_frames(manifest)])
-print(f"corpus mean intensity {mean_all:.2f} (deterministic for seed 42)")
+    mean_all = np.mean([f.pixels.mean() for f in stream_frames(manifest)])
+    print(f"corpus mean intensity {mean_all:.2f} (deterministic for seed 42)")

@@ -14,66 +14,70 @@ from pathlib import Path
 import numpy as np
 
 from photonrc.classify import classify_stream, confusion, score_line, write_confusion, write_sequence_results
-from photonrc.dataset import ACTIONS, Split, index_frames, load_manifest, stream_frames
-from photonrc.hog import hog_stack
+from photonrc.cache import read_cache
+from photonrc.dataset import ACTIONS, Split, index_frames, load_manifest
 from photonrc.pca import fit_pca, transform
+from photonrc.pipeline import extract_hog
 from photonrc.readout import apply_readout, encode_targets, nmse_per_output, train_ridge
 from photonrc.reservoir import HyperParams, generate_matrices, run_reservoir
 from photonrc.synthetic import generate_corpus
 
-work = Path(tempfile.mkdtemp(prefix="photonrc_demo_"))
-manifest = load_manifest(generate_corpus(
-    work / "corpus", n_subjects=3, n_repetitions=2,
-    resolution=(60, 80), frames_range=(24, 28), seed=5,
-))
-index = index_frames(manifest)
-train_rows = index.rows_for(Split.TRAIN)
+with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
+    work = Path(tmp)
+    manifest = load_manifest(generate_corpus(
+        work / "corpus", n_subjects=3, n_repetitions=2,
+        resolution=(60, 80), frames_range=(24, 28), seed=5,
+    ))
+    index = index_frames(manifest)
+    train_rows = index.rows_for(Split.TRAIN)
 
-# Features: HOG over every frame, PCA fitted on the train split only.
-values, _ = hog_stack(f.pixels for f in stream_frames(manifest))
-pca = fit_pca(values[train_rows], 24)
-feats = transform(pca, values)
+    # Features: the HOG stage's cache of every frame, PCA fitted on the train
+    # split only.
+    extract_hog(manifest, work / "hog.rcf")
+    values, _ = read_cache(work / "hog.rcf")
+    pca = fit_pca(values[train_rows], 24)
+    feats = transform(pca, values)
 
-# One fixed reservoir over the whole concatenated stream (no resets, the
-# default: state carries across sequence boundaries like the hardware).
-mats = generate_matrices(n_nodes=64, input_dim=24,
-                         params=HyperParams(0.8, 0.01, 0.1, 0.05), seed=0)
-states = run_reservoir(mats, feats)
-print(f"reservoir states: {states.shape}")
+    # One fixed reservoir over the whole concatenated stream (no resets, the
+    # default: state carries across sequence boundaries like the hardware).
+    mats = generate_matrices(n_nodes=64, input_dim=24,
+                             params=HyperParams(0.8, 0.01, 0.1, 0.05), seed=0)
+    states = run_reservoir(mats, feats)
+    print(f"reservoir states: {states.shape}")
 
-# Train on one-hot targets over train rows; lambda defaults to a
-# scale-adaptive value when not given.
-enc = encode_targets(index.frame_actions(Split.TRAIN))
-model = train_ridge(states[train_rows], enc.targets)
-print(f"readout weights {model.weights.shape}, "
-      f"ridge lambda {model.ridge_lambda:.4g} (auto)")
+    # Train on one-hot targets over train rows; lambda defaults to a
+    # scale-adaptive value when not given.
+    enc = encode_targets(index.frame_actions(Split.TRAIN))
+    model = train_ridge(states[train_rows], enc.targets)
+    print(f"readout weights {model.weights.shape}, "
+          f"ridge lambda {model.ridge_lambda:.4g} (auto)")
 
-# Per-output NMSE on the training rows (0 is perfect, 1 is the mean).
-errs = nmse_per_output(apply_readout(model, states[train_rows]), enc.targets)
-print("train NMSE per class:")
-for action, e in zip(ACTIONS, errs):
-    print(f"  {action.label:<13} {e:.3f}")
+    # Per-output NMSE on the training rows (0 is perfect, 1 is the mean).
+    errs = nmse_per_output(apply_readout(model, states[train_rows]), enc.targets)
+    print("train NMSE per class:")
+    for action, e in zip(ACTIONS, errs):
+        print(f"  {action.label:<13} {e:.3f}")
 
-# Per-frame winner-takes-all, then a majority vote per test sequence.
-outputs = apply_readout(model, states)
-decisions, truths = classify_stream(outputs, index.spans_for(Split.TEST))
-print(f"\n{len(decisions)} test sequences:")
-for d, t in zip(decisions[:4], truths[:4]):
-    mark = "ok " if d.class_index == t else "MISS"
-    print(f"  {mark} {d.sequence_id:<22} -> {ACTIONS[d.class_index].label:<13} "
-          f"(top frame share {d.frame_fractions.max():.2f})")
-print("  ...")
+    # Per-frame winner-takes-all, then a majority vote per test sequence.
+    outputs = apply_readout(model, states)
+    decisions, truths = classify_stream(outputs, index.spans_for(Split.TEST))
+    print(f"\n{len(decisions)} test sequences:")
+    for d, t in zip(decisions[:4], truths[:4]):
+        mark = "ok " if d.class_index == t else "MISS"
+        print(f"  {mark} {d.sequence_id:<22} -> {ACTIONS[d.class_index].label:<13} "
+              f"(top frame share {d.frame_fractions.max():.2f})")
+    print("  ...")
 
-cm = confusion(decisions, truths)
-print(f"\nconfusion percentages (rows = truth):")
-for action, row in zip(ACTIONS, cm.percentages):
-    print(f"  {action.label:<13} " + " ".join(f"{v:5.1f}" for v in row))
-print(score_line(cm))
+    cm = confusion(decisions, truths)
+    print(f"\nconfusion percentages (rows = truth):")
+    for action, row in zip(ACTIONS, cm.percentages):
+        print(f"  {action.label:<13} " + " ".join(f"{v:5.1f}" for v in row))
+    print(score_line(cm))
 
-# Both result tables serialize to CSV.
-write_sequence_results(work / "sequence_results.csv", decisions, truths)
-write_confusion(work / "confusion.csv", cm)
-head = (work / "sequence_results.csv").read_text().splitlines()
-print(f"\nsequence_results.csv ({len(head)} lines):")
-for line in head[:3]:
-    print(f"  {line}")
+    # Both result tables serialize to CSV.
+    write_sequence_results(work / "sequence_results.csv", decisions, truths)
+    write_confusion(work / "confusion.csv", cm)
+    head = (work / "sequence_results.csv").read_text().splitlines()
+    print(f"\nsequence_results.csv ({len(head)} lines):")
+    for line in head[:3]:
+        print(f"  {line}")

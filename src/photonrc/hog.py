@@ -264,14 +264,3 @@ def feature_count(resolution, config=DEFAULT_CONFIG):
     layout = descriptor_layout(resolution, config)
     return int(np.prod(layout))
 
-
-def hog_stack(frames, config=DEFAULT_CONFIG):
-    """Descriptors for an iterable of frame arrays, stacked as (n, D) float64."""
-    rows = []
-    layout = None
-    for pixels in frames:
-        values, layout = hog_descriptor(pixels, config)
-        rows.append(values)
-    if not rows:
-        raise DimensionError("no frames to describe")
-    return np.vstack(rows), layout

@@ -131,6 +131,9 @@ class PipelineConfig:
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
         if self.pca_fit_on not in ("train", "all"):
             raise ValueError(f"pca_fit_on must be 'train' or 'all', got {self.pca_fit_on!r}")
+        for name in ("pca_components", "n_nodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         check_ridge_lambda(self.ridge_lambda)
 
     def as_dict(self):
@@ -560,8 +563,8 @@ def describe_artifacts(out_dir):
     grid_log = os.path.join(out_dir, "grid_log.csv")
     trials = None
     if os.path.isfile(grid_log):
-        with open(grid_log, "r", encoding="utf-8") as fh:
-            trials = max(0, sum(1 for _ in fh) - 1)
+        from .tuning import logged_trials  # tuning imports this module
+        trials = len(logged_trials(grid_log))
     if not os.path.isfile(summary_path):
         if trials is not None:
             return f"grid-search directory: {trials} trials logged in grid_log.csv"

@@ -326,6 +326,9 @@ class ReservoirSpec:
     prng_family: str = PRNG_FAMILY
 
     def __post_init__(self):
+        for name in ("n_nodes", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.variant not in VARIANTS:
             raise SchemaError(f"unknown variant {self.variant!r}")
         if self.prng_family != PRNG_FAMILY:

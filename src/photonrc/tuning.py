@@ -126,6 +126,8 @@ class GridSpec:
                 raise ValueError(f"{name} value list is empty")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
         for lam in self.ridge_lambda:
             check_ridge_lambda(lam)
         allow = self.allow_out_of_range
@@ -334,23 +336,31 @@ def _row_result(row):
 
 
 def read_grid_log(path):
-    """Load previously completed trials from a checkpoint CSV."""
+    """Load the trials of a checkpoint CSV, but for a last row that lacks its
+    newline (see :func:`_drop_torn_row`); the file itself is left as it is.
+    A byte that is not UTF-8 reads as U+FFFD; in a number it makes the row malformed."""
+    with open(path, "r", newline="", encoding="utf-8", errors="replace") as fh:
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
     results = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return results
-        missing = set(LOG_FIELDS) - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: grid log missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                results.append(_row_result(row))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(
-                    f"{path}: malformed grid-log row at line {reader.line_num}"
-                ) from exc
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None:
+        return results
+    missing = set(LOG_FIELDS) - set(reader.fieldnames)
+    if missing:
+        raise SchemaError(f"{path}: grid log missing columns {sorted(missing)}")
+    for row in reader:
+        try:
+            results.append(_row_result(row))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: malformed grid-log row at line {reader.line_num}") from exc
     return results
+
+
+def logged_trials(path):
+    """The trials of a grid log by :func:`_cell_fields`; a cell's last row wins."""
+    return {_cell_fields(*result.cell()): result for result in read_grid_log(path)}
 
 
 def _drop_torn_row(path):
@@ -412,9 +422,8 @@ def run_grid(
     cells = spec.cells()
     done = {}
     if resume and log_path and os.path.isfile(log_path):
+        done = logged_trials(log_path)
         _drop_torn_row(log_path)  # its cell then runs again
-        for result in read_grid_log(log_path):
-            done[_cell_fields(*result.cell())] = result
 
     log_fh = None
     on_result = None

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from photonrc.cache import CacheRows
 from photonrc.classify import SequenceDecision, confusion
-from photonrc.dataset import Split, index_frames, load_manifest, stream_frames
-from photonrc.hog import feature_count, hog_descriptor, hog_stack
-from photonrc.pca import fit_pca, transform
+from photonrc.dataset import load_manifest
+from photonrc.hog import feature_count, hog_descriptor
+from photonrc.pca import fit_pca
 from photonrc.pipeline import (
     PipelineConfig,
     extract_hog,
@@ -87,11 +88,11 @@ def test_criterion_03_pca_eigenvalue_recovery():
 
 
 @pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
-def test_criterion_03_kth_explained_variance():
-    manifest = load_manifest(KTH_MANIFEST)
-    values, _ = hog_stack(f.pixels for f in stream_frames(manifest))
-    index = index_frames(manifest)
-    model = fit_pca(values[index.rows_for(Split.TRAIN)], 2000)
+def test_criterion_03_kth_explained_variance(tmp_path):
+    hog_path = tmp_path / "hog.rcf"
+    extract_hog(load_manifest(KTH_MANIFEST), hog_path)
+    rows = pca_fit_rows(prepare_data(KTH_MANIFEST, None), "train")
+    model = fit_pca(CacheRows(hog_path, rows), 2000)
     fraction = model.explained_fraction()
     ok = abs(fraction - 0.916) <= 0.02
     _verdict(3, ok, f"first 2000 components explain {100 * fraction:.2f}%")
@@ -222,13 +223,13 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
 
 
 @pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
-def test_criterion_09_full_scale_reproduction():
-    manifest = load_manifest(KTH_MANIFEST)
-    index = index_frames(manifest)
-    values, _ = hog_stack(f.pixels for f in stream_frames(manifest))
-    model = fit_pca(values[index.rows_for(Split.TRAIN)], 2000)
-    features = transform(model, values).astype(np.float32)
-    data = prepare_data(KTH_MANIFEST, features)
+def test_criterion_09_full_scale_reproduction(tmp_path):
+    hog_path = tmp_path / "hog.rcf"
+    extract_hog(load_manifest(KTH_MANIFEST), hog_path)
+    rows = pca_fit_rows(prepare_data(KTH_MANIFEST, None), "train")
+    pca = fit_pca_model(hog_path, rows, 2000, tmp_path / "pca.bin")
+    project(pca, hog_path, tmp_path / "features.rcf")
+    data = prepare_data(KTH_MANIFEST, tmp_path / "features.rcf")
 
     def best_score(n_nodes, seed):
         spec = GridSpec(

@@ -264,9 +264,48 @@ def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
 
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):
-    (tmp_path / "grid_log.csv").write_text("header\nrow\n")
+    grid_path = tmp_path / "grid.json"
+    save_grid_spec(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16), grid_path)
+    assert main([
+        "--out-dir", str(tmp_path), "gridsearch", "--grid", str(grid_path),
+        "--manifest", cli_env["manifest"], "--features", cli_env["features"],
+    ]) == 0
     assert main(["--out-dir", str(tmp_path), "describe"]) == 0
     assert "grid-search directory: 1 trials" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [lambda row: row[:-10], lambda row: row],
+    ids=["torn-third-row", "first-row-logged-again"],
+)
+def test_describe_counts_the_trials_a_resume_keeps(cli_env, tmp_path, capsys, tail):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "grid_log.csv"
+    assert main(argv) == 0
+    first_row = log.read_bytes().splitlines(keepends=True)[1]
+    with open(log, "ab") as fh:
+        fh.write(tail(first_row))
+    damaged = log.read_bytes()
+    assert main(["describe", str(tmp_path)]) == 0
+    assert "grid-search directory: 2 trials" in capsys.readouterr().out
+    assert log.read_bytes() == damaged  # describe writes nothing
+    assert main(argv + ["--resume"]) == 0
+    assert "2 trials (0 failed)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda log: b"header\nrow\n", lambda log: log.replace(b"\n0.", b"\n\xff.", 1)],
+    ids=["no-log-columns", "non-utf8-gain"],
+)
+def test_describe_rejects_a_log_that_is_not_a_grid_log(cli_env, tmp_path, capsys, damage):
+    assert main(_gridsearch_argv(cli_env, tmp_path)) == 0
+    log = tmp_path / "grid_log.csv"
+    log.write_bytes(damage(log.read_bytes()))
+    capsys.readouterr()
+    assert main(["describe", str(tmp_path)]) == 2
+    assert str(log) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +436,10 @@ def test_evaluate_rejects_a_readout_of_the_wrong_size(cli_env, tmp_path, capsys,
         ["--lambda", "-1"],
         ["--lambda", "nan"],
         ["--lambda", "inf"],
+        ["--n-nodes", "-3"],
+        ["--n-nodes", "0"],
+        ["--components", "0"],
+        ["--components", "-1"],
     ],
 )
 def test_pipeline_run_rejects_bad_gains_and_lambdas_before_any_stage(
@@ -412,6 +455,17 @@ def test_pipeline_run_rejects_bad_gains_and_lambdas_before_any_stage(
     name = "ridge_lambda" if flag == "--lambda" else flag[2:].replace("-", "_")
     assert name in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("n_nodes", ["-3", "0"])
+def test_reservoir_run_rejects_a_node_count_below_one(cli_env, tmp_path, capsys, n_nodes):
+    code = main([
+        "reservoir", "run", "--features", cli_env["features"], "--n-nodes", n_nodes,
+        "--save-spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "states.rcf"),
+    ])
+    assert code == 1
+    assert "n_nodes must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
@@ -522,6 +576,37 @@ def test_a_damaged_json_input_is_a_data_error(
     }[command]
     assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_nodes", [0, -4])
+def test_gridsearch_rejects_a_node_count_below_one(cli_env, tmp_path, capsys, n_nodes):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    grid_path = tmp_path / "grid.json"
+    doc = json.loads(grid_path.read_text())
+    doc["n_nodes"] = n_nodes
+    grid_path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(grid_path) in err and "n_nodes must be at least 1" in err
+    assert not (tmp_path / "grid_log.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["n_nodes", "input_dim"])
+def test_reservoir_run_rejects_a_spec_count_below_one(cli_env, tmp_path, capsys, field):
+    spec = tmp_path / "spec.json"
+    with open(cli_env["spec"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = 0
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "states.rcf"
+    code = main([
+        "reservoir", "run", "--features", cli_env["features"], "--spec", str(spec),
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(spec) in err and f"{field} must be at least 1" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

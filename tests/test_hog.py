@@ -16,7 +16,6 @@ from photonrc.hog import (
     gradient,
     gradient_field,
     hog_descriptor,
-    hog_stack,
 )
 
 from _oracles import cell_histograms_oracle, hog_oracle
@@ -256,16 +255,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HogConfig(normalization_epsilon=0.0)
     assert DEFAULT_CONFIG.bin_width == 20.0
-
-
-def test_hog_stack_shapes(rng):
-    frames = [rng.uniform(0, 255, size=(24, 24)) for _ in range(3)]
-    stacked, layout = hog_stack(frames)
-    assert stacked.shape == (3, feature_count((24, 24)))
-    single, _ = hog_descriptor(frames[1])
-    np.testing.assert_array_equal(stacked[1], single)
-    with pytest.raises(DimensionError):
-        hog_stack([])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end pipeline: artifacts, caching, digests, reproducibility."""
 
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -34,7 +35,7 @@ from photonrc.pipeline import (
 )
 from photonrc.readout import TRANSFORM_NONLINEAR_PHASE, TRANSFORM_RAW
 from photonrc.reservoir import HyperParams
-from photonrc.tuning import run_trial
+from photonrc.tuning import GridSpec, run_grid, run_trial
 
 PARAMS = HyperParams(
     feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.05
@@ -48,6 +49,7 @@ RESULT_FILES = ("sequence_results.csv", "confusion.csv", "score.txt")
 # holds an absolute frame_store_root, so they change with the directory.
 GOLDEN_SHA256 = {
     "hog": "c91bb087a1b721f5791ecd1610976aac2ccb4768da2fc99b40cad9f33e538f3f",
+    "pca_model": "7a1a6748847c412520316fa44b11f5903c6f0cb3464217bc9a5c853ec6ac5895",
     "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
     "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
     "reservoir_spec": "ff67f7c9ad9f773654fe236e30ac095167669f0026a2291a08c1e5701d1f0d49",
@@ -123,6 +125,10 @@ def test_config_validation(tiny_corpus, tmp_path):
         with pytest.raises(ValueError, match="ridge_lambda"):
             _config(tiny_corpus, tmp_path, ridge_lambda=bad)
     assert _config(tiny_corpus, tmp_path, ridge_lambda=0.0).ridge_lambda == 0.0
+    for field in ("pca_components", "n_nodes"):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+                _config(tiny_corpus, tmp_path, **{field: count})
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_golden_digests(pipe):
     out = Path(report.out_dir)
     got = {
         name: file_sha256(out / report.artifacts[name])
-        for name in ("hog", "features", "states", "reservoir_spec", "readout_model")
+        for name in ("hog", "pca_model", "features", "states", "reservoir_spec", "readout_model")
     }
     got.update({name: file_sha256(out / name) for name in RESULT_FILES + (PIPELINE_FILE,)})
     assert got == GOLDEN_SHA256
@@ -526,6 +532,85 @@ def test_impossible_coupling_fails_in_reservoir_stage(pipe, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# A crash in the middle of each stage
+
+def _crash_on_call(number, real):
+    """``real``, except that its call ``number`` (counted from 0) raises."""
+    calls = itertools.count()
+
+    def crashing(*args, **kwargs):
+        if next(calls) == number:
+            raise OSError("simulated crash")
+        return real(*args, **kwargs)
+
+    return crashing
+
+
+def _crash_in(stage, monkeypatch):
+    """Make ``stage`` raise after a partial write; returns the artifacts it
+    writes before it raises."""
+    if stage == "hog":  # after five frames
+        real = pipeline_module.hog_descriptor
+        monkeypatch.setattr(pipeline_module, "hog_descriptor", _crash_on_call(5, real))
+        return ("hog",)
+    if stage == "pca":  # on the second chunk of the projection
+        monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+        real = pipeline_module.transform
+        monkeypatch.setattr(pipeline_module, "transform", _crash_on_call(1, real))
+        return ("pca_model", "features")
+    if stage == "reservoir":  # after writing half the states
+
+        class HalfWriter(CacheWriter):
+            def append(self, rows):
+                super().append(rows[: len(rows) // 2])
+                raise OSError("simulated crash")
+
+        monkeypatch.setattr(pipeline_module, "CacheWriter", HalfWriter)
+        return ("states",)
+    if stage == "train":  # after writing a cut readout
+        real = pipeline_module.save_readout_model
+
+        def save_cut(model, path):
+            real(model, path)
+            Path(path).write_bytes(Path(path).read_bytes()[:-100])
+            raise OSError("simulated crash")
+
+        monkeypatch.setattr(pipeline_module, "save_readout_model", save_cut)
+        return ("readout_model",)
+    # evaluate: after writing sequence_results.csv
+    real = pipeline_module.write_confusion
+    monkeypatch.setattr(pipeline_module, "write_confusion", _crash_on_call(0, real))
+    return ("sequence_results",)
+
+
+@pytest.mark.parametrize("stage", ["hog", "pca", "reservoir", "train", "evaluate"])
+def test_a_crash_in_the_middle_of_a_stage_is_recomputed_on_reuse(
+    pipe, tmp_path, monkeypatch, stage
+):
+    # the crash runs on a copy of the cold run without pipeline.json, the
+    # result files and the stage's own artifacts
+    config, report = pipe
+    cold = Path(report.out_dir)
+    copy_dir = tmp_path / "crashed"
+    shutil.copytree(cold, copy_dir)
+    written = [report.artifacts[key] for key in _crash_in(stage, monkeypatch)]
+    for name in {*written, *RESULT_FILES, PIPELINE_FILE}:
+        (copy_dir / name).unlink()
+    crashing = dataclasses.replace(config, out_dir=str(copy_dir))
+    with pytest.raises(PipelineStageError, match=f"stage '{stage}' failed") as info:
+        run_pipeline(crashing)
+    assert info.value.stage == stage
+    assert all((copy_dir / name).exists() for name in written)
+    monkeypatch.undo()
+
+    again = run_pipeline(crashing)
+    assert again.artifacts == report.artifacts
+    for name in (*report.artifacts.values(), PIPELINE_FILE):
+        assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), name
+    assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir)
+
+
+# ---------------------------------------------------------------------------
 # describe
 
 def test_describe_lists_artifacts_and_score(pipe):
@@ -564,8 +649,11 @@ def test_describe_flags_a_truncated_cache(pipe, tmp_path):
     assert f"{len(data)} bytes" in line  # the size the header announces
 
 
-def test_describe_grid_only_directory(tmp_path):
-    (tmp_path / "grid_log.csv").write_text("header\nrow1\nrow2\n")
+def test_describe_grid_only_directory(pipe, tmp_path):
+    config, report = pipe
+    data = prepare_data(config.manifest_path, Path(report.out_dir) / report.artifacts["features"])
+    spec = GridSpec((0.5, 0.8), (0.01,), (0.1,), (0.05,), n_nodes=16)
+    run_grid(spec, data, log_path=tmp_path / "grid_log.csv")
     text = describe_artifacts(tmp_path)
     assert text == "grid-search directory: 2 trials logged in grid_log.csv"
 

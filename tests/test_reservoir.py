@@ -580,3 +580,13 @@ def test_reservoir_spec_validation(tmp_path):
     path.write_text("{}")
     with pytest.raises(SchemaError):
         load_reservoir_spec(path)
+    sound = dict(n_nodes=8, input_dim=2, variant="phase", params=params, seed=0)
+    for field in ("n_nodes", "input_dim"):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+                ReservoirSpec(**{**sound, field: count})
+            save_reservoir_spec(ReservoirSpec(**sound), path)
+            text = path.read_text()
+            path.write_text(text.replace(f'"{field}": {sound[field]}', f'"{field}": {count}'))
+            with pytest.raises(SchemaError, match=f"{field} must be at least 1"):
+                load_reservoir_spec(path)

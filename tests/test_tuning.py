@@ -24,6 +24,7 @@ from photonrc.tuning import (
     best_trial,
     default_grid,
     load_grid_spec,
+    logged_trials,
     read_grid_log,
     run_grid,
     run_trial,
@@ -95,6 +96,19 @@ def test_invalid_lambda_rejected(bad, tmp_path):
     doc["ridge_lambda"] = [None, bad]
     path.write_text(json.dumps(doc))  # nan and inf as NaN and Infinity
     with pytest.raises(SchemaError, match="ridge_lambda"):
+        load_grid_spec(path)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -4])
+def test_node_count_below_one_rejected(n_nodes, tmp_path):
+    with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+        _small_grid(n_nodes=n_nodes)
+    path = tmp_path / "grid.json"
+    save_grid_spec(_small_grid(), path)
+    doc = json.loads(path.read_text())
+    doc["n_nodes"] = n_nodes
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="n_nodes must be at least 1"):
         load_grid_spec(path)
 
 
@@ -210,11 +224,27 @@ def test_run_grid_logs_and_resumes(prepared, tmp_path):
 def test_resume_reruns_a_torn_last_row(prepared, tmp_path):
     log = tmp_path / "grid_log.csv"
     full = run_grid(_small_grid(), prepared, workers=1, log_path=log)
-    log.write_bytes(log.read_bytes()[:-40])  # a crash in the middle of the last row
+    first, _ = read_grid_log(log)
+    torn = log.read_bytes()[:-40]  # a crash in the middle of the last row
+    log.write_bytes(torn)
+    assert [r.key() for r in read_grid_log(log)] == [first.key()]
+    assert log.read_bytes() == torn  # the reader skips the torn row and writes nothing
     resumed = run_grid(_small_grid(), prepared, workers=1, log_path=log, resume=True)
     assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in full]
     assert log.read_bytes().endswith(b"\n")
     assert sorted(r.key() for r in read_grid_log(log)) == sorted(r.key() for r in full)
+
+
+def test_logged_trials_keeps_the_last_row_of_a_cell(prepared, tmp_path):
+    log = tmp_path / "grid_log.csv"
+    run_grid(_small_grid(), prepared, log_path=log)
+    header, first, second = log.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    fields[6] = "12.5"  # score
+    log.write_text(header + first + second + ",".join(fields))
+    trials = logged_trials(log)
+    assert len(read_grid_log(log)) == 3 and len(trials) == 2
+    assert [r.score for r in trials.values()].count(12.5) == 1
 
 
 def test_resume_rejects_a_malformed_inner_row(prepared, tmp_path):
