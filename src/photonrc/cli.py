@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .cache import CacheRows, CacheWriter, read_cache, read_cache_header
+from .cache import CacheRows, read_cache_header
 from .classify import score_line
 from .dataset import load_manifest
 from .errors import DataError, NumericalError, PipelineStageError, SchemaError
@@ -22,6 +22,7 @@ from .pca import load_pca_model
 from .pipeline import (
     PipelineConfig,
     describe_artifacts,
+    drive_reservoir,
     evaluate_readout,
     extract_hog,
     fit_pca_model,
@@ -29,7 +30,6 @@ from .pipeline import (
     prepare_data,
     project,
     reservoir_spec,
-    reservoir_states,
     run_pipeline,
     train_readout,
     write_results,
@@ -106,7 +106,6 @@ def build_parser():
     p.add_argument("--states", required=True, help="reservoir state cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--lambda", dest="ridge_lambda", type=float, default=None)
-    p.add_argument("--variant", choices=["intensity", "phase"], default="intensity")
     p.add_argument("--out", default=None, help="model file (default <out-dir>/readout.bin)")
     p.set_defaults(func=cmd_train)
 
@@ -201,35 +200,31 @@ def cmd_pca_transform(args):
 
 
 def cmd_reservoir_run(args):
-    values, _ = read_cache(args.features)
+    features = CacheRows(args.features)  # counted here, read by drive_reservoir
+    dim = features.shape[1]
     if args.spec:
         spec = load_reservoir_spec(args.spec)
-        if spec.input_dim != values.shape[1]:
-            raise SchemaError(
-                f"spec expects {spec.input_dim}-wide inputs, cache has {values.shape[1]}"
-            )
+        if spec.input_dim != dim:
+            raise SchemaError(f"spec expects {spec.input_dim}-wide inputs, cache has {dim}")
     else:
-        spec = reservoir_spec(
-            args.n_nodes, values.shape[1], args.variant, _hyperparams(args), args.seed
-        )
+        spec = reservoir_spec(args.n_nodes, dim, args.variant, _hyperparams(args), args.seed)
     spans = None
     if args.reset_per_sequence:
         if not args.manifest:
             raise _UsageError("--reset-per-sequence requires --manifest")
-        spans = prepare_data(args.manifest, values).all_spans
+        spans = prepare_data(args.manifest, features).all_spans
     if args.save_spec:
         os.makedirs(os.path.dirname(os.path.abspath(args.save_spec)), exist_ok=True)
         save_reservoir_spec(spec, args.save_spec)
     out = _out_path(args, args.out, "states.rcf")
-    with CacheWriter(out, spec.n_nodes) as writer:
-        writer.append(reservoir_states([spec], values, spans))
-    print(f"wrote {out}: {values.shape[0]} steps x {spec.n_nodes} nodes ({spec.variant})")
+    steps = drive_reservoir(spec, args.features, out, spans)
+    print(f"wrote {out}: {steps} steps x {spec.n_nodes} nodes ({spec.variant})")
     return 0
 
 
 def cmd_train(args):
     data = prepare_data(args.manifest, args.states)
-    model = train_readout(data.features, data, args.ridge_lambda, args.variant)
+    model = train_readout(data.features, data, args.ridge_lambda)
     out = _out_path(args, args.out, "readout.bin")
     save_readout_model(model, out)
     print(

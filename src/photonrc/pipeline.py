@@ -2,7 +2,7 @@
 
 The stage bodies are written once here, as plain functions on arrays and
 paths: :func:`extract_hog`, :func:`fit_pca_model`, :func:`project`,
-:func:`reservoir_states`, :func:`train_readout`, :func:`evaluate_readout`
+:func:`drive_reservoir`, :func:`train_readout`, :func:`evaluate_readout`
 and :func:`write_results`.  :func:`run_pipeline`, the CLI stage commands
 and the grid trials all call them, and :func:`prepare_data` binds a cache
 of per-frame rows to its manifest's splits for every one of them.
@@ -63,8 +63,6 @@ from .errors import NotAPipelineDirError, ParseError, PhotonRcError, PipelineSta
 from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
 from .readout import (
     N_CLASSES,
-    TRANSFORM_NONLINEAR_PHASE,
-    TRANSFORM_RAW,
     apply_readout,
     check_ridge_lambda,
     encode_targets,
@@ -257,11 +255,6 @@ def _is_complete(path, read_header, *shape):
         return False
 
 
-def feature_transform_for(variant):
-    """Phase-variant states are read through the intensity response."""
-    return TRANSFORM_NONLINEAR_PHASE if variant == "phase" else TRANSFORM_RAW
-
-
 # ---------------------------------------------------------------------------
 # Stage bodies
 
@@ -321,14 +314,15 @@ def reservoir_spec(n_nodes, input_dim, variant, params, seed):
 
 
 def reservoir_states(specs, inputs, spans=None):
-    """Drive the reservoirs ``specs`` describe with ``inputs``; returns float32 states.
+    """Drive the reservoirs ``specs`` describe with ``inputs``; returns their
+    detector readings (:func:`run_reservoir`) in float32, whichever the variant.
 
     The reservoirs, which share one variant, step in lockstep as one
     block-diagonal reservoir (:func:`stack_matrices`): the result holds each
     spec's N columns side by side in spec order, each equal to that spec's
     own run.  ``spans`` lists (sequence_id, start, stop, action) tuples
-    whose starts reset the state; None runs one unbroken stream.  The states
-    are rounded to float32 as the state cache stores them, so an in-memory
+    whose starts reset the state; None runs one unbroken stream.  The
+    readings are float32 as the state cache stores them, so an in-memory
     trial sees exactly the values a pipeline run reads back.
     """
     variants = {spec.variant for spec in specs}
@@ -340,29 +334,36 @@ def reservoir_states(specs, inputs, spans=None):
     return run_reservoir(matrices, inputs, variant=variants.pop(), spans=spans, dtype=np.float32)
 
 
+def drive_reservoir(spec, features_path, path, spans=None):
+    """Write the readings of the reservoir ``spec`` describes, driven by the
+    feature cache at ``features_path``, to a state cache; returns the row count.
+
+    ``spans`` is as for :func:`reservoir_states`.
+    """
+    features, _ = read_cache(features_path)
+    with CacheWriter(path, spec.n_nodes) as writer:
+        writer.append(reservoir_states([spec], features, spans))
+    return features.shape[0]
+
+
 def _train_set(states, data):
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
     return states[data.train_rows], data.targets[data.train_rows]
 
 
-def readout_equations(states, data, variant):
+def readout_equations(states, data):
     """The normal equations of a readout on the train rows of ``states``."""
-    return normal_equations(*_train_set(states, data), feature_transform_for(variant))
+    return normal_equations(*_train_set(states, data))
 
 
-def train_readout(states, data, ridge_lambda, variant, normal=None):
+def train_readout(states, data, ridge_lambda, normal=None):
     """Ridge-train the readout on the train rows of ``states``.
 
     ``normal`` is :func:`readout_equations` of the same states, for a caller
     that trains several lambdas on them.
     """
-    return train_ridge(
-        *_train_set(states, data),
-        ridge_lambda=ridge_lambda,
-        feature_transform=feature_transform_for(variant),
-        normal=normal,
-    )
+    return train_ridge(*_train_set(states, data), ridge_lambda=ridge_lambda, normal=normal)
 
 
 def evaluate_readout(model, states, data):
@@ -472,17 +473,17 @@ def run_pipeline(config):
                 "hyperparameters": config.params.as_dict(),
                 "seed": spec.seed,
                 "reset_per_sequence": config.reset_per_sequence,
+                # what the state cache holds, in both variants: a phase state
+                # cache that holds phases has no digest with this key
+                "states": "readings",
             },
             ("reservoir_spec", "reservoir_{}.json"),
             ("states", "states_{}.rcf"),
         )
         save_reservoir_spec(spec, spec_path)
         if not (reuse and _is_complete(states_path, readers["states"], n_frames, config.n_nodes)):
-            features, _ = read_cache(features_path)
             spans = data.all_spans if config.reset_per_sequence else None
-            with CacheWriter(states_path, config.n_nodes) as writer:
-                writer.append(reservoir_states([spec], features, spans))
-            del features
+            drive_reservoir(spec, features_path, states_path, spans)
         states, _ = read_cache(states_path)
 
     with _stage("train"):
@@ -494,7 +495,7 @@ def run_pipeline(config):
         if not (
             reuse and _is_complete(readout_path, readers["readout_model"], N_CLASSES, config.n_nodes)
         ):
-            trained = train_readout(states, data, config.ridge_lambda, config.variant)
+            trained = train_readout(states, data, config.ridge_lambda)
             save_readout_model(trained, readout_path)
         model = load_readout_model(readout_path)
 

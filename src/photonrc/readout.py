@@ -6,10 +6,9 @@ training solves the regularized normal equations
 
     (X'X + lambda I) W = X'D
 
-and the readout output is y = X W.  When the reservoir runs in the phase
-variant, the detector sees intensities rather than phases, so the readout
-reads f(x) = q10(sin^2 x) of the state; that choice is recorded on the
-model as its feature transform and applied automatically.
+and the readout output is y = X W.  X holds what the detector reads,
+q10(sin^2) of every node, in both reservoir variants, so training and
+evaluation use the stored values as they are.
 
 For wide state matrices (more nodes than frames) the equations are solved
 through the dual system (XX' + lambda I) A = D with W = X'A, which
@@ -33,15 +32,10 @@ from .errors import (
     ParseError,
     SingularError,
 )
-from .reservoir import PHASE_LEVELS, PHASE_STEP, detect
 
 N_CLASSES = 6
 RESIDUAL_RTOL = 1e-6
 DEFAULT_LAMBDA_SCALE = 1e-4  # lambda = scale * trace(X'X) / N when unspecified
-
-TRANSFORM_RAW = "raw"
-TRANSFORM_NONLINEAR_PHASE = "nonlinear-phase"
-_TRANSFORMS = (TRANSFORM_RAW, TRANSFORM_NONLINEAR_PHASE)
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,8 @@ def encode_targets(frame_classes, n_classes=N_CLASSES):
 class ReadoutModel:
     weights: np.ndarray  # (M, N): output = states @ weights.T
     ridge_lambda: float
-    feature_transform: str = TRANSFORM_RAW
 
     def __post_init__(self):
-        if self.feature_transform not in _TRANSFORMS:
-            raise ValueError(f"unknown feature transform {self.feature_transform!r}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("readout weights must be finite")
 
@@ -82,34 +73,6 @@ class ReadoutModel:
     @property
     def n_features(self):
         return self.weights.shape[1]
-
-
-# the phase grid k * 2pi/256 as the float32 state cache stores it, and f(x) of it
-_GRID32 = (np.arange(PHASE_LEVELS) * PHASE_STEP).astype(np.float32).astype(np.float64)
-_RESPONSE32 = detect(_GRID32)
-
-
-def _detect_states(X):
-    """detect(X), looked up by phase code when every value of X is in :data:`_GRID32`.
-
-    Rounding X to its nearest code and comparing the code's grid value with
-    X is exact, so the lookup returns detect's bytes or is not taken.
-    """
-    scaled = np.multiply(X, 1.0 / PHASE_STEP)
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, 0, PHASE_LEVELS - 1, out=scaled)
-    with np.errstate(invalid="ignore"):  # nan has no code, and fails the check below
-        codes = scaled.astype(np.uint8)
-    del scaled
-    if np.array_equal(_GRID32[codes], X):
-        return _RESPONSE32[codes]
-    return detect(X)
-
-
-def _transform_states(states, feature_transform):
-    if feature_transform == TRANSFORM_NONLINEAR_PHASE:
-        return _detect_states(states)
-    return states
 
 
 def check_ridge_lambda(ridge_lambda):
@@ -128,7 +91,7 @@ def default_lambda(states):
 class NormalEquations:
     """The ridge system of one training set, which any number of lambdas solve.
 
-    ``features`` is X, the states after the feature transform; ``gram`` is
+    ``features`` is X, the states as float64; ``gram`` is
     X'X when X has at least as many rows as columns (the primal route) and
     XX' otherwise (the dual route); ``rhs`` is X'D.
     """
@@ -137,14 +100,13 @@ class NormalEquations:
     targets: np.ndarray
     gram: np.ndarray
     rhs: np.ndarray
-    feature_transform: str
 
     @property
     def primal(self):
         return self.features.shape[0] >= self.features.shape[1]
 
 
-def normal_equations(states, targets, feature_transform=TRANSFORM_RAW):
+def normal_equations(states, targets):
     """Build the :class:`NormalEquations` of ``states`` and one-hot ``targets``."""
     X = np.asarray(states, dtype=np.float64)
     D = np.asarray(targets, dtype=np.float64)
@@ -156,31 +118,28 @@ def normal_equations(states, targets, feature_transform=TRANSFORM_RAW):
         )
     if X.shape[0] < 1:
         raise DimensionError("need at least one training row")
-    X = _transform_states(X, feature_transform)
     return NormalEquations(
         features=X,
         targets=D,
         gram=X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T,
         rhs=X.T @ D,
-        feature_transform=feature_transform,
     )
 
 
-def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_RAW,
-                normal=None):
+def train_ridge(states, targets, ridge_lambda=None, normal=None):
     """Fit the readout weights by ridge regression.
 
     ``ridge_lambda=None`` picks the scale-adaptive default; 0 is exact
     least squares (minimum-norm when the system is underdetermined).
-    ``normal`` is :func:`normal_equations` of these same states, targets and
-    transform, for a caller that solves several lambdas on one training
-    set; without it they are built here.
+    ``normal`` is :func:`normal_equations` of these same states and
+    targets, for a caller that solves several lambdas on one training set;
+    without it they are built here.
     """
     check_ridge_lambda(ridge_lambda)
     if normal is None:
-        normal = normal_equations(states, targets, feature_transform)
-    elif normal.features.shape != np.shape(states) or normal.feature_transform != feature_transform:
-        raise ValueError("normal equations were built from other states or another transform")
+        normal = normal_equations(states, targets)
+    elif normal.features.shape != np.shape(states):
+        raise ValueError("normal equations were built from other states")
     X = normal.features
     lam = default_lambda(X) if ridge_lambda is None else float(ridge_lambda)
 
@@ -204,15 +163,11 @@ def train_ridge(states, targets, ridge_lambda=None, feature_transform=TRANSFORM_
         raise SingularError(
             f"normal-equations residual {residual / denom:.3e} exceeds {RESIDUAL_RTOL:.0e}"
         )
-    return ReadoutModel(
-        weights=np.ascontiguousarray(W.T),
-        ridge_lambda=lam,
-        feature_transform=feature_transform,
-    )
+    return ReadoutModel(weights=np.ascontiguousarray(W.T), ridge_lambda=lam)
 
 
 def apply_readout(model, states):
-    """Evaluate y = X W' after the model's feature transform."""
+    """Evaluate y = X W'."""
     X = np.asarray(states, dtype=np.float64)
     squeeze = X.ndim == 1
     if squeeze:
@@ -221,7 +176,6 @@ def apply_readout(model, states):
         raise DimensionError(
             f"states have {X.shape[1]} columns, model expects {model.n_features}"
         )
-    X = _transform_states(X, model.feature_transform)
     out = X @ model.weights.T
     return out[0] if squeeze else out
 
@@ -259,16 +213,15 @@ def nmse_per_output(outputs, desired):
 # Model files
 
 READOUT_MAGIC = b"RCOUT001"
-_OUT_HEAD = struct.Struct("<8sQQdI")  # magic, M, N, lambda, transform code
-_TRANSFORM_CODES = {TRANSFORM_RAW: 0, TRANSFORM_NONLINEAR_PHASE: 1}
-_TRANSFORM_NAMES = {v: k for k, v in _TRANSFORM_CODES.items()}
+# magic, M, N, lambda, state-transform code; readouts apply no transform to
+# the states, so the code is 0, and a readout that asks for one is refused
+_OUT_HEAD = struct.Struct("<8sQQdI")
 
 
 def save_readout_model(model, path):
     m, n = model.weights.shape
-    code = _TRANSFORM_CODES[model.feature_transform]
     with open(path, "wb") as fh:
-        fh.write(_OUT_HEAD.pack(READOUT_MAGIC, m, n, model.ridge_lambda, code))
+        fh.write(_OUT_HEAD.pack(READOUT_MAGIC, m, n, model.ridge_lambda, 0))
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
 
 
@@ -276,23 +229,19 @@ def _read_readout_header(fh, path):
     m, n, lam, code = read_checked_header(
         fh, path, _OUT_HEAD, READOUT_MAGIC, lambda m, n, *_: 8 * m * n
     )
-    if code not in _TRANSFORM_NAMES:
-        raise ParseError(f"{path}: unknown feature-transform code {code}")
-    return m, n, lam, _TRANSFORM_NAMES[code]
+    if code != 0:
+        raise ParseError(f"{path}: state-transform code {code}, expected 0 (none)")
+    return m, n, lam
 
 
 def read_readout_header(path):
-    """(M, N, lambda, transform) of a readout file exactly the size its header announces."""
+    """(M, N, lambda) of a readout file exactly the size its header announces."""
     with open(path, "rb") as fh:
         return _read_readout_header(fh, path)
 
 
 def load_readout_model(path):
     with open(path, "rb") as fh:
-        m, n, lam, feature_transform = _read_readout_header(fh, path)
+        m, n, lam = _read_readout_header(fh, path)
         weights = np.fromfile(fh, dtype="<f8", count=m * n)
-    return ReadoutModel(
-        weights=weights.reshape(m, n),
-        ridge_lambda=float(lam),
-        feature_transform=feature_transform,
-    )
+    return ReadoutModel(weights=weights.reshape(m, n), ridge_lambda=float(lam))

@@ -15,7 +15,8 @@ Two update variants share the same coupling matrices:
 In the intensity variant the state lives on the 10-bit intensity grid, in
 the phase variant on the 8-bit phase grid.  Every quantized phase is one of
 256 codes (:func:`phase_code`), so both variants step on integer codes and
-read q10(sin^2) from the 256-entry table :data:`RESPONSE`.
+read q10(sin^2) from the 256-entry table :data:`RESPONSE`.  That reading is
+what the detector measures, and what a run returns, in both variants.
 
 W has the feedback gain on its diagonal and round(density * N^2) coupling
 entries scattered off the diagonal, each drawn from a uniform distribution
@@ -247,20 +248,22 @@ DRIVE_ROWS = 256
 def run_reservoir(
     matrices, inputs, variant="intensity", initial_state=None, spans=None, dtype=np.float64
 ):
-    """Drive the reservoir with ``inputs`` (T, K); returns states (T, N) of ``dtype``.
+    """Drive the reservoir with ``inputs`` (T, K); returns readings (T, N) of ``dtype``.
 
-    ``states[t]`` is the node state after consuming ``inputs[t]``.  ``spans``
-    is an optional list of (start, stop) row ranges; the state resets to
-    ``initial_state`` at the start of each span, which cuts memory across
-    sequence boundaries.
+    ``readings[t]`` is the detector reading q10(sin^2) of every node after
+    consuming ``inputs[t]``: the node state itself in the intensity variant,
+    f(x) of the node phase x in the phase variant, whose phases stay inside
+    the loop.  ``spans`` is an optional list of (start, stop) row ranges;
+    the state resets to ``initial_state`` at the start of each span, which
+    cuts memory across sequence boundaries.
 
     Both variants step on phase codes: every node phase is one of the 256
-    codes of :func:`phase_code`, so the response q10(sin^2) is a lookup in
-    :data:`RESPONSE`.  A phase-variant state is stored as its grid value;
-    only the feedback of ``initial_state``, which may lie off the grid, is
-    computed with :func:`detect`.  The run keeps one uint8 code per state
-    and the drive of :data:`DRIVE_ROWS` input rows at a time, and turns the
-    codes into states of ``dtype`` at the end.
+    codes of :func:`phase_code`, so the reading is a lookup in
+    :data:`RESPONSE`; only the feedback of a phase-variant
+    ``initial_state``, which may lie off the grid, is computed with
+    :func:`detect`.  The run keeps one uint8 code per step and the drive of
+    :data:`DRIVE_ROWS` input rows at a time, and turns the codes into
+    readings of ``dtype`` at the end.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -281,9 +284,8 @@ def run_reservoir(
         spans = [(0, n_steps)]
     weights = matrices.weights
     input_weights = matrices.input_weights
-    phase = variant == "phase"
     # what the couplings read: the intensity itself, or f(x) of a phase
-    fed0 = detect(x0) if phase else x0
+    fed0 = detect(x0) if variant == "phase" else x0
     codes = np.empty((n_steps, n), dtype=np.uint8)
     lo = hi = 0  # the input rows whose drive is in memory
     for start, stop in spans:
@@ -296,8 +298,7 @@ def run_reservoir(
             k = phase_code(weights @ fed + drive[t - lo])
             fed = RESPONSE[k]
             codes[t] = k
-    table = _PHASE_GRID[:PHASE_LEVELS] if phase else RESPONSE
-    return table.astype(dtype)[codes]
+    return RESPONSE.astype(dtype)[codes]
 
 
 def first_coincidence(states_a, states_b):

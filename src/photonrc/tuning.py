@@ -269,7 +269,7 @@ def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_resu
         if error is None:
             group_states = states[:, j * n_nodes:(j + 1) * n_nodes]
             try:
-                normal = readout_equations(group_states, data, variant)
+                normal = readout_equations(group_states, data)
             except _TRIAL_ERRORS as exc:
                 error = exc
         group_share = share + (time.perf_counter() - start) / len(lambdas)
@@ -278,7 +278,7 @@ def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_resu
             trial_error = error
             if trial_error is None:
                 try:
-                    model = train_readout(group_states, data, lam, variant, normal)
+                    model = train_readout(group_states, data, lam, normal)
                     _, _, matrix, per_class = evaluate_readout(model, group_states, data)
                 except _TRIAL_ERRORS as exc:
                     trial_error = exc

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from photonrc.cache import CacheRows
 from photonrc.classify import SequenceDecision, confusion
 from photonrc.dataset import load_manifest
 from photonrc.hog import feature_count, hog_descriptor
@@ -87,12 +86,22 @@ def test_criterion_03_pca_eigenvalue_recovery():
     _verdict(3, rel <= 1e-6, f"eigenvalue relative error {rel:.3g}")
 
 
-@pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
-def test_criterion_03_kth_explained_variance(tmp_path):
-    hog_path = tmp_path / "hog.rcf"
+@pytest.fixture(scope="module")
+def kth_pca(tmp_path_factory):
+    """The HOG cache of the RC_KTH_MANIFEST corpus and the 2,000-component
+    PCA model that ``fit_pca_model`` saves, fitted on its train rows; criteria
+    3b and 9 share them, so each is made once."""
+    out = tmp_path_factory.mktemp("kth")
+    hog_path = out / "hog.rcf"
     extract_hog(load_manifest(KTH_MANIFEST), hog_path)
     rows = pca_fit_rows(prepare_data(KTH_MANIFEST, None), "train")
-    model = fit_pca(CacheRows(hog_path, rows), 2000)
+    return hog_path, fit_pca_model(hog_path, rows, 2000, out / "pca.bin")
+
+
+@pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
+def test_criterion_03_kth_explained_variance(kth_pca):
+    # the saved model reads back bit for bit, explained variance included
+    _, model = kth_pca
     fraction = model.explained_fraction()
     ok = abs(fraction - 0.916) <= 0.02
     _verdict(3, ok, f"first 2000 components explain {100 * fraction:.2f}%")
@@ -223,11 +232,8 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
 
 
 @pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
-def test_criterion_09_full_scale_reproduction(tmp_path):
-    hog_path = tmp_path / "hog.rcf"
-    extract_hog(load_manifest(KTH_MANIFEST), hog_path)
-    rows = pca_fit_rows(prepare_data(KTH_MANIFEST, None), "train")
-    pca = fit_pca_model(hog_path, rows, 2000, tmp_path / "pca.bin")
+def test_criterion_09_full_scale_reproduction(kth_pca, tmp_path):
+    hog_path, pca = kth_pca
     project(pca, hog_path, tmp_path / "features.rcf")
     data = prepare_data(KTH_MANIFEST, tmp_path / "features.rcf")
 

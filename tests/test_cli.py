@@ -13,7 +13,7 @@ from photonrc.hog import HogConfig, feature_count
 from photonrc.dataset import load_manifest
 from photonrc.errors import ParseError, SchemaError
 from photonrc.pipeline import PipelineConfig, describe_artifacts
-from photonrc.reservoir import load_reservoir_spec
+from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, load_grid_spec, save_grid_spec
 
@@ -232,35 +232,44 @@ def test_pipeline_run_and_describe(cli_env, tmp_path, capsys):
 
 
 def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
+    # only the reservoir takes the variant: train and evaluate read the
+    # stored detector readings of either one alike
     manifest = str(tiny_corpus)
-    chain = tmp_path / "chain"
-    steps = [
-        ["extract-hog", "--manifest", manifest],
-        ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
-        ["pca", "transform", "--model", str(chain / "pca.bin"), "--in", str(chain / "hog.rcf")],
-        ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64"],
-        ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
-        ["evaluate", "--model", str(chain / "readout.bin"),
-         "--states", str(chain / "states.rcf"), "--manifest", manifest],
-    ]
-    assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
-    piped = tmp_path / "pipe"
-    assert main([
-        "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,
-        "--components", "24", "--n-nodes", "64",
-    ]) == 0
-    capsys.readouterr()
-    artifacts = json.loads((piped / "pipeline.json").read_text())["artifacts"]
-    pairs = {
-        "hog.rcf": artifacts["hog"],
-        "pca.bin": artifacts["pca_model"],
-        "features.rcf": artifacts["features"],
-        "states.rcf": artifacts["states"],
-        "readout.bin": artifacts["readout_model"],
-    }
-    pairs.update({name: name for name in ("score.txt", "confusion.csv", "sequence_results.csv")})
-    for chained, pipelined in pairs.items():
-        assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), chained
+    for variant in ("intensity", "phase"):
+        chain = tmp_path / variant / "chain"
+        steps = [
+            ["extract-hog", "--manifest", manifest],
+            ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
+            ["pca", "transform", "--model", str(chain / "pca.bin"),
+             "--in", str(chain / "hog.rcf")],
+            ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64",
+             "--variant", variant],
+            ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
+            ["evaluate", "--model", str(chain / "readout.bin"),
+             "--states", str(chain / "states.rcf"), "--manifest", manifest],
+        ]
+        assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
+        piped = tmp_path / variant / "pipe"
+        assert main([
+            "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,
+            "--components", "24", "--n-nodes", "64", "--variant", variant,
+        ]) == 0
+        capsys.readouterr()
+        artifacts = json.loads((piped / "pipeline.json").read_text())["artifacts"]
+        pairs = {
+            "hog.rcf": artifacts["hog"],
+            "pca.bin": artifacts["pca_model"],
+            "features.rcf": artifacts["features"],
+            "states.rcf": artifacts["states"],
+            "readout.bin": artifacts["readout_model"],
+        }
+        for name in ("score.txt", "confusion.csv", "sequence_results.csv"):
+            pairs[name] = name
+        for chained, pipelined in pairs.items():
+            assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), (
+                variant, chained)
+        states, _ = read_cache(chain / "states.rcf")
+        assert np.isin(states, RESPONSE.astype(np.float32)).all(), variant
 
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):
@@ -333,7 +342,13 @@ def test_bad_choice_is_usage_error(cli_env, capsys):
         "--variant", "amplitude",
     ])
     assert code == 1
-    capsys.readouterr()
+    # the readout reads what either variant stores, so train has no --variant
+    code = main([
+        "train", "--states", cli_env["states"], "--manifest", cli_env["manifest"],
+        "--variant", "phase",
+    ])
+    assert code == 1
+    assert "unrecognized arguments: --variant phase" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +428,17 @@ def test_evaluate_rejects_a_cache_with_trailing_bytes(cli_env, tmp_path, capsys)
     assert "expected" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["short", "long"])
+# "transform": a nonzero last header field, which asks for a transform of the states
+@pytest.mark.parametrize("damage", ["short", "long", "transform"])
 def test_evaluate_rejects_a_readout_of_the_wrong_size(cli_env, tmp_path, capsys, damage):
     bad = tmp_path / "readout.bin"
     with open(cli_env["readout"], "rb") as fh:
         data = fh.read()
-    bad.write_bytes(data[:-1] if damage == "short" else data + b"\x00")
+    bad.write_bytes({
+        "short": data[:-1],
+        "long": data + b"\x00",
+        "transform": data[:32] + (1).to_bytes(4, "little") + data[36:],
+    }[damage])
     code = main([
         "evaluate", "--model", str(bad), "--states", cli_env["states"],
         "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),

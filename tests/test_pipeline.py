@@ -28,12 +28,10 @@ from photonrc.pipeline import (
     PipelineConfig,
     derive_stream_seed,
     describe_artifacts,
-    feature_transform_for,
     file_sha256,
     prepare_data,
     run_pipeline,
 )
-from photonrc.readout import TRANSFORM_NONLINEAR_PHASE, TRANSFORM_RAW
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import GridSpec, run_grid, run_trial
 
@@ -57,7 +55,7 @@ GOLDEN_SHA256 = {
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
     "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
     "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
-    "pipeline.json": "85a47f8383cd21b9d9256ba5ccbca83b57d6b86e0561d0e79f31694c9743fdd9",
+    "pipeline.json": "90d35f720f1365832fcc1a5f93da1a4c98bbf95e2b16057efd7f3212cc8f6126",
 }
 
 
@@ -109,11 +107,6 @@ def test_stream_seeds_are_deterministic_and_distinct():
             value = derive_stream_seed(seed, label)
             assert isinstance(value, int)
             assert 0 <= value < 2**63
-
-
-def test_feature_transform_mapping():
-    assert feature_transform_for("intensity") == TRANSFORM_RAW
-    assert feature_transform_for("phase") == TRANSFORM_NONLINEAR_PHASE
 
 
 def test_config_validation(tiny_corpus, tmp_path):
@@ -242,6 +235,24 @@ def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
         assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir), damage
         for name in (*report.artifacts.values(), "pipeline.json"):
             assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), (damage, name)
+
+
+def test_a_readout_with_a_state_transform_is_retrained_on_reuse(pipe, tmp_path):
+    # a nonzero last header field asks for a transform of the states, which
+    # no readout applies: describe flags the file and a reuse run retrains it
+    config, report = pipe
+    copy_dir = tmp_path / "copy"
+    shutil.copytree(report.out_dir, copy_dir)
+    victim = copy_dir / report.artifacts["readout_model"]
+    data = bytearray(victim.read_bytes())
+    data[32:36] = (1).to_bytes(4, "little")
+    victim.write_bytes(bytes(data))
+    line = next(l for l in describe_artifacts(copy_dir).splitlines() if "readout_model:" in l)
+    assert "INTEGRITY WARNING" in line and "state-transform code 1" in line
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert again.score == report.score
+    cold = Path(report.out_dir) / report.artifacts["readout_model"]
+    assert victim.read_bytes() == cold.read_bytes()
 
 
 def test_every_binary_artifact_has_a_header_reader(pipe):

@@ -1,5 +1,6 @@
 """Ridge-trained linear readout: targets, solvers, NMSE, model files."""
 
+import re
 import struct
 
 import numpy as np
@@ -14,8 +15,6 @@ from photonrc.errors import (
 )
 from photonrc.readout import (
     READOUT_MAGIC,
-    TRANSFORM_NONLINEAR_PHASE,
-    TRANSFORM_RAW,
     ReadoutModel,
     apply_readout,
     default_lambda,
@@ -28,8 +27,6 @@ from photonrc.readout import (
     save_readout_model,
     train_ridge,
 )
-from photonrc.reservoir import PHASE_LEVELS, PHASE_STEP, detect, quantize_intensity
-
 from _oracles import ridge_oracle
 
 
@@ -164,46 +161,19 @@ def test_training_validation_errors(rng):
         train_ridge(X[0], D)
 
 
-def test_phase_variant_transform_is_applied_during_training(rng):
-    states = rng.uniform(0, 2 * np.pi, size=(40, 12))
-    D = rng.standard_normal((40, 6))
-    direct = train_ridge(states, D, ridge_lambda=0.2,
-                         feature_transform=TRANSFORM_NONLINEAR_PHASE)
-    pre = quantize_intensity(np.sin(states) ** 2)
-    reference = train_ridge(pre, D, ridge_lambda=0.2)
-    np.testing.assert_allclose(direct.weights, reference.weights, atol=1e-12)
-    assert direct.feature_transform == TRANSFORM_NONLINEAR_PHASE
-
-
-def test_phase_transform_of_cached_states_is_detect(rng):
-    # float32 phase-grid states, as the state cache holds them, take the lookup
-    grid32 = (np.arange(PHASE_LEVELS) * PHASE_STEP).astype(np.float32)
-    on_grid = grid32[rng.integers(0, PHASE_LEVELS, size=(301, 77))].astype(np.float64)
-    off_grid = on_grid.copy()
-    off_grid[150, 3] += 1e-9
-    nan = on_grid.copy()
-    nan[7, 7] = np.nan
-    weights = rng.standard_normal((6, 77))
-    model = ReadoutModel(weights, 0.1, TRANSFORM_NONLINEAR_PHASE)
-    for states in (on_grid, off_grid, nan, -on_grid, on_grid + 2 * np.pi):
-        want = detect(states) @ weights.T
-        np.testing.assert_array_equal(apply_readout(model, states), want)
-
-
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
-@pytest.mark.parametrize("transform", [TRANSFORM_RAW, TRANSFORM_NONLINEAR_PHASE])
-def test_shared_normal_equations_train_each_lambda_alike(rng, rows, transform):
+def test_shared_normal_equations_train_each_lambda_alike(rng, rows):
     states = rng.uniform(0, 2 * np.pi, size=(rows, 12)).astype(np.float32)
     D = encode_targets(rng.integers(0, 6, size=rows)).targets
-    normal = normal_equations(states, D, transform)
+    normal = normal_equations(states, D)
     assert normal.primal == (rows >= 12)
     for lam in (None, 1e-3, 0.5):
-        alone = train_ridge(states, D, lam, transform)
-        shared = train_ridge(states, D, lam, transform, normal=normal)
+        alone = train_ridge(states, D, lam)
+        shared = train_ridge(states, D, lam, normal=normal)
         assert shared.weights.tobytes() == alone.weights.tobytes()
         assert shared.ridge_lambda == alone.ridge_lambda
     with pytest.raises(ValueError, match="other states"):
-        train_ridge(states[:-1], D[:-1], 0.1, transform, normal=normal)
+        train_ridge(states[:-1], D[:-1], 0.1, normal=normal)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +203,6 @@ def test_readout_is_linear(rng):
     np.testing.assert_allclose(combined, separate, atol=1e-9)
 
 
-def test_nonlinear_phase_readout_reads_the_intensity(rng):
-    W = rng.standard_normal((6, 7))
-    model = ReadoutModel(
-        weights=W, ridge_lambda=0.0, feature_transform=TRANSFORM_NONLINEAR_PHASE
-    )
-    states = rng.uniform(0, 2 * np.pi, size=(13, 7))
-    expected = quantize_intensity(np.sin(states) ** 2) @ W.T
-    np.testing.assert_array_equal(apply_readout(model, states), expected)
-
-
 def test_apply_readout_checks_width(rng):
     model = ReadoutModel(weights=np.zeros((6, 4)), ridge_lambda=0.0)
     with pytest.raises(DimensionError):
@@ -250,8 +210,6 @@ def test_apply_readout_checks_width(rng):
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        ReadoutModel(weights=np.zeros((6, 4)), ridge_lambda=0.0, feature_transform="cubic")
     with pytest.raises(ValueError):
         ReadoutModel(weights=np.array([[np.nan]]), ridge_lambda=0.0)
 
@@ -308,18 +266,12 @@ def test_nmse_per_output_marks_constant_columns(rng):
 # Model files
 
 def test_readout_file_round_trip(tmp_path, rng):
-    for transform in (TRANSFORM_RAW, TRANSFORM_NONLINEAR_PHASE):
-        model = ReadoutModel(
-            weights=rng.standard_normal((6, 17)),
-            ridge_lambda=0.031,
-            feature_transform=transform,
-        )
-        path = tmp_path / f"readout_{transform}.bin"
-        save_readout_model(model, path)
-        back = load_readout_model(path)
-        np.testing.assert_array_equal(back.weights, model.weights)
-        assert back.ridge_lambda == model.ridge_lambda
-        assert back.feature_transform == transform
+    model = ReadoutModel(weights=rng.standard_normal((6, 17)), ridge_lambda=0.031)
+    path = tmp_path / "readout.bin"
+    save_readout_model(model, path)
+    back = load_readout_model(path)
+    np.testing.assert_array_equal(back.weights, model.weights)
+    assert back.ridge_lambda == model.ridge_lambda
 
 
 def test_readout_file_corruption_detected(tmp_path, rng):
@@ -335,11 +287,16 @@ def test_readout_file_corruption_detected(tmp_path, rng):
     cut.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="truncated"):
         load_readout_model(cut)
-    weird = tmp_path / "weird.bin"
-    head = struct.Struct("<8sQQdI").pack(READOUT_MAGIC, 1, 1, 0.0, 9)
-    weird.write_bytes(head + struct.pack("<d", 1.0))
-    with pytest.raises(ParseError, match="transform"):
-        load_readout_model(weird)
+    # the last header field asks for a transform of the states, which no
+    # readout applies: the stored states are what it reads
+    for code in (1, 9):
+        weird = tmp_path / f"weird{code}.bin"
+        head = struct.Struct("<8sQQdI").pack(READOUT_MAGIC, 1, 1, 0.0, code)
+        weird.write_bytes(head + struct.pack("<d", 1.0))
+        message = re.escape(f"{weird}: state-transform code {code}")
+        for read in (read_readout_header, load_readout_model):
+            with pytest.raises(ParseError, match=message):
+                read(weird)
     long = tmp_path / "long.bin"
     long.write_bytes(data + b"\x00" * 8)
     with pytest.raises(ParseError, match="trailing bytes"):
@@ -347,13 +304,10 @@ def test_readout_file_corruption_detected(tmp_path, rng):
 
 
 def test_readout_header_reads_the_shape_without_the_weights(tmp_path, rng):
-    model = ReadoutModel(
-        weights=rng.standard_normal((6, 5)), ridge_lambda=0.25,
-        feature_transform=TRANSFORM_NONLINEAR_PHASE,
-    )
+    model = ReadoutModel(weights=rng.standard_normal((6, 5)), ridge_lambda=0.25)
     path = tmp_path / "readout.bin"
     save_readout_model(model, path)
-    assert read_readout_header(path) == (6, 5, 0.25, TRANSFORM_NONLINEAR_PHASE)
+    assert read_readout_header(path) == (6, 5, 0.25)
 
 
 @pytest.mark.parametrize("damage", ["header", "short", "long"])

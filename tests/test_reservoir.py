@@ -29,6 +29,7 @@ from photonrc.reservoir import (
     ReservoirMatrices,
     ReservoirSpec,
     coupling_count,
+    detect,
     first_coincidence,
     generate_matrices,
     intensity_response,
@@ -269,13 +270,23 @@ def test_single_node_intensity_step():
 
 
 def test_single_node_phase_step():
-    # unit feedback, no input: f(pi/2) = 1.0 and q8(1.0) sits at level 40
+    # unit feedback, no input: f(pi/2) = 1.0 and q8(1.0) sits at level 40,
+    # of which the run returns the detector reading
     m = _one_node(weight=1.0, input_weight=0.0)
     states = run_reservoir(
         m, [[0.0]], variant="phase", initial_state=np.array([np.pi / 2])
     )
-    assert states[0, 0] == 40 * PHASE_STEP
-    assert states[0, 0] == pytest.approx(0.98175, abs=5e-6)
+    assert states[0, 0] == RESPONSE[40]
+    assert states[0, 0] == quantize_intensity(np.sin(0.98175) ** 2)
+
+
+@pytest.mark.parametrize("code", [32, 96])
+def test_phase_reading_at_a_rounding_tie_is_the_loop_response(code):
+    # sin^2 = 1/2 at these codes, where q10 rounds a tie: the float32 reading a
+    # state cache stores is the entry of RESPONSE that the loop feeds back
+    m = _one_node(weight=0.0, input_weight=1.0)
+    states = run_reservoir(m, [[code * PHASE_STEP]], variant="phase", dtype=np.float32)
+    assert states[0, 0] == RESPONSE.astype(np.float32)[code]
 
 
 def test_zero_state_zero_input_is_fixed_point():
@@ -307,10 +318,9 @@ def test_states_stay_on_their_grids(rng):
     params = HyperParams(0.9, 0.5, 0.4, 0.2)
     m = generate_matrices(12, 3, params, seed=21)
     inputs = rng.uniform(-2.0, 2.0, size=(40, 3))
-    intensity = run_reservoir(m, inputs, variant="intensity")
-    assert np.all(np.isin(intensity, INTENSITY_GRID))
-    phase = run_reservoir(m, inputs, variant="phase")
-    assert np.all(np.isin(phase, PHASE_GRID))
+    # both variants return detector readings
+    for variant in VARIANTS:
+        assert np.all(np.isin(run_reservoir(m, inputs, variant=variant), RESPONSE))
 
 
 def test_trajectories_are_deterministic(rng):
@@ -403,6 +413,13 @@ def _same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _oracle_readings(matrices, inputs, variant, **kwargs):
+    """What :func:`run_reservoir` returns: the oracle's states, read through
+    :func:`detect` when they are phases."""
+    states = run_reservoir_oracle(matrices, inputs, variant, **kwargs)
+    return detect(states) if variant == "phase" else states
+
+
 def _adversarial(levels):
     """Grid values, their one-ulp neighbours, 2pi shifts, signed zeros, large magnitudes."""
     grid = np.arange(levels + 2) * (TWO_PI / levels)
@@ -485,7 +502,7 @@ def test_run_reservoir_matches_step_by_step_formulas(
     # a phase start off the grid exercises the formula path of the first step
     x0 = rng.uniform(-10.0, 10.0, size=n) if off_grid_start else None
     got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
-    want = run_reservoir_oracle(m, inputs, variant, initial_state=x0, spans=spans)
+    want = _oracle_readings(m, inputs, variant, initial_state=x0, spans=spans)
     assert _same(got, want)
 
     # the public single steps, from an arbitrary state
@@ -506,7 +523,7 @@ def test_run_reservoir_matches_formulas_at_scale(variant, rng):
     spans = [(0, 25), (25, 60)]
     x0 = rng.uniform(-7.0, 7.0, size=256)
     got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
-    assert _same(got, run_reservoir_oracle(m, inputs, variant, initial_state=x0, spans=spans))
+    assert _same(got, _oracle_readings(m, inputs, variant, initial_state=x0, spans=spans))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -516,7 +533,7 @@ def test_run_reservoir_drive_blocks_match_one_gemm(variant, rng):
     m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
     inputs = rng.normal(size=(2 * rows + 88, 8)) * 4.0
     spans = [(0, rows - 56), (rows - 56, 2 * rows + 1), (2 * rows + 1, 2 * rows + 88)]
-    want = run_reservoir_oracle(m, inputs, variant, spans=spans)
+    want = _oracle_readings(m, inputs, variant, spans=spans)
     assert _same(run_reservoir(m, inputs, variant=variant, spans=spans), want)
     assert _same(
         run_reservoir(m, inputs, variant=variant, spans=spans, dtype=np.float32),
