@@ -5,8 +5,9 @@
 # Node states live on hardware grids.  An 8-bit modulator quantizes
 # phases (truncation, period 2 pi) and a 10-bit detector quantizes the
 # sin^2 intensity response (round half up to 1023 levels).  The demo
-# walks the quantizers, the sparse weight structure, both update
-# variants, and the fading-memory property the quantization buys.
+# walks the quantizers, the sparse weight structure, the one recurrence
+# and its phase form, and the fading-memory property the quantization
+# buys.
 
 import numpy as np
 from scipy import sparse
@@ -15,6 +16,7 @@ from photonrc.reservoir import (
     PHASE_STEP,
     HyperParams,
     ReservoirMatrices,
+    detect,
     first_coincidence,
     generate_matrices,
     intensity_response,
@@ -86,18 +88,23 @@ print(f"B is {mats.input_weights.shape}, entries within "
 # --- trajectories ------------------------------------------------------------
 # Feature inputs are PCA projections, far larger than unit scale.
 inputs = rng.uniform(-100.0, 100.0, size=(50, 8))
-states_i = run_reservoir(mats, inputs, variant="intensity")
-states_p = run_reservoir(mats, inputs, variant="phase")
+states_i = run_reservoir(mats, inputs)
 print(f"\nintensity states in [0, 1]: min {states_i.min():.4f}, "
       f"max {states_i.max():.4f}")
-# A run returns what the detector reads, in both variants; the phases of
-# the phase variant stay inside the loop.
-print(f"phase-variant readings are detector levels: "
-      f"{np.array_equal(quantize_intensity(states_p), states_p)}")
+# Stepping the node phases instead, phi' = q8(W f(phi) + B u) with
+# f = q10(sin^2), reads what the loop reads: x = f(phi) turns it into the
+# run's recurrence over the readings.
+phi = np.zeros(mats.n_nodes)
+read = []
+for u in inputs:
+    phi = step_phase(mats, phi, mats.input_weights @ u)
+    read.append(detect(phi))
+print(f"phase-form steps read what the loop reads: "
+      f"{np.array_equal(np.float32(read), states_i)}")
 
 # Spans restart the state, cutting memory at sequence boundaries.
 spans = [(0, 25), (25, 50)]
-reset = run_reservoir(mats, inputs, variant="intensity", spans=spans)
+reset = run_reservoir(mats, inputs, spans=spans)
 print(f"free-running and reset runs agree before the cut: "
       f"{np.array_equal(reset[:25], states_i[:25])}, "
       f"diverge after: {not np.array_equal(reset[25:], states_i[25:])}")

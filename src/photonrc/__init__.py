@@ -1,9 +1,10 @@
 """photonrc: a simulated opto-electronic reservoir computer.
 
 The package covers the full human-action-classification pipeline: PGM
-frame ingestion, HOG descriptors, covariance-method PCA, quantized sin^2
-reservoir dynamics in intensity and phase variants, ridge-trained linear
-readout, winner-takes-all scoring, and exhaustive hyperparameter search.
+frame ingestion, HOG descriptors, covariance-method PCA, one quantized
+sin^2 reservoir recurrence (its intensity and phase forms read the same
+values), ridge-trained linear readout, winner-takes-all scoring, and
+exhaustive hyperparameter search.
 The top level re-exports the entry points; everything else lives in the
 submodules (``photonrc.pipeline``, ``photonrc.reservoir``, ...).
 """

@@ -21,7 +21,8 @@ never holds all of it.
 
 :func:`read_json` reads every JSON document (the manifest, both specs and
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
-unsorted bytes feed the manifest hash in every stage digest.
+unsorted bytes feed the manifest hash in every stage digest.  Both spec
+loaders read their integer and boolean fields through :func:`json_typed`.
 """
 
 import json
@@ -137,6 +138,16 @@ def read_json(path, build):
         raise SchemaError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field: {exc}") from None
+
+
+def json_typed(value, kind, name):
+    """``value`` of the field ``name`` if its JSON type is ``kind``: ``int`` for
+    an integer (never a boolean) or ``bool``; else SchemaError, where ``int()``
+    would floor a fraction and ``bool()`` would read any string as true."""
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a boolean"
+        raise SchemaError(f"{name} must be {what}, found {value!r}")
+    return value
 
 
 def _read_header(fh, path):

@@ -89,7 +89,6 @@ def build_parser():
     p.add_argument("--features", required=True, help="projected feature cache")
     p.add_argument("--spec", default=None, help="reservoir spec JSON (else flags below)")
     p.add_argument("--n-nodes", type=int, default=1024)
-    p.add_argument("--variant", choices=["intensity", "phase"], default="intensity")
     _add_hyperparam_flags(p)
     p.add_argument("--manifest", default=None, help="needed for per-sequence resets")
     p.add_argument(
@@ -139,7 +138,6 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--components", type=int, default=2000)
     p.add_argument("--n-nodes", type=int, default=1024)
-    p.add_argument("--variant", choices=["intensity", "phase"], default="intensity")
     _add_hyperparam_flags(p)
     p.add_argument("--lambda", dest="ridge_lambda", type=float, default=None)
     p.add_argument("--cache-policy", choices=["reuse", "rebuild"], default="reuse")
@@ -207,7 +205,7 @@ def cmd_reservoir_run(args):
         if spec.input_dim != dim:
             raise SchemaError(f"spec expects {spec.input_dim}-wide inputs, cache has {dim}")
     else:
-        spec = reservoir_spec(args.n_nodes, dim, args.variant, _hyperparams(args), args.seed)
+        spec = reservoir_spec(args.n_nodes, dim, _hyperparams(args), args.seed)
     spans = None
     if args.reset_per_sequence:
         if not args.manifest:
@@ -218,7 +216,7 @@ def cmd_reservoir_run(args):
         save_reservoir_spec(spec, args.save_spec)
     out = _out_path(args, args.out, "states.rcf")
     steps = drive_reservoir(spec, args.features, out, spans)
-    print(f"wrote {out}: {steps} steps x {spec.n_nodes} nodes ({spec.variant})")
+    print(f"wrote {out}: {steps} steps x {spec.n_nodes} nodes")
     return 0
 
 
@@ -282,7 +280,6 @@ def cmd_pipeline_run(args):
         out_dir=args.out_dir,
         pca_components=args.components,
         n_nodes=args.n_nodes,
-        variant=args.variant,
         params=_hyperparams(args),
         ridge_lambda=args.ridge_lambda,
         seed=args.seed,

@@ -75,6 +75,7 @@ from .readout import (
 )
 from .reservoir import (
     PRNG_FAMILY,
+    VARIANTS,
     HyperParams,
     ReservoirSpec,
     run_reservoir,
@@ -114,6 +115,8 @@ class PipelineConfig:
     hog_config: HogConfig = DEFAULT_CONFIG
     pca_components: int = 2000
     n_nodes: int = 1024
+    # the form of the recurrence, "intensity" or "phase"; both read the same
+    # values, so it selects nothing and only config.json records it
     variant: str = "intensity"
     params: HyperParams = HyperParams()
     ridge_lambda: float | None = None  # None picks the scale-adaptive default
@@ -129,6 +132,8 @@ class PipelineConfig:
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
         if self.pca_fit_on not in ("train", "all"):
             raise ValueError(f"pca_fit_on must be 'train' or 'all', got {self.pca_fit_on!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         for name in ("pca_components", "n_nodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -302,12 +307,11 @@ def project(model, hog_path, path):
     return hog.shape[0]
 
 
-def reservoir_spec(n_nodes, input_dim, variant, params, seed):
+def reservoir_spec(n_nodes, input_dim, params, seed):
     """The reservoir a run with global ``seed`` drives."""
     return ReservoirSpec(
         n_nodes=n_nodes,
         input_dim=input_dim,
-        variant=variant,
         params=params,
         seed=derive_stream_seed(seed, "reservoir"),
     )
@@ -315,23 +319,20 @@ def reservoir_spec(n_nodes, input_dim, variant, params, seed):
 
 def reservoir_states(specs, inputs, spans=None):
     """Drive the reservoirs ``specs`` describe with ``inputs``; returns their
-    detector readings (:func:`run_reservoir`) in float32, whichever the variant.
+    float32 detector readings (:func:`run_reservoir`).
 
-    The reservoirs, which share one variant, step in lockstep as one
-    block-diagonal reservoir (:func:`stack_matrices`): the result holds each
-    spec's N columns side by side in spec order, each equal to that spec's
-    own run.  ``spans`` lists (sequence_id, start, stop, action) tuples
-    whose starts reset the state; None runs one unbroken stream.  The
-    readings are float32 as the state cache stores them, so an in-memory
-    trial sees exactly the values a pipeline run reads back.
+    The reservoirs step in lockstep as one block-diagonal reservoir
+    (:func:`stack_matrices`): the result holds each spec's N columns side
+    by side in spec order, each equal to that spec's own run.  ``spans``
+    lists (sequence_id, start, stop, action) tuples whose starts reset the
+    state; None runs one unbroken stream.  The readings are float32 as the
+    state cache stores them, so an in-memory trial sees exactly the values
+    a pipeline run reads back.
     """
-    variants = {spec.variant for spec in specs}
-    if len(variants) != 1:
-        raise ValueError(f"lockstep reservoirs need one variant, got {sorted(variants)}")
     if spans is not None:
         spans = [(start, stop) for _, start, stop, _ in spans]
     matrices = stack_matrices([spec.build() for spec in specs])
-    return run_reservoir(matrices, inputs, variant=variants.pop(), spans=spans, dtype=np.float32)
+    return run_reservoir(matrices, inputs, spans=spans)
 
 
 def drive_reservoir(spec, features_path, path, spans=None):
@@ -461,20 +462,17 @@ def run_pipeline(config):
             )
 
     with _stage("reservoir"):
-        spec = reservoir_spec(
-            config.n_nodes, config.pca_components, config.variant, config.params, config.seed
-        )
+        spec = reservoir_spec(config.n_nodes, config.pca_components, config.params, config.seed)
         spec_path, states_path = name(
             "reservoir",
             {
                 "upstream": digests["pca"],
                 "n_nodes": config.n_nodes,
-                "variant": config.variant,
                 "hyperparameters": config.params.as_dict(),
                 "seed": spec.seed,
                 "reset_per_sequence": config.reset_per_sequence,
-                # what the state cache holds, in both variants: a phase state
-                # cache that holds phases has no digest with this key
+                # what the state cache holds; no payload of a run that
+                # stored phases has this key
                 "states": "readings",
             },
             ("reservoir_spec", "reservoir_{}.json"),

@@ -7,8 +7,8 @@ training solves the regularized normal equations
     (X'X + lambda I) W = X'D
 
 and the readout output is y = X W.  X holds what the detector reads,
-q10(sin^2) of every node, in both reservoir variants, so training and
-evaluation use the stored values as they are.
+q10(sin^2) of every node, so training and evaluation use the stored values
+as they are.
 
 For wide state matrices (more nodes than frames) the equations are solved
 through the dual system (XX' + lambda I) A = D with W = X'A, which

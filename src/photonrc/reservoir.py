@@ -5,18 +5,18 @@ Node activations pass through a sin^2 intensity response and through the
 two quantizers of the hardware loop: an 8-bit truncating phase quantizer
 (period 2 pi, step 2 pi / 256) on the way into the interferometer and a
 10-bit rounding intensity quantizer (1024 levels on [0, 1]) on the way out
-of the detector.
+of the detector.  With f(phi) = q10(sin^2 phi) the machine's one recurrence
+is
 
-Two update variants share the same coupling matrices:
+    x(n+1) = f( q8( W x(n) + B u(n) ) )
 
-    intensity:  x(n+1) = q10( sin^2( q8( W x(n) + B u(n) ) ) )
-    phase:      x(n+1) = q8( W f(x(n)) + B u(n) ),   f(x) = q10( sin^2 x )
-
-In the intensity variant the state lives on the 10-bit intensity grid, in
-the phase variant on the 8-bit phase grid.  Every quantized phase is one of
-256 codes (:func:`phase_code`), so both variants step on integer codes and
-read q10(sin^2) from the 256-entry table :data:`RESPONSE`.  That reading is
-what the detector measures, and what a run returns, in both variants.
+over the detector readings x.  Written over the node phases instead, it is
+phi(n+1) = q8( W f(phi(n)) + B u(n) ) (:func:`step_phase`), and the change
+of variable x = f(phi) turns that into the recurrence above, step for step
+and byte for byte: the "intensity" and "phase" forms of the machine read
+the same values.  Every quantized phase is one of 256 codes
+(:func:`phase_code`), so the loop steps on integer codes and reads f from
+the 256-entry table :data:`RESPONSE`.
 
 W has the feedback gain on its diagonal and round(density * N^2) coupling
 entries scattered off the diagonal, each drawn from a uniform distribution
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import sparse
 
-from .cache import read_json, write_json
+from .cache import json_typed, read_json, write_json
 from .errors import SchemaError
 
 TWO_PI = 2.0 * np.pi
@@ -40,6 +40,7 @@ PHASE_STEP = TWO_PI / PHASE_LEVELS  # exact: division by a power of two
 INTENSITY_LEVELS = 1024  # 10-bit detector
 PRNG_FAMILY = "numpy-pcg64"
 
+# the two forms of the recurrence a configuration may name; they read the same
 VARIANTS = ("intensity", "phase")
 
 
@@ -215,12 +216,15 @@ def generate_matrices(n_nodes, input_dim, params, seed):
 
 
 def step_intensity(matrices, state, drive):
-    """One intensity-variant update; ``drive`` is B u(n), precomputed."""
+    """One update of the readings ``state``; ``drive`` is B u(n), precomputed."""
     return RESPONSE[phase_code(matrices.weights @ state + drive)]
 
 
 def step_phase(matrices, state, drive):
-    """One phase-variant update; feedback passes through f(x) = q10(sin^2 x)."""
+    """One update of the node phases ``state``; feedback passes through f(x) = q10(sin^2 x).
+
+    ``detect(step_phase(m, phi, d)) == step_intensity(m, detect(phi), d)``.
+    """
     return _PHASE_GRID[phase_code(matrices.weights @ detect(state) + drive)]
 
 
@@ -245,28 +249,21 @@ def stack_matrices(matrices):
 DRIVE_ROWS = 256
 
 
-def run_reservoir(
-    matrices, inputs, variant="intensity", initial_state=None, spans=None, dtype=np.float64
-):
-    """Drive the reservoir with ``inputs`` (T, K); returns readings (T, N) of ``dtype``.
+def run_reservoir(matrices, inputs, initial_state=None, spans=None):
+    """Drive the reservoir with ``inputs`` (T, K); returns float32 readings (T, N).
 
     ``readings[t]`` is the detector reading q10(sin^2) of every node after
-    consuming ``inputs[t]``: the node state itself in the intensity variant,
-    f(x) of the node phase x in the phase variant, whose phases stay inside
-    the loop.  ``spans`` is an optional list of (start, stop) row ranges;
-    the state resets to ``initial_state`` at the start of each span, which
-    cuts memory across sequence boundaries.
+    consuming ``inputs[t]``.  ``initial_state`` is the reading the couplings
+    start from (zeros by default).  ``spans`` is an optional list of
+    (start, stop) row ranges; the state resets to ``initial_state`` at the
+    start of each span, which cuts memory across sequence boundaries.
 
-    Both variants step on phase codes: every node phase is one of the 256
-    codes of :func:`phase_code`, so the reading is a lookup in
-    :data:`RESPONSE`; only the feedback of a phase-variant
-    ``initial_state``, which may lie off the grid, is computed with
-    :func:`detect`.  The run keeps one uint8 code per step and the drive of
-    :data:`DRIVE_ROWS` input rows at a time, and turns the codes into
-    readings of ``dtype`` at the end.
+    Every node phase is one of the 256 codes of :func:`phase_code`, so each
+    reading is a lookup in :data:`RESPONSE`.  The run keeps one uint8 code
+    per step and the drive of :data:`DRIVE_ROWS` input rows at a time, and
+    turns the codes into float32 readings, as the state cache stores them,
+    at the end.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     U = np.atleast_2d(np.asarray(inputs))
     if U.shape[1] != matrices.input_dim:
         raise SchemaError(
@@ -284,21 +281,19 @@ def run_reservoir(
         spans = [(0, n_steps)]
     weights = matrices.weights
     input_weights = matrices.input_weights
-    # what the couplings read: the intensity itself, or f(x) of a phase
-    fed0 = detect(x0) if variant == "phase" else x0
     codes = np.empty((n_steps, n), dtype=np.uint8)
     lo = hi = 0  # the input rows whose drive is in memory
     for start, stop in spans:
-        fed = fed0
+        x = x0
         for t in range(start, stop):
             if not lo <= t < hi:
                 lo = t - t % DRIVE_ROWS
                 hi = min(lo + DRIVE_ROWS, n_steps)
                 drive = np.asarray(U[lo:hi], dtype=np.float64) @ input_weights.T
-            k = phase_code(weights @ fed + drive[t - lo])
-            fed = RESPONSE[k]
+            k = phase_code(weights @ x + drive[t - lo])
+            x = RESPONSE[k]
             codes[t] = k
-    return RESPONSE.astype(dtype)[codes]
+    return RESPONSE.astype(np.float32)[codes]
 
 
 def first_coincidence(states_a, states_b):
@@ -321,7 +316,6 @@ def first_coincidence(states_a, states_b):
 class ReservoirSpec:
     n_nodes: int
     input_dim: int
-    variant: str
     params: HyperParams
     seed: int
     prng_family: str = PRNG_FAMILY
@@ -330,8 +324,6 @@ class ReservoirSpec:
         for name in ("n_nodes", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.variant not in VARIANTS:
-            raise SchemaError(f"unknown variant {self.variant!r}")
         if self.prng_family != PRNG_FAMILY:
             raise SchemaError(
                 f"unsupported prng_family {self.prng_family!r}; "
@@ -346,7 +338,6 @@ def save_reservoir_spec(spec, path):
     doc = {
         "n_nodes": spec.n_nodes,
         "input_dim": spec.input_dim,
-        "variant": spec.variant,
         "seed": spec.seed,
         "prng_family": spec.prng_family,
         "hyperparameters": spec.params.as_dict(),
@@ -358,11 +349,10 @@ def load_reservoir_spec(path):
     return read_json(
         path,
         lambda doc: ReservoirSpec(
-            n_nodes=int(doc["n_nodes"]),
-            input_dim=int(doc["input_dim"]),
-            variant=str(doc["variant"]),
+            n_nodes=json_typed(doc["n_nodes"], int, "n_nodes"),
+            input_dim=json_typed(doc["input_dim"], int, "input_dim"),
             params=HyperParams.from_dict(doc["hyperparameters"]),
-            seed=int(doc["seed"]),
+            seed=json_typed(doc["seed"], int, "seed"),
             prng_family=str(doc.get("prng_family", PRNG_FAMILY)),
         ),
     )

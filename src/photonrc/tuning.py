@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import read_json, write_json
+from .cache import json_typed, read_json, write_json
 from .errors import PhotonRcError, SchemaError
 from .pipeline import (
     evaluate_readout,
@@ -115,6 +115,7 @@ class GridSpec:
     coupling_density: tuple
     ridge_lambda: tuple = (None,)  # None = scale-adaptive default
     n_nodes: int = 1024
+    # as PipelineConfig.variant: validated and saved, and it selects nothing
     variant: str = "intensity"
     seeds: tuple = (0,)
     allow_out_of_range: bool = False
@@ -145,7 +146,7 @@ class GridSpec:
         return math.prod(len(getattr(self, name)) for name in AXES)
 
 
-def default_grid(n_nodes=1024, variant="intensity", seeds=(0,)):
+def default_grid(n_nodes=1024, seeds=(0,)):
     """Coarse default grid: 0.1-step feedback gains, log-spaced small gains."""
     return GridSpec(
         feedback_gain=tuple(np.round(np.arange(0.1, 1.5001, 0.1), 10)),
@@ -153,7 +154,6 @@ def default_grid(n_nodes=1024, variant="intensity", seeds=(0,)):
         coupling_gain=tuple(np.logspace(-4, 0, 5)),
         coupling_density=tuple(np.logspace(-4, -1, 4)),
         n_nodes=n_nodes,
-        variant=variant,
         seeds=tuple(seeds),
     )
 
@@ -177,10 +177,12 @@ def load_grid_spec(path):
             ridge_lambda=tuple(
                 None if v is None else float(v) for v in doc.get("ridge_lambda", [None])
             ),
-            n_nodes=int(doc.get("n_nodes", 1024)),
+            n_nodes=json_typed(doc.get("n_nodes", 1024), int, "n_nodes"),
             variant=str(doc.get("variant", "intensity")),
-            seeds=tuple(int(v) for v in doc.get("seeds", [0])),
-            allow_out_of_range=bool(doc.get("allow_out_of_range", False)),
+            seeds=tuple(json_typed(v, int, "seeds") for v in doc.get("seeds", [0])),
+            allow_out_of_range=json_typed(
+                doc.get("allow_out_of_range", False), bool, "allow_out_of_range"
+            ),
         ),
     )
 
@@ -225,7 +227,7 @@ def _cell_fields(*cell):
 _TRIAL_ERRORS = (PhotonRcError, OverflowError, ValueError)
 
 
-def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_result=None):
+def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
     """Trials of several (gains, seed) groups whose reservoirs run in lockstep.
 
     ``groups`` lists ((gains, seed), lambdas) pairs, the gains in
@@ -246,7 +248,7 @@ def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_resu
     failure = None
     try:
         specs = [
-            reservoir_spec(n_nodes, data.input_dim, variant, HyperParams(*gains), seed)
+            reservoir_spec(n_nodes, data.input_dim, HyperParams(*gains), seed)
             for (gains, seed), _ in groups
         ]
         spans = data.all_spans if reset_per_sequence else None
@@ -256,9 +258,7 @@ def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_resu
             return [
                 result
                 for group in groups
-                for result in _run_stack(
-                    data, n_nodes, variant, [group], reset_per_sequence, on_result
-                )
+                for result in _run_stack(data, n_nodes, [group], reset_per_sequence, on_result)
             ]
         failure = exc
     share = (time.perf_counter() - start) / sum(len(lambdas) for _, lambdas in groups)
@@ -300,10 +300,10 @@ def _run_stack(data, n_nodes, variant, groups, reset_per_sequence=False, on_resu
     return results
 
 
-def run_trial(data, n_nodes, variant, params, ridge_lambda, seed, reset_per_sequence=False):
+def run_trial(data, n_nodes, params, ridge_lambda, seed, reset_per_sequence=False):
     """Reservoir + readout + score for one hyperparameter cell: a one-group :func:`_run_stack`."""
     group = ((CellGains(**params.as_dict()), seed), (ridge_lambda,))
-    return _run_stack(data, n_nodes, variant, [group], reset_per_sequence)[0]
+    return _run_stack(data, n_nodes, [group], reset_per_sequence)[0]
 
 
 def _result_row(result):
@@ -453,8 +453,7 @@ def run_grid(
     try:
         for i in range(0, len(pending), per_stack):
             results += _run_stack(
-                data, spec.n_nodes, spec.variant, pending[i:i + per_stack],
-                reset_per_sequence, on_result,
+                data, spec.n_nodes, pending[i:i + per_stack], reset_per_sequence, on_result
             )
     finally:
         if log_fh is not None:

@@ -161,12 +161,10 @@ def test_criterion_06_fading_memory():
         rng = np.random.default_rng(1000 + trial)
         inputs = rng.uniform(-1.0, 1.0, (200, 50))
         a = run_reservoir(
-            matrices, inputs, "intensity",
-            initial_state=quantize_intensity(rng.uniform(0.0, 1.0, 1024)),
+            matrices, inputs, initial_state=quantize_intensity(rng.uniform(0.0, 1.0, 1024))
         )
         b = run_reservoir(
-            matrices, inputs, "intensity",
-            initial_state=quantize_intensity(rng.uniform(0.0, 1.0, 1024)),
+            matrices, inputs, initial_state=quantize_intensity(rng.uniform(0.0, 1.0, 1024))
         )
         step = first_coincidence(a, b)
         if step is not None:

@@ -1,9 +1,10 @@
 """The benchmark under perfbench/ reaches into the package by name.
 
 ``perfbench/tracing.py`` patches every name in its WRAPS table on the
-module it lists, and ``perfbench/ops.py`` imports its entry points from
-``photonrc``.  A refactor that drops one of those names fails here rather
-than halfway through a benchmark run.
+module it lists, ``perfbench/ops.py`` imports its entry points from
+``photonrc``, and ``perfbench/run.py`` holds the keyword arguments those
+entry points are built with.  A refactor that drops one of those names or
+arguments fails here rather than halfway through a benchmark run.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 from photonrc import pipeline, reservoir
+from photonrc.pipeline import PipelineConfig
 from photonrc.cache import CacheRows, read_cache_header
 from photonrc.dataset import index_frames
 from photonrc.tuning import GridSpec, run_grid
@@ -56,6 +58,33 @@ def test_bench_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def _bench_literal(name):
+    """The literal value ``perfbench/run.py`` assigns to the top-level ``name``."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/run.py assigns no {name}")
+
+
+def test_bench_configs_build():
+    # ops.pipeline_config builds a PipelineConfig from each SIZES config, and
+    # ops.grid_run a GridSpec from GRID with the workload's node count
+    configs = [cfg for workloads in _bench_literal("SIZES").values()
+               for _, cfg in workloads.values()]
+    assert configs
+    grid = _bench_literal("GRID")
+    for cfg in configs:
+        for policy in ("reuse", "rebuild"):
+            PipelineConfig(manifest_path="manifest.json", out_dir="out", cache_policy=policy, **cfg)
+        GridSpec(**{
+            k: tuple(v) if isinstance(v, list) else v
+            for k, v in dict(grid, n_nodes=cfg["n_nodes"]).items()
+        })
 
 
 def test_extract_hog_describes_each_frame_with_one_hog_descriptor_call(

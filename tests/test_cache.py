@@ -253,13 +253,13 @@ def test_read_json_names_a_file_it_cannot_parse(tmp_path, raw):
 
 
 def _reject(doc):
-    raise SchemaError("unknown variant 'optical'")
+    raise SchemaError("unsupported prng_family 'mersenne'")
 
 
 @pytest.mark.parametrize(
     "build,message",
     [
-        (_reject, "unknown variant 'optical'"),
+        (_reject, "unsupported prng_family 'mersenne'"),
         (lambda doc: doc["missing"], "missing field 'missing'"),
         (lambda doc: int(doc["b"][1]), "malformed field"),
         (lambda doc: int(float("inf")), "malformed field"),

@@ -232,44 +232,39 @@ def test_pipeline_run_and_describe(cli_env, tmp_path, capsys):
 
 
 def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
-    # only the reservoir takes the variant: train and evaluate read the
-    # stored detector readings of either one alike
     manifest = str(tiny_corpus)
-    for variant in ("intensity", "phase"):
-        chain = tmp_path / variant / "chain"
-        steps = [
-            ["extract-hog", "--manifest", manifest],
-            ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
-            ["pca", "transform", "--model", str(chain / "pca.bin"),
-             "--in", str(chain / "hog.rcf")],
-            ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64",
-             "--variant", variant],
-            ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
-            ["evaluate", "--model", str(chain / "readout.bin"),
-             "--states", str(chain / "states.rcf"), "--manifest", manifest],
-        ]
-        assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
-        piped = tmp_path / variant / "pipe"
-        assert main([
-            "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,
-            "--components", "24", "--n-nodes", "64", "--variant", variant,
-        ]) == 0
-        capsys.readouterr()
-        artifacts = json.loads((piped / "pipeline.json").read_text())["artifacts"]
-        pairs = {
-            "hog.rcf": artifacts["hog"],
-            "pca.bin": artifacts["pca_model"],
-            "features.rcf": artifacts["features"],
-            "states.rcf": artifacts["states"],
-            "readout.bin": artifacts["readout_model"],
-        }
-        for name in ("score.txt", "confusion.csv", "sequence_results.csv"):
-            pairs[name] = name
-        for chained, pipelined in pairs.items():
-            assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), (
-                variant, chained)
-        states, _ = read_cache(chain / "states.rcf")
-        assert np.isin(states, RESPONSE.astype(np.float32)).all(), variant
+    chain = tmp_path / "chain"
+    steps = [
+        ["extract-hog", "--manifest", manifest],
+        ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
+        ["pca", "transform", "--model", str(chain / "pca.bin"),
+         "--in", str(chain / "hog.rcf")],
+        ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64"],
+        ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
+        ["evaluate", "--model", str(chain / "readout.bin"),
+         "--states", str(chain / "states.rcf"), "--manifest", manifest],
+    ]
+    assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
+    piped = tmp_path / "pipe"
+    assert main([
+        "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,
+        "--components", "24", "--n-nodes", "64",
+    ]) == 0
+    capsys.readouterr()
+    artifacts = json.loads((piped / "pipeline.json").read_text())["artifacts"]
+    pairs = {
+        "hog.rcf": artifacts["hog"],
+        "pca.bin": artifacts["pca_model"],
+        "features.rcf": artifacts["features"],
+        "states.rcf": artifacts["states"],
+        "readout.bin": artifacts["readout_model"],
+    }
+    for name in ("score.txt", "confusion.csv", "sequence_results.csv"):
+        pairs[name] = name
+    for chained, pipelined in pairs.items():
+        assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), chained
+    states, _ = read_cache(chain / "states.rcf")
+    assert np.isin(states, RESPONSE.astype(np.float32)).all()
 
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):
@@ -336,19 +331,23 @@ def test_missing_required_flag_is_usage_error(cli_env, capsys):
     capsys.readouterr()
 
 
-def test_bad_choice_is_usage_error(cli_env, capsys):
+def test_bad_choice_is_usage_error(cli_env, tmp_path, capsys):
     code = main([
-        "reservoir", "run", "--features", cli_env["features"],
-        "--variant", "amplitude",
+        "--out-dir", str(tmp_path), "pipeline", "run", "--manifest", cli_env["manifest"],
+        "--cache-policy", "maybe",
     ])
     assert code == 1
-    # the readout reads what either variant stores, so train has no --variant
-    code = main([
-        "train", "--states", cli_env["states"], "--manifest", cli_env["manifest"],
-        "--variant", "phase",
-    ])
-    assert code == 1
-    assert "unrecognized arguments: --variant phase" in capsys.readouterr().err
+    assert "invalid choice: 'maybe'" in capsys.readouterr().err
+    # both forms of the recurrence read the same values, so no command takes
+    # a --variant
+    for argv in (
+        ["reservoir", "run", "--features", cli_env["features"]],
+        ["pipeline", "run", "--manifest", cli_env["manifest"]],
+        ["train", "--states", cli_env["states"], "--manifest", cli_env["manifest"]],
+    ):
+        assert main(["--out-dir", str(tmp_path)] + argv + ["--variant", "phase"]) == 1
+        assert "unrecognized arguments: --variant phase" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +502,10 @@ def test_train_rejects_a_bad_lambda_before_writing(cli_env, tmp_path, capsys, ba
 # Each JSON input, damaged five ways: a data error (exit 2) naming the file.
 # The integer field of each document that the last two damages replace.
 INT_FIELDS = {"manifest": "split_seed", "grid": "n_nodes", "spec": "seed"}
+# what the spec damages write in place of a field: an integer field as a
+# boolean or a fraction, which int() would take, and the grid's flag as a
+# string, which bool() would read as true
+SPEC_DAMAGES = {"true": "true", "fraction": "16.9", "string-flag": '"false"'}
 
 
 def _damaged(raw, damage, int_field=None):
@@ -514,8 +517,9 @@ def _damaged(raw, damage, int_field=None):
     if damage == "array":
         return b"[" + raw + b"]"
     doc = json.loads(raw)
-    doc[int_field] = "INT"
-    return json.dumps(doc).replace('"INT"', "null" if damage == "null" else "1e400").encode()
+    doc["allow_out_of_range" if damage == "string-flag" else int_field] = "BAD"
+    bad = SPEC_DAMAGES.get(damage, "null" if damage == "null" else "1e400")
+    return json.dumps(doc).replace('"BAD"', bad).encode()
 
 
 DAMAGES = ["non-utf8", "not-json", "array", "null", "1e400"]
@@ -553,9 +557,12 @@ def _damaged_copy(json_inputs, kind, damage, tmp_path):
     return str(path)
 
 
-CASES = [(kind, damage) for kind in INT_FIELDS for damage in DAMAGES] + [
-    ("pipeline", damage) for damage in DAMAGES[:3]
-]
+CASES = (
+    [(kind, damage) for kind in INT_FIELDS for damage in DAMAGES]
+    + [("pipeline", damage) for damage in DAMAGES[:3]]
+    + [(kind, damage) for kind in ("grid", "spec") for damage in ("true", "fraction")]
+    + [("grid", "string-flag")]
+)
 
 
 @pytest.mark.parametrize("kind,damage", CASES)

@@ -50,12 +50,12 @@ GOLDEN_SHA256 = {
     "pca_model": "7a1a6748847c412520316fa44b11f5903c6f0cb3464217bc9a5c853ec6ac5895",
     "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
     "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
-    "reservoir_spec": "ff67f7c9ad9f773654fe236e30ac095167669f0026a2291a08c1e5701d1f0d49",
+    "reservoir_spec": "29a4ad8ff05275d49efdeb35e4d5778aeb3fa59cd00709ee501be2ed881731c5",
     "readout_model": "46c0ad241017550697d6211f7ddfbd744ce07f0e38354bfd9896046f3111db3c",
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
     "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
     "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
-    "pipeline.json": "90d35f720f1365832fcc1a5f93da1a4c98bbf95e2b16057efd7f3212cc8f6126",
+    "pipeline.json": "80be529dc27070995c0983ffaa3712a68866b69fad3371d496e719d638e100f8",
 }
 
 
@@ -122,6 +122,10 @@ def test_config_validation(tiny_corpus, tmp_path):
         for count in (0, -3):
             with pytest.raises(ValueError, match=f"{field} must be at least 1"):
                 _config(tiny_corpus, tmp_path, **{field: count})
+    # an unknown variant fails here, before any stage writes a file
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        _config(tiny_corpus, tmp_path / "bogus", variant="bogus")
+    assert not (tmp_path / "bogus").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +182,24 @@ def test_warm_rerun_is_bit_identical(pipe):
     assert _result_bytes(report.out_dir) == before
     # the HOG cache was reused, not rewritten
     assert os.path.getmtime(Path(report.out_dir) / report.artifacts["hog"]) == hog_mtime
+
+
+def test_a_phase_run_reuses_every_artifact_of_an_intensity_run(pipe, tmp_path):
+    # the two forms of the recurrence read the same values, so a phase run
+    # names, reuses and reproduces every file of an intensity run
+    config, report = pipe
+    clone = tmp_path / "phase"
+    shutil.copytree(report.out_dir, clone)
+    binaries = ("hog", "pca_model", "features", "states", "readout_model")
+    mtimes = {name: os.path.getmtime(clone / report.artifacts[name]) for name in binaries}
+    phase = run_pipeline(dataclasses.replace(config, out_dir=str(clone), variant="phase"))
+    assert phase.artifacts == report.artifacts and phase.digests == report.digests
+    assert {name: os.path.getmtime(clone / phase.artifacts[name]) for name in binaries} == mtimes
+    assert _result_bytes(clone) == _result_bytes(report.out_dir)
+    for name in ("reservoir_spec", PIPELINE_FILE):
+        path = report.artifacts.get(name, name)
+        assert (clone / path).read_bytes() == (Path(report.out_dir) / path).read_bytes()
+    assert json.loads((clone / "config.json").read_text())["variant"] == "phase"
 
 
 def test_cold_rerun_is_bit_identical(pipe, tiny_corpus, tmp_path):
@@ -336,10 +358,7 @@ def test_single_cell_trial_matches_pipeline(pipe):
     data = prepare_data(
         config.manifest_path, Path(report.out_dir) / report.artifacts["features"]
     )
-    result = run_trial(
-        data, config.n_nodes, config.variant, config.params,
-        config.ridge_lambda, config.seed,
-    )
+    result = run_trial(data, config.n_nodes, config.params, config.ridge_lambda, config.seed)
     assert result.score == report.score
     np.testing.assert_array_equal(result.nmse_per_class, report.nmse_per_class)
 

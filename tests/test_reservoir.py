@@ -1,5 +1,6 @@
-"""Quantizers, matrix generation, and the two reservoir update variants."""
+"""Quantizers, matrix generation, and the reservoir recurrence in both its forms."""
 
+import json
 import warnings
 
 import numpy as np
@@ -264,20 +265,20 @@ def test_single_node_intensity_step():
     # zero feedback, unit input weight, drive pi/2: the phase grid holds
     # pi/2 exactly (level 64) and sin^2 saturates the detector
     m = _one_node(weight=0.0, input_weight=1.0)
-    states = run_reservoir(m, [[np.pi / 2]], variant="intensity")
+    states = run_reservoir(m, [[np.pi / 2]])
     assert states.shape == (1, 1)
     assert states[0, 0] == 1.0
 
 
 def test_single_node_phase_step():
-    # unit feedback, no input: f(pi/2) = 1.0 and q8(1.0) sits at level 40,
-    # of which the run returns the detector reading
+    # unit feedback, no input, from phase pi/2: the couplings read
+    # f(pi/2) = 1.0, q8(1.0) sits at level 40, and the run returns its reading
     m = _one_node(weight=1.0, input_weight=0.0)
-    states = run_reservoir(
-        m, [[0.0]], variant="phase", initial_state=np.array([np.pi / 2])
-    )
-    assert states[0, 0] == RESPONSE[40]
-    assert states[0, 0] == quantize_intensity(np.sin(0.98175) ** 2)
+    start = np.array([np.pi / 2])
+    states = run_reservoir(m, [[0.0]], initial_state=detect(start))
+    assert states[0, 0] == RESPONSE.astype(np.float32)[40]
+    assert states[0, 0] == np.float32(quantize_intensity(np.sin(0.98175) ** 2))
+    assert states[0, 0] == np.float32(detect(step_phase(m, start, np.zeros(1)))[0])
 
 
 @pytest.mark.parametrize("code", [32, 96])
@@ -285,50 +286,48 @@ def test_phase_reading_at_a_rounding_tie_is_the_loop_response(code):
     # sin^2 = 1/2 at these codes, where q10 rounds a tie: the float32 reading a
     # state cache stores is the entry of RESPONSE that the loop feeds back
     m = _one_node(weight=0.0, input_weight=1.0)
-    states = run_reservoir(m, [[code * PHASE_STEP]], variant="phase", dtype=np.float32)
+    states = run_reservoir(m, [[code * PHASE_STEP]])
     assert states[0, 0] == RESPONSE.astype(np.float32)[code]
 
 
 def test_zero_state_zero_input_is_fixed_point():
     params = HyperParams(0.8, 0.01, 0.1, 0.05)
     m = generate_matrices(16, 2, params, seed=3)
-    for variant in ("intensity", "phase"):
-        states = run_reservoir(m, np.zeros((4, 2)), variant=variant)
-        np.testing.assert_array_equal(states, np.zeros((4, 16)))
+    states = run_reservoir(m, np.zeros((4, 2)))
+    np.testing.assert_array_equal(states, np.zeros((4, 16)))
 
 
 def test_empty_input_stream_gives_empty_states():
     m = generate_matrices(8, 2, HyperParams(0.8, 0.01, 0.1, 0.05), seed=3)
-    states = run_reservoir(m, np.empty((0, 2)), variant="intensity")
-    assert states.shape == (0, 8)
+    states = run_reservoir(m, np.empty((0, 2)))
+    assert states.shape == (0, 8) and states.dtype == np.float32
 
 
 def test_run_matches_manual_step_composition(rng):
     params = HyperParams(0.6, 0.2, 0.3, 0.3)
     m = generate_matrices(2, 2, params, seed=11)
     inputs = rng.uniform(-1.0, 1.0, size=(3, 2))
-    states = run_reservoir(m, inputs, variant="intensity")
+    states = run_reservoir(m, inputs)
     x = np.zeros(2)
     for t in range(3):
         x = step_intensity(m, x, m.input_weights @ inputs[t])
-        np.testing.assert_array_equal(states[t], x)
+        np.testing.assert_array_equal(states[t], x.astype(np.float32))
 
 
 def test_states_stay_on_their_grids(rng):
     params = HyperParams(0.9, 0.5, 0.4, 0.2)
     m = generate_matrices(12, 3, params, seed=21)
     inputs = rng.uniform(-2.0, 2.0, size=(40, 3))
-    # both variants return detector readings
-    for variant in VARIANTS:
-        assert np.all(np.isin(run_reservoir(m, inputs, variant=variant), RESPONSE))
+    # a run returns detector readings, as the state cache stores them
+    assert np.all(np.isin(run_reservoir(m, inputs), RESPONSE.astype(np.float32)))
 
 
 def test_trajectories_are_deterministic(rng):
     params = HyperParams(0.8, 0.1, 0.1, 0.1)
     m = generate_matrices(10, 2, params, seed=4)
     inputs = rng.uniform(-1, 1, size=(25, 2))
-    a = run_reservoir(m, inputs, variant="intensity")
-    b = run_reservoir(m, inputs, variant="intensity")
+    a = run_reservoir(m, inputs)
+    b = run_reservoir(m, inputs)
     np.testing.assert_array_equal(a, b)
 
 
@@ -336,31 +335,29 @@ def test_span_resets_match_independent_runs(rng):
     params = HyperParams(0.8, 0.3, 0.2, 0.2)
     m = generate_matrices(6, 2, params, seed=8)
     inputs = rng.uniform(-1, 1, size=(10, 2))
-    whole = run_reservoir(m, inputs, variant="intensity", spans=[(0, 4), (4, 10)])
-    first = run_reservoir(m, inputs[:4], variant="intensity")
-    second = run_reservoir(m, inputs[4:], variant="intensity")
+    whole = run_reservoir(m, inputs, spans=[(0, 4), (4, 10)])
+    first = run_reservoir(m, inputs[:4])
+    second = run_reservoir(m, inputs[4:])
     np.testing.assert_array_equal(whole[:4], first)
     np.testing.assert_array_equal(whole[4:], second)
     # without spans the state carries across the boundary
-    carried = run_reservoir(m, inputs, variant="intensity")
+    carried = run_reservoir(m, inputs)
     assert not np.array_equal(carried, whole)
 
 
 def test_run_reservoir_validation(rng):
     m = generate_matrices(4, 3, HyperParams(0.8, 0.1, 0.1, 0.1), seed=0)
     with pytest.raises(SchemaError):
-        run_reservoir(m, np.zeros((5, 2)), variant="intensity")
+        run_reservoir(m, np.zeros((5, 2)))
     with pytest.raises(SchemaError):
-        run_reservoir(m, np.zeros((5, 3)), variant="intensity", initial_state=np.zeros(3))
-    with pytest.raises(ValueError):
-        run_reservoir(m, np.zeros((5, 3)), variant="amplitude")
+        run_reservoir(m, np.zeros((5, 3)), initial_state=np.zeros(3))
 
 
 def test_sparsity_pattern_survives_simulation(rng):
     params = HyperParams(0.8, 0.1, 0.2, 0.1)
     m = generate_matrices(10, 2, params, seed=14)
     before = m.weights.copy()
-    run_reservoir(m, rng.uniform(-1, 1, size=(30, 2)), variant="phase")
+    run_reservoir(m, rng.uniform(-1, 1, size=(30, 2)))
     np.testing.assert_array_equal(m.weights.indptr, before.indptr)
     np.testing.assert_array_equal(m.weights.indices, before.indices)
     np.testing.assert_array_equal(m.weights.data, before.data)
@@ -393,8 +390,8 @@ def test_fading_memory_is_reported_not_fatal():
         rng = np.random.default_rng(4000 + trial)
         inputs = rng.uniform(-1.0, 1.0, size=(60, 10))
         x0 = quantize_intensity(rng.uniform(0.0, 1.0, size=1024))
-        a = run_reservoir(m, inputs, variant="intensity")
-        b = run_reservoir(m, inputs, variant="intensity", initial_state=x0)
+        a = run_reservoir(m, inputs)
+        b = run_reservoir(m, inputs, initial_state=x0)
         step = first_coincidence(a, b)
         if step is not None:
             coincided += 1
@@ -413,11 +410,20 @@ def _same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _oracle_readings(matrices, inputs, variant, **kwargs):
-    """What :func:`run_reservoir` returns: the oracle's states, read through
-    :func:`detect` when they are phases."""
-    states = run_reservoir_oracle(matrices, inputs, variant, **kwargs)
-    return detect(states) if variant == "phase" else states
+def _oracle_readings(matrices, inputs, form, initial_state=None, spans=None):
+    """What :func:`run_reservoir` returns, by the float formulas of one form of
+    the recurrence, and the reading it starts from.
+
+    The intensity form steps the readings from ``initial_state`` itself; the
+    phase form steps node phases from ``initial_state``, and its readings,
+    its start included, are :func:`detect` of them.
+    """
+    states = run_reservoir_oracle(matrices, inputs, form, initial_state, spans)
+    if form == "phase":
+        states = detect(states)
+        if initial_state is not None:
+            initial_state = detect(initial_state)
+    return states.astype(np.float32), initial_state
 
 
 def _adversarial(levels):
@@ -480,13 +486,12 @@ def test_intensity_response_matches_formula(x):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 16),
     steps=st.integers(0, 24),
-    variant=st.sampled_from(VARIANTS),
     scale=st.sampled_from([0.1, 3.0, 300.0]),
     cuts=st.lists(st.integers(0, 24), max_size=3),
     off_grid_start=st.booleans(),
 )
 def test_run_reservoir_matches_step_by_step_formulas(
-    seed, n, steps, variant, scale, cuts, off_grid_start
+    seed, n, steps, scale, cuts, off_grid_start
 ):
     rng = np.random.default_rng(seed)
     params = HyperParams(
@@ -499,11 +504,22 @@ def test_run_reservoir_matches_step_by_step_formulas(
     inputs = scale * rng.uniform(-1.0, 1.0, size=(steps, 3))
     bounds = sorted({0, steps, *(c for c in cuts if c < steps)})
     spans = list(zip(bounds[:-1], bounds[1:])) if cuts else None
-    # a phase start off the grid exercises the formula path of the first step
-    x0 = rng.uniform(-10.0, 10.0, size=n) if off_grid_start else None
-    got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
-    want = _oracle_readings(m, inputs, variant, initial_state=x0, spans=spans)
-    assert _same(got, want)
+    # from the zero state the two forms of the recurrence read the same bytes,
+    # and run_reservoir reads them too
+    zero = np.zeros(n)
+    got = run_reservoir(m, inputs, spans=spans)
+    for form in VARIANTS:
+        want, start = _oracle_readings(m, inputs, form, initial_state=zero, spans=spans)
+        assert _same(start, zero)
+        assert _same(got, want), form
+    # and from a start off both grids, as the intensity form's readings or as
+    # the phase form's phases
+    if off_grid_start:
+        x0 = rng.uniform(-10.0, 10.0, size=n)
+        for form in VARIANTS:
+            want, start = _oracle_readings(m, inputs, form, initial_state=x0, spans=spans)
+            got = run_reservoir(m, inputs, initial_state=start, spans=spans)
+            assert _same(got, want), form
 
     # the public single steps, from an arbitrary state
     x = rng.uniform(-10.0, 10.0, size=n)
@@ -514,35 +530,34 @@ def test_run_reservoir_matches_step_by_step_formulas(
     s = np.sin(x)
     fed = quantize_intensity_oracle(s * s)
     assert _same(step_phase(m, x, drive), quantize_phase_oracle(m.weights @ fed + drive))
+    # x = f(phi): a phase step reads what a step of its reading reads
+    assert _same(detect(step_phase(m, x, drive)), step_intensity(m, detect(x), drive))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_run_reservoir_matches_formulas_at_scale(variant, rng):
+@pytest.mark.parametrize("form", VARIANTS)
+def test_run_reservoir_matches_formulas_at_scale(form, rng):
     m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
     inputs = rng.normal(size=(60, 8)) * 4.0
     spans = [(0, 25), (25, 60)]
     x0 = rng.uniform(-7.0, 7.0, size=256)
-    got = run_reservoir(m, inputs, variant=variant, initial_state=x0, spans=spans)
-    assert _same(got, _oracle_readings(m, inputs, variant, initial_state=x0, spans=spans))
+    want, start = _oracle_readings(m, inputs, form, initial_state=x0, spans=spans)
+    assert _same(run_reservoir(m, inputs, initial_state=start, spans=spans), want)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_run_reservoir_drive_blocks_match_one_gemm(variant, rng):
+@pytest.mark.parametrize("form", VARIANTS)
+def test_run_reservoir_drive_blocks_match_one_gemm(form, rng):
     # three drive blocks, and spans that cross both block edges
     rows = DRIVE_ROWS
     m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
     inputs = rng.normal(size=(2 * rows + 88, 8)) * 4.0
     spans = [(0, rows - 56), (rows - 56, 2 * rows + 1), (2 * rows + 1, 2 * rows + 88)]
-    want = _oracle_readings(m, inputs, variant, spans=spans)
-    assert _same(run_reservoir(m, inputs, variant=variant, spans=spans), want)
-    assert _same(
-        run_reservoir(m, inputs, variant=variant, spans=spans, dtype=np.float32),
-        want.astype(np.float32),
-    )
+    want, _ = _oracle_readings(m, inputs, form, spans=spans)
+    assert _same(run_reservoir(m, inputs, spans=spans), want)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_stacked_reservoirs_step_as_the_separate_ones(variant, rng):
+# the start of each part: arbitrary values, or the readings of arbitrary phases
+@pytest.mark.parametrize("form", VARIANTS)
+def test_stacked_reservoirs_step_as_the_separate_ones(form, rng):
     parts = [
         generate_matrices(n, 6, HyperParams(fg, 0.3, 0.4, 0.05), seed=seed)
         for n, fg, seed in ((40, 0.8, 1), (17, 1.2, 2), (40, 0.1, 1))
@@ -551,13 +566,14 @@ def test_stacked_reservoirs_step_as_the_separate_ones(variant, rng):
     assert stack.n_nodes == 97 and stack.input_dim == 6
     inputs = rng.normal(size=(300, 6)) * 3.0
     x0 = rng.uniform(-7.0, 7.0, size=97)
+    if form == "phase":
+        x0 = detect(x0)
     spans = [(0, 120), (120, 300)]
-    got = run_reservoir(stack, inputs, variant=variant, initial_state=x0, spans=spans)
+    got = run_reservoir(stack, inputs, initial_state=x0, spans=spans)
     start = 0
     for m in parts:
         stop = start + m.n_nodes
-        alone = run_reservoir(m, inputs, variant=variant, initial_state=x0[start:stop],
-                              spans=spans)
+        alone = run_reservoir(m, inputs, initial_state=x0[start:stop], spans=spans)
         assert _same(got[:, start:stop], alone)
         start = stop
     assert stack_matrices(parts[:1]) is parts[0]
@@ -570,13 +586,18 @@ def test_reservoir_spec_round_trip(tmp_path):
     spec = ReservoirSpec(
         n_nodes=128,
         input_dim=24,
-        variant="phase",
         params=HyperParams(0.8, 0.01, 0.1, 0.01),
         seed=42,
     )
     path = tmp_path / "spec.json"
     save_reservoir_spec(spec, path)
+    assert "variant" not in json.loads(path.read_text())
     assert load_reservoir_spec(path) == spec
+    # a spec file written when specs named a variant loads to the same spec
+    for variant in VARIANTS:
+        old = tmp_path / f"{variant}.json"
+        old.write_text(json.dumps({**json.loads(path.read_text()), "variant": variant}))
+        assert load_reservoir_spec(old) == spec
     m = spec.build()
     assert m.input_weights.shape == (128, 24)
 
@@ -584,12 +605,7 @@ def test_reservoir_spec_round_trip(tmp_path):
 def test_reservoir_spec_validation(tmp_path):
     params = HyperParams(0.8, 0.01, 0.1, 0.01)
     with pytest.raises(SchemaError):
-        ReservoirSpec(n_nodes=8, input_dim=2, variant="optical", params=params, seed=0)
-    with pytest.raises(SchemaError):
-        ReservoirSpec(
-            n_nodes=8, input_dim=2, variant="phase", params=params, seed=0,
-            prng_family="mersenne",
-        )
+        ReservoirSpec(n_nodes=8, input_dim=2, params=params, seed=0, prng_family="mersenne")
     path = tmp_path / "bad.json"
     path.write_text("{ nope")
     with pytest.raises(ParseError):
@@ -597,7 +613,7 @@ def test_reservoir_spec_validation(tmp_path):
     path.write_text("{}")
     with pytest.raises(SchemaError):
         load_reservoir_spec(path)
-    sound = dict(n_nodes=8, input_dim=2, variant="phase", params=params, seed=0)
+    sound = dict(n_nodes=8, input_dim=2, params=params, seed=0)
     for field in ("n_nodes", "input_dim"):
         for count in (0, -3):
             with pytest.raises(ValueError, match=f"{field} must be at least 1"):
@@ -606,4 +622,13 @@ def test_reservoir_spec_validation(tmp_path):
             text = path.read_text()
             path.write_text(text.replace(f'"{field}": {sound[field]}', f'"{field}": {count}'))
             with pytest.raises(SchemaError, match=f"{field} must be at least 1"):
+                load_reservoir_spec(path)
+    # an integer field must be a JSON integer: a boolean or a fraction is not
+    # read as one
+    save_reservoir_spec(ReservoirSpec(**sound), path)
+    doc = json.loads(path.read_text())
+    for field in ("n_nodes", "input_dim", "seed"):
+        for bad in (True, 8.9, 8.0, "8"):
+            path.write_text(json.dumps({**doc, field: bad}))
+            with pytest.raises(SchemaError, match=f"{field} must be an integer"):
                 load_reservoir_spec(path)

@@ -136,6 +136,20 @@ def test_grid_spec_file_errors(tmp_path):
     incomplete.write_text('{"feedback_gain": [0.5]}')
     with pytest.raises(SchemaError):
         load_grid_spec(incomplete)
+    # the integer fields must be JSON integers and the flag a JSON boolean:
+    # "false" would lift the range check, 16.9 would run 16 nodes
+    path = tmp_path / "grid.json"
+    save_grid_spec(_small_grid(), path)
+    doc = json.loads(path.read_text())
+    for field, bad in [
+        ("n_nodes", 16.9), ("n_nodes", 16.0), ("n_nodes", True), ("n_nodes", "16"),
+        ("seeds", [0, 1.5]), ("seeds", [False]), ("seeds", ["0"]),
+        ("allow_out_of_range", "false"), ("allow_out_of_range", 0), ("allow_out_of_range", None),
+    ]:
+        path.write_text(json.dumps({**doc, field: bad}))
+        kind = "a boolean" if field == "allow_out_of_range" else "an integer"
+        with pytest.raises(SchemaError, match=f"{path}: {field} must be {kind}"):
+            load_grid_spec(path)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +206,13 @@ def test_run_trial_scores_and_reports(prepared):
     params = HyperParams(
         feedback_gain=0.5, input_gain=0.01, coupling_gain=0.1, coupling_density=0.01
     )
-    result = run_trial(prepared, N_NODES, "intensity", params, None, seed=0)
+    result = run_trial(prepared, N_NODES, params, None, seed=0)
     assert result.status == "ok"
     assert 0.0 <= result.score <= 600.0
     assert result.nmse_per_class.shape == (6,)
     assert result.wall_time > 0
     # deterministic
-    again = run_trial(prepared, N_NODES, "intensity", params, None, seed=0)
+    again = run_trial(prepared, N_NODES, params, None, seed=0)
     assert again.score == result.score
     np.testing.assert_array_equal(again.nmse_per_class, result.nmse_per_class)
 
