@@ -47,13 +47,13 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Train on one-hot targets over train rows; lambda defaults to a
     # scale-adaptive value when not given.
-    enc = encode_targets(index.frame_actions(Split.TRAIN))
-    model = train_ridge(states[train_rows], enc.targets)
+    targets = encode_targets(index.frame_actions(Split.TRAIN))
+    model = train_ridge(states[train_rows], targets)
     print(f"readout weights {model.weights.shape}, "
           f"ridge lambda {model.ridge_lambda:.4g} (auto)")
 
     # Per-output NMSE on the training rows (0 is perfect, 1 is the mean).
-    errs = nmse_per_output(apply_readout(model, states[train_rows]), enc.targets)
+    errs = nmse_per_output(apply_readout(model, states[train_rows]), targets)
     print("train NMSE per class:")
     for action, e in zip(ACTIONS, errs):
         print(f"  {action.label:<13} {e:.3f}")

@@ -21,8 +21,9 @@ never holds all of it.
 
 :func:`read_json` reads every JSON document (the manifest, both specs and
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
-unsorted bytes feed the manifest hash in every stage digest.  Both spec
-loaders read their integer and boolean fields through :func:`json_typed`.
+unsorted bytes feed the manifest hash in every stage digest.  Every loader
+reads each field it uses through :func:`json_typed`, the one rule that gives
+a JSON value its Python type.
 """
 
 import json
@@ -141,11 +142,18 @@ def read_json(path, build):
 
 
 def json_typed(value, kind, name):
-    """``value`` of the field ``name`` if its JSON type is ``kind``: ``int`` for
-    an integer (never a boolean) or ``bool``; else SchemaError, where ``int()``
-    would floor a fraction and ``bool()`` would read any string as true."""
+    """``value`` of the field ``name`` if its JSON type is ``kind``, else
+    SchemaError: the one typing rule of every JSON field.  ``int`` is an
+    integer, never a boolean; ``float`` an integer or a fraction, never a
+    boolean, returned as a float; ``bool``, ``str``, ``list`` and ``dict`` a
+    JSON boolean, string, array and object.  Where ``int()`` would floor a
+    fraction, ``float()`` read a numeric string and ``bool()`` any string as
+    true, this refuses."""
+    if kind is float and type(value) is int:
+        return float(value)
     if type(value) is not kind:
-        what = "an integer" if kind is int else "a boolean"
+        what = {int: "an integer", bool: "a boolean", float: "a number", str: "a string",
+                list: "an array", dict: "an object"}[kind]
         raise SchemaError(f"{name} must be {what}, found {value!r}")
     return value
 

@@ -22,9 +22,12 @@ Frames are stored one per file as binary 8-bit grayscale PGM (P5).  The
 conversion, filled with the 0-based frame index and resolved against
 ``frame_store_root``.
 
-The manifest is read by :func:`photonrc.cache.read_json`, so a malformed one
-raises ParseError or SchemaError naming the file.  :func:`save_manifest`
-keeps its own unsorted writer: the manifest's bytes feed every stage digest.
+The manifest is read by :func:`photonrc.cache.read_json`, and each of its
+fields through :func:`photonrc.cache.json_typed`, as every JSON loader reads
+its fields; a malformed manifest, or a field of another JSON type (such as
+``"frame_count": 3.9``), raises ParseError or SchemaError naming the file.
+:func:`save_manifest` keeps its own unsorted writer: the manifest's bytes
+feed every stage digest.
 
 Sequences are identified by (subject, action, repetition), which must be
 unique across the manifest.  ``frame_count`` outside [24, 239] is legal but
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import read_json
+from .cache import json_typed, read_json
 from .errors import MissingFrameError, ParseError, SchemaError
 
 KTH_FRAME_COUNT_RANGE = (24, 239)
@@ -59,7 +62,7 @@ class Action(enum.IntEnum):
     @classmethod
     def from_name(cls, name):
         try:
-            return cls[str(name).strip().upper()]
+            return cls[name.strip().upper()]
         except KeyError:
             raise SchemaError(f"unknown action {name!r}") from None
 
@@ -78,7 +81,7 @@ class Split(enum.Enum):
     @classmethod
     def from_name(cls, name):
         try:
-            return cls(str(name).strip().lower())
+            return cls(name.strip().lower())
         except ValueError:
             raise SchemaError(f"unknown split {name!r}") from None
 
@@ -204,33 +207,33 @@ def load_manifest(path, check_frames=True):
 
 
 def _build_manifest(raw, path):
-    res = raw["resolution"]
-    resolution = (int(res["height"]), int(res["width"]))
+    res = json_typed(raw["resolution"], dict, "resolution")
+    resolution = tuple(json_typed(res[k], int, f"resolution.{k}") for k in ("height", "width"))
     if resolution[0] < 1 or resolution[1] < 1:
         raise SchemaError("resolution must be positive")
 
-    root = str(raw["frame_store_root"])
+    root = json_typed(raw["frame_store_root"], str, "frame_store_root")
     if not os.path.isabs(root):
         root = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), root))
-    split_seed = int(raw["split_seed"])
+    split_seed = json_typed(raw["split_seed"], int, "split_seed")
 
-    entries = raw["sequences"]
-    if not isinstance(entries, list):
-        raise SchemaError("sequences must be an array")
     sequences = []
     seen = set()
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(json_typed(raw["sequences"], list, "sequences")):
         ctx = f"sequences[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{ctx}: must be an object")
+        entry = json_typed(entry, dict, ctx)
+
+        def field(name, kind):
+            return json_typed(entry[name], kind, f"{ctx}.{name}")
+
         seq = SequenceMeta(
-            sequence_id=str(entry["sequence_id"]),
-            subject=int(entry["subject"]),
-            action=Action.from_name(entry["action"]),
-            repetition=int(entry["repetition"]),
-            frame_count=int(entry["frame_count"]),
-            split=Split.from_name(entry["split"]),
-            frame_filename_pattern=str(entry["frame_filename_pattern"]),
+            sequence_id=field("sequence_id", str),
+            subject=field("subject", int),
+            action=Action.from_name(field("action", str)),
+            repetition=field("repetition", int),
+            frame_count=field("frame_count", int),
+            split=Split.from_name(field("split", str)),
+            frame_filename_pattern=field("frame_filename_pattern", str),
         )
         key = (seq.subject, seq.action, seq.repetition)
         if key in seen:

@@ -42,7 +42,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cache import CacheRows, CacheWriter, read_cache, read_cache_header, read_json, write_json
+from .cache import (
+    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, write_json,
+)
 from .hog import (
     DEFAULT_CONFIG,
     HogConfig,
@@ -52,6 +54,7 @@ from .hog import (
     hog_descriptor,
 )
 from .classify import (
+    N_CLASSES,
     classify_stream,
     confusion,
     score_line,
@@ -62,7 +65,6 @@ from .dataset import Split, index_frames, load_manifest, make_split, stream_fram
 from .errors import NotAPipelineDirError, ParseError, PhotonRcError, PipelineStageError, SchemaError
 from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
 from .readout import (
-    N_CLASSES,
     apply_readout,
     check_ridge_lambda,
     encode_targets,
@@ -192,10 +194,14 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     count must match the manifest's total frame count, or None to bind
     the manifest's rows without any values.
 
-    With ``validation_fraction`` set, a stratified validation subset is
-    carved out of the train split and trials score on it instead of the
-    test split, which then stays untouched for the final model.
+    With ``validation_fraction`` set, in (0, 1), a stratified validation
+    subset is carved out of the train split and trials score on it instead
+    of the test split, which then stays untouched for the final model.
     """
+    if validation_fraction is not None and not 0.0 < validation_fraction < 1.0:  # nan too
+        raise ValueError(
+            f"validation_fraction must lie in the open interval (0, 1), got {validation_fraction}"
+        )
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_manifest(manifest)
     if isinstance(features, (str, os.PathLike)):
@@ -209,7 +215,7 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
                 f"feature cache has {features.shape[0]} rows, "
                 f"manifest counts {index.total_frames} frames"
             )
-    encoding = encode_targets(index.frame_actions())
+    targets = encode_targets(index.frame_actions())
 
     if validation_fraction is not None:
         train_seqs = [s for s in manifest.sequences if s.split is Split.TRAIN]
@@ -224,7 +230,7 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
 
     return PreparedData(
         features=features,
-        targets=encoding.targets,
+        targets=targets,
         train_rows=index.rows_for(Split.TRAIN),
         test_rows=index.rows_for(Split.TEST),
         all_spans=tuple(index.spans_for()),
@@ -532,27 +538,16 @@ def run_pipeline(config):
     return report
 
 
-# the pipeline.json fields describe reads, their JSON types, and their items' types
-_SUMMARY_FIELDS = {
-    "dimensions": (dict, None),
-    "artifacts": (dict, str),
-    "digests": (dict, None),
-    "stages": (list, str),
-}
-
-
 def _check_summary(summary):
-    """Return ``summary``; SchemaError if a field describe reads has another type."""
-    for key, (kind, item) in _SUMMARY_FIELDS.items():
-        value = summary.get(key, kind())
-        items = value.values() if isinstance(value, dict) else value
-        if not isinstance(value, kind) or (
-            item is not None and not all(isinstance(v, item) for v in items)
-        ):
-            raise SchemaError(f"malformed {key!r} field: {value!r}")
-    score = summary.get("score", 0.0)
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise SchemaError(f"malformed 'score' field: {score!r}")
+    """Return ``summary``; SchemaError unless each field describe reads has its
+    JSON type (:func:`json_typed`)."""
+    json_typed(summary.get("dimensions", {}), dict, "dimensions")
+    json_typed(summary.get("digests", {}), dict, "digests")
+    for name, filename in json_typed(summary.get("artifacts", {}), dict, "artifacts").items():
+        json_typed(filename, str, f"artifacts.{name}")
+    for stage in json_typed(summary.get("stages", []), list, "stages"):
+        json_typed(stage, str, "stages")
+    json_typed(summary.get("score", 0.0), float, "score")
     return summary
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import linalg
 
 from .cache import read_checked_header
+from .classify import N_CLASSES
 from .errors import (
     DegenerateTargetError,
     DimensionError,
@@ -33,28 +34,21 @@ from .errors import (
     SingularError,
 )
 
-N_CLASSES = 6
 RESIDUAL_RTOL = 1e-6
 DEFAULT_LAMBDA_SCALE = 1e-4  # lambda = scale * trace(X'X) / N when unspecified
 
 
-@dataclass(frozen=True)
-class TargetEncoding:
-    targets: np.ndarray         # (T, 6) of {0.0, 1.0}, one-hot rows
-    class_of_frame: np.ndarray  # (T,) int class indices
-
-
-def encode_targets(frame_classes, n_classes=N_CLASSES):
-    """One-hot encode per-frame class indices (0-based)."""
+def encode_targets(frame_classes):
+    """One-hot targets (T, 6) of per-frame class indices (0-based)."""
     classes = np.asarray(list(frame_classes), dtype=np.int64)
     if classes.ndim != 1:
         raise DimensionError("frame classes must form a 1-D sequence")
-    if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
-        bad = classes[(classes < 0) | (classes >= n_classes)][0]
-        raise LabelError(f"class index {bad} outside [0, {n_classes})")
-    targets = np.zeros((classes.size, n_classes))
+    if classes.size and (classes.min() < 0 or classes.max() >= N_CLASSES):
+        bad = classes[(classes < 0) | (classes >= N_CLASSES)][0]
+        raise LabelError(f"class index {bad} outside [0, {N_CLASSES})")
+    targets = np.zeros((classes.size, N_CLASSES))
     targets[np.arange(classes.size), classes] = 1.0
-    return TargetEncoding(targets=targets, class_of_frame=classes)
+    return targets
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ generator, consumed in a fixed order (B, then coupling positions, then
 coupling values) so a seed pins the reservoir down exactly.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -134,18 +134,6 @@ class HyperParams:
 
     def as_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            return cls(
-                feedback_gain=float(d["feedback_gain"]),
-                input_gain=float(d["input_gain"]),
-                coupling_gain=float(d["coupling_gain"]),
-                coupling_density=float(d["coupling_density"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"bad hyperparameter mapping: {d!r}") from None
 
 
 def coupling_count(n_nodes, density):
@@ -346,13 +334,17 @@ def save_reservoir_spec(spec, path):
 
 
 def load_reservoir_spec(path):
-    return read_json(
-        path,
-        lambda doc: ReservoirSpec(
+    def build(doc):
+        gains = json_typed(doc["hyperparameters"], dict, "hyperparameters")
+        return ReservoirSpec(
             n_nodes=json_typed(doc["n_nodes"], int, "n_nodes"),
             input_dim=json_typed(doc["input_dim"], int, "input_dim"),
-            params=HyperParams.from_dict(doc["hyperparameters"]),
+            params=HyperParams(**{
+                f.name: json_typed(gains[f.name], float, f"hyperparameters.{f.name}")
+                for f in fields(HyperParams)
+            }),
             seed=json_typed(doc["seed"], int, "seed"),
-            prng_family=str(doc.get("prng_family", PRNG_FAMILY)),
-        ),
-    )
+            prng_family=json_typed(doc.get("prng_family", PRNG_FAMILY), str, "prng_family"),
+        )
+
+    return read_json(path, build)

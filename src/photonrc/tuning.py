@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import json_typed, read_json, write_json
+from .classify import N_CLASSES
 from .errors import PhotonRcError, SchemaError
 from .pipeline import (
     evaluate_readout,
@@ -167,19 +168,22 @@ def save_grid_spec(spec, path):
 
 
 def load_grid_spec(path):
+    def values(doc, name, kind=float, default=None):
+        """The value list ``name``, each item through json_typed; a null lambda is the default."""
+        raw = doc[name] if default is None else doc.get(name, default)
+        return tuple(
+            None if v is None and name == "ridge_lambda" else json_typed(v, kind, name)
+            for v in json_typed(raw, list, name)
+        )
+
     return read_json(
         path,
         lambda doc: GridSpec(
-            feedback_gain=tuple(float(v) for v in doc["feedback_gain"]),
-            input_gain=tuple(float(v) for v in doc["input_gain"]),
-            coupling_gain=tuple(float(v) for v in doc["coupling_gain"]),
-            coupling_density=tuple(float(v) for v in doc["coupling_density"]),
-            ridge_lambda=tuple(
-                None if v is None else float(v) for v in doc.get("ridge_lambda", [None])
-            ),
+            **{name: values(doc, name) for name in AXES[:4]},
+            ridge_lambda=values(doc, "ridge_lambda", default=[None]),
             n_nodes=json_typed(doc.get("n_nodes", 1024), int, "n_nodes"),
-            variant=str(doc.get("variant", "intensity")),
-            seeds=tuple(json_typed(v, int, "seeds") for v in doc.get("seeds", [0])),
+            variant=json_typed(doc.get("variant", "intensity"), str, "variant"),
+            seeds=values(doc, "seeds", int, default=[0]),
             allow_out_of_range=json_typed(
                 doc.get("allow_out_of_range", False), bool, "allow_out_of_range"
             ),
@@ -377,7 +381,7 @@ def _error_result(params, ridge_lambda, seed, wall_time, exc):
         ridge_lambda=ridge_lambda,
         seed=seed,
         score=float("nan"),
-        nmse_per_class=np.full(6, np.nan),
+        nmse_per_class=np.full(N_CLASSES, np.nan),
         wall_time=wall_time,
         status="error",
         error=f"{type(exc).__name__}: {exc}",

@@ -233,6 +233,55 @@ def test_only_cache_reads_and_writes_json():
     }
 
 
+# the loaders of the four JSON documents; each field they read gets its type
+# from cache.json_typed alone
+JSON_LOADERS = {
+    "dataset.py": "_build_manifest",
+    "tuning.py": "load_grid_spec",
+    "reservoir.py": "load_reservoir_spec",
+    "pipeline.py": "_check_summary",
+}
+
+
+def test_json_loaders_coerce_no_field():
+    # int(), float(), str() or bool() of a JSON value would floor a fraction,
+    # read a boolean or a numeric string as a number, or any string as true
+    root = Path(cache.__file__).parent
+    for module, function in JSON_LOADERS.items():
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        (loader,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+        coercions = [
+            node.func.id for node in ast.walk(loader)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "float", "str", "bool")
+        ]
+        assert coercions == [], f"{module} {function} calls {coercions}"
+
+
+@pytest.mark.parametrize(
+    "value,kind,expected",
+    [(3, int, 3), (True, bool, True), (1, float, 1.0), (0.5, float, 0.5), ("a", str, "a"),
+     ([1], list, [1]), ({}, dict, {})],
+)
+def test_json_typed_returns_a_value_of_its_kind(value, kind, expected):
+    typed = cache.json_typed(value, kind, "field")
+    assert typed == expected and type(typed) is kind
+
+
+@pytest.mark.parametrize(
+    "value,kind",
+    [(True, int), (3.0, int), ("3", int), (0, bool), ("false", bool), (True, float),
+     ("0.5", float), (None, float), (None, str), (1, str), ("[1]", list), ([], dict)],
+)
+def test_json_typed_refuses_every_other_json_type(value, kind):
+    with pytest.raises(SchemaError, match=f"^field must be an? .*, found {re.escape(repr(value))}$"):
+        cache.json_typed(value, kind, "field")
+
+
 def test_write_json_round_trips_through_read_json(tmp_path):
     path = tmp_path / "doc.json"
     cache.write_json(path, {"b": [1, None], "a": 0.5})

@@ -499,30 +499,67 @@ def test_train_rejects_a_bad_lambda_before_writing(cli_env, tmp_path, capsys, ba
     assert not out.exists()
 
 
-# Each JSON input, damaged five ways: a data error (exit 2) naming the file.
+# Each JSON input, damaged: a data error (exit 2) naming the file, and the
+# field where one field is damaged.
+DAMAGES = ["non-utf8", "not-json", "array", "null", "1e400"]
 # The integer field of each document that the last two damages replace.
-INT_FIELDS = {"manifest": "split_seed", "grid": "n_nodes", "spec": "seed"}
-# what the spec damages write in place of a field: an integer field as a
-# boolean or a fraction, which int() would take, and the grid's flag as a
-# string, which bool() would read as true
-SPEC_DAMAGES = {"true": "true", "fraction": "16.9", "string-flag": '"false"'}
+INT_FIELDS = {"manifest": ("split_seed",), "grid": ("n_nodes",), "spec": ("seed",)}
+# More damages of one field each: (document, damage) -> (the field's path in
+# the document, the JSON written there).  Each is a value of the wrong JSON
+# type that a coercion would take: int() floors a fraction and reads a
+# boolean or a numeric string, float() reads them too, str() makes a root
+# path of null, and bool() reads any string as true.
+FIELD_DAMAGES = {
+    ("manifest", "true"): (("split_seed",), "true"),
+    ("manifest", "fraction"): (("sequences", 0, "frame_count"), "3.9"),
+    ("manifest", "string"): (("sequences", 0, "subject"), '"1"'),
+    ("manifest", "null-root"): (("frame_store_root",), "null"),
+    ("grid", "true"): (("n_nodes",), "true"),
+    ("grid", "fraction"): (("n_nodes",), "16.9"),
+    ("grid", "string-flag"): (("allow_out_of_range",), '"false"'),
+    ("grid", "true-gain"): (("feedback_gain", 0), "true"),
+    ("grid", "string-gain"): (("input_gain", 0), '"0.5"'),
+    ("grid", "string-lambda"): (("ridge_lambda", 0), '"1e-3"'),
+    ("spec", "true"): (("seed",), "true"),
+    ("spec", "fraction"): (("seed",), "16.9"),
+    ("spec", "true-gain"): (("hyperparameters", "feedback_gain"), "true"),
+    ("pipeline", "string-score"): (("score",), '"600"'),
+}
 
 
-def _damaged(raw, damage, int_field=None):
-    """The bytes ``raw`` of a JSON object after ``damage``."""
+def _field_damage(kind, damage):
+    """(path of the damaged field, JSON written there), or None if ``damage`` breaks the file."""
+    if damage in ("null", "1e400"):
+        return INT_FIELDS[kind], damage
+    return FIELD_DAMAGES.get((kind, damage))
+
+
+def _damaged(raw, kind, damage):
+    """The bytes ``raw`` of a ``kind`` JSON object after ``damage``."""
     if damage == "non-utf8":
         return raw.replace(b'"', b'"\xff', 1)
     if damage == "not-json":
         return raw[: len(raw) // 2]
     if damage == "array":
         return b"[" + raw + b"]"
+    (*parents, last), bad = _field_damage(kind, damage)
     doc = json.loads(raw)
-    doc["allow_out_of_range" if damage == "string-flag" else int_field] = "BAD"
-    bad = SPEC_DAMAGES.get(damage, "null" if damage == "null" else "1e400")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = "BAD"
     return json.dumps(doc).replace('"BAD"', bad).encode()
 
 
-DAMAGES = ["non-utf8", "not-json", "array", "null", "1e400"]
+def _named_field(kind, damage):
+    """What the loader's message says of the damaged field: "<name> must be" ("" if none)."""
+    field = _field_damage(kind, damage)
+    if field is None:
+        return ""
+    name = [key for key in field[0] if isinstance(key, str)][-1]
+    return f"{name} must be"
+
+
 LOADERS = {
     "manifest": load_manifest,
     "grid": load_grid_spec,
@@ -553,15 +590,14 @@ def _damaged_copy(json_inputs, kind, damage, tmp_path):
     source = json_inputs[kind]
     path = tmp_path / os.path.basename(source)
     with open(source, "rb") as fh:
-        path.write_bytes(_damaged(fh.read(), damage, INT_FIELDS.get(kind)))
+        path.write_bytes(_damaged(fh.read(), kind, damage))
     return str(path)
 
 
 CASES = (
     [(kind, damage) for kind in INT_FIELDS for damage in DAMAGES]
     + [("pipeline", damage) for damage in DAMAGES[:3]]
-    + [(kind, damage) for kind in ("grid", "spec") for damage in ("true", "fraction")]
-    + [("grid", "string-flag")]
+    + list(FIELD_DAMAGES)
 )
 
 
@@ -569,8 +605,9 @@ CASES = (
 def test_a_damaged_json_input_is_named_by_its_loader(json_inputs, tmp_path, kind, damage):
     path = _damaged_copy(json_inputs, kind, damage, tmp_path)
     expected = ParseError if damage in ("non-utf8", "not-json") else SchemaError
-    with pytest.raises(expected, match=re.escape(path)):
+    with pytest.raises(expected, match=re.escape(path)) as error:
         LOADERS[kind](path)
+    assert _named_field(kind, damage) in str(error.value)
 
 
 # the command reading each JSON input
@@ -602,7 +639,8 @@ def test_a_damaged_json_input_is_a_data_error(
         "describe": ["describe", os.path.dirname(path)],
     }[command]
     assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert path in err and _named_field(COMMANDS[command], damage) in err
 
 
 @pytest.mark.parametrize("n_nodes", [0, -4])
@@ -615,6 +653,17 @@ def test_gridsearch_rejects_a_node_count_below_one(cli_env, tmp_path, capsys, n_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(grid_path) in err and "n_nodes must be at least 1" in err
+    assert not (tmp_path / "grid_log.csv").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
+def test_gridsearch_rejects_a_validation_fraction_outside_zero_to_one(
+    cli_env, tmp_path, capsys, fraction
+):
+    argv = _gridsearch_argv(cli_env, tmp_path) + ["--validation-fraction", fraction]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"validation_fraction must lie in the open interval (0, 1), got {float(fraction)}" in err
     assert not (tmp_path / "grid_log.csv").exists()
 
 

@@ -34,28 +34,26 @@ from _oracles import ridge_oracle
 # Target encoding
 
 def test_single_class_rows():
-    enc = encode_targets([0])
-    np.testing.assert_array_equal(enc.targets, [[1, 0, 0, 0, 0, 0]])
-    enc = encode_targets([5, 5, 5])
-    assert enc.targets.shape == (3, 6)
-    np.testing.assert_array_equal(enc.targets, np.tile([0, 0, 0, 0, 0, 1], (3, 1)))
+    np.testing.assert_array_equal(encode_targets([0]), [[1, 0, 0, 0, 0, 0]])
+    targets = encode_targets([5, 5, 5])
+    assert targets.shape == (3, 6)
+    np.testing.assert_array_equal(targets, np.tile([0, 0, 0, 0, 0, 1], (3, 1)))
 
 
 def test_rows_are_one_hot(rng):
     classes = rng.integers(0, 6, size=200)
-    enc = encode_targets(classes)
-    assert enc.targets.shape == (200, 6)
-    np.testing.assert_array_equal(enc.targets.sum(axis=1), np.ones(200))
-    np.testing.assert_array_equal(np.argmax(enc.targets, axis=1), classes)
-    np.testing.assert_array_equal(enc.class_of_frame, classes)
+    targets = encode_targets(classes)
+    assert targets.shape == (200, 6)
+    np.testing.assert_array_equal(targets.sum(axis=1), np.ones(200))
+    np.testing.assert_array_equal(np.argmax(targets, axis=1), classes)
 
 
 def test_row_count_matches_manifest(tiny_manifest):
     from photonrc.dataset import index_frames
 
     index = index_frames(tiny_manifest)
-    enc = encode_targets(index.frame_actions())
-    assert enc.targets.shape[0] == sum(s.frame_count for s in tiny_manifest.sequences)
+    targets = encode_targets(index.frame_actions())
+    assert targets.shape[0] == sum(s.frame_count for s in tiny_manifest.sequences)
 
 
 def test_unknown_labels_rejected():
@@ -164,7 +162,7 @@ def test_training_validation_errors(rng):
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
 def test_shared_normal_equations_train_each_lambda_alike(rng, rows):
     states = rng.uniform(0, 2 * np.pi, size=(rows, 12)).astype(np.float32)
-    D = encode_targets(rng.integers(0, 6, size=rows)).targets
+    D = encode_targets(rng.integers(0, 6, size=rows))
     normal = normal_equations(states, D)
     assert normal.primal == (rows >= 12)
     for lam in (None, 1e-3, 0.5):

@@ -144,10 +144,6 @@ def test_hyperparams_validation():
         HyperParams(0.8, -1.0, 0.1, 0.01)
     with pytest.raises(ValueError):
         HyperParams(0.8, 0.01, 0.1, 1.5)
-    params = HyperParams(0.8, 0.01, 0.1, 0.01)
-    assert HyperParams.from_dict(params.as_dict()) == params
-    with pytest.raises(SchemaError):
-        HyperParams.from_dict({"feedback_gain": 0.8})
     for gain in ("feedback_gain", "input_gain", "coupling_gain", "coupling_density"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=gain):
@@ -632,3 +628,23 @@ def test_reservoir_spec_validation(tmp_path):
             path.write_text(json.dumps({**doc, field: bad}))
             with pytest.raises(SchemaError, match=f"{field} must be an integer"):
                 load_reservoir_spec(path)
+    # a gain must be a JSON number, and an integer gain loads as a float, so
+    # the spec it loads to digests like the one a float gain gives
+    for gain in params.as_dict():
+        for bad in (True, "0.5", None, [0.5]):
+            gains = {**doc["hyperparameters"], gain: bad}
+            path.write_text(json.dumps({**doc, "hyperparameters": gains}))
+            message = f"{path}: hyperparameters.{gain} must be a number"
+            with pytest.raises(SchemaError, match=message):
+                load_reservoir_spec(path)
+    gains = {**doc["hyperparameters"], "feedback_gain": 1}
+    path.write_text(json.dumps({**doc, "hyperparameters": gains}))
+    loaded = load_reservoir_spec(path).params.feedback_gain
+    assert loaded == 1.0 and type(loaded) is float
+    for field, bad in [("hyperparameters", [0.8]), ("prng_family", 1)]:
+        path.write_text(json.dumps({**doc, field: bad}))
+        with pytest.raises(SchemaError, match=f"{path}: {field} must be an? "):
+            load_reservoir_spec(path)
+    path.write_text(json.dumps({**doc, "hyperparameters": {"feedback_gain": 0.8}}))
+    with pytest.raises(SchemaError, match="missing field 'input_gain'"):
+        load_reservoir_spec(path)

@@ -150,6 +150,22 @@ def test_grid_spec_file_errors(tmp_path):
         kind = "a boolean" if field == "allow_out_of_range" else "an integer"
         with pytest.raises(SchemaError, match=f"{path}: {field} must be {kind}"):
             load_grid_spec(path)
+    # each gain and lambda must be a JSON number (a lambda may be null), each
+    # value list an array, and the variant a string
+    for field, bad, kind in [
+        ("feedback_gain", [True], "a number"), ("input_gain", ["0.5"], "a number"),
+        ("coupling_gain", [None], "a number"), ("coupling_density", 0.05, "an array"),
+        ("ridge_lambda", ["1e-3"], "a number"), ("ridge_lambda", [False], "a number"),
+        ("seeds", 0, "an array"), ("variant", None, "a string"),
+    ]:
+        path.write_text(json.dumps({**doc, field: bad}))
+        with pytest.raises(SchemaError, match=f"{path}: {field} must be {kind}"):
+            load_grid_spec(path)
+    # an integer where a number belongs loads as that number, as a float
+    path.write_text(json.dumps({**doc, "feedback_gain": [1], "ridge_lambda": [0, None]}))
+    spec = load_grid_spec(path)
+    assert spec.feedback_gain == (1.0,) and spec.ridge_lambda == (0.0, None)
+    assert type(spec.feedback_gain[0]) is float and type(spec.ridge_lambda[0]) is float
 
 
 # ---------------------------------------------------------------------------
