@@ -23,7 +23,8 @@ never holds all of it.
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
 unsorted bytes feed the manifest hash in every stage digest.  Every loader
 reads each field it uses through :func:`json_typed`, the one rule that gives
-a JSON value its Python type.
+a JSON value its Python type; :func:`json_field` applies it to a field of an
+object and names a missing one by its path, such as ``sequences[3].subject``.
 """
 
 import json
@@ -139,6 +140,15 @@ def read_json(path, build):
         raise SchemaError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field: {exc}") from None
+
+
+def json_field(doc, key, kind, prefix=""):
+    """:func:`json_typed` of ``doc[key]``, named by its path ``prefix + key``;
+    a SchemaError names that path if the JSON object ``doc`` lacks the field."""
+    name = prefix + key
+    if key not in doc:
+        raise SchemaError(f"missing field '{name}'")
+    return json_typed(doc[key], kind, name)
 
 
 def json_typed(value, kind, name):

@@ -5,7 +5,7 @@ reservoir run, train, evaluate), plus gridsearch, pipeline run, and
 describe.  Each stage command calls the stage function of
 :mod:`photonrc.pipeline` that ``pipeline run`` calls, so a chain of stage
 commands writes the bytes a pipeline run with the same settings writes.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Exit codes (:func:`~photonrc.errors.exit_code`): 0 ok, 1 usage, 2 data, 3 numerical.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from dataclasses import fields
 from .cache import CacheRows, read_cache_header
 from .classify import score_line
 from .dataset import load_manifest
-from .errors import DataError, NumericalError, PipelineStageError, SchemaError
+from .errors import FAILURES, SchemaError, exit_code
 from .hog import HogConfig
 from .pca import load_pca_model
 from .pipeline import (
@@ -39,14 +39,13 @@ from .reservoir import HyperParams, load_reservoir_spec, save_reservoir_spec
 from .tuning import best_trial, load_grid_spec, run_grid
 
 
-class _UsageError(Exception):
-    pass
+_LABELS = {1: "usage error", 2: "data error", 3: "numerical error"}
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the contract here is 1
+    # argparse exits with status 2 on bad usage; a usage error here exits 1
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_hyperparam_flags(parser):
@@ -209,7 +208,7 @@ def cmd_reservoir_run(args):
     spans = None
     if args.reset_per_sequence:
         if not args.manifest:
-            raise _UsageError("--reset-per-sequence requires --manifest")
+            raise ValueError("--reset-per-sequence requires --manifest")
         spans = prepare_data(args.manifest, features).all_spans
     if args.save_spec:
         os.makedirs(os.path.dirname(os.path.abspath(args.save_spec)), exist_ok=True)
@@ -303,23 +302,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, (DataError, OSError)):
-            return 2
-        return 3
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, OverflowError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except FAILURES as exc:
+        code = exit_code(exc)
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

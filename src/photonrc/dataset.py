@@ -29,9 +29,10 @@ its fields; a malformed manifest, or a field of another JSON type (such as
 :func:`save_manifest` keeps its own unsorted writer: the manifest's bytes
 feed every stage digest.
 
-Sequences are identified by (subject, action, repetition), which must be
-unique across the manifest.  ``frame_count`` outside [24, 239] is legal but
-triggers a warning, since conforming recordings stay inside that window.
+Sequences are identified by (subject, action, repetition) and by
+``sequence_id``, each unique across the manifest.  ``frame_count`` outside
+[24, 239] is legal but triggers a warning, since conforming recordings stay
+inside that window.
 """
 
 import enum
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import json_typed, read_json
+from .cache import json_field, json_typed, read_json
 from .errors import MissingFrameError, ParseError, SchemaError
 
 KTH_FRAME_COUNT_RANGE = (24, 239)
@@ -207,24 +208,25 @@ def load_manifest(path, check_frames=True):
 
 
 def _build_manifest(raw, path):
-    res = json_typed(raw["resolution"], dict, "resolution")
-    resolution = tuple(json_typed(res[k], int, f"resolution.{k}") for k in ("height", "width"))
+    res = json_field(raw, "resolution", dict)
+    resolution = tuple(json_field(res, k, int, "resolution.") for k in ("height", "width"))
     if resolution[0] < 1 or resolution[1] < 1:
         raise SchemaError("resolution must be positive")
 
-    root = json_typed(raw["frame_store_root"], str, "frame_store_root")
+    root = json_field(raw, "frame_store_root", str)
     if not os.path.isabs(root):
         root = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), root))
-    split_seed = json_typed(raw["split_seed"], int, "split_seed")
+    split_seed = json_field(raw, "split_seed", int)
 
     sequences = []
     seen = set()
-    for i, entry in enumerate(json_typed(raw["sequences"], list, "sequences")):
+    seen_ids = set()
+    for i, entry in enumerate(json_field(raw, "sequences", list)):
         ctx = f"sequences[{i}]"
         entry = json_typed(entry, dict, ctx)
 
         def field(name, kind):
-            return json_typed(entry[name], kind, f"{ctx}.{name}")
+            return json_field(entry, name, kind, f"{ctx}.")
 
         seq = SequenceMeta(
             sequence_id=field("sequence_id", str),
@@ -238,7 +240,10 @@ def _build_manifest(raw, path):
         key = (seq.subject, seq.action, seq.repetition)
         if key in seen:
             raise SchemaError(f"{ctx}: duplicate (subject, action, repetition) {key}")
+        if seq.sequence_id in seen_ids:
+            raise SchemaError(f"{ctx}.sequence_id must be unique, found {seq.sequence_id!r}")
         seen.add(key)
+        seen_ids.add(seq.sequence_id)
         sequences.append(seq)
 
     return Manifest(

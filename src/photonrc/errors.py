@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and its one failure rule.
 
-Two intermediate bases exist so callers (notably the CLI) can map whole
-families to exit codes: ``DataError`` for malformed or missing inputs,
-``NumericalError`` for computations that degenerate.
+:func:`exit_code` maps each of :data:`FAILURES`, which a stage wraps and a
+grid trial logs, to its exit code: 2 for a ``DataError`` (parse, schema,
+missing frame, label, dimension, not a pipeline dir) or ``OSError``, 3 for a
+``NumericalError`` (rank, singular, degenerate target) or ``OverflowError``,
+1 for any other ``ValueError`` (usage); a stage error takes its cause's.
 """
 
 
@@ -61,3 +63,14 @@ class PipelineStageError(PhotonRcError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+FAILURES = (PhotonRcError, OSError, OverflowError, ValueError)
+
+
+def exit_code(exc):
+    """The exit code of a failure in :data:`FAILURES`: 2 data, 3 numerical, 1 usage."""
+    exc = exc.cause if isinstance(exc, PipelineStageError) else exc
+    if isinstance(exc, (DataError, OSError)):
+        return 2
+    return 3 if isinstance(exc, (NumericalError, OverflowError)) else 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import read_checked_header
-from .errors import DimensionError, RankError
+from .errors import DimensionError, NumericalError, RankError
 
 PCA_MAGIC = b"RCPCA001"
 _PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
@@ -95,19 +95,21 @@ def fit_pca(data, n_components):
     total_variance = float(np.einsum("ij,ij->", X, X)) / denom
 
     if n >= dim:
-        cov = X.T @ X
+        sym = X.T @ X  # the covariance, after which Z is not needed
         del X
-        cov /= denom
-        vals, vecs = np.linalg.eigh(cov)
-        del cov
+    else:
+        sym = X @ X.T  # the Gram matrix
+    sym /= denom
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:  # a ValueError, which reads as a usage error
+        raise NumericalError(f"PCA eigendecomposition failed: {exc}") from exc
+    del sym
+    if n >= dim:
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = np.maximum(vals[order], 0.0)
         components = vecs[:, order].T.copy()
     else:
-        gram = X @ X.T
-        gram /= denom
-        vals, vecs = np.linalg.eigh(gram)
-        del gram
         vals = np.maximum(vals, 0.0)
         tol = max(n, dim) * np.finfo(np.float64).eps * (vals[-1] if vals[-1] > 0 else 1.0)
         rank = int(np.count_nonzero(vals > tol))

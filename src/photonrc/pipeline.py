@@ -30,8 +30,8 @@ Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
 in-memory originals; this is what makes warm and cold runs byte-identical.
 
-Stage failures surface as :class:`PipelineStageError` naming the stage and
-carrying the root cause.
+A stage failure, any of :data:`~photonrc.errors.FAILURES`, surfaces as
+:class:`PipelineStageError` naming the stage and carrying the root cause.
 """
 
 import contextlib
@@ -62,7 +62,7 @@ from .classify import (
     write_sequence_results,
 )
 from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
-from .errors import NotAPipelineDirError, ParseError, PhotonRcError, PipelineStageError, SchemaError
+from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
 from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
 from .readout import (
     apply_readout,
@@ -218,15 +218,18 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     targets = encode_targets(index.frame_actions())
 
     if validation_fraction is not None:
-        train_seqs = [s for s in manifest.sequences if s.split is Split.TRAIN]
+        train = [i for i, s in enumerate(manifest.sequences) if s.split is Split.TRAIN]
         relabeled = make_split(
-            train_seqs,
+            [manifest.sequences[i] for i in train],
             1.0 - validation_fraction,
             derive_stream_seed(seed, "validation"),
         )
-        # TEST after relabeling = validation; the real test sequences get no role
-        role = {s.sequence_id: s.split for s in relabeled}
-        index = replace(index, splits=tuple(role.get(seq_id) for seq_id in index.sequence_ids))
+        # TEST after relabeling = validation; the real test sequences get no
+        # role.  make_split keeps order, so roles go back by position.
+        splits = [None] * len(manifest.sequences)
+        for i, s in zip(train, relabeled):
+            splits[i] = s.split
+        index = replace(index, splits=tuple(splits))
 
     return PreparedData(
         features=features,
@@ -244,7 +247,7 @@ def _stage(name):
         yield
     except PipelineStageError:
         raise
-    except (PhotonRcError, OSError, OverflowError, ValueError) as exc:
+    except FAILURES as exc:
         raise PipelineStageError(name, exc) from exc
 
 
@@ -262,7 +265,7 @@ def _is_complete(path, read_header, *shape):
     :func:`header_readers`) returns its shape and accepts only an exact-size file."""
     try:
         return read_header(path)[:2] == shape
-    except (PhotonRcError, OSError):  # no file, a bad header, or a size it does not announce
+    except FAILURES:  # no file, a bad header, or a size it does not announce
         return False
 
 

@@ -15,7 +15,7 @@ through the dual system (XX' + lambda I) A = D with W = X'A, which
 satisfies the same normal equations exactly and yields the minimum-norm
 interpolator at lambda = 0.  Either route must leave a relative residual
 of at most 1e-6 or training fails with SingularError.  A model file is read
-only if it is exactly the size its header announces.
+only if it is exactly the size its header announces and its weights finite.
 """
 
 import struct
@@ -145,7 +145,7 @@ def train_ridge(states, targets, ridge_lambda=None, normal=None):
         W = linalg.cho_solve(factor, rhs if normal.primal else normal.targets)
         if not normal.primal:
             W = X.T @ W
-    except linalg.LinAlgError as exc:
+    except ValueError as exc:  # a LinAlgError, or a non-finite entry cho_factor refuses
         raise SingularError(f"regularized system not solvable: {exc}") from exc
     if not np.all(np.isfinite(W)):
         raise SingularError("regularized solve produced non-finite weights")
@@ -238,4 +238,7 @@ def load_readout_model(path):
     with open(path, "rb") as fh:
         m, n, lam = _read_readout_header(fh, path)
         weights = np.fromfile(fh, dtype="<f8", count=m * n)
-    return ReadoutModel(weights=weights.reshape(m, n), ridge_lambda=float(lam))
+    try:
+        return ReadoutModel(weights=weights.reshape(m, n), ridge_lambda=float(lam))
+    except ValueError as exc:  # a non-finite weight
+        raise ParseError(f"{path}: {exc}") from None

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy import sparse
 
-from .cache import json_typed, read_json, write_json
-from .errors import SchemaError
+from .cache import json_field, json_typed, read_json, write_json
+from .errors import NumericalError, SchemaError
 
 TWO_PI = 2.0 * np.pi
 PHASE_LEVELS = 256  # 8-bit modulator
@@ -74,7 +74,7 @@ def phase_code(x, levels=PHASE_LEVELS):
     else:
         y = np.mod(x, TWO_PI)
         if np.isnan(y).any():  # np.mod maps infinities to nan as well
-            raise ValueError("phases must be finite")
+            raise NumericalError("phases must be finite")
     k = np.asarray(y / grid[1]).astype(np.intp)  # floor, as y >= 0
     k += grid[1:][k] <= y
     k -= grid[k] > y
@@ -335,15 +335,15 @@ def save_reservoir_spec(spec, path):
 
 def load_reservoir_spec(path):
     def build(doc):
-        gains = json_typed(doc["hyperparameters"], dict, "hyperparameters")
+        gains = json_field(doc, "hyperparameters", dict)
         return ReservoirSpec(
-            n_nodes=json_typed(doc["n_nodes"], int, "n_nodes"),
-            input_dim=json_typed(doc["input_dim"], int, "input_dim"),
+            n_nodes=json_field(doc, "n_nodes", int),
+            input_dim=json_field(doc, "input_dim", int),
             params=HyperParams(**{
-                f.name: json_typed(gains[f.name], float, f"hyperparameters.{f.name}")
+                f.name: json_field(gains, f.name, float, "hyperparameters.")
                 for f in fields(HyperParams)
             }),
-            seed=json_typed(doc["seed"], int, "seed"),
+            seed=json_field(doc, "seed", int),
             prng_family=json_typed(doc.get("prng_family", PRNG_FAMILY), str, "prng_family"),
         )
 

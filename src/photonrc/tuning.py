@@ -15,12 +15,12 @@ own run byte for byte.  Each group then forms its readout's normal
 equations once and solves them for each of its lambdas.  Everything runs
 on the calling thread, and each trial is appended to a checkpoint log as
 it finishes, so an interrupted search resumes without recomputing.  Failed
-trials are recorded with an error tag rather than aborting the grid; a
-stack that fails runs its groups again one at a time, so an error lands on
-its own group.  A trial's wall time is its own readout training and scoring
-time, plus an equal share of its group's normal equations, plus an equal
-share of its stack's reservoir build and run time over every trial the
-stack serves.
+trials (:data:`~photonrc.errors.FAILURES`) get an error tag rather than
+abort the grid; a stack that fails runs its groups again one at a time, so
+an error lands on its own group.  A trial's wall time is its own readout
+training and scoring time, plus an equal share of its group's normal
+equations, plus an equal share of its stack's reservoir build and run time
+over every trial the stack serves.
 
 Results are canonically ordered (score descending, then parameters, then
 seed), so the stacking and completion order never affect the outcome.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .cache import json_typed, read_json, write_json
 from .classify import N_CLASSES
-from .errors import PhotonRcError, SchemaError
+from .errors import FAILURES, SchemaError
 from .pipeline import (
     evaluate_readout,
     readout_equations,
@@ -214,8 +214,10 @@ class TrialResult:
         )
 
     def key(self):
-        """The cell's sort key; auto lambda (None) sorts first."""
+        """The cell's sort key; auto lambda (None) sorts first, and a NaN
+        gain, which no comparison orders, after every number."""
         *gains, lam, seed = self.cell()
+        gains = ((math.isnan(g), 0.0 if math.isnan(g) else g) for g in gains)
         return (*gains, -math.inf if lam is None else float(lam), seed)
 
 
@@ -225,10 +227,6 @@ def _cell_fields(*cell):
     *gains, lam, seed = cell
     lam = "" if lam is None else repr(float(lam))
     return tuple(repr(float(v)) for v in gains) + (lam, str(seed))
-
-
-# the failures a trial records as an error row instead of raising
-_TRIAL_ERRORS = (PhotonRcError, OverflowError, ValueError)
 
 
 def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
@@ -257,7 +255,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
         ]
         spans = data.all_spans if reset_per_sequence else None
         states = reservoir_states(specs, data.features, spans)
-    except _TRIAL_ERRORS as exc:
+    except FAILURES as exc:
         if len(groups) > 1:
             return [
                 result
@@ -274,7 +272,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
             group_states = states[:, j * n_nodes:(j + 1) * n_nodes]
             try:
                 normal = readout_equations(group_states, data)
-            except _TRIAL_ERRORS as exc:
+            except FAILURES as exc:
                 error = exc
         group_share = share + (time.perf_counter() - start) / len(lambdas)
         for lam in lambdas:
@@ -284,7 +282,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
                 try:
                     model = train_readout(group_states, data, lam, normal)
                     _, _, matrix, per_class = evaluate_readout(model, group_states, data)
-                except _TRIAL_ERRORS as exc:
+                except FAILURES as exc:
                     trial_error = exc
             wall_time = group_share + time.perf_counter() - start
             if trial_error is None:

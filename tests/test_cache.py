@@ -262,6 +262,30 @@ def test_json_loaders_coerce_no_field():
         assert coercions == [], f"{module} {function} calls {coercions}"
 
 
+# the places that catch a failure: a stage wraps it, a grid trial logs it and
+# the CLI maps it to an exit code; each catches errors.FAILURES and no other list
+FAILURE_HANDLERS = {"cli.py": "main", "pipeline.py": "_stage", "tuning.py": "_run_stack"}
+
+
+def test_failure_handlers_catch_only_errors_failures():
+    root = Path(cache.__file__).parent
+    for module, function in FAILURE_HANDLERS.items():
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        (handler_scope,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+        handlers = [
+            node for node in ast.walk(handler_scope) if isinstance(node, ast.ExceptHandler)
+        ]
+        caught = [ast.unparse(node.type) if node.type else "everything" for node in handlers]
+        if function == "_stage":
+            # a stage error from a nested stage goes through as it is
+            passed = [ast.unparse(stmt) for stmt in handlers[0].body]
+            assert caught.pop(0) == "PipelineStageError" and passed == ["raise"]
+        assert caught and set(caught) == {"FAILURES"}, f"{module} {function} catches {caught}"
+
+
 @pytest.mark.parametrize(
     "value,kind,expected",
     [(3, int, 3), (True, bool, True), (1, float, 1.0), (0.5, float, 0.5), ("a", str, "a"),

@@ -1,8 +1,10 @@
 """Exit codes and artifacts of the command-line interface."""
 
 import json
+import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from photonrc.cache import CacheWriter, read_cache, read_cache_header
 from photonrc.cli import _hyperparams, build_parser, main
 from photonrc.hog import HogConfig, feature_count
 from photonrc.dataset import load_manifest
-from photonrc.errors import ParseError, SchemaError
-from photonrc.pipeline import PipelineConfig, describe_artifacts
+from photonrc.errors import (
+    ParseError, PipelineStageError, SchemaError, SingularError, exit_code,
+)
+from photonrc.pipeline import PipelineConfig, describe_artifacts, prepare_data
 from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, load_grid_spec, save_grid_spec
@@ -505,11 +509,17 @@ DAMAGES = ["non-utf8", "not-json", "array", "null", "1e400"]
 # The integer field of each document that the last two damages replace.
 INT_FIELDS = {"manifest": ("split_seed",), "grid": ("n_nodes",), "spec": ("seed",)}
 # More damages of one field each: (document, damage) -> (the field's path in
-# the document, the JSON written there).  Each is a value of the wrong JSON
-# type that a coercion would take: int() floors a fraction and reads a
-# boolean or a numeric string, float() reads them too, str() makes a root
-# path of null, and bool() reads any string as true.
+# the document, the JSON written there, or None to delete the field).  Most
+# are a value of the wrong JSON type that a coercion would take: int() floors
+# a fraction and reads a boolean or a numeric string, float() reads them too,
+# str() makes a root path of null, and bool() reads any string as true.  A
+# missing nested field is named by its whole path, and a sequence_id repeated
+# from sequences[0] is refused.
 FIELD_DAMAGES = {
+    ("manifest", "repeated-id"): (("sequences", 1, "sequence_id"), '"s01_boxing_r1"'),
+    ("manifest", "missing-subject"): (("sequences", 5, "subject"), None),
+    ("manifest", "missing-height"): (("resolution", "height"), None),
+    ("spec", "missing-gain"): (("hyperparameters", "input_gain"), None),
     ("manifest", "true"): (("split_seed",), "true"),
     ("manifest", "fraction"): (("sequences", 0, "frame_count"), "3.9"),
     ("manifest", "string"): (("sequences", 0, "subject"), '"1"'),
@@ -547,16 +557,24 @@ def _damaged(raw, kind, damage):
     target = doc
     for key in parents:
         target = target[key]
+    if bad is None:
+        del target[last]
+        return json.dumps(doc).encode()
     target[last] = "BAD"
     return json.dumps(doc).replace('"BAD"', bad).encode()
 
 
 def _named_field(kind, damage):
-    """What the loader's message says of the damaged field: "<name> must be" ("" if none)."""
+    """What the loader's message says of the damaged field: "<name> must be", or
+    "missing field '<path>'" for a deleted one ("" if no field is damaged)."""
     field = _field_damage(kind, damage)
     if field is None:
         return ""
-    name = [key for key in field[0] if isinstance(key, str)][-1]
+    path, bad = field
+    if bad is None:
+        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+        return f"missing field '{name[1:]}'"
+    name = [key for key in path if isinstance(key, str)][-1]
     return f"{name} must be"
 
 
@@ -709,3 +727,74 @@ def test_impossible_coupling_is_numerical_error(cli_env, tmp_path, capsys):
     ])
     assert code == 3
     assert "stage 'reservoir'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One failure rule: a fault exits alike from its stage command and pipeline run
+
+@pytest.mark.parametrize(
+    "bare,code",
+    [(ValueError("bad flag"), 1), (ParseError("torn file"), 2),
+     (FileNotFoundError("no file"), 2), (SingularError("singular"), 3),
+     (OverflowError("too many couplings"), 3)],
+)
+def test_exit_code_maps_each_family_bare_and_wrapped_in_a_stage(bare, code):
+    assert exit_code(bare) == code
+    assert exit_code(PipelineStageError("train", bare)) == code
+
+
+def _poison_first_weight(readout):
+    """Write NaN over the first weight of a readout file, after its 36-byte header."""
+    with open(readout, "r+b") as fh:
+        fh.seek(36)
+        fh.write(struct.pack("<d", math.nan))
+
+
+@pytest.mark.parametrize("fault", ["non-finite phases", "nan readout weight", "nan state"])
+def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
+    cli_env, tmp_path, capsys, fault
+):
+    run_dir = tmp_path / "run"
+    run = [
+        "--out-dir", str(run_dir), "pipeline", "run", "--manifest", cli_env["manifest"],
+        "--components", "12", "--n-nodes", "32", "--coupling-density", "0.05",
+    ]
+    if fault == "non-finite phases":
+        # finite gains whose drive overflows, so the phases are not finite
+        gains = ["--feedback-gain", "1e308", "--input-gain", "1e308"]
+        stage = [
+            "reservoir", "run", "--features", cli_env["features"], "--n-nodes", "32",
+            *gains, "--out", str(tmp_path / "states.rcf"),
+        ]
+        run += gains
+        code, named = 3, "phases must be finite"
+    else:
+        assert main(run) == 0
+        (readout,) = run_dir.glob("readout_*.bin")
+        (states,) = run_dir.glob("states_*.rcf")
+        if fault == "nan readout weight":
+            _poison_first_weight(readout)
+            stage = [
+                "evaluate", "--model", str(readout), "--states", str(states),
+                "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
+            ]
+            code, named = 2, f"{readout}: readout weights must be finite"
+        else:
+            # a NaN in a train row; without its readout the reuse run retrains
+            rows, layout = read_cache(states)
+            rows = rows.copy()
+            rows[prepare_data(cli_env["manifest"], None).train_rows[0], 0] = np.nan
+            with CacheWriter(states, rows.shape[1], layout=layout) as writer:
+                writer.append(rows)
+            readout.unlink()
+            stage = [
+                "train", "--states", str(states), "--manifest", cli_env["manifest"],
+                "--out", str(tmp_path / "readout.bin"),
+            ]
+            code, named = 3, "must not contain infs or NaNs"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(stage) == code
+        assert named in capsys.readouterr().err
+        assert main(run) == code  # over the poisoned artifact, if any, reused
+        assert named in capsys.readouterr().err

@@ -17,7 +17,7 @@ from _oracles import (
     run_reservoir_oracle,
     sample_offdiagonal_oracle,
 )
-from photonrc.errors import ParseError, SchemaError
+from photonrc.errors import NumericalError, ParseError, SchemaError
 from photonrc.reservoir import (
     DRIVE_ROWS,
     INTENSITY_LEVELS,
@@ -455,7 +455,7 @@ def test_kernel_matches_formula_on_scalars():
 
 def test_phase_code_rejects_non_finite_phases():
     for bad in (np.nan, np.inf, -np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="finite"):
             phase_code(np.array([0.5, bad]))
 
 
@@ -646,5 +646,5 @@ def test_reservoir_spec_validation(tmp_path):
         with pytest.raises(SchemaError, match=f"{path}: {field} must be an? "):
             load_reservoir_spec(path)
     path.write_text(json.dumps({**doc, "hyperparameters": {"feedback_gain": 0.8}}))
-    with pytest.raises(SchemaError, match="missing field 'input_gain'"):
+    with pytest.raises(SchemaError, match="missing field 'hyperparameters.input_gain'"):
         load_reservoir_spec(path)

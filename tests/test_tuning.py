@@ -215,6 +215,21 @@ def test_validation_fraction_carves_train_split(tiny_features):
     np.testing.assert_array_equal(carved.test_rows, again.test_rows)
 
 
+def test_validation_carve_gives_roles_by_position_not_by_id(tiny_manifest):
+    # a Manifest built in code may repeat a sequence_id; give the first
+    # validation sequence the id of the first train sequence the carve keeps
+    carved = prepare_data(tiny_manifest, None, validation_fraction=0.5, seed=0)
+    seqs = list(tiny_manifest.sequences)
+    carved_ids = {sid for sid, *_ in carved.test_spans}
+    kept = next(s for s in seqs if s.split is Split.TRAIN and s.sequence_id not in carved_ids)
+    i = next(i for i, s in enumerate(seqs) if s.sequence_id in carved_ids)
+    seqs[i] = dataclasses.replace(seqs[i], sequence_id=kept.sequence_id)
+    shared = dataclasses.replace(tiny_manifest, sequences=tuple(seqs))
+    again = prepare_data(shared, None, validation_fraction=0.5, seed=0)
+    np.testing.assert_array_equal(again.train_rows, carved.train_rows)
+    np.testing.assert_array_equal(again.test_rows, carved.test_rows)
+
+
 # ---------------------------------------------------------------------------
 # Trials and the grid loop
 
@@ -462,6 +477,16 @@ def test_resume_does_not_rerun_a_logged_nan_gain_cell(prepared, tmp_path):
         resumed = run_grid(spec, prepared, log_path=log, resume=True)
         assert len(log.read_text().splitlines()) == 3  # header + 2 rows, no duplicate
         assert [r.status for r in resumed] == [r.status for r in first] == ["ok", "error"]
+    # several NaN cells: a NaN sorts after every number, so the gains after it
+    # order them alike whether the NaNs are the grid's one object or read back
+    spec = _small_grid(
+        feedback_gain=(math.nan,), input_gain=(0.01, 0.003, 0.002), allow_out_of_range=True
+    )
+    log = tmp_path / "nan_grid_log.csv"
+    fresh = run_grid(spec, prepared, log_path=log)
+    resumed = run_grid(spec, prepared, log_path=log, resume=True)
+    assert [r.params.input_gain for r in resumed] == [r.params.input_gain for r in fresh]
+    assert [r.params.input_gain for r in fresh] == [0.002, 0.003, 0.01]
 
 
 def test_resume_reads_a_grid_of_numpy_floats(prepared, tmp_path):
