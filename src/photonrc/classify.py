@@ -1,7 +1,8 @@
 """Winner-takes-all decisions, majority votes, and the confusion score.
 
-Each frame is assigned the class of its strongest readout output; a
-sequence takes the class attributed to the most of its frames.  Ties break
+Each frame is assigned the class of its strongest readout output, and an
+output that is not finite is a numerical error; a sequence takes the class
+attributed to the most of its frames.  Ties break
 toward the lowest class index at both levels, which keeps every decision
 deterministic.  Aggregating sequence decisions against the ground truth
 gives a 6x6 confusion matrix whose rows are percentages; the score is its
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ACTIONS, Action
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 
 N_CLASSES = len(ACTIONS)
 
@@ -39,11 +40,21 @@ class ConfusionMatrix:
         return int(np.count_nonzero(self.counts.sum(axis=1)))
 
 
-def classify_frames(outputs):
-    """Per-row argmax class indices (lowest index wins ties)."""
+def classify_frames(outputs, sequence_id=""):
+    """Per-row argmax class indices (lowest index wins ties).
+
+    A row that is not finite raises NumericalError naming ``sequence_id``,
+    where np.argmax would take its first NaN for the maximum.
+    """
     Y = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
     if Y.shape[1] != N_CLASSES:
         raise DimensionError(f"expected {N_CLASSES} output columns, got {Y.shape[1]}")
+    finite = np.isfinite(Y).all(axis=1)
+    if not finite.all():
+        raise NumericalError(
+            f"readout output of sequence {sequence_id!r} is not finite "
+            f"at frame {int(np.argmin(finite))}"
+        )
     return np.argmax(Y, axis=1)  # np.argmax returns the first maximum
 
 
@@ -68,7 +79,7 @@ def classify_stream(outputs, spans):
     """
     Y = np.asarray(outputs, dtype=np.float64)
     decisions = [
-        classify_sequence(classify_frames(Y[start:stop]), sequence_id)
+        classify_sequence(classify_frames(Y[start:stop], sequence_id), sequence_id)
         for sequence_id, start, stop, _ in spans
     ]
     return decisions, [int(action) for *_, action in spans]

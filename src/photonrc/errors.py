@@ -3,8 +3,9 @@
 :func:`exit_code` maps each of :data:`FAILURES`, which a stage wraps and a
 grid trial logs, to its exit code: 2 for a ``DataError`` (parse, schema,
 missing frame, label, dimension, not a pipeline dir) or ``OSError``, 3 for a
-``NumericalError`` (rank, singular, degenerate target) or ``OverflowError``,
-1 for any other ``ValueError`` (usage); a stage error takes its cause's.
+``NumericalError`` (rank, singular, degenerate target, non-finite phase or
+readout output) or ``OverflowError``, 1 for any other ``ValueError``
+(usage); a stage error takes its cause's.
 """
 
 

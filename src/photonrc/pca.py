@@ -8,10 +8,9 @@ eigenvalues are clamped at zero and each component's sign is fixed so its
 largest-magnitude entry is positive.
 
 Memory: fitting holds one float64 copy of the data, which it centres in
-place, the n x n Gram (or D x D covariance) matrix and its eigenvectors,
-and one copy of the components.  On the Gram route the components are a
-transposed view of the back-projection Z'U; sign fixing and saving work on
-them a block of rows at a time, so no whole second copy is ever made.
+place, with the n x n Gram (or D x D covariance) matrix and its
+eigenvectors, or, once those are freed, with one row-major copy of the
+components, which sign fixing orients a block of rows at a time.
 
 The model file is a flat little-endian binary (magic ``RCPCA001``) holding
 the sample mean, eigenvalues, components, total variance, and sample count,
@@ -29,8 +28,8 @@ from .errors import DimensionError, NumericalError, RankError
 
 PCA_MAGIC = b"RCPCA001"
 _PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
-# component rows per block when fixing signs and saving: 64 rows of a
-# 9,576-wide HOG model are 4.9 MB
+# component rows per block when fixing signs: 64 rows of a 9,576-wide HOG
+# model are 4.9 MB
 _BLOCK_ROWS = 64
 
 
@@ -119,9 +118,10 @@ def fit_pca(data, n_components):
             )
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = vals[order]
-        # map Gram eigenvectors into feature space and renormalize; the
-        # (K, D) components are a transposed view of the (D, K) product
-        components = (X.T @ vecs[:, order]).T
+        U = vecs[:, order]
+        del vecs
+        # map Gram eigenvectors into feature space, as (K, D) rows, and renormalize
+        components = U.T @ X
         components /= np.sqrt(denom * eigenvalues)[:, None]
 
     _fix_signs(components)
@@ -169,9 +169,7 @@ def save_pca_model(model, path):
         fh.write(_PCA_HEAD.pack(PCA_MAGIC, k, dim, model.n_samples, model.total_variance))
         fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8").tobytes())
-        for start in range(0, k, _BLOCK_ROWS):
-            block = model.components[start : start + _BLOCK_ROWS]
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        fh.write(np.ascontiguousarray(model.components, dtype="<f8"))
 
 
 def _read_pca_header(fh, path):

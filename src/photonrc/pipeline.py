@@ -23,8 +23,8 @@ The PCA stage never holds the whole HOG cache.  The fit reads its rows
 through :class:`~photonrc.cache.CacheRows` straight into one float64 array,
 which it centres in place, and the projection reads, projects and writes
 ``cache.CHUNK_ROWS`` rows at a time.  At its peak the stage holds the fit
-rows in float64, one copy of the components, the Gram matrix with its
-eigenvectors, and one chunk.
+rows in float64 with either the Gram matrix and its eigenvectors or one
+copy of the components; the projection holds the model and one chunk.
 
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
@@ -357,9 +357,10 @@ def drive_reservoir(spec, features_path, path, spans=None):
 
 
 def _train_set(states, data):
+    """The train rows of ``states``, gathered once into float64, and their targets."""
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
-    return states[data.train_rows], data.targets[data.train_rows]
+    return states[data.train_rows].astype(np.float64, copy=False), data.targets[data.train_rows]
 
 
 def readout_equations(states, data):
@@ -371,9 +372,11 @@ def train_readout(states, data, ridge_lambda, normal=None):
     """Ridge-train the readout on the train rows of ``states``.
 
     ``normal`` is :func:`readout_equations` of the same states, for a caller
-    that trains several lambdas on them.
+    that trains several lambdas on them; its train rows are used as they are.
     """
-    return train_ridge(*_train_set(states, data), ridge_lambda=ridge_lambda, normal=normal)
+    if normal is None:
+        return train_ridge(*_train_set(states, data), ridge_lambda=ridge_lambda)
+    return train_ridge(normal.features, normal.targets, ridge_lambda=ridge_lambda, normal=normal)
 
 
 def evaluate_readout(model, states, data):

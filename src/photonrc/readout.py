@@ -14,8 +14,11 @@ For wide state matrices (more nodes than frames) the equations are solved
 through the dual system (XX' + lambda I) A = D with W = X'A, which
 satisfies the same normal equations exactly and yields the minimum-norm
 interpolator at lambda = 0.  Either route must leave a relative residual
-of at most 1e-6 or training fails with SingularError.  A model file is read
-only if it is exactly the size its header announces and its weights finite.
+of at most 1e-6 or training fails with SingularError.  Training holds one
+float64 copy of the train rows and one Gram, which it regularizes and
+factors in place unless a caller shares it across lambdas.  A model file
+is read only if it is exactly the size its header announces and its
+weights finite.
 """
 
 import struct
@@ -101,8 +104,12 @@ class NormalEquations:
 
 
 def normal_equations(states, targets):
-    """Build the :class:`NormalEquations` of ``states`` and one-hot ``targets``."""
-    X = np.asarray(states, dtype=np.float64)
+    """Build the :class:`NormalEquations` of ``states`` and one-hot ``targets``.
+
+    X is made C-contiguous, the layout for which numpy's X'X and XX' are
+    exactly symmetric; the Cholesky factorization relies on that.
+    """
+    X = np.ascontiguousarray(states, dtype=np.float64)
     D = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or D.ndim != 2:
         raise DimensionError("states and targets must be 2-D")
@@ -127,21 +134,25 @@ def train_ridge(states, targets, ridge_lambda=None, normal=None):
     least squares (minimum-norm when the system is underdetermined).
     ``normal`` is :func:`normal_equations` of these same states and
     targets, for a caller that solves several lambdas on one training set;
-    without it they are built here.
+    it is left unchanged.  Without it they are built here.
     """
     check_ridge_lambda(ridge_lambda)
     if normal is None:
         normal = normal_equations(states, targets)
+        gram = normal.gram  # nothing else holds it, so it is factored in place
     elif normal.features.shape != np.shape(states):
         raise ValueError("normal equations were built from other states")
+    else:
+        gram = normal.gram.copy()
     X = normal.features
     lam = default_lambda(X) if ridge_lambda is None else float(ridge_lambda)
 
     rhs = normal.rhs
-    gram = normal.gram.copy()
     gram[np.diag_indices_from(gram)] += lam
     try:
-        factor = linalg.cho_factor(gram, overwrite_a=True)
+        # the Gram is exactly symmetric, so its transpose is the same matrix
+        # already in the column-major order LAPACK factors without a copy
+        factor = linalg.cho_factor(gram.T, overwrite_a=True)
         W = linalg.cho_solve(factor, rhs if normal.primal else normal.targets)
         if not normal.primal:
             W = X.T @ W

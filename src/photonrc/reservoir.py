@@ -168,7 +168,7 @@ def sample_offdiagonal(rng, n_nodes, count):
 
 @dataclass(frozen=True)
 class ReservoirMatrices:
-    weights: sparse.csr_array  # (N, N): feedback diagonal + couplings
+    weights: sparse.csr_array  # (N, N): feedback diagonal + couplings, int32 indices
     input_weights: np.ndarray  # (N, K)
 
     @property
@@ -196,8 +196,10 @@ def generate_matrices(n_nodes, input_dim, params, seed):
     input_weights = params.input_gain * rng.uniform(-1.0, 1.0, size=(n, k_in))
     rows, cols = sample_offdiagonal(rng, n, count)
     values = params.coupling_gain * rng.uniform(-1.0, 1.0, size=count)
-    rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
+    # int32 indices: each step's spmv streams 12 bytes per nonzero, not 16
+    diagonal = np.arange(n, dtype=np.int32)
+    rows = np.concatenate([rows, diagonal], dtype=np.int32)
+    cols = np.concatenate([cols, diagonal], dtype=np.int32)
     values = np.concatenate([values, np.full(n, params.feedback_gain)])
     weights = sparse.coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
     return ReservoirMatrices(weights=weights, input_weights=input_weights)

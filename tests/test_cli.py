@@ -750,7 +750,9 @@ def _poison_first_weight(readout):
         fh.write(struct.pack("<d", math.nan))
 
 
-@pytest.mark.parametrize("fault", ["non-finite phases", "nan readout weight", "nan state"])
+@pytest.mark.parametrize(
+    "fault", ["non-finite phases", "nan readout weight", "nan state", "nan test state"]
+)
 def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
     cli_env, tmp_path, capsys, fault
 ):
@@ -779,6 +781,19 @@ def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
                 "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
             ]
             code, named = 2, f"{readout}: readout weights must be finite"
+        elif fault == "nan test state":
+            # a test row all NaN; the reuse run reuses the readout and scores it
+            rows, layout = read_cache(states)
+            rows = rows.copy()
+            sequence_id, start, _, _ = prepare_data(cli_env["manifest"], None).test_spans[0]
+            rows[start] = np.nan
+            with CacheWriter(states, rows.shape[1], layout=layout) as writer:
+                writer.append(rows)
+            stage = [
+                "evaluate", "--model", str(readout), "--states", str(states),
+                "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
+            ]
+            code, named = 3, f"readout output of sequence '{sequence_id}' is not finite"
         else:
             # a NaN in a train row; without its readout the reuse run retrains
             rows, layout = read_cache(states)

@@ -208,7 +208,7 @@ def test_model_file_size_must_match_its_header(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# One float64 copy of the data, sign fixing and saving a block at a time
+# One float64 copy of the data, sign fixing a block at a time
 
 @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["covariance", "gram"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -248,7 +248,8 @@ def test_fit_on_cache_rows_equals_fit_on_the_array(tmp_path, rng, shape):
 
 @pytest.mark.parametrize("shape", [(300, 20), (30, 300)], ids=["covariance", "gram"])
 def test_saved_model_is_the_row_major_bytes_of_the_fit(tmp_path, rng, shape):
-    model = fit_pca(rng.standard_normal(shape), 20)  # more rows than one save block
+    model = fit_pca(rng.standard_normal(shape), 20)
+    assert model.components.flags.c_contiguous
     path = tmp_path / "pca.bin"
     save_pca_model(model, path)
     k, dim = model.components.shape

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,60 @@ def test_shared_normal_equations_train_each_lambda_alike(rng, rows):
         assert shared.ridge_lambda == alone.ridge_lambda
     with pytest.raises(ValueError, match="other states"):
         train_ridge(states[:-1], D[:-1], 0.1, normal=normal)
+
+
+# layouts of a (rows, cols) view into a larger float64 array
+LAYOUTS = {
+    "C": lambda a, r, c: np.ascontiguousarray(a[:r, :c]),
+    "F": lambda a, r, c: np.asfortranarray(a[:r, :c]),
+    "row-strided": lambda a, r, c: a[: 2 * r : 2, :c],
+    "column-sliced": lambda a, r, c: a[:r, 3 : 3 + c],
+    "column-strided": lambda a, r, c: a[:r, : 2 * c : 2],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows, cols", [(150, 100), (100, 300)], ids=["primal", "dual"])
+def test_normal_equations_gram_is_exactly_symmetric_for_every_layout(rng, layout, rows, cols):
+    # the Cholesky solve factors the Gram's transpose as the Gram itself;
+    # numpy's product of column-strided rows is not symmetric at these sizes
+    big = rng.uniform(0, 1, size=(2 * rows, 2 * cols + 3))
+    X = LAYOUTS[layout](big, rows, cols)
+    assert X.shape == (rows, cols)
+    gram = normal_equations(X, encode_targets(rng.integers(0, 6, size=rows))).gram
+    assert gram.shape == (min(rows, cols),) * 2
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("rows", [600, 300])  # the primal and the dual route
+def test_ridge_training_holds_one_copy_of_the_rows_and_one_gram(rng, rows):
+    n = 400
+    states = rng.uniform(0, 1, size=(rows, n)).astype(np.float32)
+    D = encode_targets(rng.integers(0, 6, size=rows))
+    g = min(rows, n)
+    tracemalloc.start()
+    try:
+        train_ridge(states, D, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: the g x g mask of cho_factor's finiteness check, and 256 kB for
+    # the (N, 6) and (T, 6) arrays
+    assert peak < 8 * (rows * n + g * g) + g * g + (1 << 18)
+
+
+@pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
+def test_a_shared_normal_is_left_unchanged(rng, rows):
+    states = rng.uniform(0, 1, size=(rows, 12))
+    D = encode_targets(rng.integers(0, 6, size=rows))
+    normal = normal_equations(states, D)
+    assert normal.features is states  # float64 C-order rows are used as they are
+    before = [a.tobytes() for a in (states, normal.gram, normal.rhs)]
+    shared = train_ridge(states, D, 0.01, normal=normal)
+    assert [a.tobytes() for a in (states, normal.gram, normal.rhs)] == before
+    alone = train_ridge(states, D, 0.01)
+    assert states.tobytes() == before[0]
+    assert shared.weights.tobytes() == alone.weights.tobytes()
 
 
 # ---------------------------------------------------------------------------

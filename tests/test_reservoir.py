@@ -575,6 +575,19 @@ def test_stacked_reservoirs_step_as_the_separate_ones(form, rng):
     assert stack_matrices(parts[:1]) is parts[0]
 
 
+def test_reservoir_weights_carry_int32_indices(rng):
+    parts = [generate_matrices(n, 3, HyperParams(0.8, 0.01, 0.1, 0.05), seed=n) for n in (40, 17)]
+    for m in (*parts, stack_matrices(parts)):
+        assert m.weights.indices.dtype == np.int32 and m.weights.indptr.dtype == np.int32
+        # the spmv does the same float operations as with 8-byte indices
+        wide = sparse.csr_array(
+            (m.weights.data, m.weights.indices.astype(np.int64), m.weights.indptr.astype(np.int64)),
+            shape=m.weights.shape,
+        )
+        x = rng.uniform(-7.0, 7.0, size=m.n_nodes)
+        assert (m.weights @ x).tobytes() == (wide @ x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Spec files
 
