@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Fit on the train split only, exactly as the pipeline does.
     train = values[index.rows_for(Split.TRAIN)]
-    model = fit_pca(train, 40)
+    model, _ = fit_pca(train, 40)
     print(f"fit on {train.shape[0]} train rows, kept {model.n_components} components")
 
     explained = np.cumsum(model.eigenvalues) / model.total_variance

@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     # split only.
     extract_hog(manifest, work / "hog.rcf")
     values, _ = read_cache(work / "hog.rcf")
-    pca = fit_pca(values[train_rows], 24)
+    pca, _ = fit_pca(values[train_rows], 24)
     feats = transform(pca, values)
 
     # One fixed reservoir over the whole concatenated stream (no resets, the

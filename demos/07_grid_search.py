@@ -31,7 +31,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     # the grid, so sweeping hyperparameters is cheap).
     extract_hog(manifest, work / "hog.rcf")
     values, _ = read_cache(work / "hog.rcf")
-    pca = fit_pca(values[index_frames(manifest).rows_for(Split.TRAIN)], 24)
+    pca, _ = fit_pca(values[index_frames(manifest).rows_for(Split.TRAIN)], 24)
     data = prepare_data(manifest, transform(pca, values))
     print(f"prepared {data.features.shape[0]} frames, "
           f"{len(data.train_rows)} train / {len(data.test_rows)} test rows")

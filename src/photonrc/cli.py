@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (extract-hog, pca fit/transform,
-reservoir run, train, evaluate), plus gridsearch, pipeline run, and
+Subcommands mirror the pipeline stages (extract-hog, pca fit, reservoir
+run, train, evaluate), plus pca transform, gridsearch, pipeline run, and
 describe.  Each stage command calls the stage function of
 :mod:`photonrc.pipeline` that ``pipeline run`` calls, so a chain of stage
-commands writes the bytes a pipeline run with the same settings writes.
+commands writes the bytes a pipeline run with the same settings writes;
+``pca fit`` writes the model and the features, as the PCA stage does.
+``pca transform`` applies a saved model to any HOG cache.
 Exit codes (:func:`~photonrc.errors.exit_code`): 0 ok, 1 usage, 2 data, 3 numerical.
 """
 
@@ -25,8 +27,8 @@ from .pipeline import (
     drive_reservoir,
     evaluate_readout,
     extract_hog,
-    fit_pca_model,
     pca_fit_rows,
+    pca_stage,
     prepare_data,
     project,
     reservoir_spec,
@@ -69,14 +71,16 @@ def build_parser():
 
     pca_parser = sub.add_parser("pca", help="fit or apply the PCA compressor")
     pca_sub = pca_parser.add_subparsers(dest="pca_command", required=True)
-    p = pca_sub.add_parser("fit")
+    p = pca_sub.add_parser(
+        "fit", help="fit a model; also writes every row's features to <out-dir>/features.rcf"
+    )
     p.add_argument("--in", "--features", dest="features", required=True, help="HOG feature cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", "--components", dest="components", type=int, default=2000)
     p.add_argument("--pca-fit-on", choices=["train", "all"], default="train")
     p.add_argument("--out", default=None, help="model file (default <out-dir>/pca.bin)")
     p.set_defaults(func=cmd_pca_fit)
-    p = pca_sub.add_parser("transform")
+    p = pca_sub.add_parser("transform", help="project a HOG cache with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--in", "--features", dest="features", required=True)
     p.add_argument("--out", default=None, help="cache file (default <out-dir>/features.rcf)")
@@ -180,11 +184,13 @@ def cmd_pca_fit(args):
     data = prepare_data(args.manifest, CacheRows(args.features))
     rows = pca_fit_rows(data, args.pca_fit_on)
     out = _out_path(args, args.out, "pca.bin")
-    model = fit_pca_model(args.features, rows, args.components, out)
+    features = _out_path(args, None, "features.rcf")
+    model = pca_stage(args.features, rows, args.components, out, features)
     print(
         f"wrote {out}: {model.n_components} components over {model.feature_dim} features, "
         f"explained variance {100 * model.explained_fraction():.2f}%"
     )
+    print(f"wrote {features}: {data.targets.shape[0]} frames x {model.n_components} components")
     return 0
 
 

@@ -7,10 +7,21 @@ through v = Z'u / sqrt((n-1) mu).  Both routes yield the same subspace;
 eigenvalues are clamped at zero and each component's sign is fixed so its
 largest-magnitude entry is positive.
 
+On the Gram route the fit also returns the scores of its own rows, Z C',
+without projecting them: Z C' = Z Z' U / sqrt((n-1) mu) = U sqrt((n-1) mu),
+the snapshot method of Sirovich (1987) used by Turk & Pentland's eigenfaces
+(1991).  Each kept column of U is scaled in place by sqrt((n-1) mu) and by
+the sign its component got, so the scores agree with :func:`transform` of
+the same rows to float64 rounding; stored as float32, an entry moved by at
+most one ulp in the tests and at desk scale.  The covariance route has no
+U and returns no scores.
+
 Memory: fitting holds one float64 copy of the data, which it centres in
 place, with the n x n Gram (or D x D covariance) matrix and its
 eigenvectors, or, once those are freed, with one row-major copy of the
-components, which sign fixing orients a block of rows at a time.
+components, which sign fixing orients a block of rows at a time.  The
+n x k scores are the kept eigenvector columns, made before the Gram's
+eigenvectors are freed, so they never add to that peak.
 
 The model file is a flat little-endian binary (magic ``RCPCA001``) holding
 the sample mean, eigenvalues, components, total variance, and sample count,
@@ -61,22 +72,29 @@ class PcaModel:
 
 
 def _fix_signs(components):
-    # orient each component so its largest-magnitude entry is positive,
-    # negating rows in place a block at a time (negation is exact)
+    """Orient each component so its largest-magnitude entry is positive,
+    negating rows in place a block at a time (negation is exact); returns
+    each row's sign, -1.0 where it was negated and 1.0 elsewhere."""
+    signs = np.ones(components.shape[0])
     for start in range(0, components.shape[0], _BLOCK_ROWS):
         block = components[start : start + _BLOCK_ROWS]
         idx = np.argmax(np.abs(block), axis=1)
         flip = block[np.arange(block.shape[0]), idx] < 0
         np.multiply(block, -1.0, out=block, where=flip[:, None])
-    return components
+        signs[start : start + block.shape[0]][flip] = -1.0
+    return signs
 
 
 def fit_pca(data, n_components):
-    """Fit a PCA model to ``data`` of shape (n_samples, feature_dim).
+    """Fit a PCA model to ``data`` of shape (n_samples, feature_dim); returns
+    (model, scores).
 
     ``data`` is any array-like, such as a :class:`~photonrc.cache.CacheRows`
     that reads rows from a cache file.  It is read into one new float64
     array, which is centred in place, so the caller's array never changes.
+    ``scores`` is the (n_samples, n_components) float64 projection of those
+    rows on the Gram route (n_samples < feature_dim), taken from the Gram's
+    eigenvectors, and None on the covariance route.
     """
     X = np.array(data, dtype=np.float64)
     if X.ndim != 2:
@@ -108,6 +126,7 @@ def fit_pca(data, n_components):
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = np.maximum(vals[order], 0.0)
         components = vecs[:, order].T.copy()
+        scores = None
     else:
         vals = np.maximum(vals, 0.0)
         tol = max(n, dim) * np.finfo(np.float64).eps * (vals[-1] if vals[-1] > 0 else 1.0)
@@ -118,20 +137,26 @@ def fit_pca(data, n_components):
             )
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = vals[order]
-        U = vecs[:, order]
+        scores = vecs[:, order]  # U, the kept eigenvectors, until scaled below
         del vecs
         # map Gram eigenvectors into feature space, as (K, D) rows, and renormalize
-        components = U.T @ X
-        components /= np.sqrt(denom * eigenvalues)[:, None]
+        components = scores.T @ X
+        del X
+        scale = np.sqrt(denom * eigenvalues)
+        components /= scale[:, None]
 
-    _fix_signs(components)
-    return PcaModel(
+    signs = _fix_signs(components)
+    if scores is not None:
+        # Z C' = U diag(sqrt((n-1) mu)), each column with its component's sign
+        scores *= scale * signs
+    model = PcaModel(
         mean=mean,
         components=components,
         eigenvalues=eigenvalues,
         total_variance=total_variance,
         n_samples=n,
     )
+    return model, scores
 
 
 def transform(model, data):

@@ -1,9 +1,9 @@
 """End-to-end orchestration: frames to HOG to PCA to reservoir to score.
 
 The stage bodies are written once here, as plain functions on arrays and
-paths: :func:`extract_hog`, :func:`fit_pca_model`, :func:`project`,
-:func:`drive_reservoir`, :func:`train_readout`, :func:`evaluate_readout`
-and :func:`write_results`.  :func:`run_pipeline`, the CLI stage commands
+paths: :func:`extract_hog`, :func:`pca_stage`, :func:`drive_reservoir`,
+:func:`train_readout`, :func:`evaluate_readout` and :func:`write_results`.
+:func:`run_pipeline`, the CLI stage commands
 and the grid trials all call them, and :func:`prepare_data` binds a cache
 of per-frame rows to its manifest's splits for every one of them.
 
@@ -19,12 +19,17 @@ expected shape and exactly the size its header announces (one rule,
 :func:`_is_complete`); otherwise it is recomputed.  A stage reads its
 upstream cache only when it recomputes.
 
-The PCA stage never holds the whole HOG cache.  The fit reads its rows
-through :class:`~photonrc.cache.CacheRows` straight into one float64 array,
-which it centres in place, and the projection reads, projects and writes
-``cache.CHUNK_ROWS`` rows at a time.  At its peak the stage holds the fit
-rows in float64 with either the Gram matrix and its eigenvectors or one
-copy of the components; the projection holds the model and one chunk.
+The PCA stage never holds the whole HOG cache, and reads each HOG row once.
+The fit reads its rows through :class:`~photonrc.cache.CacheRows` straight
+into one float64 array, which it centres in place.  On the Gram route
+(fewer fit rows than HOG features, as at desk scale) the fit rows' features
+are the scores the fit returns, taken from the Gram's eigenvectors (the
+snapshot method, see :mod:`photonrc.pca`); only the other rows are read
+again and projected, ``cache.CHUNK_ROWS`` rows at a time.  On the
+covariance route every row is projected.  At its peak the stage holds the
+fit rows in float64 with either the Gram matrix and its eigenvectors or one
+copy of the components; the projection holds the model, the scores and one
+chunk.
 
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
@@ -63,7 +68,10 @@ from .classify import (
 )
 from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
 from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
-from .pca import fit_pca, load_pca_model, read_pca_header, save_pca_model, transform
+from .pca import fit_pca, read_pca_header, save_pca_model, transform
+# not called here since the PCA stage returns the model it saves; bound so
+# that perfbench/tracing.py WRAPS can patch it on this module
+from .pca import load_pca_model  # noqa: F401
 from .readout import (
     apply_readout,
     check_ridge_lambda,
@@ -294,21 +302,57 @@ def pca_fit_rows(data, fit_on):
     return data.train_rows if fit_on == "train" else np.arange(data.targets.shape[0])
 
 
-def fit_pca_model(hog_path, rows, n_components, path):
-    """Fit PCA on rows ``rows`` of the HOG cache at ``hog_path``, save it to
-    ``path``, and return the model read back from there.
+def pca_stage(hog_path, rows, n_components, model_path, features_path):
+    """Fit PCA on rows ``rows`` of the HOG cache at ``hog_path``, save the
+    model to ``model_path`` and the features of every row, in stream order,
+    to the feature cache at ``features_path``; returns the saved model.
 
-    The fit reads those rows from disk straight into its one float64 array;
-    the fitted model is dropped once saved, so one copy of the components
-    is held at a time.
+    The fit reads its rows from disk straight into its one float64 array.
+    On the Gram route the fit rows' features are the fit's scores, which
+    agree with :func:`project` to rounding (1 float32 ulp at most in the
+    tests and at desk scale), and only the other rows are read again,
+    through :meth:`CacheRows.chunks`, and projected, with the bytes
+    :func:`project` gives them.  On the covariance route there are no
+    scores and every row is projected.
     """
-    save_pca_model(fit_pca(CacheRows(hog_path, rows), n_components), path)
-    return load_pca_model(path)
+    model, scores = fit_pca(CacheRows(hog_path, rows), n_components)
+    save_pca_model(model, model_path)
+    if scores is None:  # the covariance route
+        project(model, hog_path, features_path)
+        return model
+    n_frames = read_cache_header(hog_path)[0]
+    slots = np.full(n_frames, -1, dtype=np.intp)  # each stream row's row in ``scores``
+    slots[rows] = np.arange(len(rows))
+    other = np.flatnonzero(slots < 0)
+    with CacheWriter(features_path, n_components) as writer:
+        start = 0  # the first stream row not yet written
+        read = 0  # rows of ``other`` read so far
+        # with every row fitted, the HOG cache is not read again
+        for chunk in CacheRows(hog_path, other).chunks() if other.size else ():
+            read += chunk.shape[0]
+            stop = int(other[read - 1]) + 1
+            writer.append(_interleave(scores, slots[start:stop], transform(model, chunk)))
+            start = stop
+        if start < n_frames:  # fit rows after the last other row
+            writer.append(scores[slots[start:]])
+    return model
+
+
+def _interleave(scores, slots, projected):
+    """float32 rows in stream order: ``scores[slots[i]]`` where ``slots[i]``
+    is not negative, and the next row of ``projected`` where it is."""
+    block = np.empty((slots.size, scores.shape[1]), dtype=np.float32)
+    fitted = slots >= 0
+    block[fitted] = scores[slots[fitted]]
+    block[~fitted] = projected
+    return block
 
 
 def project(model, hog_path, path):
     """Write the PCA projection of every row of the HOG cache at ``hog_path``
-    to a feature cache, a chunk of rows at a time; returns the row count."""
+    to a feature cache, a chunk of rows at a time; returns the row count.
+    A saved model applied to any HOG cache; :func:`pca_stage` writes the
+    features of the cache a model is fitted on."""
     hog = CacheRows(hog_path)
     with CacheWriter(path, model.n_components) as writer:
         for chunk in hog.chunks():
@@ -467,11 +511,7 @@ def run_pipeline(config):
             and _is_complete(features_path, readers["features"], n_frames, config.pca_components)
         ):
             rows = pca_fit_rows(data, config.pca_fit_on)
-            project(
-                fit_pca_model(hog_path, rows, config.pca_components, model_path),
-                hog_path,
-                features_path,
-            )
+            pca_stage(hog_path, rows, config.pca_components, model_path, features_path)
 
     with _stage("reservoir"):
         spec = reservoir_spec(config.n_nodes, config.pca_components, config.params, config.seed)

@@ -13,6 +13,8 @@ Everything derives from one seed, so a corpus can be regenerated bit for
 bit.
 """
 
+import functools
+import math
 import os
 
 import numpy as np
@@ -32,27 +34,53 @@ BACKGROUND = 30
 FIGURE_GRAY = 190
 
 
-def _ellipse(yy, xx, cy, cx, ry, rx):
-    return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+@functools.lru_cache(maxsize=4)
+def _grid(height, width):
+    """Read-only float64 row and column coordinates of every pixel of a frame."""
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    yy.setflags(write=False)
+    xx.setflags(write=False)
+    return yy, xx
 
 
-def _bar(yy, xx, p0, p1, halfwidth):
+def _box(grid, y_lo, y_hi, x_lo, x_hi):
+    """(region, yy, xx) of the pixels in rows [y_lo, y_hi] and columns
+    [x_lo, x_hi] of ``grid``, widened by a pixel, far more than rounding can
+    move a shape's edge, and clipped to the frame."""
+    yy, xx = grid
+    height, width = yy.shape
+    rows = slice(max(0, math.floor(y_lo) - 1), max(0, min(height, math.ceil(y_hi) + 2)))
+    cols = slice(max(0, math.floor(x_lo) - 1), max(0, min(width, math.ceil(x_hi) + 2)))
+    return (rows, cols), yy[rows, cols], xx[rows, cols]
+
+
+def _ellipse(grid, cy, cx, ry, rx):
+    region, yy, xx = _box(grid, cy - abs(ry), cy + abs(ry), cx - abs(rx), cx + abs(rx))
+    return region, ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+
+
+def _bar(grid, p0, p1, halfwidth):
     # distance from each pixel to the segment p0-p1
     y0, x0 = p0
     y1, x1 = p1
+    reach = abs(halfwidth)
+    region, yy, xx = _box(
+        grid, min(y0, y1) - reach, max(y0, y1) + reach, min(x0, x1) - reach, max(x0, x1) + reach
+    )
     dy, dx = y1 - y0, x1 - x0
     length2 = dy * dy + dx * dx
     if length2 == 0:
-        return (yy - y0) ** 2 + (xx - x0) ** 2 <= halfwidth**2
+        return region, (yy - y0) ** 2 + (xx - x0) ** 2 <= halfwidth**2
     t = np.clip(((yy - y0) * dy + (xx - x0) * dx) / length2, 0.0, 1.0)
     py = y0 + t * dy
     px = x0 + t * dx
-    return (yy - py) ** 2 + (xx - px) ** 2 <= halfwidth**2
+    return region, (yy - py) ** 2 + (xx - px) ** 2 <= halfwidth**2
 
 
 def _figure_masks(action, t, height, width, style):
-    """Boolean masks of the moving figure at frame t."""
-    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    """(region, mask) pairs of the moving figure at frame t: each shape's
+    mask over the box of the frame that holds it."""
+    grid = _grid(height, width)
     scale = style["scale"]
     phase = style["phase"]
     masks = []
@@ -66,29 +94,29 @@ def _figure_masks(action, t, height, width, style):
         lean = style["lean"]
         torso_top = (cy - 22 * scale, cx - lean * 8)
         torso_bot = (cy + 6 * scale, cx)
-        masks.append(_bar(yy, xx, torso_top, torso_bot, 6 * scale))
-        masks.append(_ellipse(yy, xx, cy - 28 * scale, cx - lean * 10, 6 * scale, 5 * scale))
+        masks.append(_bar(grid, torso_top, torso_bot, 6 * scale))
+        masks.append(_ellipse(grid, cy - 28 * scale, cx - lean * 10, 6 * scale, 5 * scale))
         swing = stride * np.sin(2 * np.pi * 0.2 * t + phase)
         hip = (cy + 4 * scale, cx)
-        masks.append(_bar(yy, xx, hip, (cy + 26 * scale, cx + swing), 3 * scale))
-        masks.append(_bar(yy, xx, hip, (cy + 26 * scale, cx - swing), 3 * scale))
+        masks.append(_bar(grid, hip, (cy + 26 * scale, cx + swing), 3 * scale))
+        masks.append(_bar(grid, hip, (cy + 26 * scale, cx - swing), 3 * scale))
         return masks
 
     cx = width * 0.5 + style["x0"] * 0.2
     cy = height * 0.55
-    masks.append(_bar(yy, xx, (cy - 20 * scale, cx), (cy + 24 * scale, cx), 7 * scale))
-    masks.append(_ellipse(yy, xx, cy - 28 * scale, cx, 6 * scale, 5 * scale))
+    masks.append(_bar(grid, (cy - 20 * scale, cx), (cy + 24 * scale, cx), 7 * scale))
+    masks.append(_ellipse(grid, cy - 28 * scale, cx, 6 * scale, 5 * scale))
 
     if action == Action.BOXING:
         # one arm bar pumping horizontally from the shoulder
         reach = (10 + 16 * (0.5 + 0.5 * np.sin(2 * np.pi * 0.25 * t + phase))) * scale
         shoulder = (cy - 14 * scale, cx + 6 * scale)
-        masks.append(_bar(yy, xx, shoulder, (shoulder[0], shoulder[1] + reach), 3 * scale))
+        masks.append(_bar(grid, shoulder, (shoulder[0], shoulder[1] + reach), 3 * scale))
     elif action == Action.HANDCLAPPING:
         gap = (6 + 14 * (0.5 + 0.5 * np.cos(2 * np.pi * 0.25 * t + phase))) * scale
         hand_y = cy - 12 * scale
-        masks.append(_ellipse(yy, xx, hand_y, cx - gap, 4 * scale, 4 * scale))
-        masks.append(_ellipse(yy, xx, hand_y, cx + gap, 4 * scale, 4 * scale))
+        masks.append(_ellipse(grid, hand_y, cx - gap, 4 * scale, 4 * scale))
+        masks.append(_ellipse(grid, hand_y, cx + gap, 4 * scale, 4 * scale))
     elif action == Action.HANDWAVING:
         angle = 0.9 * np.sin(2 * np.pi * 0.15 * t + phase)
         for side in (-1.0, 1.0):
@@ -97,7 +125,7 @@ def _figure_masks(action, t, height, width, style):
                 shoulder[0] - 24 * scale * np.cos(angle * side),
                 shoulder[1] + side * 24 * scale * np.sin(abs(angle) + 0.3),
             )
-            masks.append(_bar(yy, xx, shoulder, tip, 3 * scale))
+            masks.append(_bar(grid, shoulder, tip, 3 * scale))
     return masks
 
 
@@ -106,8 +134,8 @@ def render_frame(action, t, resolution, style, rng):
     frame = np.full((height, width), BACKGROUND, dtype=np.float64)
     frame += rng.uniform(0.0, style["noise"], size=(height, width))
     figure = np.zeros((height, width), dtype=bool)
-    for mask in _figure_masks(action, t, height, width, style):
-        figure |= mask
+    for region, mask in _figure_masks(action, t, height, width, style):
+        figure[region] |= mask
     frame[figure] = style["gray"]
     return np.clip(frame, 0, 255).astype(np.uint8)
 

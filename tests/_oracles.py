@@ -183,3 +183,13 @@ def fix_signs_oracle(components):
     flip = components[np.arange(components.shape[0]), idx] < 0
     components[flip] *= -1.0
     return components
+
+
+def float32_ulps(a, b):
+    """Entrywise distance between float32 arrays in units in the last place:
+    the number of float32 values from one to the other, across zero too."""
+    def ordered(x):
+        bits = np.asarray(x, dtype=np.float32).view(np.int32).astype(np.int64)
+        return np.where(bits < 0, -(1 << 31) - bits, bits)
+
+    return np.abs(ordered(a) - ordered(b))

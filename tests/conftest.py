@@ -3,7 +3,7 @@ import pytest
 
 from photonrc import generate_corpus
 from photonrc.dataset import load_manifest
-from photonrc.pipeline import extract_hog, fit_pca_model, pca_fit_rows, prepare_data, project
+from photonrc.pipeline import extract_hog, pca_fit_rows, pca_stage, prepare_data
 
 
 @pytest.fixture(scope="session")
@@ -27,14 +27,13 @@ def tiny_features(tmp_path_factory, tiny_corpus, tiny_manifest):
     hog_path = out / "hog.rcf"
     extract_hog(tiny_manifest, hog_path)
     data = prepare_data(tiny_manifest, None)
-    model = fit_pca_model(hog_path, pca_fit_rows(data, "train"), 24, out / "pca.bin")
     feat_path = out / "features.rcf"
-    n_frames = project(model, hog_path, feat_path)
+    pca_stage(hog_path, pca_fit_rows(data, "train"), 24, out / "pca.bin", feat_path)
     return {
         "manifest_path": tiny_corpus,
         "hog": str(hog_path),
         "features": str(feat_path),
-        "n_frames": n_frames,
+        "n_frames": data.targets.shape[0],
     }
 
 

@@ -18,10 +18,9 @@ from photonrc.pca import fit_pca
 from photonrc.pipeline import (
     PipelineConfig,
     extract_hog,
-    fit_pca_model,
     pca_fit_rows,
+    pca_stage,
     prepare_data,
-    project,
     run_pipeline,
 )
 from photonrc.readout import train_ridge
@@ -81,27 +80,27 @@ def test_criterion_03_pca_eigenvalue_recovery():
     raw -= raw.mean(axis=0)
     q, _ = np.linalg.qr(raw)
     data = q * np.sqrt((n - 1) * variances)  # sample covariance == diag(variances)
-    model = fit_pca(data, variances.size)
+    model, _ = fit_pca(data, variances.size)
     rel = float(np.max(np.abs(model.eigenvalues - variances) / variances))
     _verdict(3, rel <= 1e-6, f"eigenvalue relative error {rel:.3g}")
 
 
 @pytest.fixture(scope="module")
 def kth_pca(tmp_path_factory):
-    """The HOG cache of the RC_KTH_MANIFEST corpus and the 2,000-component
-    PCA model that ``fit_pca_model`` saves, fitted on its train rows; criteria
-    3b and 9 share them, so each is made once."""
+    """The 2,000-component PCA model of the RC_KTH_MANIFEST corpus, fitted
+    on its train rows, and the feature cache ``pca_stage`` writes with it;
+    criteria 3b and 9 share them, so each is made once."""
     out = tmp_path_factory.mktemp("kth")
     hog_path = out / "hog.rcf"
     extract_hog(load_manifest(KTH_MANIFEST), hog_path)
     rows = pca_fit_rows(prepare_data(KTH_MANIFEST, None), "train")
-    return hog_path, fit_pca_model(hog_path, rows, 2000, out / "pca.bin")
+    features_path = out / "features.rcf"
+    return pca_stage(hog_path, rows, 2000, out / "pca.bin", features_path), features_path
 
 
 @pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
 def test_criterion_03_kth_explained_variance(kth_pca):
-    # the saved model reads back bit for bit, explained variance included
-    _, model = kth_pca
+    model, _ = kth_pca
     fraction = model.explained_fraction()
     ok = abs(fraction - 0.916) <= 0.02
     _verdict(3, ok, f"first 2000 components explain {100 * fraction:.2f}%")
@@ -208,8 +207,7 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
     hog_path = tmp_path / "hog.rcf"
     extract_hog(load_manifest(manifest_path), hog_path)
     rows = pca_fit_rows(prepare_data(manifest_path, None), "train")
-    pca = fit_pca_model(hog_path, rows, 2000, tmp_path / "pca.bin")
-    project(pca, hog_path, tmp_path / "features.rcf")
+    pca_stage(hog_path, rows, 2000, tmp_path / "pca.bin", tmp_path / "features.rcf")
 
     data = prepare_data(manifest_path, tmp_path / "features.rcf")
     spec = GridSpec(
@@ -230,10 +228,9 @@ def test_criterion_08_desk_scale_end_to_end(tmp_path):
 
 
 @pytest.mark.skipif(not KTH_MANIFEST, reason="RC_KTH_MANIFEST not set")
-def test_criterion_09_full_scale_reproduction(kth_pca, tmp_path):
-    hog_path, pca = kth_pca
-    project(pca, hog_path, tmp_path / "features.rcf")
-    data = prepare_data(KTH_MANIFEST, tmp_path / "features.rcf")
+def test_criterion_09_full_scale_reproduction(kth_pca):
+    _, features_path = kth_pca
+    data = prepare_data(KTH_MANIFEST, features_path)
 
     def best_score(n_nodes, seed):
         spec = GridSpec(

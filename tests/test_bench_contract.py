@@ -153,5 +153,9 @@ def test_cold_pipeline_calls_the_traced_pca_names(tiny_corpus, tmp_path, monkeyp
         manifest_path=str(tiny_corpus), out_dir=str(tmp_path), pca_components=8, n_nodes=16
     )
     report = pipeline.run_pipeline(config)
-    chunks = len(list(CacheRows(tmp_path / report.artifacts["hog"]).chunks()))
-    assert calls == ["fit_pca", "save_pca_model", "load_pca_model"] + ["transform"] * chunks
+    # the Gram route: the fit rows' features are the fit's scores, and only
+    # the other rows are projected; the saved model is not read back
+    data = pipeline.prepare_data(str(tiny_corpus), None)
+    other = CacheRows(tmp_path / report.artifacts["hog"], data.test_rows)
+    chunks = len(list(other.chunks()))
+    assert calls == ["fit_pca", "save_pca_model"] + ["transform"] * chunks

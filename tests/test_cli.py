@@ -21,6 +21,8 @@ from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, load_grid_spec, save_grid_spec
 
+from _oracles import float32_ulps
+
 
 @pytest.fixture(scope="module")
 def cli_env(tmp_path_factory):
@@ -37,6 +39,7 @@ def cli_env(tmp_path_factory):
         "hog": str(art / "hog.rcf"),
         "pca": str(art / "pca.bin"),
         "features": str(art / "features.rcf"),
+        "projected": str(art / "projected.rcf"),
         "spec": str(art / "reservoir.json"),
         "states": str(art / "states.rcf"),
         "readout": str(art / "readout.bin"),
@@ -45,10 +48,10 @@ def cli_env(tmp_path_factory):
     steps = [
         ["--out-dir", str(art), "extract-hog",
          "--manifest", paths["manifest"], "--out", paths["hog"]],
-        ["pca", "fit", "--in", paths["hog"], "--manifest", paths["manifest"],
-         "--k", "12", "--out", paths["pca"]],
+        ["--out-dir", str(art), "pca", "fit", "--in", paths["hog"],
+         "--manifest", paths["manifest"], "--k", "12", "--out", paths["pca"]],
         ["pca", "transform", "--model", paths["pca"], "--in", paths["hog"],
-         "--out", paths["features"]],
+         "--out", paths["projected"]],
         ["reservoir", "run", "--features", paths["features"], "--n-nodes", "32",
          "--coupling-density", "0.05", "--save-spec", paths["spec"],
          "--out", paths["states"]],
@@ -71,7 +74,7 @@ def test_stage_commands_succeed(cli_env):
 def test_stage_artifacts_exist(cli_env):
     import os
 
-    for key in ("hog", "pca", "features", "spec", "states", "readout"):
+    for key in ("hog", "pca", "features", "projected", "spec", "states", "readout"):
         assert os.path.isfile(cli_env[key]), key
     rows, dim, _ = read_cache_header(cli_env["hog"])
     assert dim == feature_count((40, 48))
@@ -110,13 +113,26 @@ def test_extract_hog_honors_shape_flags(cli_env, tmp_path):
 def test_pca_fit_flag_aliases_agree(cli_env, tmp_path):
     alias = tmp_path / "pca_alias.bin"
     code = main([
-        "pca", "fit", "--features", cli_env["hog"],
+        "--out-dir", str(tmp_path), "pca", "fit", "--features", cli_env["hog"],
         "--manifest", cli_env["manifest"],
         "--components", "12", "--out", str(alias),
     ])
     assert code == 0
     with open(alias, "rb") as fh_a, open(cli_env["pca"], "rb") as fh_b:
         assert fh_a.read() == fh_b.read()
+    with open(tmp_path / "features.rcf", "rb") as fh_a, open(cli_env["features"], "rb") as fh_b:
+        assert fh_a.read() == fh_b.read()
+
+
+def test_pca_transform_agrees_with_the_features_pca_fit_writes(cli_env):
+    # pca fit takes its fit rows' features from the fit's scores; pca
+    # transform projects every row, so those rows may differ by 1 ulp
+    fitted, _ = read_cache(cli_env["features"])
+    projected, _ = read_cache(cli_env["projected"])
+    train = prepare_data(cli_env["manifest"], None).train_rows
+    other = np.setdiff1d(np.arange(fitted.shape[0]), train)
+    assert fitted[other].tobytes() == projected[other].tobytes()
+    assert float32_ulps(fitted[train], projected[train]).max() <= 1
 
 
 def test_reservoir_spec_file_reproduces_states(cli_env, tmp_path):
@@ -240,15 +256,14 @@ def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
     chain = tmp_path / "chain"
     steps = [
         ["extract-hog", "--manifest", manifest],
+        # pca fit writes the model and the features
         ["pca", "fit", "--in", str(chain / "hog.rcf"), "--manifest", manifest, "--k", "24"],
-        ["pca", "transform", "--model", str(chain / "pca.bin"),
-         "--in", str(chain / "hog.rcf")],
         ["reservoir", "run", "--features", str(chain / "features.rcf"), "--n-nodes", "64"],
         ["train", "--states", str(chain / "states.rcf"), "--manifest", manifest],
         ["evaluate", "--model", str(chain / "readout.bin"),
          "--states", str(chain / "states.rcf"), "--manifest", manifest],
     ]
-    assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 6
+    assert [main(["--out-dir", str(chain)] + argv) for argv in steps] == [0] * 5
     piped = tmp_path / "pipe"
     assert main([
         "--out-dir", str(piped), "pipeline", "run", "--manifest", manifest,

@@ -31,7 +31,7 @@ def _data_with_diagonal_covariance(n, variances, rng):
 def test_recovers_known_diagonal_covariance(rng):
     variances = [4.0, 1.0, 0.0]
     X = _data_with_diagonal_covariance(50, variances, rng)
-    model = fit_pca(X, 2)
+    model, _ = fit_pca(X, 2)
     np.testing.assert_allclose(model.eigenvalues, [4.0, 1.0], rtol=1e-6)
     # axis-aligned data: components are the coordinate axes themselves
     expected = np.eye(3)[:2]
@@ -41,7 +41,7 @@ def test_recovers_known_diagonal_covariance(rng):
 
 def test_matches_direct_covariance_eigendecomposition(rng):
     X = rng.standard_normal((50, 10)) * rng.uniform(0.5, 3.0, size=10)
-    model = fit_pca(X, 10)
+    model, _ = fit_pca(X, 10)
     Z = X - X.mean(axis=0)
     vals, vecs = np.linalg.eigh(Z.T @ Z / 49)
     np.testing.assert_allclose(model.eigenvalues, vals[::-1], rtol=1e-9, atol=1e-12)
@@ -52,14 +52,14 @@ def test_matches_direct_covariance_eigendecomposition(rng):
 
 def test_full_rank_reconstruction_is_lossless(rng):
     X = rng.standard_normal((50, 10))
-    model = fit_pca(X, 10)
+    model, _ = fit_pca(X, 10)
     back = reconstruct(model, transform(model, X))
     np.testing.assert_allclose(back, X, atol=1e-8)
 
 
 def test_transforming_the_mean_gives_zero(rng):
     X = rng.standard_normal((30, 6)) + 5.0
-    model = fit_pca(X, 3)
+    model, _ = fit_pca(X, 3)
     out = transform(model, model.mean)
     assert out.shape == (3,)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -67,7 +67,7 @@ def test_transforming_the_mean_gives_zero(rng):
 
 def test_projected_training_variance_equals_eigenvalue(rng):
     X = rng.standard_normal((200, 30)) @ rng.standard_normal((30, 30))
-    model = fit_pca(X, 12)
+    model, _ = fit_pca(X, 12)
     proj = transform(model, X)
     var = proj.var(axis=0, ddof=1)
     np.testing.assert_allclose(var, model.eigenvalues, rtol=1e-6)
@@ -75,7 +75,7 @@ def test_projected_training_variance_equals_eigenvalue(rng):
 
 def test_orthogonal_input_projects_to_zero(rng):
     X = rng.standard_normal((40, 8))
-    model = fit_pca(X, 3)
+    model, _ = fit_pca(X, 3)
     v = rng.standard_normal(8)
     v -= model.components.T @ (model.components @ v)
     out = transform(model, model.mean + v)
@@ -84,7 +84,7 @@ def test_orthogonal_input_projects_to_zero(rng):
 
 def test_projection_idempotence(rng):
     X = rng.standard_normal((60, 15))
-    model = fit_pca(X, 5)
+    model, _ = fit_pca(X, 5)
     proj = transform(model, X)
     again = transform(model, reconstruct(model, proj))
     np.testing.assert_allclose(again, proj, atol=1e-8)
@@ -92,7 +92,7 @@ def test_projection_idempotence(rng):
 
 def test_variance_accounting(rng):
     X = rng.standard_normal((80, 12)) * rng.uniform(0.1, 4.0, size=12)
-    model = fit_pca(X, 12)
+    model, _ = fit_pca(X, 12)
     Z = X - X.mean(axis=0)
     trace = np.trace(Z.T @ Z / 79)
     assert model.eigenvalues.sum() == pytest.approx(trace, rel=1e-6)
@@ -102,13 +102,13 @@ def test_variance_accounting(rng):
 
 def test_explained_fraction_nondecreasing_in_k(rng):
     X = rng.standard_normal((50, 10))
-    fractions = [fit_pca(X, k).explained_fraction() for k in range(1, 11)]
+    fractions = [fit_pca(X, k)[0].explained_fraction() for k in range(1, 11)]
     assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
 
 
 def test_components_orthonormal_and_sign_fixed(rng):
     X = rng.standard_normal((70, 9))
-    model = fit_pca(X, 6)
+    model, _ = fit_pca(X, 6)
     gram = model.components @ model.components.T
     np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
     peaks = model.components[np.arange(6), np.argmax(np.abs(model.components), axis=1)]
@@ -119,7 +119,7 @@ def test_components_orthonormal_and_sign_fixed(rng):
 
 def test_wide_data_uses_gram_route_consistently(rng):
     X = rng.standard_normal((20, 50))  # fewer samples than features
-    model = fit_pca(X, 5)
+    model, _ = fit_pca(X, 5)
     Z = X - X.mean(axis=0)
     vals, vecs = np.linalg.eigh(Z.T @ Z / 19)
     np.testing.assert_allclose(model.eigenvalues, vals[::-1][:5], rtol=1e-8)
@@ -135,7 +135,7 @@ def test_gram_route_rejects_components_beyond_rank(rng):
     X = rng.standard_normal((5, 10))  # centered rank is at most 4
     with pytest.raises(RankError):
         fit_pca(X, 5)
-    model = fit_pca(X, 4)
+    model, _ = fit_pca(X, 4)
     assert model.n_components == 4
 
 
@@ -151,7 +151,7 @@ def test_fit_validation_errors(rng):
 
 
 def test_transform_validates_width(rng):
-    model = fit_pca(rng.standard_normal((10, 4)), 2)
+    model, _ = fit_pca(rng.standard_normal((10, 4)), 2)
     with pytest.raises(DimensionError):
         transform(model, rng.standard_normal((3, 5)))
     with pytest.raises(DimensionError):
@@ -162,13 +162,13 @@ def test_degenerate_data_clamps_eigenvalues(rng):
     row = rng.standard_normal(6)
     X = np.tile(row, (10, 1))
     X[0] += 1e-3
-    model = fit_pca(X, 2)
+    model, _ = fit_pca(X, 2)
     assert np.all(model.eigenvalues >= 0.0)
 
 
 def test_model_file_round_trip(tmp_path, rng):
     X = rng.standard_normal((25, 7))
-    model = fit_pca(X, 4)
+    model, _ = fit_pca(X, 4)
     path = tmp_path / "pca.bin"
     save_pca_model(model, path)
     back = load_pca_model(path)
@@ -182,7 +182,7 @@ def test_model_file_round_trip(tmp_path, rng):
 def test_model_file_corruption_detected(tmp_path, rng):
     X = rng.standard_normal((25, 7))
     path = tmp_path / "pca.bin"
-    save_pca_model(fit_pca(X, 4), path)
+    save_pca_model(fit_pca(X, 4)[0], path)
     data = path.read_bytes()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XXXXXXXX" + data[8:])
@@ -196,7 +196,7 @@ def test_model_file_corruption_detected(tmp_path, rng):
 
 def test_model_file_size_must_match_its_header(tmp_path, rng):
     path = tmp_path / "pca.bin"
-    save_pca_model(fit_pca(rng.standard_normal((25, 7)), 4), path)
+    save_pca_model(fit_pca(rng.standard_normal((25, 7)), 4)[0], path)
     assert read_pca_header(path) == (4, 7)
     data = path.read_bytes()
     for name, body in (("half", data[: len(data) // 2]), ("long", data + b"\x00" * 8)):
@@ -227,9 +227,12 @@ def test_block_wise_sign_fix_equals_the_whole_array_rule(rng, order, rows):
     components[::5, 3] = 9.0   # ties between the largest entries
     components[::5, 7] = -9.0
     expected = fix_signs_oracle(components)
-    got = _fix_signs(components)
-    assert got is components
-    assert got.tobytes() == expected.tobytes()
+    before = components.copy()
+    signs = _fix_signs(components)  # in place
+    assert components.tobytes() == expected.tobytes()
+    # the returned signs are the ones each row got
+    assert set(signs.tolist()) <= {-1.0, 1.0}
+    assert (before * signs[:, None]).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(60, 9), (9, 60)], ids=["covariance", "gram"])
@@ -241,14 +244,14 @@ def test_fit_on_cache_rows_equals_fit_on_the_array(tmp_path, rng, shape):
     rows = np.arange(0, shape[0], 2)
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"
-    save_pca_model(fit_pca(values[rows], 4), a)
-    save_pca_model(fit_pca(CacheRows(path, rows), 4), b)
+    save_pca_model(fit_pca(values[rows], 4)[0], a)
+    save_pca_model(fit_pca(CacheRows(path, rows), 4)[0], b)
     assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("shape", [(300, 20), (30, 300)], ids=["covariance", "gram"])
 def test_saved_model_is_the_row_major_bytes_of_the_fit(tmp_path, rng, shape):
-    model = fit_pca(rng.standard_normal(shape), 20)
+    model, _ = fit_pca(rng.standard_normal(shape), 20)
     assert model.components.flags.c_contiguous
     path = tmp_path / "pca.bin"
     save_pca_model(model, path)

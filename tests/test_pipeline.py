@@ -35,6 +35,8 @@ from photonrc.pipeline import (
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import GridSpec, run_grid, run_trial
 
+from _oracles import fix_signs_oracle, float32_ulps
+
 PARAMS = HyperParams(
     feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.05
 )
@@ -321,7 +323,8 @@ def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypa
 
 
 def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
-    # one pass over the fit rows, one over every row, and no whole-cache read
+    # on the Gram route: one pass over the fit rows, one over the other rows,
+    # and no whole-cache read
     config, report = pipe
     copy_dir = tmp_path / "refit"
     shutil.copytree(report.out_dir, copy_dir)
@@ -330,7 +333,8 @@ def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
     data = prepare_data(config.manifest_path, None)
     hog = report.artifacts["hog"]
-    assert passes == [(hog, data.train_rows.size), (hog, data.targets.shape[0])]
+    n_fit = data.train_rows.size
+    assert passes == [(hog, n_fit), (hog, data.targets.shape[0] - n_fit)]
     assert hog not in reads
     assert again.score == report.score
     assert (copy_dir / "pipeline.json").read_bytes() == (
@@ -389,21 +393,61 @@ def _whole_transform_bytes(model, values, path):
     return Path(path).read_bytes()
 
 
+def _assert_stage_features(features, expected, fit_rows):
+    """Fit rows within 1 float32 ulp of the explicit projection, other rows byte-equal."""
+    other = np.setdiff1d(np.arange(expected.shape[0]), fit_rows)
+    assert features[other].tobytes() == expected[other].tobytes()
+    assert float32_ulps(features[fit_rows], expected[fit_rows]).max() <= 1
+
+
 @pytest.mark.parametrize("fit_on", ["train", "all"])
 def test_chunked_pca_stage_equals_the_whole_array_route(pipe, tmp_path, monkeypatch, fit_on):
+    # the model equals a fit on the whole array; on the Gram route the fit
+    # rows' features come from its scores, within 1 float32 ulp of transform
     config, report = pipe
     hog = Path(report.out_dir) / report.artifacts["hog"]
     values, _ = read_cache(hog)
     monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
     assert values.shape[0] % 64 not in (0, 1)
     rows = pipeline_module.pca_fit_rows(prepare_data(config.manifest_path, None), fit_on)
+    assert rows.size < values.shape[1]  # the Gram route
     whole = tmp_path / "whole.bin"
-    save_pca_model(fit_pca(values[rows], 24), whole)
-    model = pipeline_module.fit_pca_model(hog, rows, 24, tmp_path / "pca.bin")
+    save_pca_model(fit_pca(values[rows], 24)[0], whole)
+    model = pipeline_module.pca_stage(hog, rows, 24, tmp_path / "pca.bin", tmp_path / "f.rcf")
     assert (tmp_path / "pca.bin").read_bytes() == whole.read_bytes()
-    assert pipeline_module.project(model, hog, tmp_path / "f.rcf") == values.shape[0]
-    expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
-    assert (tmp_path / "f.rcf").read_bytes() == expected
+    save_pca_model(model, tmp_path / "again.bin")  # the model returned is the one saved
+    assert (tmp_path / "again.bin").read_bytes() == whole.read_bytes()
+    assert model.components.tobytes() == fix_signs_oracle(model.components).tobytes()
+    features, _ = read_cache(tmp_path / "f.rcf")
+    expected = transform(model, values).astype(np.float32)
+    _assert_stage_features(features, expected, rows)
+
+
+@pytest.mark.parametrize(
+    "n_frames, dim, fit",
+    [(300, 40, slice(0, None, 2)), (300, 500, slice(None)), (300, 500, slice(0, None, 3)),
+     (300, 500, slice(260)), (300, 500, slice(40, None))],
+    ids=["covariance", "gram-all", "gram-interleaved", "gram-fit-rows-first",
+         "gram-fit-rows-last"],
+)
+def test_pca_stage_writes_each_row_in_stream_order(tmp_path, rng, monkeypatch, n_frames, dim, fit):
+    # covariance route: every row projected, byte-equal to project; Gram
+    # route: other rows byte-equal to project, fit rows within 1 ulp of it,
+    # whatever the runs of fit and other rows across 64-row chunks
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+    values = rng.standard_normal((n_frames, dim)).astype(np.float32)
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, dim) as writer:
+        writer.append(values)
+    rows = np.arange(n_frames)[fit]
+    model = pipeline_module.pca_stage(hog, rows, 12, tmp_path / "pca.bin", tmp_path / "f.rcf")
+    assert pipeline_module.project(model, hog, tmp_path / "p.rcf") == n_frames
+    features, _ = read_cache(tmp_path / "f.rcf")
+    projected, _ = read_cache(tmp_path / "p.rcf")
+    if rows.size >= dim:
+        assert features.tobytes() == projected.tobytes()
+    else:
+        _assert_stage_features(features, projected, rows)
 
 
 @pytest.mark.parametrize("n_frames", [1025, 1124, 1300])
@@ -414,7 +458,7 @@ def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, 
     hog = tmp_path / "hog.rcf"
     with CacheWriter(hog, values.shape[1]) as writer:
         writer.append(values)
-    model = pipeline_module.fit_pca_model(hog, np.arange(0, n_frames, 3), 50, tmp_path / "p.bin")
+    model, _ = fit_pca(values[::3], 50)
     pipeline_module.project(model, hog, tmp_path / "f.rcf")
     expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
     assert (tmp_path / "f.rcf").read_bytes() == expected
@@ -441,14 +485,14 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     rows = np.sort(rng.choice(n_frames, n_fit, replace=False))
     tracemalloc.start()
     try:
-        model = pipeline_module.fit_pca_model(hog, rows, k, tmp_path / "pca.bin")
-        pipeline_module.project(model, hog, tmp_path / "f.rcf")
+        pipeline_module.pca_stage(hog, rows, k, tmp_path / "pca.bin", tmp_path / "f.rcf")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     m = min(n_fit, dim)  # the Gram matrix is n x n, the covariance D x D
     chunk = 3 * chunk_rows // 2 * dim  # the longest chunk, a short last one joined
-    # m x m: the Gram and its eigenvectors, freed before the components are made
+    # m x m: the Gram and its eigenvectors, freed before the components are
+    # made; the n x k scores are kept eigenvector columns, within that term
     budget = 8 * (n_fit * dim + k * dim + 2 * m * m + chunk)
     # slack: the float32 chunk a read fills, and 1 MB for the small arrays
     slack = 4 * chunk + (1 << 20)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from photonrc.dataset import Action, Split, load_manifest, read_pgm
+from photonrc import synthetic
 from photonrc.synthetic import generate_corpus
 
 
@@ -81,3 +82,45 @@ def test_subjects_differ(tmp_path):
     frame_1 = read_pgm(_frame(manifest, walks[0], 0))
     frame_2 = read_pgm(_frame(manifest, walks[1], 0))
     assert not np.array_equal(frame_1, frame_2)
+
+
+def _full_frame(region_mask, height, width):
+    region, mask = region_mask
+    frame = np.zeros((height, width), dtype=bool)
+    frame[region] = mask
+    return frame
+
+
+def _ellipse_reference(yy, xx, cy, cx, ry, rx):
+    return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+
+
+def _bar_reference(yy, xx, p0, p1, halfwidth):
+    y0, x0 = p0
+    y1, x1 = p1
+    dy, dx = y1 - y0, x1 - x0
+    length2 = dy * dy + dx * dx
+    if length2 == 0:
+        return (yy - y0) ** 2 + (xx - x0) ** 2 <= halfwidth**2
+    t = np.clip(((yy - y0) * dy + (xx - x0) * dx) / length2, 0.0, 1.0)
+    return (yy - (y0 + t * dy)) ** 2 + (xx - (x0 + t * dx)) ** 2 <= halfwidth**2
+
+
+def test_shapes_in_their_boxes_equal_the_whole_frame_formulas():
+    # each shape is evaluated only in its bounding box; over the whole frame
+    # the masks equal the formulas evaluated at every pixel, for shapes
+    # inside, across and beyond the frame's edges, and degenerate bars
+    height, width = 30, 44
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    grid = synthetic._grid(height, width)
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        cy, cx = rng.uniform(-15.0, 45.0), rng.uniform(-15.0, 60.0)
+        ry, rx = rng.uniform(0.5, 9.0, size=2)
+        got = _full_frame(synthetic._ellipse(grid, cy, cx, ry, rx), height, width)
+        assert np.array_equal(got, _ellipse_reference(yy, xx, cy, cx, ry, rx))
+        p0 = (cy, cx)
+        p1 = p0 if rng.random() < 0.1 else (rng.uniform(-15.0, 45.0), rng.uniform(-15.0, 60.0))
+        halfwidth = rng.uniform(0.5, 7.0)
+        got = _full_frame(synthetic._bar(grid, p0, p1, halfwidth), height, width)
+        assert np.array_equal(got, _bar_reference(yy, xx, p0, p1, halfwidth))
