@@ -72,7 +72,7 @@ def build_parser():
     pca_parser = sub.add_parser("pca", help="fit or apply the PCA compressor")
     pca_sub = pca_parser.add_subparsers(dest="pca_command", required=True)
     p = pca_sub.add_parser(
-        "fit", help="fit a model; also writes every row's features to <out-dir>/features.rcf"
+        "fit", help="fit a model; also writes every row's features to features.rcf beside it"
     )
     p.add_argument("--in", "--features", dest="features", required=True, help="HOG feature cache")
     p.add_argument("--manifest", required=True)
@@ -184,7 +184,7 @@ def cmd_pca_fit(args):
     data = prepare_data(args.manifest, CacheRows(args.features))
     rows = pca_fit_rows(data, args.pca_fit_on)
     out = _out_path(args, args.out, "pca.bin")
-    features = _out_path(args, None, "features.rcf")
+    features = os.path.join(os.path.dirname(out), "features.rcf")
     model = pca_stage(args.features, rows, args.components, out, features)
     print(
         f"wrote {out}: {model.n_components} components over {model.feature_dim} features, "

@@ -20,7 +20,9 @@ A dataset is described by a JSON manifest:
 Frames are stored one per file as binary 8-bit grayscale PGM (P5).  The
 ``frame_filename_pattern`` must contain exactly one zero-padded ``%0Nd``
 conversion, filled with the 0-based frame index and resolved against
-``frame_store_root``.
+``frame_store_root``.  Only :func:`stream_frames`, which the HOG stage
+calls, opens frame files, and it names a missing one when it reaches it;
+every stage after HOG needs only the manifest and the caches.
 
 The manifest is read by :func:`photonrc.cache.read_json`, and each of its
 fields through :func:`photonrc.cache.json_typed`, as every JSON loader reads
@@ -190,21 +192,9 @@ def write_pgm(path, pixels):
 # ---------------------------------------------------------------------------
 # Manifest I/O
 
-def load_manifest(path, check_frames=True):
-    """Load and validate a manifest file.
-
-    Every referenced frame file is checked for existence unless
-    ``check_frames`` is False; the first absent file raises
-    :class:`MissingFrameError`.
-    """
-    manifest = read_json(path, lambda raw: _build_manifest(raw, path))
-    if check_frames:
-        for seq in manifest.sequences:
-            for idx in range(seq.frame_count):
-                fp = seq.frame_path(manifest.frame_store_root, idx)
-                if not os.path.isfile(fp):
-                    raise MissingFrameError(f"{seq.sequence_id}: missing frame file {fp}")
-    return manifest
+def load_manifest(path):
+    """Parse and validate a manifest file; no frame file is opened or checked."""
+    return read_json(path, lambda raw: _build_manifest(raw, path))
 
 
 def _build_manifest(raw, path):
@@ -321,12 +311,19 @@ def stream_frames(manifest, split=None):
 
     Frames within a sequence come in temporal order; ``split`` limits the
     stream to one split, ``None`` streams every sequence (the concatenated
-    video stream the rest of the pipeline consumes).
+    video stream the rest of the pipeline consumes).  An absent frame file
+    raises :class:`MissingFrameError` when the stream reaches it.
     """
     height, width = manifest.resolution
     for seq in sequences_for(manifest, split):
         for idx in range(seq.frame_count):
-            pixels = read_pgm(seq.frame_path(manifest.frame_store_root, idx))
+            path = seq.frame_path(manifest.frame_store_root, idx)
+            try:
+                pixels = read_pgm(path)
+            except FileNotFoundError:
+                raise MissingFrameError(
+                    f"{seq.sequence_id}[{idx}]: missing frame file {path}"
+                ) from None
             if pixels.shape != (height, width):
                 raise SchemaError(
                     f"{seq.sequence_id}[{idx}]: frame is {pixels.shape}, "

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from photonrc.errors import (
 from photonrc.pipeline import PipelineConfig, describe_artifacts, prepare_data
 from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
-from photonrc.tuning import GridSpec, load_grid_spec, save_grid_spec
+from photonrc.tuning import GridSpec, load_grid_spec, run_grid, save_grid_spec
 
 from _oracles import float32_ulps
 
@@ -828,3 +829,131 @@ def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
         assert named in capsys.readouterr().err
         assert main(run) == code  # over the poisoned artifact, if any, reused
         assert named in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Frames are read by the HOG stage alone
+
+# the pipeline run settings of cli_env
+_RUN_FLAGS = ["--components", "12", "--n-nodes", "32", "--coupling-density", "0.05"]
+
+
+def _small_corpus(root):
+    """A small corpus; returns (manifest path, frame store directory)."""
+    manifest = generate_corpus(
+        root, n_subjects=2, n_repetitions=1, resolution=(40, 48), frames_range=(8, 9), seed=33,
+    )
+    return str(manifest), root / "frames"
+
+
+def _cold_run(manifest, out_dir):
+    assert main(["--out-dir", str(out_dir), "pipeline", "run", "--manifest", manifest,
+                 *_RUN_FLAGS]) == 0
+    return _cold_artifacts(out_dir)
+
+
+def _cold_artifacts(out_dir):
+    return json.loads((out_dir / "pipeline.json").read_text())["artifacts"]
+
+
+def _without_times(log):
+    """The rows of a grid log without its wall_time column, which no rerun repeats."""
+    rows = [line.split(",") for line in log.read_text().splitlines()]
+    column = rows[0].index("wall_time")
+    return [row[:column] + row[column + 1:] for row in rows]
+
+
+def _after_hog(manifest, cold, out, capsys):
+    """Run every command after extract-hog on the caches of the cold run in
+    ``cold``, writing under ``out``; returns what each printed and wrote."""
+    art = {name: str(cold / filename) for name, filename in _cold_artifacts(cold).items()}
+    shutil.copytree(cold, out / "run")
+    grid = out / "grid.json"
+    save_grid_spec(GridSpec((0.5, 0.8), (0.01,), (0.1,), (0.05,), n_nodes=16), grid)
+    commands = [
+        # a reuse pipeline run over a copy of the cold run
+        ["--out-dir", str(out / "run"), "pipeline", "run", "--manifest", manifest, *_RUN_FLAGS],
+        ["pca", "fit", "--in", art["hog"], "--manifest", manifest, "--k", "12",
+         "--out", str(out / "pca" / "pca.bin")],
+        ["pca", "transform", "--model", art["pca_model"], "--in", art["hog"],
+         "--out", str(out / "projected.rcf")],
+        ["reservoir", "run", "--features", art["features"], "--n-nodes", "32",
+         "--coupling-density", "0.05", "--reset-per-sequence", "--manifest", manifest,
+         "--out", str(out / "states.rcf")],
+        ["train", "--states", art["states"], "--manifest", manifest,
+         "--out", str(out / "readout.bin")],
+        ["evaluate", "--model", art["readout_model"], "--states", art["states"],
+         "--manifest", manifest, "--out", str(out / "results")],
+        ["gridsearch", "--grid", str(grid), "--manifest", manifest,
+         "--features", art["features"], "--log", str(out / "grid_log.csv")],
+        ["describe", str(out / "run")],
+    ]
+    capsys.readouterr()
+    printed = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, (argv, captured.err)
+        printed.append(captured.out)
+    # the library route of a features-only stream
+    data = prepare_data(manifest, art["features"])
+    spec = GridSpec((0.5,), (0.01, 0.003), (0.1,), (0.05,), n_nodes=16)
+    scores = [trial.score for trial in run_grid(spec, data, log_path=out / "lib_log.csv")]
+    logs = ("grid_log.csv", "lib_log.csv")
+    written = {name: _without_times(out / name) for name in logs}
+    for path in out.rglob("*"):
+        if path.is_file() and path.name not in logs:
+            written[str(path.relative_to(out))] = path.read_bytes()
+    return printed, scores, written
+
+
+def test_every_command_after_hog_runs_without_the_frame_store(tmp_path, capsys):
+    manifest, frames = _small_corpus(tmp_path / "corpus")
+    cold = tmp_path / "cold"
+    _cold_run(manifest, cold)
+    side = tmp_path / "side"  # one path for both passes, so that printed paths agree
+    with_store = _after_hog(manifest, cold, side, capsys)
+    shutil.rmtree(side)
+    frames.rename(tmp_path / "frames_moved_away")
+    without_store = _after_hog(manifest, cold, side, capsys)
+    assert without_store == with_store
+    # the reuse run wrote what the cold run wrote
+    for name in (*_cold_artifacts(cold).values(), "pipeline.json"):
+        assert (side / "run" / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def test_a_missing_frame_fails_the_hog_stage_and_a_rerun_recomputes_it(tmp_path, capsys):
+    manifest, frames = _small_corpus(tmp_path / "corpus")
+    cold = tmp_path / "cold"
+    artifacts = _cold_run(manifest, cold)
+    last = load_manifest(manifest).sequences[-1]
+    index = last.frame_count - 1
+    frame = frames / (last.frame_filename_pattern % index)
+    moved = tmp_path / "moved.pgm"
+    frame.rename(moved)
+    torn = tmp_path / "torn"
+    capsys.readouterr()
+    run = ["--out-dir", str(torn), "pipeline", "run", "--manifest", manifest, *_RUN_FLAGS]
+    assert main(run) == 2
+    err = capsys.readouterr().err
+    assert f"stage 'hog' failed: {last.sequence_id}[{index}]: missing frame file {frame}" in err
+    # the HOG cache the failed stage leaves is refused, and a reuse run redoes it
+    with pytest.raises(ParseError, match="trailing bytes"):
+        read_cache_header(torn / artifacts["hog"])
+    moved.rename(frame)
+    assert main(run) == 0
+    for name in (*artifacts.values(), "pipeline.json"):
+        assert (torn / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def test_pca_fit_writes_the_features_beside_the_model(cli_env, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "pca", "fit", "--in", cli_env["hog"], "--manifest", cli_env["manifest"],
+        "--k", "12", "--out", os.path.join("sub", "pca.bin"),
+    ]) == 0
+    assert f"wrote {os.path.join('sub', 'features.rcf')}:" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["features.rcf", "pca.bin"]
+    with open(cli_env["features"], "rb") as fh:
+        assert (tmp_path / "sub" / "features.rcf").read_bytes() == fh.read()

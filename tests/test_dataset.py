@@ -140,7 +140,7 @@ def test_pgm_rejects_truncation_and_deep_maxval(tmp_path):
 def test_manifest_round_trip(tmp_path, tiny_manifest):
     path = tmp_path / "copy.json"
     save_manifest(tiny_manifest, path)
-    again = load_manifest(path, check_frames=False)
+    again = load_manifest(path)
     assert again == tiny_manifest
 
 
@@ -171,11 +171,12 @@ def test_missing_frame_file_is_named(tmp_path):
             "frame_filename_pattern": "s01_boxing_r1/frame_%05d.pgm",
         }],
     }))
-    with pytest.raises(MissingFrameError, match="frame_00000.pgm"):
-        load_manifest(path)
-    manifest = load_manifest(path, check_frames=False)
+    # the manifest loads without its frames; the stream names the missing one
+    manifest = load_manifest(path)
     # relative roots resolve against the manifest's own directory
     assert manifest.frame_store_root == str(frames)
+    with pytest.raises(MissingFrameError, match=r"s01_boxing_r1\[0\]: .*frame_00000.pgm"):
+        next(stream_frames(manifest))
 
 
 def test_duplicate_identity_rejected(tmp_path):
@@ -193,7 +194,7 @@ def test_duplicate_identity_rejected(tmp_path):
         "sequences": [entry, second],
     }))
     with pytest.raises(SchemaError, match="duplicate"):
-        load_manifest(path, check_frames=False)
+        load_manifest(path)
 
 
 def test_malformed_manifest_errors(tmp_path):
@@ -215,7 +216,7 @@ def test_malformed_manifest_errors(tmp_path):
         }],
     }))
     with pytest.raises(SchemaError, match="flying"):
-        load_manifest(path, check_frames=False)
+        load_manifest(path)
 
 
 # ---------------------------------------------------------------------------

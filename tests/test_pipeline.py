@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonrc import cache
 from photonrc.cache import CacheRows, CacheWriter, read_cache
 from photonrc.dataset import Manifest, save_manifest
 from photonrc.errors import (
     NotAPipelineDirError,
+    ParseError,
     PipelineStageError,
     SchemaError,
 )
@@ -286,6 +289,29 @@ def test_every_binary_artifact_has_a_header_reader(pipe):
     binary = {k for k, name in report.artifacts.items() if name.endswith((".rcf", ".bin"))}
     assert binary == set(BINARY_ARTIFACTS)
     assert binary <= set(pipeline_module.header_readers())
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scratch")
+
+
+@pytest.mark.parametrize("artifact", BINARY_ARTIFACTS)
+@settings(max_examples=25, deadline=None)
+@given(draw=st.data())
+def test_each_wrong_size_is_named_by_the_header_reader(pipe, scratch_dir, artifact, draw):
+    # any length but the true one, cut short or padded with drawn bytes;
+    # flipped body bytes keep the size and wait for a content checksum
+    _, report = pipe
+    data = (Path(report.out_dir) / report.artifacts[artifact]).read_bytes()
+    size = len(data)
+    length = draw.draw(st.integers(0, size + 63).filter(lambda n: n != size), label="length")
+    if length > size:
+        data += draw.draw(st.binary(min_size=length - size, max_size=length - size))
+    damaged = scratch_dir / report.artifacts[artifact]
+    damaged.write_bytes(data[:length])
+    with pytest.raises(ParseError, match="truncated|trailing bytes"):
+        pipeline_module.header_readers()[artifact](damaged)
 
 
 def _record_cache_reads(monkeypatch):
