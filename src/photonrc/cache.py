@@ -17,7 +17,8 @@ reservoir state trajectories; only the layout tuple differs.
 
 :func:`read_cache` loads a whole cache; :class:`CacheRows` reads selected
 rows of one from disk a chunk at a time, so a stage that streams a cache
-never holds all of it.
+never holds all of it.  :func:`row_chunks` cuts an array and a cache into
+the same chunks.
 
 :func:`read_json` reads every JSON document (the manifest, both specs and
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
@@ -196,6 +197,33 @@ def read_cache(path):
     return data.reshape(count, dim), layout
 
 
+def chunk_stops(n):
+    """Row stops of the chunks that ``n`` rows are cut into: CHUNK_ROWS rows
+    each, and a last chunk of from half to one and a half times that many.
+
+    BLAS multiplies a few rows by other code paths (GEMV for one row) than a
+    whole array's, which round differently; a short last chunk joins the one
+    before, so a product taken chunk by chunk keeps the rounding of one
+    product over every row.
+    """
+    stops = list(range(CHUNK_ROWS, n, CHUNK_ROWS))
+    if stops and n - stops[-1] < CHUNK_ROWS // 2:
+        stops.pop()
+    return stops + [n]
+
+
+def row_chunks(rows):
+    """The rows of an array or of a :class:`CacheRows`, in order, as blocks cut
+    by :func:`chunk_stops`: views of an array, float32 reads of a cache."""
+    if isinstance(rows, CacheRows):
+        yield from rows.chunks()
+        return
+    start = 0
+    for stop in chunk_stops(rows.shape[0]):
+        yield rows[start:stop]
+        start = stop
+
+
 class CacheRows:
     """Rows ``rows`` of the cache at ``path`` (None: every row), read a chunk at a time.
 
@@ -204,7 +232,8 @@ class CacheRows:
     the object reads the selected rows, in the order given, into one new
     array equal to ``read_cache(path)[0][rows]``; a ``dtype`` there makes
     that array in the wanted type without a float32 copy of the whole.
-    :meth:`chunks` yields the same rows as float32 blocks.  Reads are plain
+    :meth:`chunks` yields the same rows as float32 blocks, and indexing
+    selects some of them without reading any.  Reads are plain
     file reads, not a memory map, so the file's pages never count towards
     the process's resident memory.
     """
@@ -221,20 +250,16 @@ class CacheRows:
             raise IndexError(f"{path}: row index out of range for {count} rows")
         self.shape = (self._rows.size, dim)
 
+    def __getitem__(self, index):
+        """The selected rows at positions ``index`` (an index array or a
+        slice), as a CacheRows that reads them from the same file."""
+        return type(self)(self.path, self._rows[index])
+
     def chunks(self):
-        """Yield the selected rows in order, as float32 blocks of CHUNK_ROWS rows;
-        the last block holds from half to one and a half times that many."""
-        n = self.shape[0]
-        stops = list(range(CHUNK_ROWS, n, CHUNK_ROWS))
-        if stops and n - stops[-1] < CHUNK_ROWS // 2:
-            # BLAS multiplies a few rows by other code paths (GEMV for one
-            # row) than a whole array's, which round differently; a short
-            # last block joins the one before, so projecting chunk by chunk
-            # keeps the rounding of one product over every row
-            stops.pop()
+        """Yield the selected rows in order, as float32 blocks cut by :func:`chunk_stops`."""
         with open(self.path, "rb") as fh:
             start = 0
-            for stop in stops + [n]:
+            for stop in chunk_stops(self.shape[0]):
                 yield self._read(fh, self._rows[start:stop])
                 start = stop
 

@@ -226,7 +226,7 @@ def cmd_reservoir_run(args):
 
 
 def cmd_train(args):
-    data = prepare_data(args.manifest, args.states)
+    data = prepare_data(args.manifest, CacheRows(args.states))  # read a chunk at a time
     model = train_readout(data.features, data, args.ridge_lambda)
     out = _out_path(args, args.out, "readout.bin")
     save_readout_model(model, out)
@@ -238,7 +238,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    data = prepare_data(args.manifest, args.states)
+    data = prepare_data(args.manifest, CacheRows(args.states))  # read a chunk at a time
     model = load_readout_model(args.model)
     decisions, truths, matrix, _ = evaluate_readout(model, data.features, data)
     out_dir = args.out or args.out_dir

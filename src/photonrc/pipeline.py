@@ -31,6 +31,15 @@ fit rows in float64 with either the Gram matrix and its eigenvectors or one
 copy of the components; the projection holds the model, the scores and one
 chunk.
 
+No stage after PCA holds more than one Gram and one chunk of rows.  The
+reservoir stage reads the feature cache a chunk at a time and writes each
+block of readings as it is made.  The train and evaluate stages read the
+state cache through :class:`~photonrc.cache.CacheRows`: the ridge readout
+sums its normal equations exactly over row chunks (see
+:mod:`photonrc.readout`), and the readout is applied a chunk at a time, cut
+by :func:`~photonrc.cache.row_chunks` as an in-memory trial cuts its states,
+so both give the same bytes.
+
 Every numeric handoff between stages round-trips through a float32 cache
 file, and downstream stages consume the file's values rather than the
 in-memory originals; this is what makes warm and cold runs byte-identical.
@@ -182,7 +191,8 @@ class PipelineReport:
 class PreparedData:
     """Per-frame rows (HOG, PCA features or states) plus their manifest's row bookkeeping."""
 
-    features: np.ndarray  # (T, K) float32, the cache contents; None when only rows are bound
+    # (T, K): float32 cache contents or a CacheRows; None when only rows are bound
+    features: np.ndarray
     targets: np.ndarray   # (T, 6) one-hot
     train_rows: np.ndarray
     test_rows: np.ndarray
@@ -370,9 +380,10 @@ def reservoir_spec(n_nodes, input_dim, params, seed):
     )
 
 
-def reservoir_states(specs, inputs, spans=None):
-    """Drive the reservoirs ``specs`` describe with ``inputs``; returns their
-    float32 detector readings (:func:`run_reservoir`).
+def reservoir_states(specs, inputs, spans=None, out=None):
+    """Drive the reservoirs ``specs`` describe with ``inputs``, an array or a
+    :class:`CacheRows`; returns their float32 detector readings, or with
+    ``out`` set appends them to it a block at a time (:func:`run_reservoir`).
 
     The reservoirs step in lockstep as one block-diagonal reservoir
     (:func:`stack_matrices`): the result holds each spec's N columns side
@@ -385,26 +396,28 @@ def reservoir_states(specs, inputs, spans=None):
     if spans is not None:
         spans = [(start, stop) for _, start, stop, _ in spans]
     matrices = stack_matrices([spec.build() for spec in specs])
-    return run_reservoir(matrices, inputs, spans=spans)
+    return run_reservoir(matrices, inputs, spans=spans, out=out)
 
 
 def drive_reservoir(spec, features_path, path, spans=None):
     """Write the readings of the reservoir ``spec`` describes, driven by the
     feature cache at ``features_path``, to a state cache; returns the row count.
 
+    The features are read and the readings written a block at a time.
     ``spans`` is as for :func:`reservoir_states`.
     """
-    features, _ = read_cache(features_path)
+    features = CacheRows(features_path)
     with CacheWriter(path, spec.n_nodes) as writer:
-        writer.append(reservoir_states([spec], features, spans))
+        reservoir_states([spec], features, spans, out=writer)
     return features.shape[0]
 
 
 def _train_set(states, data):
-    """The train rows of ``states``, gathered once into float64, and their targets."""
+    """The train rows of ``states`` and their targets: a float32 gather of an
+    array's, or a :class:`CacheRows` of a cache's, which reads none of them."""
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
-    return states[data.train_rows].astype(np.float64, copy=False), data.targets[data.train_rows]
+    return states[data.train_rows], data.targets[data.train_rows]
 
 
 def readout_equations(states, data):
@@ -413,18 +426,20 @@ def readout_equations(states, data):
 
 
 def train_readout(states, data, ridge_lambda, normal=None):
-    """Ridge-train the readout on the train rows of ``states``.
+    """Ridge-train the readout on the train rows of ``states``, an array or a
+    :class:`CacheRows`.
 
     ``normal`` is :func:`readout_equations` of the same states, for a caller
     that trains several lambdas on them; its train rows are used as they are.
     """
     if normal is None:
         return train_ridge(*_train_set(states, data), ridge_lambda=ridge_lambda)
-    return train_ridge(normal.features, normal.targets, ridge_lambda=ridge_lambda, normal=normal)
+    return train_ridge(normal.states, normal.targets, ridge_lambda=ridge_lambda, normal=normal)
 
 
 def evaluate_readout(model, states, data):
-    """Score a readout on the test spans.
+    """Score a readout on the test spans of ``states``, an array or a
+    :class:`CacheRows` read a chunk at a time.
 
     Returns (sequence decisions, truths, confusion matrix, per-class NMSE
     over the test rows).
@@ -534,7 +549,8 @@ def run_pipeline(config):
         if not (reuse and _is_complete(states_path, readers["states"], n_frames, config.n_nodes)):
             spans = data.all_spans if config.reset_per_sequence else None
             drive_reservoir(spec, features_path, states_path, spans)
-        states, _ = read_cache(states_path)
+        # read a chunk at a time by the train and evaluate stages
+        states = CacheRows(states_path)
 
     with _stage("train"):
         (readout_path,) = name(

@@ -7,18 +7,29 @@ training solves the regularized normal equations
     (X'X + lambda I) W = X'D
 
 and the readout output is y = X W.  X holds what the detector reads,
-q10(sin^2) of every node, so training and evaluation use the stored values
-as they are.
+q10(sin^2) of every node: each reading is j / 1023 for an integer level j.
+Training sums the equations over K = 1023 X (:func:`levels`), which holds
+those integers exactly, in float64.  Every partial sum of K'K, K'D and the
+trace is then an integer below 2^53, for up to about 8.6e9 rows, so the
+sums are exact and equal for any chunking, BLAS blocking or thread count,
+and the factor 1023 is applied once, to the solution (W = 1023 V).  Other
+float rows train through the same sums, which are then as exact as float64
+allows.
 
-For wide state matrices (more nodes than frames) the equations are solved
-through the dual system (XX' + lambda I) A = D with W = X'A, which
-satisfies the same normal equations exactly and yields the minimum-norm
-interpolator at lambda = 0.  Either route must leave a relative residual
-of at most 1e-6 or training fails with SingularError.  Training holds one
-float64 copy of the train rows and one Gram, which it regularizes and
-factors in place unless a caller shares it across lambdas.  A model file
-is read only if it is exactly the size its header announces and its
-weights finite.
+With at least as many train rows as nodes (the primal route) the states
+are read once, a chunk of rows at a time (:func:`~photonrc.cache.row_chunks`),
+and each chunk's K'K is added into the upper triangle of one Gram
+(``dsyrk``).  Its lower triangle then takes a copy, which stays while the
+upper one is regularized and factored in place.  With fewer rows (the dual
+route) the equations are solved through (KK' + lambda I) A = D with
+W = K'A, over the levels of every train row, which satisfies the same
+normal equations exactly and yields the minimum-norm interpolator at
+lambda = 0.  Either route must leave a relative residual of at most 1e-6
+on the primal normal equations, taken with the kept Gram or the kept
+levels, or training fails with SingularError.  So training holds one Gram
+and one chunk of rows at a time, or, on the dual route, the levels of
+every train row.  A model file is read only if it is exactly the size its
+header announces and its weights finite.
 """
 
 import struct
@@ -26,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
-from .cache import read_checked_header
+from .cache import CacheRows, read_checked_header, row_chunks
 from .classify import N_CLASSES
 from .errors import (
     DegenerateTargetError,
@@ -36,9 +48,14 @@ from .errors import (
     ParseError,
     SingularError,
 )
+from .reservoir import INTENSITY_LEVELS
 
 RESIDUAL_RTOL = 1e-6
 DEFAULT_LAMBDA_SCALE = 1e-4  # lambda = scale * trace(X'X) / N when unspecified
+
+LEVELS = INTENSITY_LEVELS - 1  # a detector reading is j / LEVELS for an integer j
+# rows per block of the level conversion, so its temporaries fit in the CPU cache
+_LEVEL_ROWS = 32
 
 
 def encode_targets(frame_classes):
@@ -78,53 +95,101 @@ def check_ridge_lambda(ridge_lambda):
         raise ValueError(f"ridge_lambda must be None (auto) or finite and >= 0, got {ridge_lambda!r}")
 
 
-def default_lambda(states):
-    """Scale-adaptive default: 1e-4 * trace(X'X) / N."""
-    X = np.asarray(states, dtype=np.float64)
-    return DEFAULT_LAMBDA_SCALE * float(np.einsum("ij,ij->", X, X)) / X.shape[1]
+def levels(rows):
+    """K = LEVELS * x of the float rows x, in float64: the integer j exactly
+    where x is the reading j / LEVELS in x's own type, and LEVELS * x elsewhere.
+
+    For float32 x the product is exact, but only near j; rounding it gives j
+    wherever j / LEVELS rounds back to x.
+    """
+    x = np.asarray(rows)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
+    K = np.empty(x.shape)
+    for a in range(0, x.shape[0], _LEVEL_ROWS):
+        xb, kb = x[a:a + _LEVEL_ROWS], K[a:a + _LEVEL_ROWS]
+        np.multiply(xb, LEVELS, out=kb)
+        j = np.rint(kb)
+        np.copyto(kb, j, where=(j / LEVELS).astype(x.dtype) == xb)
+    return K
 
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """The ridge system of one training set, which any number of lambdas solve.
+    """The ridge system of one training set, in levels K = :func:`levels` of
+    the states, which any number of lambdas solve.
 
-    ``features`` is X, the states as float64; ``gram`` is
-    X'X when X has at least as many rows as columns (the primal route) and
-    XX' otherwise (the dual route); ``rhs`` is X'D.
+    ``states`` are the train rows, an array or a
+    :class:`~photonrc.cache.CacheRows`; ``gram`` is K'K when there are at
+    least as many rows as columns (the primal route) and KK' otherwise (the
+    dual route), with ``dual_levels`` then K itself, in Fortran order and
+    exactly symmetric; ``rhs`` is K'D.
     """
 
-    features: np.ndarray
+    states: object
     targets: np.ndarray
     gram: np.ndarray
     rhs: np.ndarray
+    dual_levels: np.ndarray = None
 
     @property
     def primal(self):
-        return self.features.shape[0] >= self.features.shape[1]
+        return self.dual_levels is None
+
+    @property
+    def default_lambda(self):
+        """Scale-adaptive default: 1e-4 * trace(X'X) / N, off the Gram's exact diagonal."""
+        trace = float(np.trace(self.gram)) / LEVELS**2
+        return DEFAULT_LAMBDA_SCALE * trace / self.states.shape[1]
 
 
 def normal_equations(states, targets):
-    """Build the :class:`NormalEquations` of ``states`` and one-hot ``targets``.
-
-    X is made C-contiguous, the layout for which numpy's X'X and XX' are
-    exactly symmetric; the Cholesky factorization relies on that.
-    """
-    X = np.ascontiguousarray(states, dtype=np.float64)
+    """Build the :class:`NormalEquations` of ``states`` (an array or a
+    :class:`~photonrc.cache.CacheRows`) and one-hot ``targets``."""
+    if not isinstance(states, CacheRows):
+        states = np.asarray(states)
     D = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or D.ndim != 2:
+    if len(states.shape) != 2 or D.ndim != 2:
         raise DimensionError("states and targets must be 2-D")
-    if X.shape[0] != D.shape[0]:
-        raise DimensionError(
-            f"{X.shape[0]} state rows vs {D.shape[0]} target rows"
-        )
-    if X.shape[0] < 1:
+    rows, cols = states.shape
+    if rows != D.shape[0]:
+        raise DimensionError(f"{rows} state rows vs {D.shape[0]} target rows")
+    if rows < 1:
         raise DimensionError("need at least one training row")
-    return NormalEquations(
-        features=X,
-        targets=D,
-        gram=X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T,
-        rhs=X.T @ D,
-    )
+    if rows < cols:
+        # K.T is K in Fortran order, which dsyrk reads without a copy
+        K = levels(states)
+        gram = _mirror_upper(blas.dsyrk(1.0, K.T, trans=1, lower=0))
+        return NormalEquations(states, D, gram, K.T @ D, dual_levels=K)
+    gram = np.zeros((cols, cols), order="F")
+    rhs = np.zeros((cols, D.shape[1]))
+    start = 0
+    for chunk in row_chunks(states):
+        stop = start + chunk.shape[0]
+        gram = _add_chunk(gram, rhs, levels(chunk), D[start:stop])
+        start = stop
+    return NormalEquations(states, D, _mirror_upper(gram), rhs)
+
+
+def _add_chunk(gram, rhs, K, D):
+    """Add K'K to the upper triangle of ``gram``, in place, and K'D to ``rhs``;
+    returns ``gram``.  Taking the chunk's levels as an argument frees them
+    before the next chunk's are made."""
+    rhs += K.T @ D
+    return blas.dsyrk(1.0, K.T, beta=1.0, c=gram, trans=0, lower=0, overwrite_c=1)
+
+
+def _mirror_upper(gram, block=256):
+    """Copy the upper triangle of the Fortran-order ``gram`` onto its lower one,
+    a block of columns at a time; returns ``gram``.  Factoring the upper
+    triangle in place leaves this copy as it is."""
+    n = gram.shape[0]
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        gram[j1:, j0:j1] = gram[j0:j1, j1:].T
+        square = gram[j0:j1, j0:j1]
+        np.copyto(square, square.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+    return gram
 
 
 def train_ridge(states, targets, ridge_lambda=None, normal=None):
@@ -140,48 +205,62 @@ def train_ridge(states, targets, ridge_lambda=None, normal=None):
     if normal is None:
         normal = normal_equations(states, targets)
         gram = normal.gram  # nothing else holds it, so it is factored in place
-    elif normal.features.shape != np.shape(states):
+    elif normal.states.shape != np.shape(states):
         raise ValueError("normal equations were built from other states")
     else:
-        gram = normal.gram.copy()
-    X = normal.features
-    lam = default_lambda(X) if ridge_lambda is None else float(ridge_lambda)
+        gram = normal.gram.copy(order="F")
+    lam = normal.default_lambda if ridge_lambda is None else float(ridge_lambda)
 
-    rhs = normal.rhs
-    gram[np.diag_indices_from(gram)] += lam
+    # in levels: (K'K + LEVELS^2 lambda I) V = K'D, and W = LEVELS V
+    shift = lam * LEVELS**2
+    diagonal = gram.diagonal().copy()
+    gram[np.diag_indices_from(gram)] += shift
     try:
-        # the Gram is exactly symmetric, so its transpose is the same matrix
-        # already in the column-major order LAPACK factors without a copy
-        factor = linalg.cho_factor(gram.T, overwrite_a=True)
-        W = linalg.cho_solve(factor, rhs if normal.primal else normal.targets)
+        factor = linalg.cho_factor(gram, lower=False, overwrite_a=True)
+        V = linalg.cho_solve(factor, normal.rhs if normal.primal else normal.targets)
         if not normal.primal:
-            W = X.T @ W
+            V = normal.dual_levels.T @ V
     except ValueError as exc:  # a LinAlgError, or a non-finite entry cho_factor refuses
         raise SingularError(f"regularized system not solvable: {exc}") from exc
-    if not np.all(np.isfinite(W)):
+    if not np.all(np.isfinite(V)):
         raise SingularError("regularized solve produced non-finite weights")
 
-    # the contract is on the primal normal equations, whichever route ran
-    residual = np.linalg.norm((X.T @ (X @ W)) + lam * W - rhs)
+    # the contract is on the primal normal equations, whichever route ran;
+    # the relative residual in levels is the one in X
+    if normal.primal:
+        # the factor's diagonal is spent; with the Gram's own back, the
+        # lower triangle is the whole Gram again
+        np.fill_diagonal(gram, diagonal)
+        gram_v = blas.dsymm(1.0, gram, V, lower=1)
+    else:
+        gram_v = normal.dual_levels.T @ (normal.dual_levels @ V)
+    rhs = normal.rhs
+    residual = np.linalg.norm(gram_v + shift * V - rhs)
     denom = max(np.linalg.norm(rhs), np.finfo(np.float64).tiny)
     if residual > RESIDUAL_RTOL * denom:
         raise SingularError(
             f"normal-equations residual {residual / denom:.3e} exceeds {RESIDUAL_RTOL:.0e}"
         )
-    return ReadoutModel(weights=np.ascontiguousarray(W.T), ridge_lambda=lam)
+    return ReadoutModel(weights=np.ascontiguousarray(LEVELS * V.T), ridge_lambda=lam)
 
 
 def apply_readout(model, states):
-    """Evaluate y = X W'."""
-    X = np.asarray(states, dtype=np.float64)
-    squeeze = X.ndim == 1
+    """Evaluate y = X W', chunk by chunk (:func:`~photonrc.cache.row_chunks`),
+    for ``states`` an array or a :class:`~photonrc.cache.CacheRows`."""
+    X = states if isinstance(states, CacheRows) else np.asarray(states)
+    squeeze = len(X.shape) == 1
     if squeeze:
         X = X[None, :]
     if X.shape[1] != model.n_features:
         raise DimensionError(
             f"states have {X.shape[1]} columns, model expects {model.n_features}"
         )
-    out = X @ model.weights.T
+    out = np.empty((X.shape[0], model.n_outputs))
+    start = 0
+    for chunk in row_chunks(X):
+        stop = start + chunk.shape[0]
+        out[start:stop] = np.asarray(chunk, dtype=np.float64) @ model.weights.T
+        start = stop
     return out[0] if squeeze else out
 
 

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy import sparse
 
-from .cache import json_field, json_typed, read_json, write_json
+from .cache import CacheRows, json_field, json_typed, read_json, row_chunks, write_json
 from .errors import NumericalError, SchemaError
 
 TWO_PI = 2.0 * np.pi
@@ -235,31 +235,41 @@ def stack_matrices(matrices):
 
 
 # input rows whose drive B u(n) one GEMM computes; a row's drive bytes do not
-# depend on the block it is computed in
+# depend on the block it is computed in, and a chunk of cache.CHUNK_ROWS
+# rows holds four of these blocks
 DRIVE_ROWS = 256
 
+# the reading of every phase code as the state cache stores it
+_RESPONSE32 = RESPONSE.astype(np.float32)
 
-def run_reservoir(matrices, inputs, initial_state=None, spans=None):
+
+def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
     """Drive the reservoir with ``inputs`` (T, K); returns float32 readings (T, N).
 
     ``readings[t]`` is the detector reading q10(sin^2) of every node after
-    consuming ``inputs[t]``.  ``initial_state`` is the reading the couplings
-    start from (zeros by default).  ``spans`` is an optional list of
-    (start, stop) row ranges; the state resets to ``initial_state`` at the
-    start of each span, which cuts memory across sequence boundaries.
+    consuming ``inputs[t]``.  ``inputs`` is an array or a
+    :class:`~photonrc.cache.CacheRows`, which is read a chunk at a time
+    (:func:`~photonrc.cache.row_chunks`).  ``initial_state`` is the reading
+    the couplings start from (zeros by default).  ``spans`` is an optional
+    list of (start, stop) row ranges that tile the rows in order; the state
+    resets to ``initial_state`` at the start of each span, which cuts memory
+    across sequence boundaries.  With ``out`` set, the readings go to
+    ``out.append`` (a :class:`~photonrc.cache.CacheWriter`) as they are
+    made, :data:`DRIVE_ROWS` rows at a time, and None is returned.
 
     Every node phase is one of the 256 codes of :func:`phase_code`, so each
-    reading is a lookup in :data:`RESPONSE`.  The run keeps one uint8 code
-    per step and the drive of :data:`DRIVE_ROWS` input rows at a time, and
-    turns the codes into float32 readings, as the state cache stores them,
-    at the end.
+    reading is a lookup in :data:`RESPONSE`.  The run carries the float64
+    reading from step to step, chunk boundaries included, and holds one
+    chunk of inputs, the drive of :data:`DRIVE_ROWS` of them and one uint8
+    code per node and step of that block, which it turns into float32
+    readings, as the state cache stores them, when the block is done.
     """
-    U = np.atleast_2d(np.asarray(inputs))
-    if U.shape[1] != matrices.input_dim:
+    if not isinstance(inputs, CacheRows):
+        inputs = np.atleast_2d(np.asarray(inputs))
+    if inputs.shape[1] != matrices.input_dim:
         raise SchemaError(
-            f"inputs have {U.shape[1]} columns, reservoir expects {matrices.input_dim}"
+            f"inputs have {inputs.shape[1]} columns, reservoir expects {matrices.input_dim}"
         )
-    n_steps = U.shape[0]
     n = matrices.n_nodes
     if initial_state is None:
         x0 = np.zeros(n)
@@ -267,23 +277,29 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None):
         x0 = np.asarray(initial_state, dtype=np.float64)
         if x0.shape != (n,):
             raise SchemaError(f"initial_state must have shape ({n},)")
-    if spans is None:
-        spans = [(0, n_steps)]
+    resets = {start for start, _ in spans or ()}
     weights = matrices.weights
     input_weights = matrices.input_weights
-    codes = np.empty((n_steps, n), dtype=np.uint8)
-    lo = hi = 0  # the input rows whose drive is in memory
-    for start, stop in spans:
-        x = x0
-        for t in range(start, stop):
-            if not lo <= t < hi:
-                lo = t - t % DRIVE_ROWS
-                hi = min(lo + DRIVE_ROWS, n_steps)
-                drive = np.asarray(U[lo:hi], dtype=np.float64) @ input_weights.T
-            k = phase_code(weights @ x + drive[t - lo])
-            x = RESPONSE[k]
-            codes[t] = k
-    return RESPONSE.astype(np.float32)[codes]
+    readings = np.empty((inputs.shape[0], n), dtype=np.float32) if out is None else None
+    codes = np.empty((DRIVE_ROWS, n), dtype=np.uint8)
+    x = x0
+    t = 0  # the first row of the block being stepped
+    for block in row_chunks(inputs):
+        for lo in range(0, block.shape[0], DRIVE_ROWS):
+            drive = np.asarray(block[lo:lo + DRIVE_ROWS], dtype=np.float64) @ input_weights.T
+            for i in range(drive.shape[0]):
+                if t + i in resets:
+                    x = x0
+                k = phase_code(weights @ x + drive[i])
+                x = RESPONSE[k]
+                codes[i] = k
+            values = _RESPONSE32[codes[:drive.shape[0]]]
+            if out is None:
+                readings[t:t + drive.shape[0]] = values
+            else:
+                out.append(values)
+            t += drive.shape[0]
+    return readings
 
 
 def first_coincidence(states_a, states_b):

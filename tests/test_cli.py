@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from photonrc import cache, pipeline
 from photonrc.cache import CacheWriter, read_cache, read_cache_header
 from photonrc.cli import _hyperparams, build_parser, main
 from photonrc.hog import HogConfig, feature_count
@@ -285,6 +286,35 @@ def test_stage_chain_equals_pipeline_run(tiny_corpus, tmp_path, capsys):
         assert (chain / chained).read_bytes() == (piped / pipelined).read_bytes(), chained
     states, _ = read_cache(chain / "states.rcf")
     assert np.isin(states, RESPONSE.astype(np.float32)).all()
+
+
+def test_no_stage_reads_the_whole_state_cache(tiny_corpus, tmp_path, monkeypatch, capsys):
+    # the train and evaluate stages read the state cache a chunk at a time,
+    # in pipeline run and in the train and evaluate commands alike
+    reads = []
+    real = cache.read_cache
+
+    def recording(path):
+        reads.append(os.path.basename(path))
+        return real(path)
+
+    for module in (cache, pipeline):
+        monkeypatch.setattr(module, "read_cache", recording)
+    manifest = str(tiny_corpus)
+    out = tmp_path / "run"
+    assert main([
+        "--out-dir", str(out), "pipeline", "run", "--manifest", manifest,
+        "--components", "24", "--n-nodes", "64",
+    ]) == 0
+    states = str(out / json.loads((out / "pipeline.json").read_text())["artifacts"]["states"])
+    readout = str(tmp_path / "readout.bin")
+    assert main(["train", "--states", states, "--manifest", manifest, "--out", readout]) == 0
+    assert main([
+        "evaluate", "--model", readout, "--states", states, "--manifest", manifest,
+        "--out", str(tmp_path / "results"),
+    ]) == 0
+    capsys.readouterr()
+    assert not [name for name in reads if name.startswith("states")]
 
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):

@@ -56,11 +56,11 @@ GOLDEN_SHA256 = {
     "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
     "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
     "reservoir_spec": "29a4ad8ff05275d49efdeb35e4d5778aeb3fa59cd00709ee501be2ed881731c5",
-    "readout_model": "46c0ad241017550697d6211f7ddfbd744ce07f0e38354bfd9896046f3111db3c",
+    "readout_model": "92d32ca887b50074588c4c2de370df15a384383c434366824cea009556fa2494",
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
     "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
     "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
-    "pipeline.json": "80be529dc27070995c0983ffaa3712a68866b69fad3371d496e719d638e100f8",
+    "pipeline.json": "cd5c94706181c66c6b1188b69ef8df1cc5f1b8f41d7d0ef35079edc5355fa7a7",
 }
 
 
@@ -340,10 +340,10 @@ def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypa
     reads, passes = _record_cache_reads(monkeypatch)
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
     assert again.score == report.score
-    assert passes == []
-    assert report.artifacts["hog"] not in reads
-    assert report.artifacts["features"] not in reads
-    assert report.artifacts["states"] in reads
+    # the evaluate stage's one pass over the state cache is the only read
+    n_frames = prepare_data(config.manifest_path, None).targets.shape[0]
+    assert reads == []
+    assert passes == [(report.artifacts["states"], n_frames)]
     for name in (*RESULT_FILES, "pipeline.json"):
         assert (copy_dir / name).read_bytes() == (Path(report.out_dir) / name).read_bytes()
 
@@ -360,8 +360,10 @@ def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
     data = prepare_data(config.manifest_path, None)
     hog = report.artifacts["hog"]
     n_fit = data.train_rows.size
-    assert passes == [(hog, n_fit), (hog, data.targets.shape[0] - n_fit)]
-    assert hog not in reads
+    n_frames = data.targets.shape[0]
+    # then the evaluate stage's pass over the reused state cache
+    assert passes == [(hog, n_fit), (hog, n_frames - n_fit), (report.artifacts["states"], n_frames)]
+    assert reads == []
     assert again.score == report.score
     assert (copy_dir / "pipeline.json").read_bytes() == (
         Path(report.out_dir) / "pipeline.json"
@@ -523,6 +525,36 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     # slack: the float32 chunk a read fills, and 1 MB for the small arrays
     slack = 4 * chunk + (1 << 20)
     assert peak < budget + slack
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["one-stream", "reset-per-sequence"])
+@pytest.mark.parametrize("chunk_rows", [100, 256])
+def test_streamed_reservoir_stage_equals_the_whole_array_run(tmp_path, rng, monkeypatch,
+                                                             chunk_rows, reset):
+    # 1,100 rows: four or eleven chunks, the 256-row ones on drive-block
+    # edges and the 100-row ones off them; every span crosses a chunk edge
+    monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
+    features = (3.0 * rng.normal(size=(1100, 12))).astype(np.float32)
+    features_path = tmp_path / "features.rcf"
+    with CacheWriter(features_path, 12) as writer:
+        writer.append(features)
+    spec = pipeline_module.reservoir_spec(24, 12, HyperParams(0.8, 0.3, 0.4, 0.1), seed=3)
+    bounds = [0, 70, 150, 390, 620, 1010, 1100]
+    spans = [(f"s{i}", a, b, 0) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    states_path = tmp_path / "states.rcf"
+
+    def whole_read(path):
+        raise AssertionError(f"whole-array read of {path}")
+
+    monkeypatch.setattr(pipeline_module, "read_cache", whole_read)
+    rows = pipeline_module.drive_reservoir(
+        spec, features_path, states_path, spans if reset else None
+    )
+    whole = pipeline_module.run_reservoir(
+        spec.build(), features, spans=list(zip(bounds[:-1], bounds[1:])) if reset else None
+    )
+    assert rows == 1100
+    assert read_cache(states_path)[0].tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Ridge-trained linear readout: targets, solvers, NMSE, model files."""
 
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from photonrc import cache
+from photonrc.cache import CacheRows, CacheWriter
 from photonrc.errors import (
     DegenerateTargetError,
     DimensionError,
@@ -18,7 +25,6 @@ from photonrc.readout import (
     READOUT_MAGIC,
     ReadoutModel,
     apply_readout,
-    default_lambda,
     encode_targets,
     load_readout_model,
     nmse,
@@ -28,6 +34,7 @@ from photonrc.readout import (
     save_readout_model,
     train_ridge,
 )
+from photonrc.reservoir import RESPONSE
 from _oracles import ridge_oracle
 
 
@@ -131,9 +138,9 @@ def test_default_lambda_is_scale_adaptive(rng):
     model = train_ridge(X, D)
     expected = 1e-4 * np.sum(X * X) / 12
     assert model.ridge_lambda == pytest.approx(expected, rel=1e-12)
-    assert default_lambda(X) == pytest.approx(expected, rel=1e-12)
+    assert normal_equations(X, D).default_lambda == model.ridge_lambda
     # scaling the data scales the default the same way
-    assert default_lambda(3.0 * X) == pytest.approx(9.0 * default_lambda(X), rel=1e-12)
+    assert train_ridge(3.0 * X, D).ridge_lambda == pytest.approx(9.0 * expected, rel=1e-12)
 
 
 def test_rank_deficient_unregularized_system_fails(rng):
@@ -185,34 +192,87 @@ LAYOUTS = {
 }
 
 
+def _integer_levels(states):
+    """rint(1023 x) of readings x, in float64: the integers j of x = j / 1023."""
+    return np.rint(1023.0 * np.asarray(states, dtype=np.float64))
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("rows, cols", [(150, 100), (100, 300)], ids=["primal", "dual"])
 def test_normal_equations_gram_is_exactly_symmetric_for_every_layout(rng, layout, rows, cols):
-    # the Cholesky solve factors the Gram's transpose as the Gram itself;
-    # numpy's product of column-strided rows is not symmetric at these sizes
-    big = rng.uniform(0, 1, size=(2 * rows, 2 * cols + 3))
+    # the Cholesky solve factors the Gram's upper triangle, and the residual
+    # check reads its lower one; summed in integer levels, both equal the
+    # whole integer Gram's, which is exactly symmetric, for any row layout
+    big = RESPONSE[rng.integers(0, 256, size=(2 * rows, 2 * cols + 3))]
     X = LAYOUTS[layout](big, rows, cols)
     assert X.shape == (rows, cols)
     gram = normal_equations(X, encode_targets(rng.integers(0, 6, size=rows))).gram
+    K = _integer_levels(X)
+    whole = K.T @ K if rows >= cols else K @ K.T
     assert gram.shape == (min(rows, cols),) * 2
-    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(gram, whole)
+    assert np.array_equal(whole, whole.T)
+
+
+def _state_cache(path, states):
+    with CacheWriter(path, states.shape[1]) as writer:
+        writer.append(states)
+    return CacheRows(path)
 
 
 @pytest.mark.parametrize("rows", [600, 300])  # the primal and the dual route
-def test_ridge_training_holds_one_copy_of_the_rows_and_one_gram(rng, rows):
+def test_ridge_training_holds_one_gram_and_two_chunks(tmp_path, rng, monkeypatch, rows):
+    # the train rows stay in a state cache, read a chunk at a time
+    chunk_rows = 128
+    monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
     n = 400
-    states = rng.uniform(0, 1, size=(rows, n)).astype(np.float32)
+    states = _state_cache(tmp_path / "states.rcf", RESPONSE[rng.integers(0, 256, size=(rows, n))])
     D = encode_targets(rng.integers(0, 6, size=rows))
-    g = min(rows, n)
     tracemalloc.start()
     try:
         train_ridge(states, D, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # slack: the g x g mask of cho_factor's finiteness check, and 256 kB for
-    # the (N, 6) and (T, 6) arrays
-    assert peak < 8 * (rows * n + g * g) + g * g + (1 << 18)
+    if rows >= n:
+        # the N x N Gram and two of the longest chunks in float64 levels
+        budget = 8 * n * n + 2 * 8 * (3 * chunk_rows // 2) * n
+    else:
+        # the rows x rows Gram, and every row read in float32 and as levels
+        budget = 8 * rows * rows + 12 * rows * n
+    # slack: the mask of cho_factor's finiteness check, and 256 kB for the
+    # (N, 6) and (T, 6) arrays
+    assert peak < budget + min(rows, n) ** 2 + (1 << 18)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 24))
+def test_level_sums_are_exact_for_any_chunking_and_layout(seed, rows, cols):
+    # readings j / 1023 as the grid's stack holds them, a column-strided
+    # float32 view, and as the pipeline's state cache holds them
+    rng = np.random.default_rng(seed)
+    stack = RESPONSE.astype(np.float32)[rng.integers(0, 256, size=(rows, 2 * cols))]
+    X = stack[:, ::2]
+    D = encode_targets(rng.integers(0, 6, size=rows))
+    K = _integer_levels(X)
+    whole = K.T @ K if rows >= cols else K @ K.T
+    seen = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        cached = _state_cache(os.path.join(tmp, "states.rcf"), X)
+        for chunk_rows in (1, 7, 1024):
+            for states in (X, cached):
+                with mock.patch.object(cache, "CHUNK_ROWS", chunk_rows):
+                    normal = normal_equations(states, D)
+                    assert np.array_equal(normal.gram, whole)
+                    assert np.array_equal(normal.rhs, K.T @ D)
+                    assert normal.default_lambda == 1e-4 * (np.sum(K * K) / 1023**2) / cols
+                    for lam in (None, 1e-3):
+                        try:
+                            model = train_ridge(states, D, lam)
+                            seen.add((lam, model.ridge_lambda, model.weights.tobytes()))
+                        except SingularError as exc:  # every chunking alike
+                            seen.add((lam, str(exc)))
+    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
@@ -220,7 +280,7 @@ def test_a_shared_normal_is_left_unchanged(rng, rows):
     states = rng.uniform(0, 1, size=(rows, 12))
     D = encode_targets(rng.integers(0, 6, size=rows))
     normal = normal_equations(states, D)
-    assert normal.features is states  # float64 C-order rows are used as they are
+    assert normal.states is states  # an array's rows are read where they are
     before = [a.tobytes() for a in (states, normal.gram, normal.rhs)]
     shared = train_ridge(states, D, 0.01, normal=normal)
     assert [a.tobytes() for a in (states, normal.gram, normal.rhs)] == before
@@ -254,6 +314,22 @@ def test_readout_is_linear(rng):
     combined = apply_readout(model, A + B)
     separate = apply_readout(model, A) + apply_readout(model, B)
     np.testing.assert_allclose(combined, separate, atol=1e-9)
+
+
+def test_apply_readout_gives_one_set_of_bytes_for_arrays_and_caches(tmp_path, rng, monkeypatch):
+    # 200 rows in chunks of 64, 64 and 72: the short last one joins
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+    stack = RESPONSE.astype(np.float32)[rng.integers(0, 256, size=(200, 60))]
+    X = stack[:, ::2]  # column-strided, as the grid's stack holds a group
+    model = ReadoutModel(weights=rng.standard_normal((6, 30)), ridge_lambda=0.0)
+    outputs = [
+        apply_readout(model, states).tobytes()
+        for states in (X, np.ascontiguousarray(X), _state_cache(tmp_path / "s.rcf", X))
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+    np.testing.assert_allclose(
+        apply_readout(model, X), X.astype(np.float64) @ model.weights.T, rtol=1e-12
+    )
 
 
 def test_apply_readout_checks_width(rng):
