@@ -197,17 +197,19 @@ def read_cache(path):
     return data.reshape(count, dim), layout
 
 
-def chunk_stops(n):
-    """Row stops of the chunks that ``n`` rows are cut into: CHUNK_ROWS rows
-    each, and a last chunk of from half to one and a half times that many.
+def chunk_stops(n, size=None):
+    """Stops of the chunks that ``n`` rows (or columns) are cut into:
+    ``size`` each (CHUNK_ROWS by default), and a last chunk of from half to
+    one and a half times that many.
 
     BLAS multiplies a few rows by other code paths (GEMV for one row) than a
     whole array's, which round differently; a short last chunk joins the one
     before, so a product taken chunk by chunk keeps the rounding of one
     product over every row.
     """
-    stops = list(range(CHUNK_ROWS, n, CHUNK_ROWS))
-    if stops and n - stops[-1] < CHUNK_ROWS // 2:
+    size = CHUNK_ROWS if size is None else size
+    stops = list(range(size, n, size))
+    if stops and n - stops[-1] < size // 2:
         stops.pop()
     return stops + [n]
 

@@ -17,11 +17,16 @@ most one ulp in the tests and at desk scale.  The covariance route has no
 U and returns no scores.
 
 Memory: fitting holds one float64 copy of the data, which it centres in
-place, with the n x n Gram (or D x D covariance) matrix and its
-eigenvectors, or, once those are freed, with one row-major copy of the
-components, which sign fixing orients a block of rows at a time.  The
-n x k scores are the kept eigenvector columns, made before the Gram's
-eigenvectors are freed, so they never add to that peak.
+place, and the n x n Gram (or D x D covariance) matrix.  LAPACK's dsyevd
+(through ``scipy.linalg.eigh``) overwrites that matrix with its
+eigenvectors and takes a 2m^2 + O(m) workspace for an m x m matrix; on the
+Gram route that phase, the data, the Gram and the workspace, is the fit's
+peak.  The n x k scores are the kept eigenvector columns, and the k x D
+components overwrite the first k rows of the data a column block at a time,
+whose buffer is then trimmed to k x D; on the covariance route, which frees
+the data before the eigendecomposition, the components are a row-major copy
+of the kept eigenvectors.  Sign fixing orients the components a block of
+rows at a time.
 
 The model file is a flat little-endian binary (magic ``RCPCA001``) holding
 the sample mean, eigenvalues, components, total variance, and sample count,
@@ -33,8 +38,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
-from .cache import read_checked_header
+from .cache import chunk_stops, read_checked_header
 from .errors import DimensionError, NumericalError, RankError
 
 PCA_MAGIC = b"RCPCA001"
@@ -42,6 +48,13 @@ _PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
 # component rows per block when fixing signs: 64 rows of a 9,576-wide HOG
 # model are 4.9 MB
 _BLOCK_ROWS = 64
+# feature columns per block when the components overwrite the fit rows, a
+# short last block joined to the one before.  A block rounds as the one
+# product over every column does only if BLAS takes the same code path for
+# it: blocks of 1,024 and 2,048 columns did in the tests and at desk scale, a
+# 404-column block did not.  At desk scale 256-column blocks also took about
+# 1.5 times as long as the one product; 2,048-column blocks took no longer
+_BLOCK_COLS = 2048
 
 
 @dataclass(frozen=True)
@@ -92,9 +105,13 @@ def fit_pca(data, n_components):
     ``data`` is any array-like, such as a :class:`~photonrc.cache.CacheRows`
     that reads rows from a cache file.  It is read into one new float64
     array, which is centred in place, so the caller's array never changes.
-    ``scores`` is the (n_samples, n_components) float64 projection of those
-    rows on the Gram route (n_samples < feature_dim), taken from the Gram's
-    eigenvectors, and None on the covariance route.
+    Data that is not finite raises :class:`NumericalError`.  ``scores`` is
+    the (n_samples, n_components) float64 projection of those rows on the
+    Gram route (n_samples < feature_dim), taken from the Gram's
+    eigenvectors, and None on the covariance route.  On the Gram route the
+    model's components are the first rows of that one array, trimmed to
+    K x D; on the covariance route they are a row-major copy of the kept
+    eigenvectors.
     """
     X = np.array(data, dtype=np.float64)
     if X.ndim != 2:
@@ -106,10 +123,15 @@ def fit_pca(data, n_components):
     if not 1 <= k <= dim:
         raise DimensionError(f"n_components must lie in [1, {dim}], got {k}")
 
-    mean = X.mean(axis=0)
-    X -= mean  # X is the centred data Z from here on
+    with np.errstate(invalid="ignore"):  # inf - inf, which the check below names
+        mean = X.mean(axis=0)
+        X -= mean  # X is the centred data Z from here on
     denom = n - 1
     total_variance = float(np.einsum("ij,ij->", X, X)) / denom
+    if not np.isfinite(total_variance):
+        raise NumericalError(
+            f"PCA input is not finite: its total variance is {total_variance}"
+        )
 
     if n >= dim:
         sym = X.T @ X  # the covariance, after which Z is not needed
@@ -118,14 +140,20 @@ def fit_pca(data, n_components):
         sym = X @ X.T  # the Gram matrix
     sym /= denom
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        # numpy takes a product with its own transpose by syrk and mirrors
+        # it, so sym is exactly symmetric and sym.T is the same matrix in
+        # Fortran order, which LAPACK's dsyevd overwrites with the eigenvectors
+        vals, vecs = linalg.eigh(
+            sym.T, overwrite_a=True, check_finite=False, driver="evd"
+        )
     except np.linalg.LinAlgError as exc:  # a ValueError, which reads as a usage error
         raise NumericalError(f"PCA eigendecomposition failed: {exc}") from exc
     del sym
     if n >= dim:
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = np.maximum(vals[order], 0.0)
-        components = vecs[:, order].T.copy()
+        components = vecs.T[order]  # rows of the C-order transpose
+        del vecs
         scores = None
     else:
         vals = np.maximum(vals, 0.0)
@@ -139,9 +167,17 @@ def fit_pca(data, n_components):
         eigenvalues = vals[order]
         scores = vecs[:, order]  # U, the kept eigenvectors, until scaled below
         del vecs
-        # map Gram eigenvectors into feature space, as (K, D) rows, and renormalize
-        components = scores.T @ X
-        del X
+        # the components U'Z in Z's own buffer: column block b of U'Z reads
+        # only column block b of Z, so each block's product overwrites the
+        # first k rows of that block once it is made
+        start = 0
+        for stop in chunk_stops(dim, _BLOCK_COLS):
+            block = X[:, start:stop]
+            block[:k] = scores.T @ block
+            start = stop
+        del block  # resize refuses an array that a view still refers to
+        X.resize((k, dim))  # in place: frees the rows past k
+        components = X
         scale = np.sqrt(denom * eigenvalues)
         components /= scale[:, None]
 

@@ -27,9 +27,9 @@ are the scores the fit returns, taken from the Gram's eigenvectors (the
 snapshot method, see :mod:`photonrc.pca`); only the other rows are read
 again and projected, ``cache.CHUNK_ROWS`` rows at a time.  On the
 covariance route every row is projected.  At its peak the stage holds the
-fit rows in float64 with either the Gram matrix and its eigenvectors or one
-copy of the components; the projection holds the model, the scores and one
-chunk.
+fit rows in float64 with the Gram matrix, which its eigenvectors overwrite,
+and LAPACK's eigensolver workspace; the components then overwrite the fit
+rows.  The projection holds the model, the float32 scores and one chunk.
 
 No stage after PCA holds more than one Gram and one chunk of rows.  The
 reservoir stage reads the feature cache a chunk at a time and writes each
@@ -330,6 +330,7 @@ def pca_stage(hog_path, rows, n_components, model_path, features_path):
     if scores is None:  # the covariance route
         project(model, hog_path, features_path)
         return model
+    scores = scores.astype(np.float32)  # as the feature cache stores them
     n_frames = read_cache_header(hog_path)[0]
     slots = np.full(n_frames, -1, dtype=np.intp)  # each stream row's row in ``scores``
     slots[rows] = np.arange(len(rows))

@@ -176,6 +176,34 @@ def sample_offdiagonal_oracle(rng, n_nodes, count):
     return sorted(chosen)
 
 
+def pca_fit_oracle(data, k):
+    """The two-buffer PCA fit: numpy's eigh of the Gram (or covariance)
+    matrix, one U'Z product into a new components array and the sign rule
+    over the whole array; returns (mean, eigenvalues, components, scores),
+    with scores None on the covariance route."""
+    Z = np.array(data, dtype=np.float64)
+    n, dim = Z.shape
+    mean = Z.mean(axis=0)
+    Z -= mean
+    vals, vecs = np.linalg.eigh((Z.T @ Z if n >= dim else Z @ Z.T) / (n - 1))
+    if n >= dim:
+        order = np.argsort(vals)[::-1][:k]
+        eigenvalues = np.maximum(vals[order], 0.0)
+        components = vecs[:, order].T.copy()
+    else:
+        vals = np.maximum(vals, 0.0)
+        order = np.argsort(vals)[::-1][:k]
+        eigenvalues = vals[order]
+        U = vecs[:, order]
+        scale = np.sqrt((n - 1) * eigenvalues)
+        components = (U.T @ Z) / scale[:, None]
+    largest = components[np.arange(k), np.argmax(np.abs(components), axis=1)]
+    signs = np.where(largest < 0, -1.0, 1.0)
+    components *= signs[:, None]
+    scores = None if n >= dim else U * (scale * signs)
+    return mean, eigenvalues, components, scores
+
+
 def fix_signs_oracle(components):
     """The whole-array sign rule: each row's largest-magnitude entry made positive."""
     components = np.array(components, dtype=np.float64)

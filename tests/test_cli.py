@@ -797,7 +797,8 @@ def _poison_first_weight(readout):
 
 
 @pytest.mark.parametrize(
-    "fault", ["non-finite phases", "nan readout weight", "nan state", "nan test state"]
+    "fault",
+    ["non-finite phases", "nan readout weight", "nan state", "nan test state", "nan hog row"],
 )
 def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
     cli_env, tmp_path, capsys, fault
@@ -816,6 +817,22 @@ def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
         ]
         run += gains
         code, named = 3, "phases must be finite"
+    elif fault == "nan hog row":
+        # a HOG cache of the right size with a NaN in a fit row is reused;
+        # without its PCA model the reuse run refits on it
+        assert main(run) == 0
+        (hog,) = run_dir.glob("hog_*.rcf")
+        rows, layout = read_cache(hog)
+        rows = rows.copy()
+        rows[prepare_data(cli_env["manifest"], None).train_rows[0], 0] = np.nan
+        with CacheWriter(hog, rows.shape[1], layout=layout) as writer:
+            writer.append(rows)
+        next(run_dir.glob("pca_*.bin")).unlink()
+        stage = [
+            "pca", "fit", "--in", str(hog), "--manifest", cli_env["manifest"], "--k", "12",
+            "--out", str(tmp_path / "pca.bin"),
+        ]
+        code, named = 3, "PCA input is not finite"
     else:
         assert main(run) == 0
         (readout,) = run_dir.glob("readout_*.bin")
@@ -858,7 +875,10 @@ def test_a_fault_exits_alike_from_its_stage_command_and_pipeline_run(
         assert main(stage) == code
         assert named in capsys.readouterr().err
         assert main(run) == code  # over the poisoned artifact, if any, reused
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        if fault == "nan hog row":
+            assert "stage 'pca'" in err
 
 
 # ---------------------------------------------------------------------------

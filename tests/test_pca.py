@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from photonrc import pca as pca_module
 from photonrc.cache import CacheRows, CacheWriter
-from photonrc.errors import DimensionError, ParseError, RankError
+from photonrc.errors import DimensionError, NumericalError, ParseError, RankError
 from photonrc.pca import (
     PcaModel,
     _fix_signs,
@@ -16,7 +18,7 @@ from photonrc.pca import (
     transform,
 )
 
-from _oracles import fix_signs_oracle
+from _oracles import fix_signs_oracle, pca_fit_oracle
 
 
 def _data_with_diagonal_covariance(n, variances, rng):
@@ -150,6 +152,20 @@ def test_fit_validation_errors(rng):
         fit_pca(rng.standard_normal(10), 1)
 
 
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["covariance", "gram"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_data_that_is_not_finite(rng, monkeypatch, shape, bad):
+    X = rng.standard_normal(shape)
+    X[3, 5] = bad
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("eigendecomposed data that is not finite")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    with pytest.raises(NumericalError, match="not finite"):
+        fit_pca(X, 3)
+
+
 def test_transform_validates_width(rng):
     model, _ = fit_pca(rng.standard_normal((10, 4)), 2)
     with pytest.raises(DimensionError):
@@ -264,3 +280,32 @@ def test_saved_model_is_the_row_major_bytes_of_the_fit(tmp_path, rng, shape):
     base = back.mean.base
     assert base is not None and back.eigenvalues.base is base
     assert np.shares_memory(back.components, base)
+
+
+# The eigenvectors overwrite the Gram (or covariance) matrix and the
+# components overwrite the fit rows a column block at a time: D = 4,500 is
+# cut into blocks of 1,024, 1,024, 1,024 and 1,428 columns (the short last
+# one joined to the one before), or of 2,048 and 2,452 by default.  A block
+# of a few hundred columns can take another BLAS code path than the one
+# product, and round otherwise: with 256, the joined last block of 404
+# columns did
+@pytest.mark.parametrize("block_cols", [1024, None])
+@pytest.mark.parametrize(
+    "shape, k",
+    [((300, 4500), 299), ((300, 4500), 3), ((400, 60), 60), ((400, 60), 3)],
+    ids=["gram-rank", "gram-small-k", "covariance-rank", "covariance-small-k"],
+)
+def test_in_place_fit_equals_the_two_buffer_fit(rng, monkeypatch, shape, k, block_cols):
+    if block_cols is not None:
+        monkeypatch.setattr(pca_module, "_BLOCK_COLS", block_cols)
+    data = rng.standard_normal(shape).astype(np.float32)
+    model, scores = fit_pca(data, k)
+    mean, eigenvalues, components, expected_scores = pca_fit_oracle(data, k)
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert model.components.shape == (k, shape[1]) and model.components.flags.c_contiguous
+    assert model.components.tobytes() == components.tobytes()
+    if expected_scores is None:
+        assert scores is None
+    else:
+        assert scores.tobytes() == expected_scores.tobytes()

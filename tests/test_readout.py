@@ -24,6 +24,7 @@ from photonrc.errors import (
 from photonrc.readout import (
     READOUT_MAGIC,
     ReadoutModel,
+    _mirror_upper,
     apply_readout,
     encode_targets,
     load_readout_model,
@@ -448,3 +449,12 @@ def test_readout_file_size_must_match_its_header(tmp_path, rng, damage):
     for read in (read_readout_header, load_readout_model):
         with pytest.raises(ParseError, match="expected"):
             read(path)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_tiled_mirror_copies_the_upper_triangle_onto_the_lower(rng, n):
+    gram = np.asfortranarray(rng.standard_normal((n, n)))
+    expected = np.where(np.tri(n, k=-1, dtype=bool), gram.T, gram)
+    assert _mirror_upper(gram) is gram
+    assert gram.flags.f_contiguous
+    assert gram.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
