@@ -18,7 +18,7 @@ reservoir state trajectories; only the layout tuple differs.
 :func:`read_cache` loads a whole cache; :class:`CacheRows` reads selected
 rows of one from disk a chunk at a time, so a stage that streams a cache
 never holds all of it.  :func:`row_chunks` cuts an array and a cache into
-the same chunks.
+the same chunks, and gives each chunk's first row.
 
 :func:`read_json` reads every JSON document (the manifest, both specs and
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
@@ -73,7 +73,7 @@ class CacheWriter:
             rows = rows[None, :]
         if rows.ndim != 2 or rows.shape[1] != self._dim:
             raise ValueError(f"expected rows of width {self._dim}")
-        self._fh.write(rows.tobytes())
+        self._fh.write(rows)  # the array's own buffer, not a bytes copy of it
         self._count += rows.shape[0]
 
     def close(self):
@@ -215,15 +215,17 @@ def chunk_stops(n, size=None):
 
 
 def row_chunks(rows):
-    """The rows of an array or of a :class:`CacheRows`, in order, as blocks cut
-    by :func:`chunk_stops`: views of an array, float32 reads of a cache."""
+    """``(first_row, block)`` for the rows of an array or of a :class:`CacheRows`,
+    in order, as blocks cut by :func:`chunk_stops` (one empty block for no
+    rows): views of an array, float32 reads of a cache."""
+    stops = chunk_stops(rows.shape[0])
+    firsts = [0] + stops[:-1]
     if isinstance(rows, CacheRows):
-        yield from rows.chunks()
-        return
-    start = 0
-    for stop in chunk_stops(rows.shape[0]):
-        yield rows[start:stop]
-        start = stop
+        blocks = rows.read_blocks(firsts, stops)
+    else:
+        blocks = (rows[first:stop] for first, stop in zip(firsts, stops))
+    for first in firsts:  # no zip, whose reused result tuple would keep a block alive
+        yield first, next(blocks)
 
 
 class CacheRows:
@@ -234,7 +236,7 @@ class CacheRows:
     the object reads the selected rows, in the order given, into one new
     array equal to ``read_cache(path)[0][rows]``; a ``dtype`` there makes
     that array in the wanted type without a float32 copy of the whole.
-    :meth:`chunks` yields the same rows as float32 blocks, and indexing
+    :func:`row_chunks` yields the same rows as float32 blocks, and indexing
     selects some of them without reading any.  Reads are plain
     file reads, not a memory map, so the file's pages never count towards
     the process's resident memory.
@@ -257,13 +259,12 @@ class CacheRows:
         slice), as a CacheRows that reads them from the same file."""
         return type(self)(self.path, self._rows[index])
 
-    def chunks(self):
-        """Yield the selected rows in order, as float32 blocks cut by :func:`chunk_stops`."""
+    def read_blocks(self, firsts, stops):
+        """Yield the selected rows at positions ``firsts[i]:stops[i]`` for
+        each ``i``, as float32 blocks, over one open file."""
         with open(self.path, "rb") as fh:
-            start = 0
-            for stop in chunk_stops(self.shape[0]):
-                yield self._read(fh, self._rows[start:stop])
-                start = stop
+            for first, stop in zip(firsts, stops):
+                yield self._read(fh, self._rows[first:stop])
 
     def _read(self, fh, rows):
         dim = self.shape[1]
@@ -282,8 +283,6 @@ class CacheRows:
         if copy is False:
             raise ValueError("reading rows from a cache file always makes a new array")
         out = np.empty(self.shape, dtype=np.float32 if dtype is None else dtype)
-        start = 0
-        for chunk in self.chunks():
-            out[start : start + chunk.shape[0]] = chunk
-            start += chunk.shape[0]
+        for first, chunk in row_chunks(self):
+            out[first : first + chunk.shape[0]] = chunk
         return out

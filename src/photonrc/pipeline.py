@@ -26,10 +26,12 @@ into one float64 array, which it centres in place.  On the Gram route
 are the scores the fit returns, taken from the Gram's eigenvectors (the
 snapshot method, see :mod:`photonrc.pca`); only the other rows are read
 again and projected, ``cache.CHUNK_ROWS`` rows at a time.  On the
-covariance route every row is projected.  At its peak the stage holds the
-fit rows in float64 with the Gram matrix, which its eigenvectors overwrite,
-and LAPACK's eigensolver workspace; the components then overwrite the fit
-rows.  The projection holds the model, the float32 scores and one chunk.
+covariance route every row is projected.  :func:`project` writes the
+features on both routes.  At its peak the stage holds the fit rows in
+float64 with the Gram matrix, which its eigenvectors overwrite, and
+LAPACK's eigensolver workspace; the components then overwrite the fit
+rows.  The write holds the model, the float32 scores and one chunk, in
+float32 and in float64.
 
 No stage after PCA holds more than one Gram and one chunk of rows.  The
 reservoir stage reads the feature cache a chunk at a time and writes each
@@ -57,7 +59,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cache import (
-    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, write_json,
+    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, row_chunks,
+    write_json,
 )
 from .hog import (
     DEFAULT_CONFIG,
@@ -318,57 +321,52 @@ def pca_stage(hog_path, rows, n_components, model_path, features_path):
     to the feature cache at ``features_path``; returns the saved model.
 
     The fit reads its rows from disk straight into its one float64 array.
-    On the Gram route the fit rows' features are the fit's scores, which
-    agree with :func:`project` to rounding (1 float32 ulp at most in the
-    tests and at desk scale), and only the other rows are read again,
-    through :meth:`CacheRows.chunks`, and projected, with the bytes
-    :func:`project` gives them.  On the covariance route there are no
-    scores and every row is projected.
+    :func:`project` writes the features on both routes.  On the Gram route
+    it is given the fit rows and their scores, which agree with a projection
+    to rounding (1 float32 ulp at most in the tests and at desk scale), and
+    reads and projects only the other rows; the scores are rebound to
+    float32 first, so the float64 ones are freed before the write.  On the
+    covariance route there are no scores and every row is projected.
     """
     model, scores = fit_pca(CacheRows(hog_path, rows), n_components)
     save_pca_model(model, model_path)
     if scores is None:  # the covariance route
-        project(model, hog_path, features_path)
-        return model
-    scores = scores.astype(np.float32)  # as the feature cache stores them
-    n_frames = read_cache_header(hog_path)[0]
-    slots = np.full(n_frames, -1, dtype=np.intp)  # each stream row's row in ``scores``
-    slots[rows] = np.arange(len(rows))
-    other = np.flatnonzero(slots < 0)
-    with CacheWriter(features_path, n_components) as writer:
-        start = 0  # the first stream row not yet written
-        read = 0  # rows of ``other`` read so far
-        # with every row fitted, the HOG cache is not read again
-        for chunk in CacheRows(hog_path, other).chunks() if other.size else ():
-            read += chunk.shape[0]
-            stop = int(other[read - 1]) + 1
-            writer.append(_interleave(scores, slots[start:stop], transform(model, chunk)))
-            start = stop
-        if start < n_frames:  # fit rows after the last other row
-            writer.append(scores[slots[start:]])
+        rows = scores = ()
+    else:
+        scores = scores.astype(np.float32)  # as the feature cache stores them
+    project(model, hog_path, features_path, rows, scores)
     return model
 
 
-def _interleave(scores, slots, projected):
-    """float32 rows in stream order: ``scores[slots[i]]`` where ``slots[i]``
-    is not negative, and the next row of ``projected`` where it is."""
-    block = np.empty((slots.size, scores.shape[1]), dtype=np.float32)
-    fitted = slots >= 0
-    block[fitted] = scores[slots[fitted]]
-    block[~fitted] = projected
-    return block
+def project(model, hog_path, path, rows=(), scores=()):
+    """Write the PCA features of every row of the HOG cache at ``hog_path``
+    to a feature cache, in stream order; returns the row count.  The one
+    writer of a feature cache, for :func:`pca_stage` and CLI ``pca transform``.
 
-
-def project(model, hog_path, path):
-    """Write the PCA projection of every row of the HOG cache at ``hog_path``
-    to a feature cache, a chunk of rows at a time; returns the row count.
-    A saved model applied to any HOG cache; :func:`pca_stage` writes the
-    features of the cache a model is fitted on."""
-    hog = CacheRows(hog_path)
+    Rows ``rows`` take their float32 ``scores`` and are not read; the others
+    are read, a chunk at a time (:func:`~photonrc.cache.row_chunks`), and
+    projected, each before its block of stream rows is made, so that the
+    block never sits beside the projection's float64 copy of the chunk.
+    """
+    n_frames = read_cache_header(hog_path)[0]
+    slots = np.full(n_frames, -1, dtype=np.intp)  # each stream row's row in ``scores``
+    slots[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
+    scores = np.reshape(scores, (len(rows), model.n_components))  # () too, as 0 rows
+    other = np.flatnonzero(slots < 0)
     with CacheWriter(path, model.n_components) as writer:
-        for chunk in hog.chunks():
-            writer.append(transform(model, chunk))
-    return hog.shape[0]
+        # with every row fitted, the one empty chunk writes every score
+        for first, chunk in row_chunks(CacheRows(hog_path, other)):
+            last = first + chunk.shape[0]
+            start = int(other[first - 1]) + 1 if first else 0
+            stop = int(other[last - 1]) + 1 if last < other.size else n_frames
+            projected = transform(model, chunk)
+            block = np.empty((stop - start, model.n_components), dtype=np.float32)
+            fitted = slots[start:stop] >= 0
+            block[fitted] = scores[slots[start:stop][fitted]]
+            block[~fitted] = projected
+            writer.append(block)
+            del projected, block  # neither sits beside the next chunk's projection
+    return n_frames
 
 
 def reservoir_spec(n_nodes, input_dim, params, seed):

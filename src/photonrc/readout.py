@@ -163,11 +163,8 @@ def normal_equations(states, targets):
         return NormalEquations(states, D, gram, K.T @ D, dual_levels=K)
     gram = np.zeros((cols, cols), order="F")
     rhs = np.zeros((cols, D.shape[1]))
-    start = 0
-    for chunk in row_chunks(states):
-        stop = start + chunk.shape[0]
-        gram = _add_chunk(gram, rhs, levels(chunk), D[start:stop])
-        start = stop
+    for first, chunk in row_chunks(states):
+        gram = _add_chunk(gram, rhs, levels(chunk), D[first : first + chunk.shape[0]])
     return NormalEquations(states, D, _mirror_upper(gram), rhs)
 
 
@@ -260,11 +257,8 @@ def apply_readout(model, states):
             f"states have {X.shape[1]} columns, model expects {model.n_features}"
         )
     out = np.empty((X.shape[0], model.n_outputs))
-    start = 0
-    for chunk in row_chunks(X):
-        stop = start + chunk.shape[0]
-        out[start:stop] = np.asarray(chunk, dtype=np.float64) @ model.weights.T
-        start = stop
+    for first, chunk in row_chunks(X):
+        out[first : first + chunk.shape[0]] = np.asarray(chunk, dtype=np.float64) @ model.weights.T
     return out[0] if squeeze else out
 
 

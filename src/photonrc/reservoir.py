@@ -72,7 +72,8 @@ def phase_code(x, levels=PHASE_LEVELS):
         # float operation without np.mod's costly fmod
         y = np.where(x < 0, x + TWO_PI, x)
     else:
-        y = np.mod(x, TWO_PI)
+        with np.errstate(invalid="ignore"):  # the infinities named below
+            y = np.mod(x, TWO_PI)
         if np.isnan(y).any():  # np.mod maps infinities to nan as well
             raise NumericalError("phases must be finite")
     k = np.asarray(y / grid[1]).astype(np.intp)  # floor, as y >= 0
@@ -243,6 +244,9 @@ DRIVE_ROWS = 256
 _RESPONSE32 = RESPONSE.astype(np.float32)
 
 
+# a drive or phase too large for float64 overflows to inf or nan, which
+# phase_code names in a NumericalError, so numpy need not warn of it first
+@np.errstate(over="ignore", invalid="ignore")
 def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
     """Drive the reservoir with ``inputs`` (T, K); returns float32 readings (T, N).
 
@@ -283,9 +287,9 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
     readings = np.empty((inputs.shape[0], n), dtype=np.float32) if out is None else None
     codes = np.empty((DRIVE_ROWS, n), dtype=np.uint8)
     x = x0
-    t = 0  # the first row of the block being stepped
-    for block in row_chunks(inputs):
+    for first, block in row_chunks(inputs):
         for lo in range(0, block.shape[0], DRIVE_ROWS):
+            t = first + lo  # the first row of the drive block
             drive = np.asarray(block[lo:lo + DRIVE_ROWS], dtype=np.float64) @ input_weights.T
             for i in range(drive.shape[0]):
                 if t + i in resets:
@@ -298,7 +302,6 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
                 readings[t:t + drive.shape[0]] = values
             else:
                 out.append(values)
-            t += drive.shape[0]
     return readings
 
 

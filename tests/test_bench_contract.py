@@ -14,7 +14,7 @@ from pathlib import Path
 
 from photonrc import pipeline, reservoir
 from photonrc.pipeline import PipelineConfig
-from photonrc.cache import CacheRows, read_cache_header
+from photonrc.cache import CacheRows, read_cache_header, row_chunks
 from photonrc.dataset import index_frames
 from photonrc.tuning import GridSpec, run_grid
 
@@ -157,5 +157,5 @@ def test_cold_pipeline_calls_the_traced_pca_names(tiny_corpus, tmp_path, monkeyp
     # the other rows are projected; the saved model is not read back
     data = pipeline.prepare_data(str(tiny_corpus), None)
     other = CacheRows(tmp_path / report.artifacts["hog"], data.test_rows)
-    chunks = len(list(other.chunks()))
+    chunks = len(list(row_chunks(other)))
     assert calls == ["fit_pca", "save_pca_model"] + ["transform"] * chunks

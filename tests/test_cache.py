@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from photonrc import cache
-from photonrc.cache import MAGIC, CacheRows, CacheWriter, read_cache, read_cache_header
+from photonrc.cache import (
+    MAGIC, CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header, row_chunks,
+)
 from photonrc.errors import ParseError, SchemaError
 
 
@@ -164,9 +166,18 @@ def test_cache_rows_equal_the_whole_cache_indexed(tmp_path, rng, monkeypatch, ro
         out = np.array(got, dtype=dtype)
         assert out.dtype == (np.float32 if dtype is None else np.float64)
         np.testing.assert_array_equal(out, expected.astype(out.dtype))
-    blocks = list(got.chunks())
-    assert all(b.dtype == np.float32 and b.shape[1] == values.shape[1] for b in blocks)
-    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+    # an array, a column-strided view of equal values and the cache rows
+    # yield the same (first_row, block) pairs, cut by chunk_stops
+    wide = np.zeros((expected.shape[0], 2 * expected.shape[1]), dtype=np.float32)
+    wide[:, ::2] = expected
+    stops = chunk_stops(expected.shape[0])
+    for source in (expected, wide[:, ::2], got):
+        pairs = list(row_chunks(source))
+        assert [first for first, _ in pairs] == [0] + stops[:-1]
+        assert [b.shape[0] for _, b in pairs] == list(np.diff([0] + stops))
+        for first, block in pairs:
+            assert block.dtype == np.float32 and block.shape[1] == values.shape[1]
+            assert block.tobytes() == expected[first : first + block.shape[0]].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -179,7 +190,7 @@ def test_cache_rows_join_a_short_last_chunk_to_the_one_before(
     monkeypatch.setattr(cache, "CHUNK_ROWS", 7)
     path = tmp_path / "c.rcf"
     _cache(path, rng, rows=rows)
-    assert [b.shape[0] for b in CacheRows(path).chunks()] == sizes
+    assert [b.shape[0] for _, b in row_chunks(CacheRows(path))] == sizes
 
 
 def test_cache_rows_make_a_new_array(tmp_path, rng):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc import cache
-from photonrc.cache import CacheRows, CacheWriter, read_cache
+from photonrc.cache import CacheRows, CacheWriter, read_cache, row_chunks
 from photonrc.dataset import Manifest, save_manifest
 from photonrc.errors import (
     NotAPipelineDirError,
@@ -324,9 +324,9 @@ def _record_cache_reads(monkeypatch):
         return real(path)
 
     class RecordingRows(CacheRows):
-        def chunks(self):
+        def read_blocks(self, firsts, stops):
             passes.append((Path(self.path).name, self.shape[0]))
-            return super().chunks()
+            return super().read_blocks(firsts, stops)
 
     monkeypatch.setattr(pipeline_module, "read_cache", recording)
     monkeypatch.setattr(pipeline_module, "CacheRows", RecordingRows)
@@ -491,18 +491,20 @@ def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, 
     expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
     assert (tmp_path / "f.rcf").read_bytes() == expected
     # equal before the float32 rounding too
-    chunked = np.concatenate([transform(model, c) for c in CacheRows(hog).chunks()])
+    chunked = np.concatenate([transform(model, c) for _, c in row_chunks(CacheRows(hog))])
     assert chunked.tobytes() == transform(model, values).tobytes()
 
 
 @pytest.mark.parametrize(
     "n_frames, n_fit, dim, k",
-    [(700, 500, 6000, 100), (3500, 3000, 300, 64)],
+    [(700, 500, 6000, 200), (3500, 3000, 300, 64)],
     ids=["gram", "covariance"],
 )
 def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frames, n_fit, dim, k):
-    # numpy reports its array allocations to tracemalloc, and scipy's eigh
-    # allocates LAPACK's workspace as numpy arrays, so that is seen too
+    # one bound per phase: the fit, up to the call of project, and the
+    # write.  numpy reports its array allocations to tracemalloc, and
+    # scipy's eigh allocates LAPACK's workspace as numpy arrays, so that is
+    # seen too
     chunk_rows = 128
     monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(5)
@@ -511,25 +513,50 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
         for start in range(0, n_frames, 100):
             writer.append(rng.standard_normal((min(100, n_frames - start), dim)))
     rows = np.sort(rng.choice(n_frames, n_fit, replace=False))
+    traced = {}
+    real_project = pipeline_module.project
+
+    def traced_project(*args):
+        traced["fit"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        traced["held"] = tracemalloc.get_traced_memory()[0]
+        real_project(*args)
+        traced["write"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(pipeline_module, "project", traced_project)
     tracemalloc.start()
     try:
         pipeline_module.pca_stage(hog, rows, k, tmp_path / "pca.bin", tmp_path / "f.rcf")
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    gram = n_fit < dim
     m = min(n_fit, dim)  # the Gram matrix is n x n, the covariance D x D
-    chunk = 3 * chunk_rows // 2 * dim  # the longest chunk, a short last one joined
-    # the eigenvectors overwrite the m x m matrix, and dsyevd's workspace is
-    # 2 m^2 + O(m) more.  On the Gram route the fit rows are held through
-    # the eigendecomposition and the components overwrite them; the n x k
-    # scores, the kept eigenvector columns, are made after the workspace is
-    # freed.  On the covariance route the rows are freed before it, and the
-    # k x D components (k <= m = D) are made after it
-    held = 3 * m * m if n_fit < dim else 2 * m * m
-    budget = 8 * (n_fit * dim + held + chunk)
-    # slack: the float32 chunk a read fills, and 1 MB for the small arrays
-    slack = 4 * chunk + (1 << 20)
-    assert peak < budget + slack
+    small = 1 << 17  # numpy's casting buffers and Python objects
+    # the fit: the eigenvectors overwrite the m x m matrix, and dsyevd's
+    # workspace is 2 m^2 + O(m) more.  On the Gram route the fit rows are
+    # held through the eigendecomposition and the components overwrite
+    # them; the n x k scores, the kept eigenvector columns, are made after
+    # the workspace is freed.  On the covariance route the rows are freed
+    # before it, and the k x D components (k <= m = D) are made after it.
+    # The rows are read as float32 chunks, the longest a short last one
+    # joined; 1 MB covers the small arrays
+    held = 3 * m * m if gram else 2 * m * m
+    assert traced["fit"] < 8 * (n_fit * dim + held) + 4 * 3 * chunk_rows // 2 * dim + (1 << 20)
+    # the write holds the model and, on the Gram route, the float32 scores,
+    # and not the float64 ones
+    model = 8 * (k * dim + dim + k)
+    scores = 4 * n_fit * k if gram else 0
+    assert traced["held"] < model + scores + small
+    # at its peak, one chunk of the rows it projects in float32, the chunk's
+    # float64 centred copy and its float64 projection.  A float32 block of
+    # stream rows, as long as the stream on the Gram route, is made after
+    # the copy is freed: the block and the fit rows' scores gathered into it
+    # stay under the copy's bytes, and never sit beside it
+    c = max(np.diff([0] + cache.chunk_stops(n_frames - n_fit if gram else n_frames)))
+    block = n_frames if gram else c
+    assert 2 * 4 * block * k < 8 * c * dim
+    index = 16 * n_frames  # each stream row's slot, and the rows it reads
+    assert traced["write"] < model + scores + 12 * c * dim + 8 * c * k + index + small
 
 
 @pytest.mark.parametrize("reset", [False, True], ids=["one-stream", "reset-per-sequence"])

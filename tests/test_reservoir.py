@@ -454,9 +454,24 @@ def test_kernel_matches_formula_on_scalars():
 
 
 def test_phase_code_rejects_non_finite_phases():
+    # with no RuntimeWarning from np.mod first
     for bad in (np.nan, np.inf, -np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="finite"):
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="finite"):
+            warnings.simplefilter("error")
             phase_code(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [HyperParams(input_gain=1e308), HyperParams(coupling_gain=1e308, coupling_density=0.5)],
+    ids=["input-gain", "coupling-gain"],
+)
+def test_a_drive_that_overflows_is_a_numerical_error_not_a_warning(params):
+    # the drive GEMM, or the couplings' sum, overflows to inf
+    matrices = generate_matrices(16, 4, params, seed=1)
+    with warnings.catch_warnings(), pytest.raises(NumericalError, match="finite"):
+        warnings.simplefilter("error")
+        run_reservoir(matrices, np.full((20, 4), 3.0))
 
 
 _phases = arrays(
