@@ -26,8 +26,13 @@ unsorted bytes feed the manifest hash in every stage digest.  Every loader
 reads each field it uses through :func:`json_typed`, the one rule that gives
 a JSON value its Python type; :func:`json_field` applies it to a field of an
 object and names a missing one by its path, such as ``sequences[3].subject``.
+
+Every file photonrc writes reaches its name through :func:`replaced`: its
+bytes go to a temporary file beside it, renamed over it once they are all
+written, so a name holds a whole file or none.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -52,9 +57,9 @@ CHUNK_ROWS = 1024
 class CacheWriter:
     """Incremental cache writer; keeps memory bounded for long frame streams.
 
-    The row count in the header is patched when the writer closes, so a
-    crashed run leaves a header announcing 0 rows, which no reader accepts
-    once values follow it.
+    The rows go to a temporary file (:func:`replaced`), whose header gets
+    its row count when the writer closes and which only then takes the name
+    ``path``; a writer left by an exception leaves nothing at ``path``.
     """
 
     def __init__(self, path, feature_dim, layout=None):
@@ -63,7 +68,8 @@ class CacheWriter:
         self._dim = int(feature_dim)
         self._layout = tuple(int(v) for v in layout)
         self._count = 0
-        self._fh = open(path, "wb")
+        self._file = replaced(path, "wb")
+        self._fh = self._file.__enter__()
         self._fh.write(_HEAD.pack(MAGIC, VERSION, 0, self._dim, len(self._layout)))
         self._fh.write(struct.pack(f"<{len(self._layout)}Q", *self._layout))
 
@@ -81,8 +87,8 @@ class CacheWriter:
             return
         self._fh.seek(0)
         self._fh.write(_HEAD.pack(MAGIC, VERSION, self._count, self._dim, len(self._layout)))
-        self._fh.close()
         self._fh = None
+        self._file.__exit__(None, None, None)
 
     def __enter__(self):
         return self
@@ -91,8 +97,7 @@ class CacheWriter:
         if exc_type is None:
             self.close()
         else:
-            self._fh.close()
-            self._fh = None
+            self._file.__exit__(exc_type, exc, tb)
 
 
 def read_checked_header(fh, path, head, magic, body_size):
@@ -114,9 +119,28 @@ def read_checked_header(fh, path, head, magic, body_size):
     return tuple(fields)
 
 
+@contextlib.contextmanager
+def replaced(path, mode="w"):
+    """Open a file to write ``path``'s new bytes to: UTF-8 text with
+    ``newline=""`` for ``mode="w"``, binary for ``"wb"``.  The file is a
+    temporary one beside ``path``, renamed over it when the block exits, so
+    ``path`` holds its old bytes or all the new ones; if the block raises,
+    the temporary file is removed.  Every file photonrc writes reaches its
+    name through here."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    fh = open(tmp, mode) if "b" in mode else open(tmp, mode, encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_json(path, doc):
     """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

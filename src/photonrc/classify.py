@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import replaced
 from .dataset import ACTIONS, Action
 from .errors import DimensionError, NumericalError
 
@@ -111,7 +112,7 @@ def confusion(decisions, truths):
 
 def write_sequence_results(path, decisions, truths):
     """Per-sequence CSV: id, truth, decision, and the six frame fractions."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sequence_id", "truth", "decision"]
@@ -130,7 +131,7 @@ def write_sequence_results(path, decisions, truths):
 
 def write_confusion(path, matrix):
     """Confusion CSV: one percentage row per true class."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["true_class"] + [a.label for a in ACTIONS])
         for i, action in enumerate(ACTIONS):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import json_field, json_typed, read_json
+from .cache import json_field, json_typed, read_json, replaced
 from .errors import MissingFrameError, ParseError, SchemaError
 
 KTH_FRAME_COUNT_RANGE = (24, 239)
@@ -184,7 +184,7 @@ def write_pgm(path, pixels):
     if pixels.ndim != 2:
         raise ValueError("PGM pixels must be a 2-D array")
     height, width = pixels.shape
-    with open(path, "wb") as fh:
+    with replaced(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
@@ -262,7 +262,7 @@ def save_manifest(manifest, path):
             for seq in manifest.sequences
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

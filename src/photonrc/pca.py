@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .cache import chunk_stops, read_checked_header
+from .cache import chunk_stops, read_checked_header, replaced
 from .errors import DimensionError, NumericalError, RankError
 
 PCA_MAGIC = b"RCPCA001"
@@ -226,7 +226,7 @@ def reconstruct(model, projected):
 
 def save_pca_model(model, path):
     k, dim = model.components.shape
-    with open(path, "wb") as fh:
+    with replaced(path, "wb") as fh:
         fh.write(_PCA_HEAD.pack(PCA_MAGIC, k, dim, model.n_samples, model.total_variance))
         fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8").tobytes())

@@ -59,8 +59,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cache import (
-    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, row_chunks,
-    write_json,
+    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, replaced,
+    row_chunks, write_json,
 )
 from .hog import (
     DEFAULT_CONFIG,
@@ -316,9 +316,11 @@ def pca_fit_rows(data, fit_on):
 
 
 def pca_stage(hog_path, rows, n_components, model_path, features_path):
-    """Fit PCA on rows ``rows`` of the HOG cache at ``hog_path``, save the
-    model to ``model_path`` and the features of every row, in stream order,
-    to the feature cache at ``features_path``; returns the saved model.
+    """Fit PCA on rows ``rows`` of the HOG cache at ``hog_path``, an
+    ascending index array, write the features of every row, in stream order,
+    to the feature cache at ``features_path`` and then the model to
+    ``model_path``; returns the saved model.  A stage that fails before the
+    features are whole thus leaves neither file.
 
     The fit reads its rows from disk straight into its one float64 array.
     :func:`project` writes the features on both routes.  On the Gram route
@@ -329,12 +331,12 @@ def pca_stage(hog_path, rows, n_components, model_path, features_path):
     covariance route there are no scores and every row is projected.
     """
     model, scores = fit_pca(CacheRows(hog_path, rows), n_components)
-    save_pca_model(model, model_path)
     if scores is None:  # the covariance route
         rows = scores = ()
     else:
         scores = scores.astype(np.float32)  # as the feature cache stores them
     project(model, hog_path, features_path, rows, scores)
+    save_pca_model(model, model_path)
     return model
 
 
@@ -343,16 +345,20 @@ def project(model, hog_path, path, rows=(), scores=()):
     to a feature cache, in stream order; returns the row count.  The one
     writer of a feature cache, for :func:`pca_stage` and CLI ``pca transform``.
 
-    Rows ``rows`` take their float32 ``scores`` and are not read; the others
-    are read, a chunk at a time (:func:`~photonrc.cache.row_chunks`), and
-    projected, each before its block of stream rows is made, so that the
-    block never sits beside the projection's float64 copy of the chunk.
+    Rows ``rows``, strictly ascending (else ValueError), take their float32
+    ``scores`` and are not read; the others are read, a chunk at a time
+    (:func:`~photonrc.cache.row_chunks`), and projected, each before its
+    block of stream rows is made, so that the block never sits beside the
+    projection's float64 copy of the chunk.  As the fit rows ascend, a
+    block's fit rows take one slice of ``scores``, copied with no gather.
     """
     n_frames = read_cache_header(hog_path)[0]
-    slots = np.full(n_frames, -1, dtype=np.intp)  # each stream row's row in ``scores``
-    slots[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
+    if np.any(np.diff(rows) <= 0):
+        raise ValueError("the fitted rows must be strictly ascending")
+    fitted = np.zeros(n_frames, dtype=bool)
+    fitted[np.asarray(rows, dtype=np.intp)] = True
     scores = np.reshape(scores, (len(rows), model.n_components))  # () too, as 0 rows
-    other = np.flatnonzero(slots < 0)
+    other = np.flatnonzero(~fitted)
     with CacheWriter(path, model.n_components) as writer:
         # with every row fitted, the one empty chunk writes every score
         for first, chunk in row_chunks(CacheRows(hog_path, other)):
@@ -361,9 +367,9 @@ def project(model, hog_path, path, rows=(), scores=()):
             stop = int(other[last - 1]) + 1 if last < other.size else n_frames
             projected = transform(model, chunk)
             block = np.empty((stop - start, model.n_components), dtype=np.float32)
-            fitted = slots[start:stop] >= 0
-            block[fitted] = scores[slots[start:stop][fitted]]
-            block[~fitted] = projected
+            # rows before ``start`` hold start - first fitted rows, before ``stop`` stop - last
+            block[fitted[start:stop]] = scores[start - first : stop - last]
+            block[~fitted[start:stop]] = projected
             writer.append(block)
             del projected, block  # neither sits beside the next chunk's projection
     return n_frames
@@ -456,7 +462,7 @@ def write_results(out_dir, decisions, truths, matrix):
     write_sequence_results(os.path.join(out_dir, "sequence_results.csv"), decisions, truths)
     write_confusion(os.path.join(out_dir, "confusion.csv"), matrix)
     line = score_line(matrix)
-    with open(os.path.join(out_dir, "score.txt"), "w", encoding="utf-8") as fh:
+    with replaced(os.path.join(out_dir, "score.txt")) as fh:
         fh.write(line + "\n")
     return line
 

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
 
-from .cache import CacheRows, read_checked_header, row_chunks
+from .cache import CacheRows, read_checked_header, replaced, row_chunks
 from .classify import N_CLASSES
 from .errors import (
     DegenerateTargetError,
@@ -302,7 +302,7 @@ _OUT_HEAD = struct.Struct("<8sQQdI")
 
 def save_readout_model(model, path):
     m, n = model.weights.shape
-    with open(path, "wb") as fh:
+    with replaced(path, "wb") as fh:
         fh.write(_OUT_HEAD.pack(READOUT_MAGIC, m, n, model.ridge_lambda, 0))
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
 

@@ -13,8 +13,9 @@ nodes.  A stack is one block-diagonal reservoir over one chunked drive, so
 its groups share one step loop, and each group's states equal those of its
 own run byte for byte.  Each group then forms its readout's normal
 equations once and solves them for each of its lambdas.  Everything runs
-on the calling thread, and each trial is appended to a checkpoint log as
-it finishes, so an interrupted search resumes without recomputing.  Failed
+on the calling thread.  The checkpoint log is rewritten whole after each
+stack (:func:`~photonrc.cache.replaced`), so an interrupted search
+resumes without recomputing any stack that finished.  Failed
 trials (:data:`~photonrc.errors.FAILURES`) get an error tag rather than
 abort the grid; a stack that fails runs its groups again one at a time, so
 an error lands on its own group.  A trial's wall time is its own readout
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import json_typed, read_json, write_json
+from .cache import json_typed, read_json, replaced, write_json
 from .classify import N_CLASSES
 from .errors import FAILURES, SchemaError
 from .pipeline import (
@@ -229,7 +230,7 @@ def _cell_fields(*cell):
     return tuple(repr(float(v)) for v in gains) + (lam, str(seed))
 
 
-def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
+def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
     """Trials of several (gains, seed) groups whose reservoirs run in lockstep.
 
     ``groups`` lists ((gains, seed), lambdas) pairs, the gains in
@@ -242,9 +243,8 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
     Gains that :class:`HyperParams` rejects, or a failing reservoir, fail
     the whole stack; its groups then run again one at a time, and a
     one-group stack gives every lambda of its group an error result.  A
-    failing train or evaluate fails its own lambda only.  ``on_result`` is
-    called with each result as soon as it is made; the results are returned
-    in ``groups`` order, each group's in ``lambdas`` order.
+    failing train or evaluate fails its own lambda only.  The results are
+    returned in ``groups`` order, each group's in ``lambdas`` order.
     """
     start = time.perf_counter()
     failure = None
@@ -260,7 +260,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
             return [
                 result
                 for group in groups
-                for result in _run_stack(data, n_nodes, [group], reset_per_sequence, on_result)
+                for result in _run_stack(data, n_nodes, [group], reset_per_sequence)
             ]
         failure = exc
     share = (time.perf_counter() - start) / sum(len(lambdas) for _, lambdas in groups)
@@ -296,8 +296,6 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False, on_result=None):
                 )
             else:
                 result = _error_result(CellGains(*gains), lam, seed, wall_time, trial_error)
-            if on_result is not None:
-                on_result(result)
             results.append(result)
     return results
 
@@ -339,8 +337,10 @@ def _row_result(row):
 
 def read_grid_log(path):
     """Load the trials of a checkpoint CSV, but for a last row that lacks its
-    newline (see :func:`_drop_torn_row`); the file itself is left as it is.
-    A byte that is not UTF-8 reads as U+FFFD; in a number it makes the row malformed."""
+    newline, which every row written in full ends with; the file itself is
+    left as it is.  :func:`run_grid` writes its log whole, so only a log an
+    earlier version appended to holds such a row.  A byte that is not UTF-8
+    reads as U+FFFD; in a number it makes the row malformed."""
     with open(path, "r", newline="", encoding="utf-8", errors="replace") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
@@ -363,14 +363,6 @@ def read_grid_log(path):
 def logged_trials(path):
     """The trials of a grid log by :func:`_cell_fields`; a cell's last row wins."""
     return {_cell_fields(*result.cell()): result for result in read_grid_log(path)}
-
-
-def _drop_torn_row(path):
-    """Cut a last row that lacks its newline, which every row written in full ends with."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _error_result(params, ridge_lambda, seed, wall_time, exc):
@@ -412,10 +404,12 @@ def run_grid(
     order, into stacks of up to :data:`STACK_NODES` nodes (at least one
     group each).  Each stack is one :func:`_run_stack`: one lockstep
     reservoir run, then one readout per group and lambda.  With ``log_path``
-    set, each finished trial is appended to the CSV checkpoint immediately;
-    ``resume=True`` skips the cells whose gains, lambda and seed the log
-    already stores (:func:`_cell_fields`), so a group whose cells are all
-    logged runs no reservoir.
+    set, the CSV checkpoint is written whole at the start and again after
+    each stack, through :func:`~photonrc.cache.replaced`, so it never holds
+    part of a row.  ``resume=True`` skips the cells whose gains, lambda and
+    seed the log already stores (:func:`_cell_fields`), so a group whose
+    cells are all logged runs no reservoir; the log keeps one row for each
+    cell it stores, and a torn last row an earlier version left is dropped.
 
     ``workers`` is accepted and has no effect: the grid runs on the calling
     thread, as its step loop holds the interpreter lock and its readouts
@@ -425,20 +419,16 @@ def run_grid(
     done = {}
     if resume and log_path and os.path.isfile(log_path):
         done = logged_trials(log_path)
-        _drop_torn_row(log_path)  # its cell then runs again
+    logged = [_result_row(result) for result in done.values()]
 
-    log_fh = None
-    on_result = None
-    if log_path:
-        log_fh = open(log_path, "a" if resume else "w", newline="", encoding="utf-8")
-        writer = csv.DictWriter(log_fh, fieldnames=LOG_FIELDS)
-        if log_fh.tell() == 0:
-            writer.writeheader()
-            log_fh.flush()
-
-        def on_result(result):
-            writer.writerow(_result_row(result))
-            log_fh.flush()
+    def checkpoint(finished):
+        """Write the whole log: the rows kept, then every trial finished since."""
+        if log_path:
+            logged.extend(map(_result_row, finished))
+            with replaced(log_path) as fh:
+                writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
+                writer.writeheader()
+                writer.writerows(logged)
 
     # the pending lambdas of each (gains, seed), which share one reservoir run
     groups = {}
@@ -452,14 +442,11 @@ def run_grid(
     pending = list(groups.items())
     per_stack = max(1, STACK_NODES // spec.n_nodes)
 
-    try:
-        for i in range(0, len(pending), per_stack):
-            results += _run_stack(
-                data, spec.n_nodes, pending[i:i + per_stack], reset_per_sequence, on_result
-            )
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    checkpoint([])
+    for i in range(0, len(pending), per_stack):
+        finished = _run_stack(data, spec.n_nodes, pending[i:i + per_stack], reset_per_sequence)
+        checkpoint(finished)
+        results += finished
     return sort_results(results)
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from photonrc import cache
 from photonrc.cache import (
-    MAGIC, CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header, row_chunks,
+    MAGIC, CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header, replaced,
+    row_chunks, write_json,
 )
 from photonrc.errors import ParseError, SchemaError
 
@@ -242,6 +243,58 @@ def test_only_cache_reads_and_writes_json():
     assert {name: found for name, found in calls.items() if found} == {
         "dataset.py": [("save_manifest", "dump")]
     }
+
+
+def _file_writes(path):
+    """(enclosing top-level name, call) of each call in ``path`` that writes,
+    renames or cuts a file: ``open`` in a mode that is not a read mode
+    written out (one holding no ``w``, ``a``, ``x`` or ``+``),
+    ``os.replace``, ``os.rename``, ``truncate``, ``tofile``, ``write_bytes``
+    and ``write_text``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, name = node.func, getattr(top, "name", None)
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value)):
+                    found.append((name, "open"))
+            elif isinstance(func, ast.Attribute) and (
+                func.attr in ("truncate", "tofile", "write_bytes", "write_text")
+                or (isinstance(func.value, ast.Name) and func.value.id == "os"
+                    and func.attr in ("replace", "rename"))
+            ):
+                found.append((name, func.attr))
+    return found
+
+
+def test_only_replaced_writes_a_file():
+    # every file reaches its name whole through cache.replaced: a temporary
+    # file beside it, renamed over it
+    calls = {path.name: _file_writes(path) for path in Path(cache.__file__).parent.glob("*.py")}
+    assert sorted(calls.pop("cache.py")) == [
+        ("replaced", "open"), ("replaced", "open"), ("replaced", "replace")
+    ]
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_a_write_that_raises_leaves_the_old_file_and_no_temporary_one(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": 1})
+    old = path.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        with replaced(path) as fh:
+            fh.write("{")
+            raise KeyboardInterrupt
+    with pytest.raises(ValueError, match="width 3"):
+        with CacheWriter(tmp_path / "rows.rcf", 3) as writer:
+            writer.append(np.zeros((2, 3)))
+            writer.append(np.zeros((2, 4)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+    assert path.read_bytes() == old
 
 
 # the loaders of the four JSON documents; each field they read gets its type

@@ -478,6 +478,19 @@ def test_pca_stage_writes_each_row_in_stream_order(tmp_path, rng, monkeypatch, n
         _assert_stage_features(features, projected, rows)
 
 
+@pytest.mark.parametrize("rows", [[5, 2], [2, 2]], ids=["descending", "repeated"])
+def test_project_refuses_fit_rows_that_are_not_strictly_ascending(tmp_path, rng, rows):
+    # a block's fit rows take one slice of the scores, which are in stream order
+    values = rng.standard_normal((10, 8)).astype(np.float32)
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, 8) as writer:
+        writer.append(values)
+    model, _ = fit_pca(values, 3)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        pipeline_module.project(model, hog, tmp_path / "f.rcf", rows, np.zeros((2, 3)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hog.rcf"]
+
+
 @pytest.mark.parametrize("n_frames", [1025, 1124, 1300])
 def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, n_frames):
     # 512-row chunks; a last chunk of 1 or 100 rows joins the one before
@@ -555,7 +568,7 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     c = max(np.diff([0] + cache.chunk_stops(n_frames - n_fit if gram else n_frames)))
     block = n_frames if gram else c
     assert 2 * 4 * block * k < 8 * c * dim
-    index = 16 * n_frames  # each stream row's slot, and the rows it reads
+    index = 9 * n_frames  # each stream row's fitted flag, and the rows it reads
     assert traced["write"] < model + scores + 12 * c * dim + 8 * c * k + index + small
 
 
@@ -713,16 +726,17 @@ def _crash_on_call(number, real):
 
 def _crash_in(stage, monkeypatch):
     """Make ``stage`` raise after a partial write; returns the artifacts it
-    writes before it raises."""
+    was writing, which the crash leaves absent, and those it wrote whole or
+    cut before it raised, which the crash leaves."""
     if stage == "hog":  # after five frames
         real = pipeline_module.hog_descriptor
         monkeypatch.setattr(pipeline_module, "hog_descriptor", _crash_on_call(5, real))
-        return ("hog",)
-    if stage == "pca":  # on the second chunk of the projection
+        return ("hog",), ()
+    if stage == "pca":  # on the second chunk of the projection, before the model is saved
         monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
         real = pipeline_module.transform
         monkeypatch.setattr(pipeline_module, "transform", _crash_on_call(1, real))
-        return ("pca_model", "features")
+        return ("pca_model", "features"), ()
     if stage == "reservoir":  # after writing half the states
 
         class HalfWriter(CacheWriter):
@@ -731,7 +745,7 @@ def _crash_in(stage, monkeypatch):
                 raise OSError("simulated crash")
 
         monkeypatch.setattr(pipeline_module, "CacheWriter", HalfWriter)
-        return ("states",)
+        return ("states",), ()
     if stage == "train":  # after writing a cut readout
         real = pipeline_module.save_readout_model
 
@@ -741,11 +755,11 @@ def _crash_in(stage, monkeypatch):
             raise OSError("simulated crash")
 
         monkeypatch.setattr(pipeline_module, "save_readout_model", save_cut)
-        return ("readout_model",)
+        return (), ("readout_model",)
     # evaluate: after writing sequence_results.csv
     real = pipeline_module.write_confusion
     monkeypatch.setattr(pipeline_module, "write_confusion", _crash_on_call(0, real))
-    return ("sequence_results",)
+    return (), ("sequence_results",)
 
 
 @pytest.mark.parametrize("stage", ["hog", "pca", "reservoir", "train", "evaluate"])
@@ -758,14 +772,20 @@ def test_a_crash_in_the_middle_of_a_stage_is_recomputed_on_reuse(
     cold = Path(report.out_dir)
     copy_dir = tmp_path / "crashed"
     shutil.copytree(cold, copy_dir)
-    written = [report.artifacts[key] for key in _crash_in(stage, monkeypatch)]
-    for name in {*written, *RESULT_FILES, PIPELINE_FILE}:
+    absent, left = (
+        [report.artifacts[key] for key in keys] for keys in _crash_in(stage, monkeypatch)
+    )
+    for name in {*absent, *left, *RESULT_FILES, PIPELINE_FILE}:
         (copy_dir / name).unlink()
     crashing = dataclasses.replace(config, out_dir=str(copy_dir))
     with pytest.raises(PipelineStageError, match=f"stage '{stage}' failed") as info:
         run_pipeline(crashing)
     assert info.value.stage == stage
-    assert all((copy_dir / name).exists() for name in written)
+    # a file reaches its name whole: the one the crash cut short is not
+    # there, nor any temporary file beside it
+    assert not [name for name in absent if (copy_dir / name).exists()]
+    assert all((copy_dir / name).exists() for name in left)
+    assert not list(copy_dir.glob("*.tmp*"))
     monkeypatch.undo()
 
     again = run_pipeline(crashing)

@@ -434,6 +434,38 @@ def test_resume_runs_only_the_missing_cells_of_a_group(prepared, monkeypatch, tm
     assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in full]
 
 
+def test_an_interrupted_grid_keeps_the_stacks_it_finished(prepared, monkeypatch, tmp_path):
+    monkeypatch.setattr(photonrc.tuning, "STACK_NODES", N_NODES)  # one group to a stack
+    spec = _small_grid(ridge_lambda=LAMBDAS)  # two groups of three lambdas
+    full = run_grid(spec, prepared)
+    real = photonrc.pipeline.train_ridge
+    trained = []
+
+    def interrupted(*args, **kwargs):
+        trained.append(1)
+        if len(trained) == 5:  # the second lambda of the second stack
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(photonrc.pipeline, "train_ridge", interrupted)
+    log = tmp_path / "grid_log.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(spec, prepared, log_path=log)
+    first = sorted((r.key(), r.score) for r in full if r.params.feedback_gain == 0.5)
+    assert sorted((r.key(), r.score) for r in read_grid_log(log)) == first
+    kept = log.read_bytes()
+    assert kept.endswith(b"\n") and len(kept.splitlines()) == 1 + 3  # no torn row
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid_log.csv"]
+
+    monkeypatch.setattr(photonrc.pipeline, "train_ridge", real)
+    calls = _count_reservoir_runs(monkeypatch)
+    resumed = run_grid(spec, prepared, log_path=log, resume=True)
+    assert len(calls) == 1  # the second group only
+    assert log.read_bytes().startswith(kept)  # the rows kept are written back byte for byte
+    assert len(read_grid_log(log)) == 6
+    assert [(r.key(), r.score) for r in resumed] == [(r.key(), r.score) for r in full]
+
+
 def test_a_failing_lambda_fails_only_its_own_cell(prepared, monkeypatch):
     spec = _small_grid(ridge_lambda=LAMBDAS)
     clean = {r.key(): r.score for r in run_grid(spec, prepared, workers=1)}
