@@ -19,9 +19,11 @@ from .cache import CacheRows, read_cache_header
 from .classify import score_line
 from .dataset import load_manifest
 from .errors import FAILURES, SchemaError, exit_code
-from .hog import HogConfig
+from .hog import DEFAULT_CONFIG, HogConfig
 from .pca import load_pca_model
 from .pipeline import (
+    CACHE_POLICIES,
+    PCA_FIT_ON,
     PipelineConfig,
     describe_artifacts,
     drive_reservoir,
@@ -63,9 +65,11 @@ def build_parser():
 
     p = sub.add_parser("extract-hog", help="compute HOG descriptors into a feature cache")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--cell", type=int, default=8, help="cell size in pixels")
-    p.add_argument("--block", type=int, default=2, help="block size in cells")
-    p.add_argument("--bins", type=int, default=9, help="orientation bins")
+    p.add_argument("--cell", type=int, default=DEFAULT_CONFIG.cell_size, help="cell size in pixels")
+    p.add_argument(
+        "--block", type=int, default=DEFAULT_CONFIG.block_size, help="block size in cells"
+    )
+    p.add_argument("--bins", type=int, default=DEFAULT_CONFIG.num_bins, help="orientation bins")
     p.add_argument("--out", default=None, help="cache file (default <out-dir>/hog.rcf)")
     p.set_defaults(func=cmd_extract_hog)
 
@@ -76,8 +80,10 @@ def build_parser():
     )
     p.add_argument("--in", "--features", dest="features", required=True, help="HOG feature cache")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", "--components", dest="components", type=int, default=2000)
-    p.add_argument("--pca-fit-on", choices=["train", "all"], default="train")
+    p.add_argument(
+        "--k", "--components", dest="components", type=int, default=PipelineConfig.pca_components
+    )
+    p.add_argument("--pca-fit-on", choices=PCA_FIT_ON, default=PipelineConfig.pca_fit_on)
     p.add_argument("--out", default=None, help="model file (default <out-dir>/pca.bin)")
     p.set_defaults(func=cmd_pca_fit)
     p = pca_sub.add_parser("transform", help="project a HOG cache with a saved model")
@@ -91,7 +97,7 @@ def build_parser():
     p = res_sub.add_parser("run")
     p.add_argument("--features", required=True, help="projected feature cache")
     p.add_argument("--spec", default=None, help="reservoir spec JSON (else flags below)")
-    p.add_argument("--n-nodes", type=int, default=1024)
+    p.add_argument("--n-nodes", type=int, default=PipelineConfig.n_nodes)
     _add_hyperparam_flags(p)
     p.add_argument("--manifest", default=None, help="needed for per-sequence resets")
     p.add_argument(
@@ -139,14 +145,16 @@ def build_parser():
     pipe_sub = pipe_parser.add_subparsers(dest="pipeline_command", required=True)
     p = pipe_sub.add_parser("run")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--components", type=int, default=2000)
-    p.add_argument("--n-nodes", type=int, default=1024)
+    p.add_argument("--components", type=int, default=PipelineConfig.pca_components)
+    p.add_argument("--n-nodes", type=int, default=PipelineConfig.n_nodes)
     _add_hyperparam_flags(p)
-    p.add_argument("--lambda", dest="ridge_lambda", type=float, default=None)
-    p.add_argument("--cache-policy", choices=["reuse", "rebuild"], default="reuse")
-    p.add_argument("--pca-fit-on", choices=["train", "all"], default="train")
+    p.add_argument("--lambda", dest="ridge_lambda", type=float, default=PipelineConfig.ridge_lambda)
+    p.add_argument("--cache-policy", choices=CACHE_POLICIES, default=PipelineConfig.cache_policy)
+    p.add_argument("--pca-fit-on", choices=PCA_FIT_ON, default=PipelineConfig.pca_fit_on)
     p.add_argument(
-        "--reset-per-sequence", action=argparse.BooleanOptionalAction, default=False
+        "--reset-per-sequence",
+        action=argparse.BooleanOptionalAction,
+        default=PipelineConfig.reset_per_sequence,
     )
     p.set_defaults(func=cmd_pipeline_run)
 

@@ -59,8 +59,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cache import (
-    CacheRows, CacheWriter, json_typed, read_cache, read_cache_header, read_json, replaced,
-    row_chunks, write_json,
+    CacheRows, CacheWriter, json_typed, read_cache_header, read_json, replaced, row_chunks,
+    write_json,
 )
 from .hog import (
     DEFAULT_CONFIG,
@@ -81,8 +81,10 @@ from .classify import (
 from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
 from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
 from .pca import fit_pca, read_pca_header, save_pca_model, transform
-# not called here since the PCA stage returns the model it saves; bound so
-# that perfbench/tracing.py WRAPS can patch it on this module
+# not called here, as the PCA stage returns the model it saves and every cache
+# is read a chunk at a time; bound so that perfbench/tracing.py WRAPS can
+# patch them on this module
+from .cache import read_cache  # noqa: F401
 from .pca import load_pca_model  # noqa: F401
 from .readout import (
     apply_readout,
@@ -109,6 +111,14 @@ PIPELINE_FILE = "pipeline.json"
 CONFIG_FILE = "config.json"
 
 STAGES = ("dataset", "hog", "pca", "reservoir", "train", "evaluate")
+
+CACHE_POLICIES = ("reuse", "rebuild")
+PCA_FIT_ON = ("train", "all")  # the train split's rows, or every frame's
+
+# the evaluate stage's files in the output directory, by artifact key
+RESULT_FILES = {
+    "sequence_results": "sequence_results.csv", "confusion": "confusion.csv", "score": "score.txt",
+}
 
 
 def derive_stream_seed(global_seed, label):
@@ -143,17 +153,18 @@ class PipelineConfig:
     params: HyperParams = HyperParams()
     ridge_lambda: float | None = None  # None picks the scale-adaptive default
     seed: int = 0
-    cache_policy: str = "reuse"  # "reuse" | "rebuild"
+    cache_policy: str = "reuse"  # one of CACHE_POLICIES
     # sequences are concatenated into one stream; resetting at sequence
     # starts is an ablation, not the default
     reset_per_sequence: bool = False
-    pca_fit_on: str = "train"  # "train" | "all"
+    pca_fit_on: str = "train"  # one of PCA_FIT_ON
 
     def __post_init__(self):
-        if self.cache_policy not in ("reuse", "rebuild"):
+        if self.cache_policy not in CACHE_POLICIES:
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
-        if self.pca_fit_on not in ("train", "all"):
-            raise ValueError(f"pca_fit_on must be 'train' or 'all', got {self.pca_fit_on!r}")
+        if self.pca_fit_on not in PCA_FIT_ON:
+            choices = " or ".join(map(repr, PCA_FIT_ON))
+            raise ValueError(f"pca_fit_on must be {choices}, got {self.pca_fit_on!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         for name in ("pca_components", "n_nodes"):
@@ -162,21 +173,12 @@ class PipelineConfig:
         check_ridge_lambda(self.ridge_lambda)
 
     def as_dict(self):
-        return {
-            "manifest_path": self.manifest_path,
-            "out_dir": self.out_dir,
-            "hog": asdict(self.hog_config),
-            "pca_components": self.pca_components,
-            "n_nodes": self.n_nodes,
-            "variant": self.variant,
-            "hyperparameters": self.params.as_dict(),
-            "ridge_lambda": self.ridge_lambda,
-            "seed": self.seed,
-            "cache_policy": self.cache_policy,
-            "reset_per_sequence": self.reset_per_sequence,
-            "pca_fit_on": self.pca_fit_on,
-            "prng_family": PRNG_FAMILY,
-        }
+        """The config as config.json stores it, with the PRNG family."""
+        doc = asdict(self)
+        doc.update(
+            hog=doc.pop("hog_config"), hyperparameters=doc.pop("params"), prng_family=PRNG_FAMILY
+        )
+        return doc
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class PipelineReport:
 class PreparedData:
     """Per-frame rows (HOG, PCA features or states) plus their manifest's row bookkeeping."""
 
-    # (T, K): float32 cache contents or a CacheRows; None when only rows are bound
+    # (T, K): a float32 array or a CacheRows; None when only rows are bound
     features: np.ndarray
     targets: np.ndarray   # (T, 6) one-hot
     train_rows: np.ndarray
@@ -211,9 +213,10 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     """Bind a cache of per-frame rows to its manifest.
 
     ``manifest`` is a Manifest or a path; ``features`` is an array, a
-    cache path, or a :class:`CacheRows` (counted, not read), whose row
-    count must match the manifest's total frame count, or None to bind
-    the manifest's rows without any values.
+    :class:`CacheRows`, or a cache path, bound as its CacheRows, whose row
+    count must match the manifest's total frame count, or None to bind the
+    manifest's rows without any values.  A cache is counted here, not read:
+    its rows are read a chunk at a time by whichever stage uses them.
 
     With ``validation_fraction`` set, in (0, 1), a stratified validation
     subset is carved out of the train split and trials score on it instead
@@ -226,7 +229,7 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_manifest(manifest)
     if isinstance(features, (str, os.PathLike)):
-        features, _ = read_cache(features)
+        features = CacheRows(features)
     index = index_frames(manifest)
     if features is not None:
         if not isinstance(features, CacheRows):
@@ -458,11 +461,12 @@ def evaluate_readout(model, states, data):
 
 
 def write_results(out_dir, decisions, truths, matrix):
-    """Write sequence_results.csv, confusion.csv and score.txt; returns the score line."""
-    write_sequence_results(os.path.join(out_dir, "sequence_results.csv"), decisions, truths)
-    write_confusion(os.path.join(out_dir, "confusion.csv"), matrix)
+    """Write the :data:`RESULT_FILES` to ``out_dir``; returns the score line."""
+    path = {key: os.path.join(out_dir, name) for key, name in RESULT_FILES.items()}
+    write_sequence_results(path["sequence_results"], decisions, truths)
+    write_confusion(path["confusion"], matrix)
     line = score_line(matrix)
-    with replaced(os.path.join(out_dir, "score.txt")) as fh:
+    with replaced(path["score"]) as fh:
         fh.write(line + "\n")
     return line
 
@@ -471,7 +475,14 @@ def write_results(out_dir, decisions, truths, matrix):
 # The staged run
 
 def run_pipeline(config):
-    """Execute every stage; returns a :class:`PipelineReport`."""
+    """Execute every stage; returns a :class:`PipelineReport`.
+
+    Each stage names its artifacts through one closure, ``name``, which is
+    also the one place that decides whether the stage is reused: under the
+    "reuse" policy, only if each binary artifact it names is complete with
+    the shape the stage expects (:func:`_is_complete`).  A reused stage
+    reads no upstream cache.
+    """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     reuse = config.cache_policy == "reuse"
@@ -480,17 +491,23 @@ def run_pipeline(config):
     digests = {}
 
     def name(stage, payload, *files):
-        """Record ``stage``'s digest and artifact names; returns the artifact paths.
+        """Record ``stage``'s digest and artifact names; returns the artifact
+        paths and whether the stage is reused.
 
-        ``files`` are (artifact key, name pattern) pairs, and ``{}`` in a
-        pattern stands for the digest of ``payload``.
+        ``files`` are (artifact key, name pattern, *shape) entries, and ``{}``
+        in a pattern stands for the digest of ``payload``.  The stage is
+        reused under the "reuse" policy only, and only if each artifact
+        given a shape is complete with it (:func:`_is_complete`); the checks
+        stop at the first that fails.
         """
         digests[stage] = digest = _digest({"stage": stage, **payload})
         paths = []
-        for key, pattern in files:
+        reused = reuse
+        for key, pattern, *shape in files:
             artifacts[key] = pattern.format(digest)
             paths.append(os.path.join(out_dir, artifacts[key]))
-        return paths
+            reused = reused and (not shape or _is_complete(paths[-1], readers[key], *shape))
+        return paths, reused
 
     with _stage("dataset"):
         manifest = load_manifest(config.manifest_path)
@@ -506,36 +523,32 @@ def run_pipeline(config):
 
     # each stage reads its upstream cache only when it recomputes
     with _stage("hog"):
-        (hog_path,) = name(
+        (hog_path,), reused = name(
             "hog",
             {"manifest": manifest_hash, "config": config.as_dict()["hog"]},
-            ("hog", "hog_{}.rcf"),
+            ("hog", "hog_{}.rcf", n_frames, feature_dim),
         )
-        if not (reuse and _is_complete(hog_path, readers["hog"], n_frames, feature_dim)):
+        if not reused:
             extract_hog(manifest, hog_path, config.hog_config)
 
     with _stage("pca"):
-        model_path, features_path = name(
+        (model_path, features_path), reused = name(
             "pca",
             {
                 "upstream": digests["hog"],
                 "components": config.pca_components,
                 "fit_on": config.pca_fit_on,
             },
-            ("pca_model", "pca_{}.bin"),
-            ("features", "features_{}.rcf"),
+            ("pca_model", "pca_{}.bin", config.pca_components, feature_dim),
+            ("features", "features_{}.rcf", n_frames, config.pca_components),
         )
-        if not (
-            reuse
-            and _is_complete(model_path, readers["pca_model"], config.pca_components, feature_dim)
-            and _is_complete(features_path, readers["features"], n_frames, config.pca_components)
-        ):
+        if not reused:
             rows = pca_fit_rows(data, config.pca_fit_on)
             pca_stage(hog_path, rows, config.pca_components, model_path, features_path)
 
     with _stage("reservoir"):
         spec = reservoir_spec(config.n_nodes, config.pca_components, config.params, config.seed)
-        spec_path, states_path = name(
+        (spec_path, states_path), reused = name(
             "reservoir",
             {
                 "upstream": digests["pca"],
@@ -548,24 +561,22 @@ def run_pipeline(config):
                 "states": "readings",
             },
             ("reservoir_spec", "reservoir_{}.json"),
-            ("states", "states_{}.rcf"),
+            ("states", "states_{}.rcf", n_frames, config.n_nodes),
         )
         save_reservoir_spec(spec, spec_path)
-        if not (reuse and _is_complete(states_path, readers["states"], n_frames, config.n_nodes)):
+        if not reused:
             spans = data.all_spans if config.reset_per_sequence else None
             drive_reservoir(spec, features_path, states_path, spans)
         # read a chunk at a time by the train and evaluate stages
         states = CacheRows(states_path)
 
     with _stage("train"):
-        (readout_path,) = name(
+        (readout_path,), reused = name(
             "train",
             {"upstream": digests["reservoir"], "ridge_lambda": config.ridge_lambda},
-            ("readout_model", "readout_{}.bin"),
+            ("readout_model", "readout_{}.bin", N_CLASSES, config.n_nodes),
         )
-        if not (
-            reuse and _is_complete(readout_path, readers["readout_model"], N_CLASSES, config.n_nodes)
-        ):
+        if not reused:
             trained = train_readout(states, data, config.ridge_lambda)
             save_readout_model(trained, readout_path)
         model = load_readout_model(readout_path)
@@ -573,9 +584,7 @@ def run_pipeline(config):
     with _stage("evaluate"):
         decisions, truths, matrix, per_class = evaluate_readout(model, states, data)
         write_results(out_dir, decisions, truths, matrix)
-        artifacts["sequence_results"] = "sequence_results.csv"
-        artifacts["confusion"] = "confusion.csv"
-        artifacts["score"] = "score.txt"
+        artifacts.update(RESULT_FILES)
 
     report = PipelineReport(
         score=matrix.score,

@@ -23,6 +23,15 @@ training and scoring time, plus an equal share of its group's normal
 equations, plus an equal share of its stack's reservoir build and run time
 over every trial the stack serves.
 
+The grid log's columns, :data:`LOG_FIELDS`, are derived: the gains are
+the fields of :class:`~photonrc.reservoir.HyperParams` (:data:`GAINS`),
+which also name a grid's first value lists and an error row's
+:class:`CellGains`, and the NMSE columns follow
+:data:`~photonrc.dataset.ACTIONS` (:data:`NMSE_FIELDS`).  Data prepared
+from a cache path (:func:`~photonrc.pipeline.prepare_data`) holds its
+:class:`~photonrc.cache.CacheRows`, so the grid reads its features a chunk
+at a time.
+
 Results are canonically ordered (score descending, then parameters, then
 seed), so the stacking and completion order never affect the outcome.
 """
@@ -33,12 +42,13 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cache import json_typed, read_json, replaced, write_json
 from .classify import N_CLASSES
+from .dataset import ACTIONS
 from .errors import FAILURES, SchemaError
 from .pipeline import (
     evaluate_readout,
@@ -73,31 +83,16 @@ STACK_NODES = 4096
 ALPHA_RANGE = (0.1, 1.5)     # feedback gain search window
 SMALL_GAIN_RANGE = (0.0001, 1.0)  # input gain, coupling gain, density window
 
-LOG_FIELDS = [
-    "feedback_gain",
-    "input_gain",
-    "coupling_gain",
-    "coupling_density",
-    "ridge_lambda",
-    "seed",
-    "score",
-    "nmse_boxing",
-    "nmse_handclapping",
-    "nmse_handwaving",
-    "nmse_jogging",
-    "nmse_running",
-    "nmse_walking",
-    "wall_time",
-    "status",
-    "error",
-]
-
+# the grid-log schema: a cell's gains, lambda and seed, then its outcome
+GAINS = tuple(f.name for f in fields(HyperParams))
+NMSE_FIELDS = tuple(f"nmse_{a.label}" for a in ACTIONS)
+LOG_FIELDS = [*GAINS, "ridge_lambda", "seed", "score", *NMSE_FIELDS, "wall_time", "status", "error"]
 
 # the value lists of a grid, in the order its cells vary (the last fastest)
-AXES = ("feedback_gain", "input_gain", "coupling_gain", "coupling_density", "ridge_lambda", "seeds")
+AXES = (*GAINS, "ridge_lambda", "seeds")
 
 # an error row's gains as the grid gave them, which HyperParams may reject
-CellGains = namedtuple("CellGains", LOG_FIELDS[:4])
+CellGains = namedtuple("CellGains", GAINS)
 
 
 def _check_range(name, values, lo, hi, allow):
@@ -169,25 +164,26 @@ def save_grid_spec(spec, path):
 
 
 def load_grid_spec(path):
-    def values(doc, name, kind=float, default=None):
-        """The value list ``name``, each item through json_typed; a null lambda is the default."""
-        raw = doc[name] if default is None else doc.get(name, default)
+    """The grid spec a JSON document holds; a key other than a gain that the
+    document lacks takes :class:`GridSpec`'s default."""
+    # each key's JSON type, its items' for a value list
+    kinds = dict.fromkeys((*GAINS, "ridge_lambda"), float)
+    kinds.update(n_nodes=int, variant=str, seeds=int, allow_out_of_range=bool)
+
+    def typed(doc, name):
+        """``doc[name]`` through json_typed, item by item for a value list; a
+        null lambda is the default."""
+        if name not in AXES:
+            return json_typed(doc[name], kinds[name], name)
         return tuple(
-            None if v is None and name == "ridge_lambda" else json_typed(v, kind, name)
-            for v in json_typed(raw, list, name)
+            None if v is None and name == "ridge_lambda" else json_typed(v, kinds[name], name)
+            for v in json_typed(doc[name], list, name)
         )
 
     return read_json(
         path,
         lambda doc: GridSpec(
-            **{name: values(doc, name) for name in AXES[:4]},
-            ridge_lambda=values(doc, "ridge_lambda", default=[None]),
-            n_nodes=json_typed(doc.get("n_nodes", 1024), int, "n_nodes"),
-            variant=json_typed(doc.get("variant", "intensity"), str, "variant"),
-            seeds=values(doc, "seeds", int, default=[0]),
-            allow_out_of_range=json_typed(
-                doc.get("allow_out_of_range", False), bool, "allow_out_of_range"
-            ),
+            **{name: typed(doc, name) for name in kinds if name in doc or name in GAINS}
         ),
     )
 
@@ -207,12 +203,8 @@ class TrialResult:
     error: str = ""
 
     def cell(self):
-        """The grid cell: its four gains, ridge lambda and seed."""
-        p = self.params
-        return (
-            p.feedback_gain, p.input_gain, p.coupling_gain, p.coupling_density,
-            self.ridge_lambda, self.seed,
-        )
+        """The grid cell: its gains, ridge lambda and seed."""
+        return (*(getattr(self.params, g) for g in GAINS), self.ridge_lambda, self.seed)
 
     def key(self):
         """The cell's sort key; auto lambda (None) sorts first, and a NaN
@@ -314,7 +306,7 @@ def _result_row(result):
         status=result.status,
         error=result.error,
     )
-    for name, value in zip(LOG_FIELDS[7:13], result.nmse_per_class):
+    for name, value in zip(NMSE_FIELDS, result.nmse_per_class):
         row[name] = repr(float(value)) if np.isfinite(value) else "nan"
     return row
 
@@ -322,13 +314,13 @@ def _result_row(result):
 def _row_result(row):
     lam = row["ridge_lambda"]
     gains = HyperParams if row["status"] == "ok" else CellGains
-    params = gains(*(float(row[name]) for name in LOG_FIELDS[:4]))
+    params = gains(*(float(row[name]) for name in GAINS))
     return TrialResult(
         params=params,
         ridge_lambda=None if lam == "" else float(lam),
         seed=int(row["seed"]),
         score=float(row["score"]),
-        nmse_per_class=np.array([float(row[f]) for f in LOG_FIELDS[7:13]]),
+        nmse_per_class=np.array([float(row[f]) for f in NMSE_FIELDS]),
         wall_time=float(row["wall_time"]),
         status=row["status"],
         error=row.get("error", ""),
@@ -415,7 +407,6 @@ def run_grid(
     thread, as its step loop holds the interpreter lock and its readouts
     measured no faster on a second thread.
     """
-    cells = spec.cells()
     done = {}
     if resume and log_path and os.path.isfile(log_path):
         done = logged_trials(log_path)
@@ -433,12 +424,13 @@ def run_grid(
     # the pending lambdas of each (gains, seed), which share one reservoir run
     groups = {}
     results = []
-    for fg, ig, cg, cd, lam, seed in cells:
-        key = _cell_fields(fg, ig, cg, cd, lam, seed)
+    for cell in spec.cells():
+        key = _cell_fields(*cell)
         if key in done:
             results.append(done[key])
         else:
-            groups.setdefault((CellGains(fg, ig, cg, cd), seed), []).append(lam)
+            *gains, lam, seed = cell
+            groups.setdefault((CellGains(*gains), seed), []).append(lam)
     pending = list(groups.items())
     per_stack = max(1, STACK_NODES // spec.n_nodes)
 

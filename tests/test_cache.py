@@ -350,6 +350,29 @@ def test_failure_handlers_catch_only_errors_failures():
         assert caught and set(caught) == {"FAILURES"}, f"{module} {function} catches {caught}"
 
 
+def test_one_reuse_site():
+    # the reuse rule is applied in one place, run_pipeline's name(), which
+    # every stage's artifacts go through
+    tree = ast.parse((Path(cache.__file__).parent / "pipeline.py").read_text(encoding="utf-8"))
+
+    def reuse_checks(scope):
+        return [
+            node for node in ast.walk(scope)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_is_complete"
+        ]
+
+    (run,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_pipeline"
+    ]
+    (name,) = [
+        node for node in run.body if isinstance(node, ast.FunctionDef) and node.name == "name"
+    ]
+    assert len(reuse_checks(tree)) == len(reuse_checks(name)) == 1
+
+
 @pytest.mark.parametrize(
     "value,kind,expected",
     [(3, int, 3), (True, bool, True), (1, float, 1.0), (0.5, float, 0.5), ("a", str, "a"),

@@ -10,6 +10,7 @@ import pytest
 
 import photonrc.pipeline
 import photonrc.tuning
+from photonrc.cache import read_cache
 from photonrc.dataset import Split, load_manifest
 from photonrc.errors import ParseError, SchemaError
 from photonrc.pipeline import prepare_data
@@ -174,7 +175,10 @@ def test_grid_spec_file_errors(tmp_path):
 def test_prepare_data_partitions_rows(prepared, tiny_features):
     total = tiny_features["n_frames"]
     assert prepared.features.shape == (total, 24)
-    assert prepared.features.dtype == np.float32
+    # a cache path binds as its CacheRows, which reads its rows as the cache stores them
+    features = np.asarray(prepared.features)
+    assert features.dtype == np.float32
+    np.testing.assert_array_equal(features, read_cache(tiny_features["features"])[0])
     assert prepared.targets.shape == (total, 6)
     combined = np.sort(np.concatenate([prepared.train_rows, prepared.test_rows]))
     np.testing.assert_array_equal(combined, np.arange(total))
@@ -264,6 +268,25 @@ def test_run_grid_logs_and_resumes(prepared, tmp_path):
     by_key = {r.key(): r.score for r in resumed}
     for r in results:
         assert by_key[r.key()] == r.score
+
+
+# the grid log's header as it is on disk; the columns are derived from
+# HyperParams and ACTIONS, and may move only on purpose
+LOG_HEADER = (
+    "feedback_gain,input_gain,coupling_gain,coupling_density,ridge_lambda,seed,score,"
+    "nmse_boxing,nmse_handclapping,nmse_handwaving,nmse_jogging,nmse_running,nmse_walking,"
+    "wall_time,status,error\r\n"
+)
+
+
+def test_grid_log_header_is_pinned(prepared, tmp_path):
+    log = tmp_path / "grid_log.csv"
+    run_grid(_small_grid(), prepared, log_path=log)
+    written = log.read_bytes()
+    assert written.decode("utf-8").splitlines(keepends=True)[0] == LOG_HEADER
+    # a resume with nothing left to run writes back the rows it read, byte for byte
+    assert len(run_grid(_small_grid(), prepared, log_path=log, resume=True)) == 2
+    assert log.read_bytes() == written
 
 
 def test_resume_reruns_a_torn_last_row(prepared, tmp_path):
