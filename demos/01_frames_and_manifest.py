@@ -61,10 +61,10 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
         print(f"  rows {start:>4}..{stop:<4} {seq_id} ({Action(action).label})")
     print("  ...")
 
-    # Streaming yields frames with their position inside the sequence.
-    stream = stream_frames(manifest, split=Split.TEST)
-    first = next(stream)
-    print(f"\ntest-split stream starts at {first.sequence_id} "
+    # Streaming yields the frames of every sequence, in manifest order, with
+    # their position inside the sequence.
+    first = next(stream_frames(manifest))
+    print(f"\nthe stream starts at {first.sequence_id} "
           f"frame {first.index_in_sequence}")
 
     mean_all = np.mean([f.pixels.mean() for f in stream_frames(manifest)])

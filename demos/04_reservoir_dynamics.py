@@ -43,8 +43,6 @@ print("\nintensity quantizer (round half up, 1023 steps):")
 for y in ys:
     print(f"  q10({y:5.3f}) = {quantize_intensity(y):.6f}")
 print(f"  q10(0.5) rounds up to 512/1023: {quantize_intensity(0.5) == 512 / 1023}")
-print(f"  coarser grids via levels=: q10(0.625, levels=5) = "
-      f"{quantize_intensity(0.625, levels=5)}")
 
 draws = rng.uniform(0, 2 * np.pi, 1000)
 once = quantize_phase(draws)

@@ -47,7 +47,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Train on one-hot targets over train rows; lambda defaults to a
     # scale-adaptive value when not given.
-    targets = encode_targets(index.frame_actions(Split.TRAIN))
+    targets = encode_targets(index.frame_actions()[train_rows])
     model = train_ridge(states[train_rows], targets)
     print(f"readout weights {model.weights.shape}, "
           f"ridge lambda {model.ridge_lambda:.4g} (auto)")

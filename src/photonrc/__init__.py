@@ -1,7 +1,8 @@
 """photonrc: a simulated opto-electronic reservoir computer.
 
 The package covers the full human-action-classification pipeline: PGM
-frame ingestion, HOG descriptors, covariance-method PCA, one quantized
+frame ingestion, HOG descriptors, PCA (through the covariance or, with
+fewer samples than features, the Gram matrix), one quantized
 sin^2 reservoir recurrence (its intensity and phase forms read the same
 values), ridge-trained linear readout, winner-takes-all scoring, and
 exhaustive hyperparameter search.

@@ -23,6 +23,7 @@ from .hog import DEFAULT_CONFIG, HogConfig
 from .pca import load_pca_model
 from .pipeline import (
     CACHE_POLICIES,
+    GRID_LOG,
     PCA_FIT_ON,
     PipelineConfig,
     describe_artifacts,
@@ -129,7 +130,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True, help="projected feature cache")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--log", default=None, help="checkpoint CSV (default <out-dir>/grid_log.csv)")
+    p.add_argument("--log", default=None, help=f"checkpoint CSV (default <out-dir>/{GRID_LOG})")
     p.add_argument(
         "--reset-per-sequence", action=argparse.BooleanOptionalAction, default=False
     )
@@ -263,8 +264,7 @@ def cmd_gridsearch(args):
         validation_fraction=args.validation_fraction,
         seed=args.seed,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    log_path = args.log or os.path.join(args.out_dir, "grid_log.csv")
+    log_path = _out_path(args, args.log, GRID_LOG)
     results = run_grid(
         spec,
         data,

@@ -19,10 +19,16 @@ A dataset is described by a JSON manifest:
 
 Frames are stored one per file as binary 8-bit grayscale PGM (P5).  The
 ``frame_filename_pattern`` must contain exactly one zero-padded ``%0Nd``
-conversion, filled with the 0-based frame index and resolved against
-``frame_store_root``.  Only :func:`stream_frames`, which the HOG stage
-calls, opens frame files, and it names a missing one when it reaches it;
-every stage after HOG needs only the manifest and the caches.
+conversion and no other (``%%`` stands for a literal ``%``), filled with
+the 0-based frame index and resolved against ``frame_store_root``; a
+pattern that breaks this rule is a SchemaError naming the sequence.  Only
+:func:`stream_frames`, which the HOG stage calls, opens frame files, and it
+names a missing one when it reaches it; every stage after HOG needs only
+the manifest and the caches.
+
+Every sequence is streamed, in manifest order, as one concatenated video
+stream; the splits are sets of its rows (:func:`index_frames`), not
+separate streams.
 
 The manifest is read by :func:`photonrc.cache.read_json`, and each of its
 fields through :func:`photonrc.cache.json_typed`, as every JSON loader reads
@@ -113,16 +119,18 @@ class SequenceMeta:
                 f"the conforming range [{lo}, {hi}]",
                 stacklevel=2,
             )
-        if not _PATTERN_RE.search(self.frame_filename_pattern):
+        if not _PATTERN_RE.fullmatch(self.frame_filename_pattern.replace("%%", "")):
             raise SchemaError(
-                f"{self.sequence_id}: frame_filename_pattern needs one %0Nd conversion"
+                f"{self.sequence_id}: frame_filename_pattern needs one %0Nd conversion and no other"
             )
 
     def frame_path(self, root, index):
         return os.path.join(root, self.frame_filename_pattern % index)
 
 
-_PATTERN_RE = re.compile(r"%0\d+d")
+# a pattern once its literal "%%" are taken out, as the % operator reads them
+# from the left: one zero-padded integer conversion and no other "%"
+_PATTERN_RE = re.compile(r"[^%]*%0\d+d[^%]*")
 
 
 @dataclass(frozen=True)
@@ -300,22 +308,15 @@ def make_split(sequences, train_fraction, seed):
     return [replace(seq, split=assignment[i]) for i, seq in enumerate(sequences)]
 
 
-def sequences_for(manifest, split=None):
-    if split is None:
-        return list(manifest.sequences)
-    return [s for s in manifest.sequences if s.split == split]
-
-
-def stream_frames(manifest, split=None):
-    """Yield frames sequence-by-sequence in manifest order.
-
-    Frames within a sequence come in temporal order; ``split`` limits the
-    stream to one split, ``None`` streams every sequence (the concatenated
-    video stream the rest of the pipeline consumes).  An absent frame file
-    raises :class:`MissingFrameError` when the stream reaches it.
+def stream_frames(manifest):
+    """Yield the frames of every sequence, sequence by sequence in manifest
+    order, each sequence's in temporal order: the one concatenated video
+    stream the rest of the pipeline consumes, whose rows :func:`index_frames`
+    assigns to the splits.  An absent frame file raises
+    :class:`MissingFrameError` when the stream reaches it.
     """
     height, width = manifest.resolution
-    for seq in sequences_for(manifest, split):
+    for seq in manifest.sequences:
         for idx in range(seq.frame_count):
             path = seq.frame_path(manifest.frame_store_root, idx)
             try:
@@ -368,16 +369,9 @@ class FrameIndex:
             if split is None or self.splits[i] == split
         ]
 
-    def frame_actions(self, split=None):
-        """Per-frame action labels, aligned with the stream rows."""
-        parts = [
-            np.full(int(self.stops[i] - self.starts[i]), int(self.actions[i]), dtype=np.int64)
-            for i in range(len(self.sequence_ids))
-            if split is None or self.splits[i] == split
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def frame_actions(self):
+        """Per-frame action labels of every stream row."""
+        return np.repeat(np.array(self.actions, dtype=np.int64), self.stops - self.starts)
 
 
 def index_frames(manifest):

@@ -56,10 +56,6 @@ class HogConfig:
         if self.normalization_epsilon <= 0:
             raise ValueError("normalization_epsilon must be positive")
 
-    @property
-    def bin_width(self):
-        return 180.0 / self.num_bins
-
 
 DEFAULT_CONFIG = HogConfig()
 

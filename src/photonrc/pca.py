@@ -73,15 +73,11 @@ class PcaModel:
     def feature_dim(self):
         return self.components.shape[1]
 
-    @property
-    def explained_variance_ratio(self):
-        if self.total_variance == 0.0:
-            return np.zeros_like(self.eigenvalues)
-        return self.eigenvalues / self.total_variance
-
     def explained_fraction(self):
-        """Fraction of total variance captured by all kept components."""
-        return float(np.sum(self.explained_variance_ratio))
+        """Fraction of total variance captured by all kept components (0 for none)."""
+        if self.total_variance == 0.0:
+            return 0.0
+        return float(np.sum(self.eigenvalues / self.total_variance))
 
 
 def _fix_signs(components):

@@ -119,6 +119,8 @@ PCA_FIT_ON = ("train", "all")  # the train split's rows, or every frame's
 RESULT_FILES = {
     "sequence_results": "sequence_results.csv", "confusion": "confusion.csv", "score": "score.txt",
 }
+# the grid search's checkpoint log in its output directory, which describe reads
+GRID_LOG = "grid_log.csv"
 
 
 def derive_stream_seed(global_seed, label):
@@ -630,14 +632,14 @@ def _check_summary(summary):
 def describe_artifacts(out_dir):
     """Human-readable summary of a pipeline (or grid-search) directory."""
     summary_path = os.path.join(out_dir, PIPELINE_FILE)
-    grid_log = os.path.join(out_dir, "grid_log.csv")
+    grid_log = os.path.join(out_dir, GRID_LOG)
     trials = None
     if os.path.isfile(grid_log):
         from .tuning import logged_trials  # tuning imports this module
         trials = len(logged_trials(grid_log))
     if not os.path.isfile(summary_path):
         if trials is not None:
-            return f"grid-search directory: {trials} trials logged in grid_log.csv"
+            return f"grid-search directory: {trials} trials logged in {GRID_LOG}"
         raise NotAPipelineDirError(f"{out_dir}: no {PIPELINE_FILE} found")
     summary = read_json(summary_path, _check_summary)
 

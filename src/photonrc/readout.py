@@ -176,20 +176,24 @@ def _add_chunk(gram, rhs, K, D):
     return blas.dsyrk(1.0, K.T, beta=1.0, c=gram, trans=0, lower=0, overwrite_c=1)
 
 
-def _mirror_upper(gram, tile=64):
+# the edge of the square tiles _mirror_upper copies
+_TILE = 64
+
+
+def _mirror_upper(gram):
     """Copy the upper triangle of the Fortran-order ``gram`` onto its lower one,
     a square tile at a time; returns ``gram``.  Factoring the upper triangle
     in place leaves this copy as it is.  A tile reads its transposed source
     from 64 columns, 32 KB that stay in cache, where a panel of columns
     read its source across every column of the Gram."""
     n = gram.shape[0]
-    below = np.tri(tile, k=-1, dtype=bool)
-    for j0 in range(0, n, tile):
-        j1 = min(j0 + tile, n)
+    below = np.tri(_TILE, k=-1, dtype=bool)
+    for j0 in range(0, n, _TILE):
+        j1 = min(j0 + _TILE, n)
         square = gram[j0:j1, j0:j1]
         np.copyto(square, square.T, where=below[: j1 - j0, : j1 - j0])
-        for i0 in range(j1, n, tile):
-            gram[i0 : i0 + tile, j0:j1] = gram[j0:j1, i0 : i0 + tile].T
+        for i0 in range(j1, n, _TILE):
+            gram[i0 : i0 + _TILE, j0:j1] = gram[j0:j1, i0 : i0 + _TILE].T
     return gram
 
 

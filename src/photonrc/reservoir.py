@@ -16,14 +16,18 @@ of variable x = f(phi) turns that into the recurrence above, step for step
 and byte for byte: the "intensity" and "phase" forms of the machine read
 the same values.  Every quantized phase is one of 256 codes
 (:func:`phase_code`), so the loop steps on integer codes and reads f from
-the 256-entry table :data:`RESPONSE`.
+the 256-entry table :data:`RESPONSE`.  Both bit depths are the hardware's
+and fixed: :func:`quantize_phase` and :func:`quantize_intensity` take no
+level count.
 
 W has the feedback gain on its diagonal and round(density * N^2) coupling
 entries scattered off the diagonal, each drawn from a uniform distribution
 scaled by the coupling gain; B is dense with entries uniform in [-1, 1]
 scaled by the input gain.  All randomness comes from one numpy PCG64
 generator, consumed in a fixed order (B, then coupling positions, then
-coupling values) so a seed pins the reservoir down exactly.
+coupling values) so a seed pins the reservoir down exactly.  A spec file
+records that family (:data:`PRNG_FAMILY`), and one that names another does
+not load.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -44,20 +48,13 @@ PRNG_FAMILY = "numpy-pcg64"
 VARIANTS = ("intensity", "phase")
 
 
-def _phase_grid(levels):
-    """Grid values k * 2pi/levels, as float products, for k in [0, levels + 1].
-
-    The two values past the last code are what the truncation's one-step
-    corrections compare against.
-    """
-    return np.arange(levels + 2, dtype=np.float64) * (TWO_PI / levels)
+# the grid values k * 2pi/256 as float products, for k in [0, 257]: the two
+# past the last code are what the truncation's one-step corrections compare against
+_PHASE_GRID = np.arange(PHASE_LEVELS + 2) * PHASE_STEP
 
 
-_PHASE_GRID = _phase_grid(PHASE_LEVELS)
-
-
-def phase_code(x, levels=PHASE_LEVELS):
-    """Truncation codes k in [0, levels) of phases on the grid k * 2pi/levels.
+def phase_code(x):
+    """Truncation codes k in [0, 256) of phases on the grid k * 2pi/256.
 
     Values are wrapped into [0, 2pi] with ``np.mod`` first.  Truncation
     divides and floors, then corrects by one step up and one step down
@@ -65,7 +62,6 @@ def phase_code(x, levels=PHASE_LEVELS):
     maps to its own code despite floating-point division error.  ``np.mod``
     can return 2pi itself, whose code wraps to 0.
     """
-    grid = _PHASE_GRID if levels == PHASE_LEVELS else _phase_grid(levels)
     x = np.asarray(x, dtype=np.float64)
     if x.size and np.abs(x).max() < TWO_PI:  # false for nan
         # np.mod of |x| < 2pi is x, or the sum x + 2pi for x < 0: the same
@@ -76,25 +72,25 @@ def phase_code(x, levels=PHASE_LEVELS):
             y = np.mod(x, TWO_PI)
         if np.isnan(y).any():  # np.mod maps infinities to nan as well
             raise NumericalError("phases must be finite")
-    k = np.asarray(y / grid[1]).astype(np.intp)  # floor, as y >= 0
-    k += grid[1:][k] <= y
-    k -= grid[k] > y
-    np.putmask(k, k == levels, 0)
+    k = np.asarray(y / PHASE_STEP).astype(np.intp)  # floor, as y >= 0
+    k += _PHASE_GRID[1:][k] <= y
+    k -= _PHASE_GRID[k] > y
+    np.putmask(k, k == PHASE_LEVELS, 0)
     return k
 
 
-def quantize_phase(x, levels=PHASE_LEVELS):
-    """Truncate phases to the grid k * 2pi/levels, k in [0, levels); see :func:`phase_code`."""
-    grid = _PHASE_GRID if levels == PHASE_LEVELS else _phase_grid(levels)
-    return grid[phase_code(x, levels)]
+def quantize_phase(x):
+    """Truncate phases to the 8-bit grid k * 2pi/256, k in [0, 256); see :func:`phase_code`."""
+    return _PHASE_GRID[phase_code(x)]
 
 
-def quantize_intensity(y, levels=INTENSITY_LEVELS):
-    """Round intensities (clipped to [0, 1]) to the nearest of ``levels`` values.
+def quantize_intensity(y):
+    """Round intensities (clipped to [0, 1]) to the nearest of the 10-bit
+    detector's 1024 values.
 
-    Rounding is half-up: floor((levels - 1) y + 0.5) / (levels - 1).
+    Rounding is half-up: floor(1023 y + 0.5) / 1023.
     """
-    max_code = levels - 1
+    max_code = INTENSITY_LEVELS - 1
     z = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
     return np.floor(z * max_code + 0.5) / max_code
 
@@ -327,17 +323,11 @@ class ReservoirSpec:
     input_dim: int
     params: HyperParams
     seed: int
-    prng_family: str = PRNG_FAMILY
 
     def __post_init__(self):
         for name in ("n_nodes", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.prng_family != PRNG_FAMILY:
-            raise SchemaError(
-                f"unsupported prng_family {self.prng_family!r}; "
-                f"only {PRNG_FAMILY!r} reproduces these matrices"
-            )
 
     def build(self):
         return generate_matrices(self.n_nodes, self.input_dim, self.params, self.seed)
@@ -348,16 +338,19 @@ def save_reservoir_spec(spec, path):
         "n_nodes": spec.n_nodes,
         "input_dim": spec.input_dim,
         "seed": spec.seed,
-        "prng_family": spec.prng_family,
+        "prng_family": PRNG_FAMILY,
         "hyperparameters": spec.params.as_dict(),
     }
     write_json(path, doc)
 
 
 def load_reservoir_spec(path):
+    """The spec a JSON file holds; SchemaError naming the file if it names a
+    PRNG family other than :data:`PRNG_FAMILY`, the one that reproduces the
+    matrices.  A file without the key is read as that family."""
     def build(doc):
         gains = json_field(doc, "hyperparameters", dict)
-        return ReservoirSpec(
+        spec = ReservoirSpec(
             n_nodes=json_field(doc, "n_nodes", int),
             input_dim=json_field(doc, "input_dim", int),
             params=HyperParams(**{
@@ -365,7 +358,13 @@ def load_reservoir_spec(path):
                 for f in fields(HyperParams)
             }),
             seed=json_field(doc, "seed", int),
-            prng_family=json_typed(doc.get("prng_family", PRNG_FAMILY), str, "prng_family"),
         )
+        family = json_typed(doc.get("prng_family", PRNG_FAMILY), str, "prng_family")
+        if family != PRNG_FAMILY:
+            raise SchemaError(
+                f"unsupported prng_family {family!r}; "
+                f"only {PRNG_FAMILY!r} reproduces these matrices"
+            )
+        return spec
 
     return read_json(path, build)

@@ -25,8 +25,8 @@ over every trial the stack serves.
 
 The grid log's columns, :data:`LOG_FIELDS`, are derived: the gains are
 the fields of :class:`~photonrc.reservoir.HyperParams` (:data:`GAINS`),
-which also name a grid's first value lists and an error row's
-:class:`CellGains`, and the NMSE columns follow
+which also name a grid's first value lists and the :class:`CellGains`
+every result carries, and the NMSE columns follow
 :data:`~photonrc.dataset.ACTIONS` (:data:`NMSE_FIELDS`).  Data prepared
 from a cache path (:func:`~photonrc.pipeline.prepare_data`) holds its
 :class:`~photonrc.cache.CacheRows`, so the grid reads its features a chunk
@@ -91,7 +91,7 @@ LOG_FIELDS = [*GAINS, "ridge_lambda", "seed", "score", *NMSE_FIELDS, "wall_time"
 # the value lists of a grid, in the order its cells vary (the last fastest)
 AXES = (*GAINS, "ridge_lambda", "seeds")
 
-# an error row's gains as the grid gave them, which HyperParams may reject
+# a cell's gains as the grid gave them, which HyperParams may reject
 CellGains = namedtuple("CellGains", GAINS)
 
 
@@ -138,22 +138,6 @@ class GridSpec:
         """Cartesian product of all value lists, in deterministic order."""
         return list(itertools.product(*(getattr(self, name) for name in AXES)))
 
-    @property
-    def trial_count(self):
-        return math.prod(len(getattr(self, name)) for name in AXES)
-
-
-def default_grid(n_nodes=1024, seeds=(0,)):
-    """Coarse default grid: 0.1-step feedback gains, log-spaced small gains."""
-    return GridSpec(
-        feedback_gain=tuple(np.round(np.arange(0.1, 1.5001, 0.1), 10)),
-        input_gain=tuple(np.logspace(-4, 0, 5)),
-        coupling_gain=tuple(np.logspace(-4, 0, 5)),
-        coupling_density=tuple(np.logspace(-4, -1, 4)),
-        n_nodes=n_nodes,
-        seeds=tuple(seeds),
-    )
-
 
 def save_grid_spec(spec, path):
     doc = {name: list(getattr(spec, name)) for name in AXES}
@@ -193,7 +177,11 @@ def load_grid_spec(path):
 
 @dataclass(frozen=True)
 class TrialResult:
-    params: HyperParams  # CellGains when status is "error"
+    """One grid cell's outcome.  ``params`` is the cell's :class:`CellGains`
+    as the grid gave them, whatever the status: an error row's may be gains
+    that :class:`HyperParams` rejects."""
+
+    params: CellGains
     ridge_lambda: object  # float or None (auto)
     seed: int
     score: float
@@ -204,7 +192,7 @@ class TrialResult:
 
     def cell(self):
         """The grid cell: its gains, ridge lambda and seed."""
-        return (*(getattr(self.params, g) for g in GAINS), self.ridge_lambda, self.seed)
+        return (*self.params, self.ridge_lambda, self.seed)
 
     def key(self):
         """The cell's sort key; auto lambda (None) sorts first, and a NaN
@@ -225,12 +213,13 @@ def _cell_fields(*cell):
 def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
     """Trials of several (gains, seed) groups whose reservoirs run in lockstep.
 
-    ``groups`` lists ((gains, seed), lambdas) pairs, the gains in
-    :class:`CellGains` order.  One :func:`reservoir_states` call runs every
-    group's reservoir, whose states are float32 as in the pipeline's state
-    cache, so a one-cell grid reproduces a pipeline run bit for bit.  Each
-    group then builds its readout's normal equations once, and its train
-    and evaluate stages run once per lambda.
+    ``groups`` lists ((gains, seed), lambdas) pairs, the gains a
+    :class:`CellGains`, which every result of the group carries.  One
+    :func:`reservoir_states` call runs every group's reservoir, whose states
+    are float32 as in the pipeline's state cache, so a one-cell grid
+    reproduces a pipeline run bit for bit.  Each group then builds its
+    readout's normal equations once, and its train and evaluate stages run
+    once per lambda.
 
     Gains that :class:`HyperParams` rejects, or a failing reservoir, fail
     the whole stack; its groups then run again one at a time, and a
@@ -279,7 +268,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
             wall_time = group_share + time.perf_counter() - start
             if trial_error is None:
                 result = TrialResult(
-                    params=HyperParams(*gains),
+                    params=gains,
                     ridge_lambda=lam,
                     seed=seed,
                     score=matrix.score,
@@ -287,15 +276,16 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
                     wall_time=wall_time,
                 )
             else:
-                result = _error_result(CellGains(*gains), lam, seed, wall_time, trial_error)
+                result = _error_result(gains, lam, seed, wall_time, trial_error)
             results.append(result)
     return results
 
 
-def run_trial(data, n_nodes, params, ridge_lambda, seed, reset_per_sequence=False):
-    """Reservoir + readout + score for one hyperparameter cell: a one-group :func:`_run_stack`."""
+def run_trial(data, n_nodes, params, ridge_lambda, seed):
+    """Reservoir + readout + score for one hyperparameter cell, one stream
+    without resets: a one-group :func:`_run_stack`."""
     group = ((CellGains(**params.as_dict()), seed), (ridge_lambda,))
-    return _run_stack(data, n_nodes, [group], reset_per_sequence)[0]
+    return _run_stack(data, n_nodes, [group])[0]
 
 
 def _result_row(result):
@@ -313,10 +303,8 @@ def _result_row(result):
 
 def _row_result(row):
     lam = row["ridge_lambda"]
-    gains = HyperParams if row["status"] == "ok" else CellGains
-    params = gains(*(float(row[name]) for name in GAINS))
     return TrialResult(
-        params=params,
+        params=CellGains(*(float(row[name]) for name in GAINS)),
         ridge_lambda=None if lam == "" else float(lam),
         seed=int(row["seed"]),
         score=float(row["score"]),

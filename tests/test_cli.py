@@ -201,6 +201,22 @@ def test_gridsearch_without_resume_starts_a_fresh_log(cli_env, tmp_path, capsys)
     assert log.read_bytes().splitlines()[0] == first.splitlines()[0]
 
 
+def test_gridsearch_log_in_a_new_nested_directory_is_written(cli_env, tmp_path, capsys):
+    argv = _gridsearch_argv(cli_env, tmp_path)
+    log = tmp_path / "new" / "dir" / "log.csv"
+    argv[argv.index("--log") + 1] = str(log)
+    assert main(argv) == 0
+    assert f"log at {log}" in capsys.readouterr().out
+    assert len(log.read_text().splitlines()) == 3
+
+
+def test_gridsearch_help_names_the_default_log(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["gridsearch", "--help"])
+    assert exit_.value.code == 0
+    assert "checkpoint CSV (default <out-dir>/grid_log.csv)" in capsys.readouterr().out
+
+
 def test_gridsearch_resume_reruns_a_torn_last_row(cli_env, tmp_path, capsys):
     argv = _gridsearch_argv(cli_env, tmp_path)
     log = tmp_path / "grid_log.csv"
@@ -426,7 +442,8 @@ def test_corrupt_cache_is_data_error(cli_env, tmp_path, capsys):
 @pytest.mark.parametrize("damage", ["truncated", "overlong"])
 @pytest.mark.parametrize("command", ["fit", "transform"])
 def test_torn_hog_cache_is_data_error_for_pca(cli_env, tmp_path, capsys, damage, command):
-    data = open(cli_env["hog"], "rb").read()
+    with open(cli_env["hog"], "rb") as fh:
+        data = fh.read()
     bad = tmp_path / "hog.rcf"
     bad.write_bytes(data[:-4] if damage == "truncated" else data + b"\x00" * 4)
     source = ["--manifest", cli_env["manifest"], "--k", "4"] if command == "fit" else [
@@ -746,6 +763,21 @@ def test_reservoir_run_rejects_a_spec_count_below_one(cli_env, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert str(spec) in err and f"{field} must be at least 1" in err
+    assert not out.exists()
+
+
+def test_reservoir_run_rejects_a_spec_of_another_prng_family(cli_env, tmp_path, capsys):
+    with open(cli_env["spec"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**doc, "prng_family": "mersenne"}))
+    out = tmp_path / "states.rcf"
+    code = main([
+        "reservoir", "run", "--features", cli_env["features"], "--spec", str(spec),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{spec}: unsupported prng_family 'mersenne'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Manifest loading, PGM I/O, split assignment, and frame streaming."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from photonrc.dataset import (
     make_split,
     read_pgm,
     save_manifest,
-    sequences_for,
     stream_frames,
     write_pgm,
 )
@@ -89,6 +89,30 @@ def test_sequence_meta_requires_index_conversion():
             split=Split.TRAIN,
             frame_filename_pattern="x/frame.pgm",
         )
+
+
+@pytest.mark.parametrize(
+    "pattern", ["%s_%05d.pgm", "frame_%05d_%05d.pgm", "frame_%05d%.pgm", "frame_%05d_100%%.pgm"]
+)
+def test_pattern_must_format_exactly_one_integer(tmp_path, pattern):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "resolution": {"height": 4, "width": 4},
+        "frame_store_root": ".",
+        "split_seed": 0,
+        "sequences": [{
+            "sequence_id": "s01_boxing_r1", "subject": 1, "action": "boxing",
+            "repetition": 1, "frame_count": 30, "split": "train",
+            "frame_filename_pattern": pattern,
+        }],
+    }))
+    if "%%" in pattern:  # a literal percent sign
+        (seq,) = load_manifest(path).sequences
+        assert seq.frame_path("/data", 7) == "/data/frame_00007_100%.pgm"
+    else:
+        message = re.escape(f"{path}: s01_boxing_r1: frame_filename_pattern needs one %0Nd")
+        with pytest.raises(SchemaError, match=message):
+            load_manifest(path)
 
 
 def test_frame_path_zero_pads():
@@ -287,10 +311,8 @@ def test_split_rejects_degenerate_fractions():
 # Streaming and indexing
 
 def test_stream_counts_match_manifest(tiny_manifest):
-    for split in (Split.TRAIN, Split.TEST, None):
-        expected = sum(s.frame_count for s in sequences_for(tiny_manifest, split))
-        got = sum(1 for _ in stream_frames(tiny_manifest, split))
-        assert got == expected
+    expected = sum(s.frame_count for s in tiny_manifest.sequences)
+    assert sum(1 for _ in stream_frames(tiny_manifest)) == expected
 
 
 def test_stream_order_and_content(tiny_manifest):

@@ -254,7 +254,6 @@ def test_config_validation():
         HogConfig(block_stride=0)
     with pytest.raises(ValueError):
         HogConfig(normalization_epsilon=0.0)
-    assert DEFAULT_CONFIG.bin_width == 20.0
 
 
 # ---------------------------------------------------------------------------
