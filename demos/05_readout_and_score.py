@@ -11,8 +11,6 @@ the 6x6 confusion score.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from photonrc.classify import classify_stream, confusion, score_line, write_confusion, write_sequence_results
 from photonrc.cache import read_cache
 from photonrc.dataset import ACTIONS, Split, index_frames, load_manifest

@@ -1,19 +1,29 @@
-"""Binary cache files for per-frame feature rows and reservoir state rows, and
-the one integrity rule of every binary artifact and every JSON document.
+"""The one binary container of every artifact photonrc writes (the HOG,
+feature and state caches, the PCA model and the readout), and the one
+integrity rule of every binary artifact and every JSON document.
 
 Layout (all little-endian):
 
     offset  size  field
-    0       8     magic  b"RCFEAT01"
-    8       4     uint32 version (currently 1)
-    12      8     uint64 frame_count (rows)
-    20      8     uint64 feature_dim (columns)
-    28      4     uint32 layout length L
-    32      8*L   uint64 layout entries (e.g. HOG block layout, or (dim,))
-    ...           float32 values, row-major, frame_count * feature_dim
+    0       8     magic  b"PHOTONRC"
+    8       4     uint32 version (currently 2)
+    12      4     value type, a NumPy type string padded with NULs: "<f4" or "<f8"
+    16      8     uint64 rows
+    24      8     uint64 cols
+    32      8     uint64 meta length L
+    40      8*L   float64 meta values
+    ...           rows * cols values of the value type, row-major
 
-The same container stores HOG descriptors, PCA-projected features, and
-reservoir state trajectories; only the layout tuple differs.
+A row cache holds float32 rows with its layout as the meta: the HOG block
+layout, or ``(cols,)``.  The PCA model and the readout hold float64 arrays
+and put the rest of their model in the meta (see :mod:`photonrc.pca` and
+:mod:`photonrc.readout`).  :func:`_header` packs every header and
+:func:`_read_header` parses every one, for :func:`read_cache_header` and
+every loader: unless a file is exactly the size its header announces, it
+raises ParseError.  A loader also checks the kind, the value type and the
+meta length it expects (:func:`read_container`, :class:`CacheRows`).  The
+three per-kind formats of version 1 (magics ``RCFEAT01``, ``RCPCA001`` and
+``RCOUT001``) are refused as version 1.
 
 :func:`read_cache` loads a whole cache; :class:`CacheRows` reads selected
 rows of one from disk a chunk at a time, so a stage that streams a cache
@@ -41,10 +51,14 @@ import numpy as np
 
 from .errors import ParseError, SchemaError
 
-MAGIC = b"RCFEAT01"
-VERSION = 1
+MAGIC = b"PHOTONRC"
+VERSION = 2
+# the magics of the per-kind formats version 2 replaced
+_VERSION_1 = (b"RCFEAT01", b"RCPCA001", b"RCOUT001")
+_VALUE_TYPES = ("<f4", "<f8")
 
-_HEAD = struct.Struct("<8sIQQI")
+# magic, version, value type, rows, cols, meta length
+_HEAD = struct.Struct("<8sI4sQQQ")
 
 # Rows per chunk of a CacheRows read.  Projecting 2,895 x 9,576 HOG rows
 # onto 2,000 components took 1.13 s in chunks of 512 rows, 1.08 s in chunks
@@ -63,15 +77,12 @@ class CacheWriter:
     """
 
     def __init__(self, path, feature_dim, layout=None):
-        if layout is None:
-            layout = (int(feature_dim),)
         self._dim = int(feature_dim)
-        self._layout = tuple(int(v) for v in layout)
+        self._layout = (self._dim,) if layout is None else layout
         self._count = 0
         self._file = replaced(path, "wb")
         self._fh = self._file.__enter__()
-        self._fh.write(_HEAD.pack(MAGIC, VERSION, 0, self._dim, len(self._layout)))
-        self._fh.write(struct.pack(f"<{len(self._layout)}Q", *self._layout))
+        self._fh.write(_header("<f4", 0, self._dim, self._layout))
 
     def append(self, rows):
         rows = np.ascontiguousarray(rows, dtype="<f4")
@@ -86,7 +97,7 @@ class CacheWriter:
         if self._fh is None:
             return
         self._fh.seek(0)
-        self._fh.write(_HEAD.pack(MAGIC, VERSION, self._count, self._dim, len(self._layout)))
+        self._fh.write(_header("<f4", self._count, self._dim, self._layout))
         self._fh = None
         self._file.__exit__(None, None, None)
 
@@ -100,23 +111,88 @@ class CacheWriter:
             self._file.__exit__(exc_type, exc, tb)
 
 
-def read_checked_header(fh, path, head, magic, body_size):
-    """Unpack struct ``head`` from the open file ``fh``; returns its fields after
-    ``magic``, the first, and leaves ``fh`` just past the header.  The one
-    integrity rule of every binary artifact: unless the file is exactly
-    ``head.size + body_size(*fields)`` bytes, ParseError says ``truncated`` or
-    ``trailing bytes`` and the size expected."""
-    raw = fh.read(head.size)
-    if len(raw) < head.size:
-        raise ParseError(f"{path}: truncated: {len(raw)} bytes, expected {head.size} bytes or more")
-    found, *fields = head.unpack(raw)
-    if found != magic:
-        raise ParseError(f"{path}: bad magic {found!r}")
-    size, expected = os.fstat(fh.fileno()).st_size, head.size + body_size(*fields)
+def _header(value_type, rows, cols, meta):
+    """The header of a container of ``rows`` x ``cols`` values of ``value_type``
+    and the float64 ``meta`` values; the one packer of every header."""
+    meta = np.asarray(meta, dtype="<f8")
+    head = _HEAD.pack(MAGIC, VERSION, value_type.encode("ascii"), rows, cols, meta.size)
+    return head + meta.tobytes()
+
+
+def _read_header(fh, path, value_type, meta_len):
+    """(rows, cols, meta) of the open container ``fh``, left at its first value.
+
+    The one integrity rule of every binary artifact: unless the file is
+    exactly the size its header announces, ParseError says ``truncated`` or
+    ``trailing bytes`` and the size expected.  The kind check: with
+    ``value_type`` set, ParseError unless the values are of that type and,
+    with ``meta_len`` set too, the meta holds ``meta_len(rows, cols)`` values.
+    """
+    raw = fh.read(_HEAD.size)
+    if len(raw) < _HEAD.size:
+        raise ParseError(f"{path}: truncated: {len(raw)} bytes, expected {_HEAD.size} bytes or more")
+    magic, version, found, rows, cols, n_meta = _HEAD.unpack(raw)
+    if magic in _VERSION_1:
+        version = 1
+    elif magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported version {version}, expected {VERSION}")
+    found = found.rstrip(b"\0").decode("latin-1")
+    if found not in _VALUE_TYPES:
+        raise ParseError(f"{path}: unknown value type {found!r}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = _HEAD.size + 8 * n_meta + np.dtype(found).itemsize * rows * cols
     if size != expected:
         what = "truncated" if size < expected else "trailing bytes"
         raise ParseError(f"{path}: {what}: {size} bytes, expected {expected} bytes")
-    return tuple(fields)
+    if value_type is not None and found != value_type:
+        raise ParseError(
+            f"{path}: holds {np.dtype(found).name} values, expected {np.dtype(value_type).name}"
+        )
+    if meta_len is not None and n_meta != meta_len(rows, cols):
+        raise ParseError(f"{path}: meta length {n_meta}, expected {meta_len(rows, cols)}")
+    return rows, cols, np.fromfile(fh, dtype="<f8", count=n_meta)
+
+
+def write_container(path, values, meta):
+    """Write the 2-D array ``values``, float32 or float64, and the ``meta``
+    values to a container at ``path``, with no copy of a C-contiguous
+    little-endian ``values``."""
+    values = np.ascontiguousarray(values)
+    with replaced(path, "wb") as fh:
+        fh.write(_header(values.dtype.str, *values.shape, meta))
+        fh.write(values)
+
+
+def read_container(path, value_type, meta_len):
+    """(values, meta) of the container at ``path``: its rows x cols array of
+    ``value_type`` and its float64 meta, each read into one new array.
+    Rejects what :func:`read_cache_header` rejects, and a container of
+    another kind: one whose values are not of ``value_type`` or, unless
+    ``meta_len`` is None, whose meta does not hold ``meta_len(rows, cols)``
+    values."""
+    with open(path, "rb") as fh:
+        rows, cols, meta = _read_header(fh, path, value_type, meta_len)
+        values = np.fromfile(fh, dtype=value_type, count=rows * cols)
+    return values.reshape(rows, cols), meta
+
+
+def read_cache_header(path):
+    """(rows, cols, meta) of the container at ``path``, of any kind, if it is
+    exactly the size its header announces; the meta of a row cache is its
+    layout."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, None, None)
+
+
+def read_cache(path):
+    """Load a row cache; returns (values float32 array (rows, dim), layout tuple).
+
+    Rejects what :func:`read_container` rejects.
+    """
+    values, layout = read_container(path, "<f4", None)
+    return values, tuple(map(int, layout))
 
 
 @contextlib.contextmanager
@@ -193,34 +269,6 @@ def json_typed(value, kind, name):
     return value
 
 
-def _read_header(fh, path):
-    """Parse the header of the open cache ``fh``, leaving it at the first value."""
-    version, count, dim, layout_len = read_checked_header(
-        fh, path, _HEAD, MAGIC, lambda version, count, dim, n: 8 * n + 4 * count * dim
-    )
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported cache version {version}")
-    layout = struct.unpack(f"<{layout_len}Q", fh.read(8 * layout_len))
-    return count, dim, layout
-
-
-def read_cache_header(path):
-    """(frame_count, feature_dim, layout) of a cache exactly the size its header announces."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
-def read_cache(path):
-    """Load a cache; returns (values float32 array (rows, dim), layout tuple).
-
-    Rejects what :func:`read_cache_header` rejects.
-    """
-    with open(path, "rb") as fh:
-        count, dim, layout = _read_header(fh, path)
-        data = np.fromfile(fh, dtype="<f4", count=count * dim)
-    return data.reshape(count, dim), layout
-
-
 def chunk_stops(n, size=None):
     """Stops of the chunks that ``n`` rows (or columns) are cut into:
     ``size`` each (CHUNK_ROWS by default), and a last chunk of from half to
@@ -268,7 +316,7 @@ class CacheRows:
 
     def __init__(self, path, rows=None):
         with open(path, "rb") as fh:
-            count, dim, _ = _read_header(fh, path)
+            count, dim, _ = _read_header(fh, path, "<f4", None)
             self._offset = fh.tell()
         self.path = path
         if rows is None:

@@ -185,7 +185,7 @@ def cmd_extract_hog(args):
     out = _out_path(args, args.out, "hog.rcf")
     extract_hog(manifest, out, config)
     count, dim, layout = read_cache_header(out)
-    print(f"wrote {out}: {count} frames x {dim} features, layout {layout}")
+    print(f"wrote {out}: {count} frames x {dim} features, layout {tuple(map(int, layout))}")
     return 0
 
 
@@ -226,8 +226,7 @@ def cmd_reservoir_run(args):
             raise ValueError("--reset-per-sequence requires --manifest")
         spans = prepare_data(args.manifest, features).all_spans
     if args.save_spec:
-        os.makedirs(os.path.dirname(os.path.abspath(args.save_spec)), exist_ok=True)
-        save_reservoir_spec(spec, args.save_spec)
+        save_reservoir_spec(spec, _out_path(args, args.save_spec, None))
     out = _out_path(args, args.out, "states.rcf")
     steps = drive_reservoir(spec, args.features, out, spans)
     print(f"wrote {out}: {steps} steps x {spec.n_nodes} nodes")

@@ -28,23 +28,22 @@ the data before the eigendecomposition, the components are a row-major copy
 of the kept eigenvectors.  Sign fixing orients the components a block of
 rows at a time.
 
-The model file is a flat little-endian binary (magic ``RCPCA001``) holding
-the sample mean, eigenvalues, components, total variance, and sample count,
-all float64, so that saving and loading reproduce the model bit for bit.
-A loaded model's arrays are views into the one buffer its body is read into.
+The model file is a float64 container (:mod:`photonrc.cache`) of the K x D
+components, whose meta holds the D-entry sample mean, the K eigenvalues,
+the sample count and the total variance, so that saving and loading
+reproduce the model bit for bit.  The components are written from their
+own buffer and read into one new array, with no copy of either; a loaded
+model's mean and eigenvalues are views into its meta.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .cache import chunk_stops, read_checked_header, replaced
+from .cache import chunk_stops, read_container, write_container
 from .errors import DimensionError, NumericalError, RankError
 
-PCA_MAGIC = b"RCPCA001"
-_PCA_HEAD = struct.Struct("<8sQQQd")  # magic, K, D, n_samples, total_variance
 # component rows per block when fixing signs: 64 rows of a 9,576-wide HOG
 # model are 4.9 MB
 _BLOCK_ROWS = 64
@@ -221,32 +220,18 @@ def reconstruct(model, projected):
 
 
 def save_pca_model(model, path):
-    k, dim = model.components.shape
-    with replaced(path, "wb") as fh:
-        fh.write(_PCA_HEAD.pack(PCA_MAGIC, k, dim, model.n_samples, model.total_variance))
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.components, dtype="<f8"))
-
-
-def _read_pca_header(fh, path):
-    return read_checked_header(fh, path, _PCA_HEAD, PCA_MAGIC, lambda k, d, *_: 8 * (d + k + k * d))
-
-
-def read_pca_header(path):
-    """(K, D) of a PCA model file exactly the size its header announces."""
-    with open(path, "rb") as fh:
-        return _read_pca_header(fh, path)[:2]
+    meta = np.concatenate([model.mean, model.eigenvalues, [model.n_samples, model.total_variance]])
+    write_container(path, np.asarray(model.components, dtype="<f8"), meta)
 
 
 def load_pca_model(path):
-    with open(path, "rb") as fh:
-        k, dim, n_samples, total_variance = _read_pca_header(fh, path)
-        body = np.fromfile(fh, dtype="<f8", count=dim + k + k * dim)
+    # the meta of a K x D model: D mean entries, K eigenvalues and two scalars
+    components, meta = read_container(path, "<f8", lambda k, dim: dim + k + 2)
+    k, dim = components.shape
     return PcaModel(
-        mean=body[:dim],
-        components=body[dim + k :].reshape(k, dim),
-        eigenvalues=body[dim : dim + k],
-        total_variance=float(total_variance),
-        n_samples=int(n_samples),
+        mean=meta[:dim],
+        components=components,
+        eigenvalues=meta[dim : dim + k],
+        total_variance=float(meta[-1]),
+        n_samples=int(meta[-2]),
     )

@@ -14,8 +14,9 @@ content hash, upstream digests, stage parameters), so reruns and grid
 trials reuse whatever already matches and never reuse anything stale.
 With the default "reuse" cache policy a warm rerun reproduces the cold
 run's result files bit for bit; "rebuild" recomputes every stage.  A
-binary artifact, the readout included, is reused only if it has the
-expected shape and exactly the size its header announces (one rule,
+binary artifact, the readout included, is reused only if it is a
+container of the current version (:mod:`photonrc.cache`) with the expected
+shape and exactly the size its header announces (one rule,
 :func:`_is_complete`); otherwise it is recomputed.  A stage reads its
 upstream cache only when it recomputes.
 
@@ -80,7 +81,7 @@ from .classify import (
 )
 from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
 from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
-from .pca import fit_pca, read_pca_header, save_pca_model, transform
+from .pca import fit_pca, save_pca_model, transform
 # not called here, as the PCA stage returns the model it saves and every cache
 # is read a chunk at a time; bound so that perfbench/tracing.py WRAPS can
 # patch them on this module
@@ -93,7 +94,6 @@ from .readout import (
     load_readout_model,
     nmse_per_output,
     normal_equations,
-    read_readout_header,
     save_readout_model,
     train_ridge,
 )
@@ -277,20 +277,11 @@ def _stage(name):
         raise PipelineStageError(name, exc) from exc
 
 
-def header_readers():
-    """Each binary artifact's header reader, by artifact key; built per call, so
-    a reader patched on this module is the one used."""
-    return {
-        "hog": read_cache_header, "features": read_cache_header, "states": read_cache_header,
-        "pca_model": read_pca_header, "readout_model": read_readout_header,
-    }
-
-
-def _is_complete(path, read_header, *shape):
-    """The reuse rule for every binary artifact: ``read_header`` (its entry in
-    :func:`header_readers`) returns its shape and accepts only an exact-size file."""
+def _is_complete(path, *shape):
+    """The reuse rule for every binary artifact: :func:`read_cache_header`
+    gives its shape and accepts only an exact-size file of this version."""
     try:
-        return read_header(path)[:2] == shape
+        return read_cache_header(path)[:2] == shape
     except FAILURES:  # no file, a bad header, or a size it does not announce
         return False
 
@@ -488,7 +479,6 @@ def run_pipeline(config):
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     reuse = config.cache_policy == "reuse"
-    readers = header_readers()
     artifacts = {}
     digests = {}
 
@@ -508,7 +498,7 @@ def run_pipeline(config):
         for key, pattern, *shape in files:
             artifacts[key] = pattern.format(digest)
             paths.append(os.path.join(out_dir, artifacts[key]))
-            reused = reused and (not shape or _is_complete(paths[-1], readers[key], *shape))
+            reused = reused and (not shape or _is_complete(paths[-1], *shape))
         return paths, reused
 
     with _stage("dataset"):
@@ -655,15 +645,14 @@ def describe_artifacts(out_dir):
         )
     )
     lines.append(f"  stages: {', '.join(summary.get('stages', []))}")
-    readers = header_readers()
     for name, filename in sorted(summary.get("artifacts", {}).items()):
         path = os.path.join(out_dir, filename)
         note = "missing"
         if os.path.isfile(path):
             note = f"{os.path.getsize(path)} bytes"
-            if name in readers:
+            if filename.endswith((".rcf", ".bin")):  # a container (photonrc.cache)
                 try:
-                    rows, dim = readers[name](path)[:2]
+                    rows, dim, _ = read_cache_header(path)
                     note += f", {rows} x {dim}"
                 except ParseError as exc:
                     note += f", INTEGRITY WARNING: {exc}"

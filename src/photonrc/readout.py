@@ -28,18 +28,20 @@ lambda = 0.  Either route must leave a relative residual of at most 1e-6
 on the primal normal equations, taken with the kept Gram or the kept
 levels, or training fails with SingularError.  So training holds one Gram
 and one chunk of rows at a time, or, on the dual route, the levels of
-every train row.  A model file is read only if it is exactly the size its
-header announces and its weights finite.
+every train row.
+
+A model file is a float64 container (:mod:`photonrc.cache`) of the M x N
+weights whose one meta value is lambda.  It is read only if it is exactly
+the size its header announces and its weights finite.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
 
-from .cache import CacheRows, read_checked_header, replaced, row_chunks
+from .cache import CacheRows, read_container, row_chunks, write_container
 from .classify import N_CLASSES
 from .errors import (
     DegenerateTargetError,
@@ -298,39 +300,13 @@ def nmse_per_output(outputs, desired):
 # ---------------------------------------------------------------------------
 # Model files
 
-READOUT_MAGIC = b"RCOUT001"
-# magic, M, N, lambda, state-transform code; readouts apply no transform to
-# the states, so the code is 0, and a readout that asks for one is refused
-_OUT_HEAD = struct.Struct("<8sQQdI")
-
-
 def save_readout_model(model, path):
-    m, n = model.weights.shape
-    with replaced(path, "wb") as fh:
-        fh.write(_OUT_HEAD.pack(READOUT_MAGIC, m, n, model.ridge_lambda, 0))
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-
-
-def _read_readout_header(fh, path):
-    m, n, lam, code = read_checked_header(
-        fh, path, _OUT_HEAD, READOUT_MAGIC, lambda m, n, *_: 8 * m * n
-    )
-    if code != 0:
-        raise ParseError(f"{path}: state-transform code {code}, expected 0 (none)")
-    return m, n, lam
-
-
-def read_readout_header(path):
-    """(M, N, lambda) of a readout file exactly the size its header announces."""
-    with open(path, "rb") as fh:
-        return _read_readout_header(fh, path)
+    write_container(path, np.asarray(model.weights, dtype="<f8"), [model.ridge_lambda])
 
 
 def load_readout_model(path):
-    with open(path, "rb") as fh:
-        m, n, lam = _read_readout_header(fh, path)
-        weights = np.fromfile(fh, dtype="<f8", count=m * n)
+    weights, (lam,) = read_container(path, "<f8", lambda m, n: 1)
     try:
-        return ReadoutModel(weights=weights.reshape(m, n), ridge_lambda=float(lam))
+        return ReadoutModel(weights=weights, ridge_lambda=float(lam))
     except ValueError as exc:  # a non-finite weight
         raise ParseError(f"{path}: {exc}") from None

@@ -95,15 +95,6 @@ AXES = (*GAINS, "ridge_lambda", "seeds")
 CellGains = namedtuple("CellGains", GAINS)
 
 
-def _check_range(name, values, lo, hi, allow):
-    for v in values:
-        if not (lo <= v <= hi) and not allow:
-            raise ValueError(
-                f"{name} value {v} outside default range [{lo}, {hi}]; "
-                "set allow_out_of_range to search it anyway"
-            )
-
-
 @dataclass(frozen=True)
 class GridSpec:
     feedback_gain: tuple
@@ -128,11 +119,14 @@ class GridSpec:
             raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
         for lam in self.ridge_lambda:
             check_ridge_lambda(lam)
-        allow = self.allow_out_of_range
-        _check_range("feedback_gain", self.feedback_gain, *ALPHA_RANGE, allow)
-        _check_range("input_gain", self.input_gain, *SMALL_GAIN_RANGE, allow)
-        _check_range("coupling_gain", self.coupling_gain, *SMALL_GAIN_RANGE, allow)
-        _check_range("coupling_density", self.coupling_density, *SMALL_GAIN_RANGE, allow)
+        for name in GAINS:
+            lo, hi = ALPHA_RANGE if name == "feedback_gain" else SMALL_GAIN_RANGE
+            bad = [v for v in getattr(self, name) if not lo <= v <= hi]
+            if bad and not self.allow_out_of_range:
+                raise ValueError(
+                    f"{name} value {bad[0]} outside default range [{lo}, {hi}]; "
+                    "set allow_out_of_range to search it anyway"
+                )
 
     def cells(self):
         """Cartesian product of all value lists, in deterministic order."""

@@ -2,12 +2,18 @@
 
 These deliberately avoid the vectorized code paths of the package: plain
 Python loops, one pixel and one block at a time, so a bug in the fast path
-cannot hide in its own reflection.
+cannot hide in its own reflection.  :func:`version_1_bytes` writes the
+per-kind binary formats an earlier photonrc wrote, for the tests of how
+the container reader treats them.
 """
 
 import math
 
 import numpy as np
+
+from photonrc.cache import read_cache, read_cache_header
+from photonrc.pca import load_pca_model
+from photonrc.readout import load_readout_model
 
 
 def hog_oracle(pixels, cell_size=8, block_size=2, num_bins=9, stride=1, eps=1e-12):
@@ -221,3 +227,30 @@ def float32_ulps(a, b):
         return np.where(bits < 0, -(1 << 31) - bits, bits)
 
     return np.abs(ordered(a) - ordered(b))
+
+
+def version_1_bytes(path):
+    """The bytes the container at ``path`` held in the format version 1 of its
+    kind, which version 2 replaced: ``RCFEAT01`` for a row cache (``.rcf``),
+    ``RCOUT001`` for a readout (one meta value) and ``RCPCA001`` for a PCA
+    model, each with its own header before the same values."""
+    def u32(value):
+        return int(value).to_bytes(4, "little")
+
+    def u64(*values):
+        return np.array(values, dtype="<u8").tobytes()
+
+    def f64(*values):
+        return np.array(values, dtype="<f8").tobytes()
+
+    if str(path).endswith(".rcf"):
+        values, layout = read_cache(path)
+        head = b"RCFEAT01" + u32(1) + u64(*values.shape) + u32(len(layout)) + u64(*layout)
+        return head + values.tobytes()
+    if read_cache_header(path)[2].size == 1:
+        model = load_readout_model(path)
+        head = b"RCOUT001" + u64(*model.weights.shape) + f64(model.ridge_lambda) + u32(0)
+        return head + model.weights.tobytes()
+    model = load_pca_model(path)
+    head = b"RCPCA001" + u64(*model.components.shape, model.n_samples) + f64(model.total_variance)
+    return head + b"".join(a.tobytes() for a in (model.mean, model.eigenvalues, model.components))

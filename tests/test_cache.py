@@ -1,8 +1,7 @@
-"""Binary feature-cache container: round trips, headers, corruption; the JSON rule."""
+"""The binary container: round trips, headers, corruption, kinds; the JSON rule."""
 
 import ast
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 
 from photonrc import cache
 from photonrc.cache import (
-    MAGIC, CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header, replaced,
-    row_chunks, write_json,
+    MAGIC, CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header, read_container,
+    replaced, row_chunks, write_container, write_json,
 )
 from photonrc.errors import ParseError, SchemaError
 
@@ -46,7 +45,8 @@ def test_multi_entry_layout_round_trips(tmp_path, rng):
     _write_at_once(path, rows, layout=(19, 14, 4, 9))
     count, dim, layout = read_cache_header(path)
     assert (count, dim) == (2, 9576)
-    assert layout == (19, 14, 4, 9)
+    assert layout.tolist() == [19, 14, 4, 9]
+    assert read_cache(path)[1] == (19, 14, 4, 9)
 
 
 def test_values_stored_as_float32(tmp_path):
@@ -97,7 +97,7 @@ def test_zero_rows_is_legal(tmp_path):
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.rcf"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
+    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)  # as long as a header
     with pytest.raises(ParseError, match="magic"):
         read_cache_header(path)
 
@@ -129,10 +129,50 @@ def test_trailing_bytes_rejected(tmp_path, rng):
 
 
 def test_unsupported_version_rejected(tmp_path):
-    head = struct.Struct("<8sIQQI").pack(MAGIC, 99, 0, 1, 1)
     path = tmp_path / "v99.rcf"
-    path.write_bytes(head + struct.pack("<Q", 1))
-    with pytest.raises(ParseError, match="version"):
+    head = cache._header("<f4", 0, 1, (1,))
+    path.write_bytes(head[:8] + (99).to_bytes(4, "little") + head[12:])
+    with pytest.raises(ParseError, match="version 99"):
+        read_cache_header(path)
+
+
+def test_unknown_value_type_rejected(tmp_path):
+    path = tmp_path / "i8.rcf"
+    path.write_bytes(cache._header("<i8", 1, 1, ()) + b"\x00" * 8)
+    with pytest.raises(ParseError, match="unknown value type '<i8'"):
+        read_cache_header(path)
+
+
+@pytest.mark.parametrize("meta", [(), (0.25,), (1.0, 2.0, -3.5)])
+def test_container_round_trip_keeps_values_and_meta_bit_equal(tmp_path, rng, meta):
+    values = rng.standard_normal((3, 4))
+    path = tmp_path / "model.bin"
+    write_container(path, values, meta)
+    back, back_meta = read_container(path, "<f8", lambda rows, cols: len(meta))
+    assert back.tobytes() == values.tobytes() and back_meta.tolist() == list(meta)
+    assert path.stat().st_size == 40 + 8 * len(meta) + values.nbytes
+
+
+def test_a_container_of_another_kind_is_named(tmp_path, rng):
+    # the value type and the meta length carry the kind check
+    path = tmp_path / "model.bin"
+    write_container(path, rng.standard_normal((3, 4)), (0.5,))
+    named = re.escape(str(path))
+    with pytest.raises(ParseError, match=f"{named}: holds float64 values, expected float32"):
+        read_cache(path)
+    with pytest.raises(ParseError, match="holds float64 values, expected float32"):
+        CacheRows(path)
+    with pytest.raises(ParseError, match=f"{named}: meta length 1, expected 9"):
+        read_container(path, "<f8", lambda rows, cols: rows + cols + 2)
+    assert read_cache_header(path)[:2] == (3, 4)
+
+
+@pytest.mark.parametrize("magic", [b"RCFEAT01", b"RCPCA001", b"RCOUT001"])
+def test_a_version_1_file_is_named_by_its_version(tmp_path, magic):
+    path = tmp_path / "old.bin"
+    path.write_bytes(magic + b"\x01" + b"\x00" * 63)
+    named = re.escape(str(path))
+    with pytest.raises(ParseError, match=f"{named}: unsupported version 1, expected 2"):
         read_cache_header(path)
 
 
@@ -269,6 +309,17 @@ def _file_writes(path):
             ):
                 found.append((name, func.attr))
     return found
+
+
+def test_only_cache_packs_a_binary_header():
+    # one container format: no other module packs or unpacks bytes with struct
+    importers = [
+        path.name for path in Path(cache.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "struct" in [getattr(node, "module", None)] + [alias.name for alias in node.names]
+    ]
+    assert importers == ["cache.py"]
 
 
 def test_only_replaced_writes_a_file():

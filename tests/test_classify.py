@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from photonrc.classify import (
-    ConfusionMatrix,
     classify_frames,
     classify_sequence,
     classify_stream,

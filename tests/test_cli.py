@@ -5,7 +5,7 @@ import math
 import os
 import re
 import shutil
-import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, load_grid_spec, run_grid, save_grid_spec
 
-from _oracles import float32_ulps
+from _oracles import float32_ulps, version_1_bytes
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ def test_extract_hog_honors_shape_flags(cli_env, tmp_path):
     _, dim, layout = read_cache_header(out)
     config = HogConfig(cell_size=4, block_size=1, num_bins=6)
     assert dim == feature_count((40, 48), config)
-    assert layout == (12, 10, 1, 6)
+    assert layout.tolist() == [12, 10, 1, 6]
 
 
 def test_pca_fit_flag_aliases_agree(cli_env, tmp_path):
@@ -208,6 +208,17 @@ def test_gridsearch_log_in_a_new_nested_directory_is_written(cli_env, tmp_path, 
     assert main(argv) == 0
     assert f"log at {log}" in capsys.readouterr().out
     assert len(log.read_text().splitlines()) == 3
+
+
+def test_reservoir_run_spec_in_a_new_nested_directory_is_written(cli_env, tmp_path):
+    spec = tmp_path / "new" / "nested" / "spec.json"
+    code = main([
+        "reservoir", "run", "--features", cli_env["features"], "--n-nodes", "32",
+        "--coupling-density", "0.05", "--save-spec", str(spec),
+        "--out", str(tmp_path / "states.rcf"),
+    ])
+    assert code == 0
+    assert spec.read_bytes() == Path(cli_env["spec"]).read_bytes()
 
 
 def test_gridsearch_help_names_the_default_log(capsys):
@@ -494,23 +505,69 @@ def test_evaluate_rejects_a_cache_with_trailing_bytes(cli_env, tmp_path, capsys)
     assert "expected" in capsys.readouterr().err
 
 
-# "transform": a nonzero last header field, which asks for a transform of the states
-@pytest.mark.parametrize("damage", ["short", "long", "transform"])
+@pytest.mark.parametrize("damage", ["short", "long"])
 def test_evaluate_rejects_a_readout_of_the_wrong_size(cli_env, tmp_path, capsys, damage):
     bad = tmp_path / "readout.bin"
     with open(cli_env["readout"], "rb") as fh:
         data = fh.read()
-    bad.write_bytes({
-        "short": data[:-1],
-        "long": data + b"\x00",
-        "transform": data[:32] + (1).to_bytes(4, "little") + data[36:],
-    }[damage])
+    bad.write_bytes({"short": data[:-1], "long": data + b"\x00"}[damage])
     code = main([
         "evaluate", "--model", str(bad), "--states", cli_env["states"],
         "--manifest", cli_env["manifest"], "--out", str(tmp_path / "results"),
     ])
     assert code == 2
     assert "expected" in capsys.readouterr().err
+
+
+# Each command that reads a binary artifact: the kind it reads, the cli_env
+# key of a file of that kind, and its argv given the file to read there and a
+# scratch directory.
+KIND_READERS = {
+    "pca transform --model": ("pca model", "pca", lambda env, bad, out: [
+        "pca", "transform", "--model", bad, "--in", env["hog"], "--out", str(out / "f.rcf")]),
+    "evaluate --model": ("readout", "readout", lambda env, bad, out: [
+        "evaluate", "--model", bad, "--states", env["states"], "--manifest", env["manifest"],
+        "--out", str(out)]),
+    "train --states": ("row cache", "states", lambda env, bad, out: [
+        "train", "--states", bad, "--manifest", env["manifest"], "--out", str(out / "r.bin")]),
+    "evaluate --states": ("row cache", "states", lambda env, bad, out: [
+        "evaluate", "--model", env["readout"], "--states", bad, "--manifest", env["manifest"],
+        "--out", str(out)]),
+    "reservoir run --features": ("row cache", "features", lambda env, bad, out: [
+        "reservoir", "run", "--features", bad, "--n-nodes", "32", "--out", str(out / "s.rcf")]),
+    "pca fit --in": ("row cache", "hog", lambda env, bad, out: [
+        "--out-dir", str(out), "pca", "fit", "--in", bad, "--manifest", env["manifest"],
+        "--k", "12", "--out", str(out / "p.bin")]),
+}
+# the cli_env key of a file of each kind
+KINDS = {"row cache": "states", "pca model": "pca", "readout": "readout"}
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [
+        (command, kind) for command, (own, _, _) in KIND_READERS.items()
+        for kind in [*KINDS, "version 1"] if kind != own
+    ],
+)
+def test_a_file_of_another_kind_is_a_data_error_naming_it(cli_env, tmp_path, capsys, command, kind):
+    # a file of another kind, or of the right kind in format version 1
+    _, key, argv = KIND_READERS[command]
+    if kind == "version 1":
+        bad = tmp_path / f"old{Path(cli_env[key]).suffix}"
+        bad.write_bytes(version_1_bytes(cli_env[key]))
+    else:
+        bad = tmp_path / Path(cli_env[KINDS[kind]]).name
+        shutil.copy(cli_env[KINDS[kind]], bad)
+    assert main(argv(cli_env, str(bad), tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    # the container's kind check, or its version check
+    assert re.search(
+        rf"^data error: {re.escape(str(bad))}: "
+        r"(holds float\d\d values, expected float\d\d|meta length \d+, expected \d+"
+        r"|unsupported version 1, expected 2)$",
+        err,
+    ), err
 
 
 @pytest.mark.parametrize(
@@ -822,10 +879,11 @@ def test_exit_code_maps_each_family_bare_and_wrapped_in_a_stage(bare, code):
 
 
 def _poison_first_weight(readout):
-    """Write NaN over the first weight of a readout file, after its 36-byte header."""
+    """Write NaN over the first weight of a readout file, which ends with its weights."""
+    rows, cols, _ = read_cache_header(readout)
     with open(readout, "r+b") as fh:
-        fh.seek(36)
-        fh.write(struct.pack("<d", math.nan))
+        fh.seek(-8 * rows * cols, os.SEEK_END)
+        fh.write(np.array([math.nan], dtype="<f8").tobytes())
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from photonrc.pipeline import (
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import GridSpec, run_grid, run_trial
 
-from _oracles import fix_signs_oracle, float32_ulps
+from _oracles import fix_signs_oracle, float32_ulps, version_1_bytes
 
 PARAMS = HyperParams(
     feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.05
@@ -51,12 +51,12 @@ RESULT_FILES = ("sequence_results.csv", "confusion.csv", "score.txt")
 # config.json and the artifact names are left out: the manifest they hash
 # holds an absolute frame_store_root, so they change with the directory.
 GOLDEN_SHA256 = {
-    "hog": "c91bb087a1b721f5791ecd1610976aac2ccb4768da2fc99b40cad9f33e538f3f",
-    "pca_model": "7a1a6748847c412520316fa44b11f5903c6f0cb3464217bc9a5c853ec6ac5895",
-    "features": "1812ae1c94b18c649c8567c0af5da26e8f0803e33dbbe88a61dc271c36e87b9c",
-    "states": "4ce0e1587fa8abb2a2169f1c0cfbe65d9862e3b5daab7dc0a3ae980f536a641e",
+    "hog": "bece51c75c63fb37022f923b0b404cfa05d1b978f1e60518f606e7ed3f647598",
+    "pca_model": "0e448ba7daf25b8082c2851c10c2cecf1b029e081144e423e9ca427ceb3dda3e",
+    "features": "efdb7cd8f1d319d41c4cdd457596a990a28f3e0ddbcf3bcbf6061716e8d79061",
+    "states": "e2f330b4d698181f4bff0a98903fc6ea83aeece957a05c7e03679ef94d18ce59",
     "reservoir_spec": "29a4ad8ff05275d49efdeb35e4d5778aeb3fa59cd00709ee501be2ed881731c5",
-    "readout_model": "92d32ca887b50074588c4c2de370df15a384383c434366824cea009556fa2494",
+    "readout_model": "0cb38c194409742927580c732968ac9011154187fdfc06dd724c30549ececc56",
     "score.txt": "96c3a472047d1221032d747121e780c6ac1e708dad866236a610bba157e16d0e",
     "confusion.csv": "2799d2dcabe5cbbfa54bd309cf38aace7e1ea7d0ed823295656d01040fc3e9cf",
     "sequence_results.csv": "7719e931adb6442386bfff21622df4c18dd603ff9d78f851cb11949cadcba4b2",
@@ -264,31 +264,41 @@ def test_truncated_artifact_is_recomputed_on_reuse(pipe, tmp_path, artifact):
             assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), (damage, name)
 
 
-def test_a_readout_with_a_state_transform_is_retrained_on_reuse(pipe, tmp_path):
-    # a nonzero last header field asks for a transform of the states, which
-    # no readout applies: describe flags the file and a reuse run retrains it
-    config, report = pipe
-    copy_dir = tmp_path / "copy"
-    shutil.copytree(report.out_dir, copy_dir)
-    victim = copy_dir / report.artifacts["readout_model"]
-    data = bytearray(victim.read_bytes())
-    data[32:36] = (1).to_bytes(4, "little")
-    victim.write_bytes(bytes(data))
-    line = next(l for l in describe_artifacts(copy_dir).splitlines() if "readout_model:" in l)
-    assert "INTEGRITY WARNING" in line and "state-transform code 1" in line
-    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
-    assert again.score == report.score
-    cold = Path(report.out_dir) / report.artifacts["readout_model"]
-    assert victim.read_bytes() == cold.read_bytes()
-
-
 def test_every_binary_artifact_has_a_header_reader(pipe):
-    # run_pipeline's reuse rule and describe take their readers from one table,
-    # so a binary artifact added later cannot skip the exact-size rule
+    # run_pipeline's reuse rule and describe read every binary artifact's
+    # header through cache.read_cache_header, so none can skip the
+    # exact-size rule
     _, report = pipe
     binary = {k for k, name in report.artifacts.items() if name.endswith((".rcf", ".bin"))}
     assert binary == set(BINARY_ARTIFACTS)
-    assert binary <= set(pipeline_module.header_readers())
+    lines = describe_artifacts(report.out_dir).splitlines()
+    for key in binary:
+        rows, cols, _ = cache.read_cache_header(Path(report.out_dir) / report.artifacts[key])
+        (line,) = [l for l in lines if l.startswith(f"  {key}: ")]
+        assert line.endswith(f" bytes, {rows} x {cols})"), line
+
+
+def test_version_1_artifacts_are_flagged_and_recomputed_on_reuse(pipe, tmp_path):
+    # artifacts an earlier photonrc wrote in the per-kind formats of version
+    # 1: describe names the version of each, and a reuse run recomputes
+    # every one and ends byte-identical to the cold run
+    config, report = pipe
+    cold = Path(report.out_dir)
+    copy_dir = tmp_path / "v1"
+    shutil.copytree(cold, copy_dir)
+    for key in BINARY_ARTIFACTS:
+        victim = copy_dir / report.artifacts[key]
+        victim.write_bytes(version_1_bytes(victim))
+    flagged = [
+        line.split(":")[0].strip() for line in describe_artifacts(copy_dir).splitlines()
+        if "INTEGRITY WARNING" in line and "unsupported version 1, expected 2" in line
+    ]
+    assert sorted(flagged) == sorted(BINARY_ARTIFACTS)
+    again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
+    assert again.score == report.score
+    assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir)
+    for name in (*report.artifacts.values(), PIPELINE_FILE):
+        assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +321,7 @@ def test_each_wrong_size_is_named_by_the_header_reader(pipe, scratch_dir, artifa
     damaged = scratch_dir / report.artifacts[artifact]
     damaged.write_bytes(data[:length])
     with pytest.raises(ParseError, match="truncated|trailing bytes"):
-        pipeline_module.header_readers()[artifact](damaged)
+        cache.read_cache_header(damaged)
 
 
 def _record_cache_reads(monkeypatch):

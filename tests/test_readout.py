@@ -1,8 +1,6 @@
 """Ridge-trained linear readout: targets, solvers, NMSE, model files."""
 
 import os
-import re
-import struct
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -13,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc import cache
-from photonrc.cache import CacheRows, CacheWriter
+from photonrc.cache import CacheRows, CacheWriter, read_cache_header
 from photonrc.errors import (
     DegenerateTargetError,
     DimensionError,
@@ -22,7 +20,6 @@ from photonrc.errors import (
     SingularError,
 )
 from photonrc.readout import (
-    READOUT_MAGIC,
     ReadoutModel,
     _mirror_upper,
     apply_readout,
@@ -31,7 +28,6 @@ from photonrc.readout import (
     nmse,
     normal_equations,
     nmse_per_output,
-    read_readout_header,
     save_readout_model,
     train_ridge,
 )
@@ -417,16 +413,6 @@ def test_readout_file_corruption_detected(tmp_path, rng):
     cut.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="truncated"):
         load_readout_model(cut)
-    # the last header field asks for a transform of the states, which no
-    # readout applies: the stored states are what it reads
-    for code in (1, 9):
-        weird = tmp_path / f"weird{code}.bin"
-        head = struct.Struct("<8sQQdI").pack(READOUT_MAGIC, 1, 1, 0.0, code)
-        weird.write_bytes(head + struct.pack("<d", 1.0))
-        message = re.escape(f"{weird}: state-transform code {code}")
-        for read in (read_readout_header, load_readout_model):
-            with pytest.raises(ParseError, match=message):
-                read(weird)
     long = tmp_path / "long.bin"
     long.write_bytes(data + b"\x00" * 8)
     with pytest.raises(ParseError, match="trailing bytes"):
@@ -437,7 +423,8 @@ def test_readout_header_reads_the_shape_without_the_weights(tmp_path, rng):
     model = ReadoutModel(weights=rng.standard_normal((6, 5)), ridge_lambda=0.25)
     path = tmp_path / "readout.bin"
     save_readout_model(model, path)
-    assert read_readout_header(path) == (6, 5, 0.25)
+    rows, cols, meta = read_cache_header(path)
+    assert (rows, cols, meta.tolist()) == (6, 5, [0.25])
 
 
 @pytest.mark.parametrize("damage", ["header", "short", "long"])
@@ -446,7 +433,7 @@ def test_readout_file_size_must_match_its_header(tmp_path, rng, damage):
     save_readout_model(ReadoutModel(weights=rng.standard_normal((6, 5)), ridge_lambda=0.1), path)
     data = path.read_bytes()
     path.write_bytes({"header": data[:20], "short": data[:-1], "long": data + b"\x00"}[damage])
-    for read in (read_readout_header, load_readout_model):
+    for read in (read_cache_header, load_readout_model):
         with pytest.raises(ParseError, match="expected"):
             read(path)
 

@@ -61,6 +61,24 @@ def test_empty_axis_rejected():
         _small_grid(input_gain=())
 
 
+# each gain's first value outside its window, and the message naming it
+OUT_OF_RANGE = {
+    "feedback_gain": ((0.5, 0.05, 2.0), "value 0.05 outside default range [0.1, 1.5]"),
+    "input_gain": ((0.01, 1.5), "value 1.5 outside default range [0.0001, 1.0]"),
+    "coupling_gain": ((0.0,), "value 0.0 outside default range [0.0001, 1.0]"),
+    "coupling_density": ((math.nan,), "value nan outside default range [0.0001, 1.0]"),
+}
+
+
+@pytest.mark.parametrize("gain", OUT_OF_RANGE)
+def test_each_gain_is_checked_against_its_own_window(gain):
+    values, message = OUT_OF_RANGE[gain]
+    with pytest.raises(ValueError) as error:
+        _small_grid(**{gain: values})
+    assert str(error.value) == f"{gain} {message}; set allow_out_of_range to search it anyway"
+    _small_grid(**{gain: values}, allow_out_of_range=True)  # searched anyway
+
+
 def test_out_of_range_values_rejected_by_default():
     with pytest.raises(ValueError, match="outside default range"):
         _small_grid(feedback_gain=(2.0,))
