@@ -57,7 +57,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     # manifest order; the frame index records where each sequence lives.
     index = index_frames(manifest)
     print(f"\nconcatenated stream: {index.total_frames} frames")
-    for seq_id, start, stop, action in index.spans_for()[:4]:
+    for seq_id, start, stop, action in index.all_spans[:4]:
         print(f"  rows {start:>4}..{stop:<4} {seq_id} ({Action(action).label})")
     print("  ...")
 

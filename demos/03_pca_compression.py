@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from photonrc.cache import read_cache
-from photonrc.dataset import Split, index_frames, load_manifest
+from photonrc.dataset import index_frames, load_manifest
 from photonrc.pca import fit_pca, reconstruct, transform
 from photonrc.pipeline import extract_hog
 from photonrc.synthetic import generate_corpus
@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
           f"(layout {layout})")
 
     # Fit on the train split only, exactly as the pipeline does.
-    train = values[index.rows_for(Split.TRAIN)]
+    train = values[index.train_rows]
     model, _ = fit_pca(train, 40)
     print(f"fit on {train.shape[0]} train rows, kept {model.n_components} components")
 

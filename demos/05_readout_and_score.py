@@ -13,7 +13,7 @@ from pathlib import Path
 
 from photonrc.classify import classify_stream, confusion, score_line, write_confusion, write_sequence_results
 from photonrc.cache import read_cache
-from photonrc.dataset import ACTIONS, Split, index_frames, load_manifest
+from photonrc.dataset import ACTIONS, index_frames, load_manifest
 from photonrc.pca import fit_pca, transform
 from photonrc.pipeline import extract_hog
 from photonrc.readout import apply_readout, encode_targets, nmse_per_output, train_ridge
@@ -27,7 +27,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
         resolution=(60, 80), frames_range=(24, 28), seed=5,
     ))
     index = index_frames(manifest)
-    train_rows = index.rows_for(Split.TRAIN)
+    train_rows = index.train_rows
 
     # Features: the HOG stage's cache of every frame, PCA fitted on the train
     # split only.
@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Train on one-hot targets over train rows; lambda defaults to a
     # scale-adaptive value when not given.
-    targets = encode_targets(index.frame_actions()[train_rows])
+    targets = encode_targets(index.actions[train_rows])
     model = train_ridge(states[train_rows], targets)
     print(f"readout weights {model.weights.shape}, "
           f"ridge lambda {model.ridge_lambda:.4g} (auto)")
@@ -58,7 +58,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Per-frame winner-takes-all, then a majority vote per test sequence.
     outputs = apply_readout(model, states)
-    decisions, truths = classify_stream(outputs, index.spans_for(Split.TEST))
+    decisions, truths = classify_stream(outputs, index.test_spans)
     print(f"\n{len(decisions)} test sequences:")
     for d, t in zip(decisions[:4], truths[:4]):
         mark = "ok " if d.class_index == t else "MISS"

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from photonrc.cache import read_cache
-from photonrc.dataset import Split, index_frames, load_manifest
+from photonrc.dataset import index_frames, load_manifest
 from photonrc.pca import fit_pca, transform
 from photonrc.pipeline import extract_hog, prepare_data
 from photonrc.synthetic import generate_corpus
@@ -31,7 +31,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     # the grid, so sweeping hyperparameters is cheap).
     extract_hog(manifest, work / "hog.rcf")
     values, _ = read_cache(work / "hog.rcf")
-    pca, _ = fit_pca(values[index_frames(manifest).rows_for(Split.TRAIN)], 24)
+    pca, _ = fit_pca(values[index_frames(manifest).train_rows], 24)
     data = prepare_data(manifest, transform(pca, values))
     print(f"prepared {data.features.shape[0]} frames, "
           f"{len(data.train_rows)} train / {len(data.test_rows)} test rows")

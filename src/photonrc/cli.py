@@ -190,7 +190,7 @@ def cmd_extract_hog(args):
 
 
 def cmd_pca_fit(args):
-    data = prepare_data(args.manifest, CacheRows(args.features))
+    data = prepare_data(args.manifest, args.features)
     rows = pca_fit_rows(data, args.pca_fit_on)
     out = _out_path(args, args.out, "pca.bin")
     features = os.path.join(os.path.dirname(out), "features.rcf")
@@ -199,7 +199,7 @@ def cmd_pca_fit(args):
         f"wrote {out}: {model.n_components} components over {model.feature_dim} features, "
         f"explained variance {100 * model.explained_fraction():.2f}%"
     )
-    print(f"wrote {features}: {data.targets.shape[0]} frames x {model.n_components} components")
+    print(f"wrote {features}: {data.total_frames} frames x {model.n_components} components")
     return 0
 
 
@@ -234,7 +234,7 @@ def cmd_reservoir_run(args):
 
 
 def cmd_train(args):
-    data = prepare_data(args.manifest, CacheRows(args.states))  # read a chunk at a time
+    data = prepare_data(args.manifest, args.states)  # read a chunk at a time
     model = train_readout(data.features, data, args.ridge_lambda)
     out = _out_path(args, args.out, "readout.bin")
     save_readout_model(model, out)
@@ -246,7 +246,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    data = prepare_data(args.manifest, CacheRows(args.states))  # read a chunk at a time
+    data = prepare_data(args.manifest, args.states)  # read a chunk at a time
     model = load_readout_model(args.model)
     decisions, truths, matrix, _ = evaluate_readout(model, data.features, data)
     out_dir = args.out or args.out_dir

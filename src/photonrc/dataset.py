@@ -27,8 +27,12 @@ names a missing one when it reaches it; every stage after HOG needs only
 the manifest and the caches.
 
 Every sequence is streamed, in manifest order, as one concatenated video
-stream; the splits are sets of its rows (:func:`index_frames`), not
-separate streams.
+stream; the splits are sets of its rows, not separate streams.  One type
+keeps that bookkeeping, :class:`FrameIndex`: each row's action, each
+split's rows and each sequence's row span.  :func:`index_frames` builds it
+from the manifest's splits and :func:`validation_index` with a validation
+split carved out of the train split; this module is the only one that
+turns frame counts into rows and spans.
 
 The manifest is read by :func:`photonrc.cache.read_json`, and each of its
 fields through :func:`photonrc.cache.json_typed`, as every JSON loader reads
@@ -335,53 +339,71 @@ def stream_frames(manifest):
 
 @dataclass(frozen=True)
 class FrameIndex:
-    """Row bookkeeping for the concatenated all-sequences frame stream.
+    """The concatenated stream's row bookkeeping, optionally bound to its rows.
 
-    ``starts[i]:stops[i]`` is the row span of sequence i in manifest order.
+    Row ``t`` is frame ``t`` of :func:`stream_frames`.  ``features`` holds
+    the rows' values, (T, K): a float32 array or a
+    :class:`~photonrc.cache.CacheRows`, or None when no rows are bound
+    (:func:`index_frames`).  ``actions`` holds each row's class index,
+    ``train_rows`` and ``test_rows`` the ascending rows of each split, and
+    ``all_spans`` every sequence's (sequence_id, start, stop, action), in
+    manifest order, of which ``test_spans`` are the test split's.
     """
 
-    sequence_ids: tuple
-    actions: tuple
-    splits: tuple
-    starts: np.ndarray
-    stops: np.ndarray
+    features: object
+    actions: np.ndarray
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    all_spans: tuple
+    test_spans: tuple
 
     @property
     def total_frames(self):
-        return int(self.stops[-1]) if len(self.stops) else 0
+        return self.actions.size
 
-    def rows_for(self, split):
-        """Row indices (into the all-frames stream) belonging to one split."""
-        chunks = [
-            np.arange(self.starts[i], self.stops[i])
-            for i in range(len(self.sequence_ids))
-            if self.splits[i] == split
-        ]
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(chunks)
-
-    def spans_for(self, split=None):
-        """(sequence_id, start, stop, action) tuples, optionally one split."""
-        return [
-            (self.sequence_ids[i], int(self.starts[i]), int(self.stops[i]), self.actions[i])
-            for i in range(len(self.sequence_ids))
-            if split is None or self.splits[i] == split
-        ]
-
-    def frame_actions(self):
-        """Per-frame action labels of every stream row."""
-        return np.repeat(np.array(self.actions, dtype=np.int64), self.stops - self.starts)
+    @property
+    def input_dim(self):
+        return self.features.shape[1]
 
 
 def index_frames(manifest):
-    counts = np.array([s.frame_count for s in manifest.sequences], dtype=np.int64)
+    """The stream index of ``manifest``'s splits, with no rows bound."""
+    return _index(manifest.sequences, [seq.split for seq in manifest.sequences])
+
+
+def validation_index(manifest, validation_fraction, seed):
+    """The stream index with a validation split carved out of the train split.
+
+    ``make_split(train sequences, 1 - validation_fraction, seed)`` relabels
+    the train sequences; the ones it sends to TEST are the validation split,
+    which takes the test split's place.  The real test sequences fall in
+    neither split, and ``all_spans`` still lists every sequence.
+    """
+    sequences = manifest.sequences
+    train = [seq for seq in sequences if seq.split is Split.TRAIN]
+    relabeled = iter(make_split(train, 1.0 - validation_fraction, seed))  # keeps their order
+    splits = [next(relabeled).split if seq.split is Split.TRAIN else None for seq in sequences]
+    return _index(sequences, splits)
+
+
+def _index(sequences, splits):
+    """The index of ``sequences`` streamed in order, sequence i in split ``splits[i]``."""
+    counts = np.array([seq.frame_count for seq in sequences], dtype=np.int64)
     stops = np.cumsum(counts)
-    starts = stops - counts
+    spans = tuple(
+        (seq.sequence_id, int(stop - count), int(stop), seq.action)
+        for seq, count, stop in zip(sequences, counts, stops)
+    )
+    sequence = np.repeat(np.arange(len(sequences)), counts)  # each row's
+
+    def rows(split):
+        return np.flatnonzero(np.array([s is split for s in splits], dtype=bool)[sequence])
+
     return FrameIndex(
-        sequence_ids=tuple(s.sequence_id for s in manifest.sequences),
-        actions=tuple(s.action for s in manifest.sequences),
-        splits=tuple(s.split for s in manifest.sequences),
-        starts=starts,
-        stops=stops,
+        features=None,
+        actions=np.repeat(np.array([seq.action for seq in sequences], dtype=np.int64), counts),
+        train_rows=rows(Split.TRAIN),
+        test_rows=rows(Split.TEST),
+        all_spans=spans,
+        test_spans=tuple(span for span, split in zip(spans, splits) if split is Split.TEST),
     )

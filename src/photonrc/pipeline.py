@@ -4,8 +4,10 @@ The stage bodies are written once here, as plain functions on arrays and
 paths: :func:`extract_hog`, :func:`pca_stage`, :func:`drive_reservoir`,
 :func:`train_readout`, :func:`evaluate_readout` and :func:`write_results`.
 :func:`run_pipeline`, the CLI stage commands
-and the grid trials all call them, and :func:`prepare_data` binds a cache
-of per-frame rows to its manifest's splits for every one of them.
+and the grid trials all call them.  Each reads its rows' bookkeeping from
+one :class:`~photonrc.dataset.FrameIndex`, which :func:`prepare_data`
+binds to a cache of per-frame rows; the readout's one-hot targets are
+encoded from its per-row actions where a stage needs them.
 
 A pipeline run materializes one artifact per stage under its output
 directory.  Artifact names are content-addressed: each stage's file name
@@ -65,7 +67,6 @@ from .cache import (
 )
 from .hog import (
     DEFAULT_CONFIG,
-    HogConfig,
     _vote_table,
     descriptor_layout,
     feature_count,
@@ -79,7 +80,7 @@ from .classify import (
     write_confusion,
     write_sequence_results,
 )
-from .dataset import Split, index_frames, load_manifest, make_split, stream_frames
+from .dataset import index_frames, load_manifest, stream_frames, validation_index
 from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
 from .pca import fit_pca, save_pca_model, transform
 # not called here, as the PCA stage returns the model it saves and every cache
@@ -146,7 +147,6 @@ def file_sha256(path):
 class PipelineConfig:
     manifest_path: str
     out_dir: str
-    hog_config: HogConfig = DEFAULT_CONFIG
     pca_components: int = 2000
     n_nodes: int = 1024
     # the form of the recurrence, "intensity" or "phase"; both read the same
@@ -175,10 +175,11 @@ class PipelineConfig:
         check_ridge_lambda(self.ridge_lambda)
 
     def as_dict(self):
-        """The config as config.json stores it, with the PRNG family."""
+        """The config as config.json stores it, with the PRNG family and the
+        HOG config every run extracts with, :data:`~photonrc.hog.DEFAULT_CONFIG`."""
         doc = asdict(self)
         doc.update(
-            hog=doc.pop("hog_config"), hyperparameters=doc.pop("params"), prng_family=PRNG_FAMILY
+            hog=asdict(DEFAULT_CONFIG), hyperparameters=doc.pop("params"), prng_family=PRNG_FAMILY
         )
         return doc
 
@@ -194,25 +195,9 @@ class PipelineReport:
     out_dir: str
 
 
-@dataclass(frozen=True)
-class PreparedData:
-    """Per-frame rows (HOG, PCA features or states) plus their manifest's row bookkeeping."""
-
-    # (T, K): a float32 array or a CacheRows; None when only rows are bound
-    features: np.ndarray
-    targets: np.ndarray   # (T, 6) one-hot
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    all_spans: tuple      # (sequence_id, start, stop, action) over every sequence
-    test_spans: tuple
-
-    @property
-    def input_dim(self):
-        return self.features.shape[1]
-
-
 def prepare_data(manifest, features, validation_fraction=None, seed=0):
-    """Bind a cache of per-frame rows to its manifest.
+    """Bind a cache of per-frame rows to its manifest: the manifest's
+    :class:`~photonrc.dataset.FrameIndex` with ``features`` set.
 
     ``manifest`` is a Manifest or a path; ``features`` is an array, a
     :class:`CacheRows`, or a cache path, bound as its CacheRows, whose row
@@ -221,8 +206,9 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
     its rows are read a chunk at a time by whichever stage uses them.
 
     With ``validation_fraction`` set, in (0, 1), a stratified validation
-    subset is carved out of the train split and trials score on it instead
-    of the test split, which then stays untouched for the final model.
+    subset is carved out of the train split
+    (:func:`~photonrc.dataset.validation_index`) and trials score on it
+    instead of the test split, which then stays untouched for the final model.
     """
     if validation_fraction is not None and not 0.0 < validation_fraction < 1.0:  # nan too
         raise ValueError(
@@ -232,7 +218,12 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
         manifest = load_manifest(manifest)
     if isinstance(features, (str, os.PathLike)):
         features = CacheRows(features)
-    index = index_frames(manifest)
+    if validation_fraction is None:
+        index = index_frames(manifest)
+    else:
+        index = validation_index(
+            manifest, validation_fraction, derive_stream_seed(seed, "validation")
+        )
     if features is not None:
         if not isinstance(features, CacheRows):
             features = np.asarray(features, dtype=np.float32)
@@ -241,30 +232,7 @@ def prepare_data(manifest, features, validation_fraction=None, seed=0):
                 f"feature cache has {features.shape[0]} rows, "
                 f"manifest counts {index.total_frames} frames"
             )
-    targets = encode_targets(index.frame_actions())
-
-    if validation_fraction is not None:
-        train = [i for i, s in enumerate(manifest.sequences) if s.split is Split.TRAIN]
-        relabeled = make_split(
-            [manifest.sequences[i] for i in train],
-            1.0 - validation_fraction,
-            derive_stream_seed(seed, "validation"),
-        )
-        # TEST after relabeling = validation; the real test sequences get no
-        # role.  make_split keeps order, so roles go back by position.
-        splits = [None] * len(manifest.sequences)
-        for i, s in zip(train, relabeled):
-            splits[i] = s.split
-        index = replace(index, splits=tuple(splits))
-
-    return PreparedData(
-        features=features,
-        targets=targets,
-        train_rows=index.rows_for(Split.TRAIN),
-        test_rows=index.rows_for(Split.TEST),
-        all_spans=tuple(index.spans_for()),
-        test_spans=tuple(index.spans_for(Split.TEST)),
-    )
+    return replace(index, features=features)
 
 
 @contextlib.contextmanager
@@ -308,7 +276,7 @@ def extract_hog(manifest, path, hog_config=DEFAULT_CONFIG):
 
 def pca_fit_rows(data, fit_on):
     """Rows the PCA is fitted on: the train split (``"train"``) or every frame."""
-    return data.train_rows if fit_on == "train" else np.arange(data.targets.shape[0])
+    return data.train_rows if fit_on == "train" else np.arange(data.total_frames)
 
 
 def pca_stage(hog_path, rows, n_components, model_path, features_path):
@@ -418,7 +386,7 @@ def _train_set(states, data):
     array's, or a :class:`CacheRows` of a cache's, which reads none of them."""
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
-    return states[data.train_rows], data.targets[data.train_rows]
+    return states[data.train_rows], encode_targets(data.actions[data.train_rows])
 
 
 def readout_equations(states, data):
@@ -449,7 +417,9 @@ def evaluate_readout(model, states, data):
     if not data.test_spans:
         raise SchemaError("manifest has no test-split sequences")
     decisions, truths = classify_stream(outputs, data.test_spans)
-    per_class = nmse_per_output(outputs[data.test_rows], data.targets[data.test_rows])
+    per_class = nmse_per_output(
+        outputs[data.test_rows], encode_targets(data.actions[data.test_rows])
+    )
     return decisions, truths, confusion(decisions, truths), per_class
 
 
@@ -506,10 +476,10 @@ def run_pipeline(config):
         if not manifest.sequences:
             raise SchemaError(f"{config.manifest_path}: manifest lists no sequences")
         data = prepare_data(manifest, None)
-        n_frames = data.targets.shape[0]
+        n_frames = data.total_frames
         manifest_hash = file_sha256(config.manifest_path)
-        hog_layout = descriptor_layout(manifest.resolution, config.hog_config)
-        feature_dim = feature_count(manifest.resolution, config.hog_config)
+        hog_layout = descriptor_layout(manifest.resolution)
+        feature_dim = feature_count(manifest.resolution)
 
     write_json(os.path.join(out_dir, CONFIG_FILE), config.as_dict())
 
@@ -521,7 +491,7 @@ def run_pipeline(config):
             ("hog", "hog_{}.rcf", n_frames, feature_dim),
         )
         if not reused:
-            extract_hog(manifest, hog_path, config.hog_config)
+            extract_hog(manifest, hog_path)
 
     with _stage("pca"):
         (model_path, features_path), reused = name(

@@ -33,7 +33,7 @@ def tiny_features(tmp_path_factory, tiny_corpus, tiny_manifest):
         "manifest_path": tiny_corpus,
         "hog": str(hog_path),
         "features": str(feat_path),
-        "n_frames": data.targets.shape[0],
+        "n_frames": data.total_frames,
     }
 
 

@@ -179,6 +179,10 @@ def test_empty_sequence_list_is_legal(tmp_path):
     manifest = load_manifest(path)
     assert manifest.sequences == ()
     assert manifest.counts() == {Split.TRAIN: 0, Split.TEST: 0}
+    index = index_frames(manifest)
+    assert index.total_frames == 0
+    assert index.train_rows.size == index.test_rows.size == 0
+    assert index.all_spans == index.test_spans == ()
 
 
 def test_missing_frame_file_is_named(tmp_path):
@@ -341,19 +345,24 @@ def test_stream_rejects_resolution_mismatch(tmp_path, tiny_manifest):
 
 def test_frame_index_bookkeeping(tiny_manifest):
     index = index_frames(tiny_manifest)
+    assert index.features is None
     counts = [s.frame_count for s in tiny_manifest.sequences]
     assert index.total_frames == sum(counts)
-    assert list(index.stops - index.starts) == counts
-    assert index.starts[0] == 0
-    np.testing.assert_array_equal(index.starts[1:], index.stops[:-1])
+    starts = [start for _, start, _, _ in index.all_spans]
+    stops = [stop for _, _, stop, _ in index.all_spans]
+    assert [b - a for a, b in zip(starts, stops)] == counts
+    assert starts[0] == 0
+    assert starts[1:] == stops[:-1]
+    assert [sid for sid, *_ in index.all_spans] == [s.sequence_id for s in tiny_manifest.sequences]
 
-    train_rows = index.rows_for(Split.TRAIN)
-    test_rows = index.rows_for(Split.TEST)
-    together = np.sort(np.concatenate([train_rows, test_rows]))
+    together = np.sort(np.concatenate([index.train_rows, index.test_rows]))
     np.testing.assert_array_equal(together, np.arange(index.total_frames))
+    for seq, (_, start, stop, _) in zip(tiny_manifest.sequences, index.all_spans):
+        rows = index.train_rows if seq.split is Split.TRAIN else index.test_rows
+        assert np.isin(np.arange(start, stop), rows).all()
 
-    actions = index.frame_actions()
-    assert actions.shape == (index.total_frames,)
-    for seq_id, start, stop, action in index.spans_for():
-        assert np.all(actions[start:stop] == int(action))
-    assert len(index.spans_for(Split.TEST)) == tiny_manifest.counts()[Split.TEST]
+    assert index.actions.shape == (index.total_frames,)
+    for seq_id, start, stop, action in index.all_spans:
+        assert np.all(index.actions[start:stop] == int(action))
+    test_ids = [s.sequence_id for s in tiny_manifest.sequences if s.split is Split.TEST]
+    assert [sid for sid, *_ in index.test_spans] == test_ids

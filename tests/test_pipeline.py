@@ -24,7 +24,7 @@ from photonrc.errors import (
     SchemaError,
 )
 from photonrc import pipeline as pipeline_module
-from photonrc.hog import HogConfig, _vote_table
+from photonrc.hog import _vote_table
 from photonrc.pca import fit_pca, save_pca_model, transform
 from photonrc.pipeline import (
     PIPELINE_FILE,
@@ -351,7 +351,7 @@ def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypa
     again = run_pipeline(dataclasses.replace(config, out_dir=str(copy_dir)))
     assert again.score == report.score
     # the evaluate stage's one pass over the state cache is the only read
-    n_frames = prepare_data(config.manifest_path, None).targets.shape[0]
+    n_frames = prepare_data(config.manifest_path, None).total_frames
     assert reads == []
     assert passes == [(report.artifacts["states"], n_frames)]
     for name in (*RESULT_FILES, "pipeline.json"):
@@ -370,7 +370,7 @@ def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
     data = prepare_data(config.manifest_path, None)
     hog = report.artifacts["hog"]
     n_fit = data.train_rows.size
-    n_frames = data.targets.shape[0]
+    n_frames = data.total_frames
     # then the evaluate stage's pass over the reused state cache
     assert passes == [(hog, n_fit), (hog, n_frames - n_fit), (report.artifacts["states"], n_frames)]
     assert reads == []
@@ -647,18 +647,6 @@ def test_hyperparameters_change_reservoir_digest(pipe, tmp_path):
     )
     assert other.digests["hog"] == report.digests["hog"]
     assert other.digests["reservoir"] != report.digests["reservoir"]
-
-
-def test_hog_config_changes_hog_digest(pipe, tmp_path):
-    config, report = pipe
-    other = run_pipeline(
-        dataclasses.replace(
-            config, out_dir=str(tmp_path / "hog12"),
-            hog_config=HogConfig(cell_size=12),
-        )
-    )
-    assert other.digests["hog"] != report.digests["hog"]
-    assert other.digests["pca"] != report.digests["pca"]
 
 
 def test_manifest_bytes_feed_the_hog_digest(pipe, tmp_path):

@@ -57,7 +57,7 @@ def test_row_count_matches_manifest(tiny_manifest):
     from photonrc.dataset import index_frames
 
     index = index_frames(tiny_manifest)
-    targets = encode_targets(index.frame_actions())
+    targets = encode_targets(index.actions)
     assert targets.shape[0] == sum(s.frame_count for s in tiny_manifest.sequences)
 
 

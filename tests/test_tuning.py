@@ -11,7 +11,7 @@ import pytest
 import photonrc.pipeline
 import photonrc.tuning
 from photonrc.cache import read_cache
-from photonrc.dataset import Split, load_manifest
+from photonrc.dataset import FrameIndex, Split, load_manifest
 from photonrc.errors import ParseError, SchemaError
 from photonrc.pipeline import prepare_data
 from photonrc.reservoir import HyperParams
@@ -184,12 +184,13 @@ def test_grid_spec_file_errors(tmp_path):
 
 def test_prepare_data_partitions_rows(prepared, tiny_features):
     total = tiny_features["n_frames"]
+    assert isinstance(prepared, FrameIndex)  # index_frames's type, with features bound
     assert prepared.features.shape == (total, 24)
     # a cache path binds as its CacheRows, which reads its rows as the cache stores them
     features = np.asarray(prepared.features)
     assert features.dtype == np.float32
     np.testing.assert_array_equal(features, read_cache(tiny_features["features"])[0])
-    assert prepared.targets.shape == (total, 6)
+    assert prepared.actions.shape == (total,)
     combined = np.sort(np.concatenate([prepared.train_rows, prepared.test_rows]))
     np.testing.assert_array_equal(combined, np.arange(total))
     assert len(prepared.test_spans) < len(prepared.all_spans)
@@ -227,6 +228,9 @@ def test_validation_fraction_carves_train_split(tiny_features):
         seed=0,
     )
     np.testing.assert_array_equal(carved.test_rows, again.test_rows)
+    # every sequence keeps its span, the real test ones too, so resets at
+    # sequence starts do not depend on the carve
+    assert carved.all_spans == base.all_spans
 
 
 def test_validation_carve_gives_roles_by_position_not_by_id(tiny_manifest):
