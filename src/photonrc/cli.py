@@ -36,10 +36,10 @@ from .pipeline import (
     project,
     reservoir_spec,
     run_pipeline,
-    train_readout,
+    train_set,
     write_results,
 )
-from .readout import load_readout_model, save_readout_model
+from .readout import load_readout_model, save_readout_model, train_ridge
 from .reservoir import HyperParams, load_reservoir_spec, save_reservoir_spec
 from .tuning import best_trial, load_grid_spec, run_grid
 
@@ -235,7 +235,7 @@ def cmd_reservoir_run(args):
 
 def cmd_train(args):
     data = prepare_data(args.manifest, args.states)  # read a chunk at a time
-    model = train_readout(data.features, data, args.ridge_lambda)
+    model = train_ridge(*train_set(data.features, data), ridge_lambda=args.ridge_lambda)
     out = _out_path(args, args.out, "readout.bin")
     save_readout_model(model, out)
     print(

@@ -52,7 +52,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,22 +282,23 @@ def save_manifest(manifest, path):
 # ---------------------------------------------------------------------------
 # Splitting and streaming
 
-def make_split(sequences, train_fraction, seed):
-    """Assign train/test splits, stratified by action class.
+def make_split(actions, train_fraction, seed):
+    """Assign train/test splits to sequences of the given ``actions``,
+    stratified by action class; returns each sequence's :class:`Split`, in
+    input order.
 
     Within each class, a seeded shuffle sends ``floor(train_fraction * n)``
     sequences (clamped so both splits keep at least one sequence when the
     class has two or more) to the train split.  Deterministic in
-    (sequences, train_fraction, seed); the returned list preserves the input
-    order with only the ``split`` field reassigned.
+    (actions, train_fraction, seed).
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    sequences = list(sequences)
+    actions = list(actions)
     rng = np.random.default_rng(seed)
     assignment = {}
     for action in ACTIONS:
-        idx = [i for i, s in enumerate(sequences) if s.action == action]
+        idx = [i for i, a in enumerate(actions) if a == action]
         if not idx:
             continue
         n = len(idx)
@@ -309,7 +310,7 @@ def make_split(sequences, train_fraction, seed):
         order = rng.permutation(n)
         for rank, j in enumerate(order):
             assignment[idx[j]] = Split.TRAIN if rank < n_train else Split.TEST
-    return [replace(seq, split=assignment[i]) for i, seq in enumerate(sequences)]
+    return [assignment[i] for i in range(len(actions))]
 
 
 def stream_frames(manifest):
@@ -374,15 +375,16 @@ def index_frames(manifest):
 def validation_index(manifest, validation_fraction, seed):
     """The stream index with a validation split carved out of the train split.
 
-    ``make_split(train sequences, 1 - validation_fraction, seed)`` relabels
-    the train sequences; the ones it sends to TEST are the validation split,
-    which takes the test split's place.  The real test sequences fall in
-    neither split, and ``all_spans`` still lists every sequence.
+    ``make_split(train sequences' actions, 1 - validation_fraction, seed)``
+    relabels the train sequences; the ones it sends to TEST are the
+    validation split, which takes the test split's place.  The real test
+    sequences fall in neither split, and ``all_spans`` still lists every
+    sequence.
     """
     sequences = manifest.sequences
-    train = [seq for seq in sequences if seq.split is Split.TRAIN]
-    relabeled = iter(make_split(train, 1.0 - validation_fraction, seed))  # keeps their order
-    splits = [next(relabeled).split if seq.split is Split.TRAIN else None for seq in sequences]
+    train = [seq.action for seq in sequences if seq.split is Split.TRAIN]
+    relabeled = iter(make_split(train, 1.0 - validation_fraction, seed))  # in input order
+    splits = [next(relabeled) if seq.split is Split.TRAIN else None for seq in sequences]
     return _index(sequences, splits)
 
 

@@ -1,4 +1,4 @@
-"""Principal component analysis via the covariance method.
+"""Principal component analysis through the covariance or the Gram matrix.
 
 Fitting centers the data and eigendecomposes whichever symmetric matrix is
 smaller: the D x D covariance Z'Z/(n-1) when n >= D, otherwise the n x n
@@ -170,8 +170,12 @@ def fit_pca(data, n_components):
             block = X[:, start:stop]
             block[:k] = scores.T @ block
             start = stop
-        del block  # resize refuses an array that a view still refers to
-        X.resize((k, dim))  # in place: frees the rows past k
+        # in place: frees the rows past k.  No view of X is left once block
+        # is gone (mean and scores are copies), so the reference count is not
+        # checked: a tracer's snapshot of this frame's locals (sys.settrace,
+        # as pdb sets it) holds one more reference to X itself
+        del block
+        X.resize((k, dim), refcheck=False)
         components = X
         scale = np.sqrt(denom * eigenvalues)
         components /= scale[:, None]

@@ -2,12 +2,14 @@
 
 The stage bodies are written once here, as plain functions on arrays and
 paths: :func:`extract_hog`, :func:`pca_stage`, :func:`drive_reservoir`,
-:func:`train_readout`, :func:`evaluate_readout` and :func:`write_results`.
-:func:`run_pipeline`, the CLI stage commands
-and the grid trials all call them.  Each reads its rows' bookkeeping from
-one :class:`~photonrc.dataset.FrameIndex`, which :func:`prepare_data`
-binds to a cache of per-frame rows; the readout's one-hot targets are
-encoded from its per-row actions where a stage needs them.
+:func:`train_set`, :func:`evaluate_readout` and :func:`write_results`.
+:func:`run_pipeline`, the CLI stage commands and the grid trials all call
+them, and train the readout with :func:`~photonrc.readout.train_ridge` on
+the rows and targets :func:`train_set` picks.  Each reads its rows'
+bookkeeping from one :class:`~photonrc.dataset.FrameIndex`, which
+:func:`prepare_data` binds to a cache of per-frame rows; the readout's
+one-hot targets are encoded from its per-row actions where a stage needs
+them.
 
 A pipeline run materializes one artifact per stage under its output
 directory.  Artifact names are content-addressed: each stage's file name
@@ -94,7 +96,6 @@ from .readout import (
     encode_targets,
     load_readout_model,
     nmse_per_output,
-    normal_equations,
     save_readout_model,
     train_ridge,
 )
@@ -349,7 +350,7 @@ def reservoir_spec(n_nodes, input_dim, params, seed):
     )
 
 
-def reservoir_states(specs, inputs, spans=None, out=None):
+def reservoir_states(specs, inputs, spans, out=None):
     """Drive the reservoirs ``specs`` describe with ``inputs``, an array or a
     :class:`CacheRows`; returns their float32 detector readings, or with
     ``out`` set appends them to it a block at a time (:func:`run_reservoir`).
@@ -368,7 +369,7 @@ def reservoir_states(specs, inputs, spans=None, out=None):
     return run_reservoir(matrices, inputs, spans=spans, out=out)
 
 
-def drive_reservoir(spec, features_path, path, spans=None):
+def drive_reservoir(spec, features_path, path, spans):
     """Write the readings of the reservoir ``spec`` describes, driven by the
     feature cache at ``features_path``, to a state cache; returns the row count.
 
@@ -381,29 +382,14 @@ def drive_reservoir(spec, features_path, path, spans=None):
     return features.shape[0]
 
 
-def _train_set(states, data):
-    """The train rows of ``states`` and their targets: a float32 gather of an
-    array's, or a :class:`CacheRows` of a cache's, which reads none of them."""
+def train_set(states, data):
+    """The readout's training data: the train rows of ``states`` and their
+    one-hot targets, for :func:`~photonrc.readout.train_ridge`.  The rows are
+    a float32 gather of an array's, or a :class:`CacheRows` of a cache's,
+    which reads none of them."""
     if data.train_rows.size == 0:
         raise SchemaError("manifest has no train-split sequences")
     return states[data.train_rows], encode_targets(data.actions[data.train_rows])
-
-
-def readout_equations(states, data):
-    """The normal equations of a readout on the train rows of ``states``."""
-    return normal_equations(*_train_set(states, data))
-
-
-def train_readout(states, data, ridge_lambda, normal=None):
-    """Ridge-train the readout on the train rows of ``states``, an array or a
-    :class:`CacheRows`.
-
-    ``normal`` is :func:`readout_equations` of the same states, for a caller
-    that trains several lambdas on them; its train rows are used as they are.
-    """
-    if normal is None:
-        return train_ridge(*_train_set(states, data), ridge_lambda=ridge_lambda)
-    return train_ridge(normal.states, normal.targets, ridge_lambda=ridge_lambda, normal=normal)
 
 
 def evaluate_readout(model, states, data):
@@ -539,7 +525,7 @@ def run_pipeline(config):
             ("readout_model", "readout_{}.bin", N_CLASSES, config.n_nodes),
         )
         if not reused:
-            trained = train_readout(states, data, config.ridge_lambda)
+            trained = train_ridge(*train_set(states, data), ridge_lambda=config.ridge_lambda)
             save_readout_model(trained, readout_path)
         model = load_readout_model(readout_path)
 

@@ -24,7 +24,6 @@ from .dataset import (
     Action,
     Manifest,
     SequenceMeta,
-    Split,
     make_split,
     save_manifest,
     write_pgm,
@@ -184,7 +183,7 @@ def generate_corpus(
     os.makedirs(frame_root, exist_ok=True)
     height, width = resolution
 
-    sequences = []
+    rendered = []  # each sequence's SequenceMeta fields but its split
     for subject in range(1, n_subjects + 1):
         for action in ACTIONS:
             for rep in range(1, n_repetitions + 1):
@@ -197,22 +196,22 @@ def generate_corpus(
                 for t in range(n_frames):
                     pixels = render_frame(action, t, resolution, style, rng)
                     write_pgm(os.path.join(seq_dir, f"frame_{t:05d}.pgm"), pixels)
-                sequences.append(
-                    SequenceMeta(
+                rendered.append(
+                    dict(
                         sequence_id=seq_id,
                         subject=subject,
                         action=action,
                         repetition=rep,
                         frame_count=n_frames,
-                        split=Split.TRAIN,  # reassigned below
                         frame_filename_pattern=f"{seq_id}/frame_%05d.pgm",
                     )
                 )
 
-    sequences = make_split(sequences, train_fraction, seed)
+    splits = make_split([meta["action"] for meta in rendered], train_fraction, seed)
+    sequences = tuple(SequenceMeta(**meta, split=split) for meta, split in zip(rendered, splits))
     # store the root relative to the manifest so the corpus can move
     manifest = Manifest(
-        sequences=tuple(sequences),
+        sequences=sequences,
         resolution=(height, width),
         frame_store_root="frames",
         split_seed=seed,

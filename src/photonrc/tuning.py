@@ -50,14 +50,8 @@ from .cache import json_typed, read_json, replaced, write_json
 from .classify import N_CLASSES
 from .dataset import ACTIONS
 from .errors import FAILURES, SchemaError
-from .pipeline import (
-    evaluate_readout,
-    readout_equations,
-    reservoir_spec,
-    reservoir_states,
-    train_readout,
-)
-from .readout import check_ridge_lambda
+from .pipeline import evaluate_readout, reservoir_spec, reservoir_states, train_set
+from .readout import check_ridge_lambda, normal_equations, train_ridge
 from .reservoir import VARIANTS, HyperParams
 
 # not called here; bound so that perfbench/tracing.py WRAPS can patch them on this module
@@ -71,7 +65,6 @@ from .pipeline import (  # noqa: F401
     nmse_per_output,
     read_cache,
     run_reservoir,
-    train_ridge,
 )
 from .reservoir import generate_matrices  # noqa: F401
 
@@ -211,9 +204,11 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
     :class:`CellGains`, which every result of the group carries.  One
     :func:`reservoir_states` call runs every group's reservoir, whose states
     are float32 as in the pipeline's state cache, so a one-cell grid
-    reproduces a pipeline run bit for bit.  Each group then builds its
-    readout's normal equations once, and its train and evaluate stages run
-    once per lambda.
+    reproduces a pipeline run bit for bit.  Each group then picks its train
+    rows and targets (:func:`~photonrc.pipeline.train_set`) and builds their
+    normal equations once, and every lambda of the group trains its readout
+    on those equations (:func:`~photonrc.readout.train_ridge` with
+    ``normal``) and scores it.
 
     Gains that :class:`HyperParams` rejects, or a failing reservoir, fail
     the whole stack; its groups then run again one at a time, and a
@@ -246,7 +241,8 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
         if error is None:
             group_states = states[:, j * n_nodes:(j + 1) * n_nodes]
             try:
-                normal = readout_equations(group_states, data)
+                train, targets = train_set(group_states, data)
+                normal = normal_equations(train, targets)
             except FAILURES as exc:
                 error = exc
         group_share = share + (time.perf_counter() - start) / len(lambdas)
@@ -255,7 +251,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
             trial_error = error
             if trial_error is None:
                 try:
-                    model = train_readout(group_states, data, lam, normal)
+                    model = train_ridge(train, targets, ridge_lambda=lam, normal=normal)
                     _, _, matrix, per_class = evaluate_readout(model, group_states, data)
                 except FAILURES as exc:
                     trial_error = exc

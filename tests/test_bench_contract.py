@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from photonrc import pipeline, reservoir
+from photonrc import pipeline, reservoir, tuning
 from photonrc.pipeline import PipelineConfig
 from photonrc.cache import CacheRows, read_cache_header, row_chunks
 from photonrc.dataset import index_frames
@@ -121,8 +121,9 @@ def test_run_grid_calls_the_traced_reservoir_and_readout_names(tiny_features, mo
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("run_reservoir", "train_ridge", "apply_readout"):
+    for name in ("run_reservoir", "apply_readout"):
         counting(pipeline, name)
+    counting(tuning, "train_ridge")  # the grid shares each group's normal equations itself
     counting(reservoir, "generate_matrices")
     spec = GridSpec(
         feedback_gain=(0.5, 0.7), input_gain=(0.01,), coupling_gain=(0.1,),

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from photonrc.dataset import (
     read_pgm,
     save_manifest,
     stream_frames,
+    validation_index,
     write_pgm,
 )
 from photonrc.errors import MissingFrameError, ParseError, SchemaError
@@ -250,53 +252,52 @@ def test_malformed_manifest_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # Split assignment
 
-def _class_counts(sequences, split):
+def _class_counts(actions, splits, split):
     out = {a: 0 for a in Action}
-    for seq in sequences:
-        if seq.split is split:
-            out[seq.action] += 1
+    for action, label in zip(actions, splits):
+        if label is split:
+            out[action] += 1
     return out
 
 
 def test_split_600_sequences_into_450_150():
-    sequences = [
-        _meta(subject=s, action=a, rep=r)
-        for a in Action for s in range(1, 26) for r in range(1, 5)
-    ]
-    assert len(sequences) == 600
-    out = make_split(sequences, 0.75, seed=42)
-    train = _class_counts(out, Split.TRAIN)
-    test = _class_counts(out, Split.TEST)
+    actions = [a for a in Action for s in range(1, 26) for r in range(1, 5)]
+    assert len(actions) == 600
+    out = make_split(actions, 0.75, seed=42)
+    train = _class_counts(actions, out, Split.TRAIN)
+    test = _class_counts(actions, out, Split.TEST)
     assert sum(train.values()) == 450 and sum(test.values()) == 150
     assert all(v == 75 for v in train.values())
     assert all(v == 25 for v in test.values())
 
 
 def test_split_four_sequences_three_one():
-    sequences = [_meta(subject=s, action=Action.RUNNING) for s in range(1, 5)]
-    out = make_split(sequences, 0.75, seed=0)
-    splits = [s.split for s in out]
+    splits = make_split([Action.RUNNING] * 4, 0.75, seed=0)
     assert splits.count(Split.TRAIN) == 3
     assert splits.count(Split.TEST) == 1
 
 
 def test_split_is_deterministic_and_order_preserving():
-    sequences = [
-        _meta(subject=s, action=a) for a in Action for s in range(1, 9)
-    ]
-    once = make_split(sequences, 0.6, seed=99)
-    twice = make_split(sequences, 0.6, seed=99)
+    actions = [a for a in Action for s in range(1, 9)]
+    once = make_split(actions, 0.6, seed=99)
+    twice = make_split(actions, 0.6, seed=99)
     assert once == twice
-    assert [s.sequence_id for s in once] == [s.sequence_id for s in sequences]
+    # each label lands at its own sequence's position: interleaving the
+    # classes leaves every class's labels, in order, as they were
+    interleaved = [a for s in range(1, 9) for a in Action]
+    mixed = make_split(interleaved, 0.6, seed=99)
+    for action in Action:
+        assert [label for a, label in zip(interleaved, mixed) if a == action] == [
+            label for a, label in zip(actions, once) if a == action
+        ]
 
 
 def test_split_counts_floor_or_floor_plus_one(rng):
     for _ in range(50):
         n = int(rng.integers(1, 40))
         fraction = float(rng.uniform(0.05, 0.95))
-        sequences = [_meta(subject=s, action=Action.BOXING) for s in range(1, n + 1)]
-        out = make_split(sequences, fraction, seed=int(rng.integers(0, 1 << 30)))
-        n_train = sum(1 for s in out if s.split is Split.TRAIN)
+        out = make_split([Action.BOXING] * n, fraction, seed=int(rng.integers(0, 1 << 30)))
+        n_train = out.count(Split.TRAIN)
         floor = int(np.floor(fraction * n))
         assert n_train in (floor, floor + 1)
         if n >= 2:  # both splits stay populated whenever possible
@@ -304,11 +305,25 @@ def test_split_counts_floor_or_floor_plus_one(rng):
 
 
 def test_split_rejects_degenerate_fractions():
-    sequences = [_meta()]
     with pytest.raises(ValueError):
-        make_split(sequences, 0.0, seed=0)
+        make_split([Action.BOXING], 0.0, seed=0)
     with pytest.raises(ValueError):
-        make_split(sequences, 1.0, seed=0)
+        make_split([Action.BOXING], 1.0, seed=0)
+
+
+def test_a_validation_carve_repeats_no_frame_count_warning():
+    # each sequence is too short for the conforming range, so each drew its
+    # warning once, when it was made
+    sequences = tuple(
+        _meta(subject=s, action=a, count=10) for a in Action for s in range(1, 5)
+    )
+    manifest = Manifest(
+        sequences=sequences, resolution=(8, 8), frame_store_root=".", split_seed=0
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validation_index(manifest, 0.5, seed=0)
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------

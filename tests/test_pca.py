@@ -1,5 +1,7 @@
 """Covariance-method PCA: both eigendecomposition routes, files, errors."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -308,3 +310,24 @@ def test_in_place_fit_equals_the_two_buffer_fit(rng, monkeypatch, shape, k, bloc
         assert scores is None
     else:
         assert scores.tobytes() == expected_scores.tobytes()
+
+
+def test_a_traced_fit_equals_an_untraced_fit(rng):
+    # a Python-level tracer (sys.settrace, as pdb and python -m trace set)
+    # keeps a snapshot of the fit's locals, one more reference to the array
+    # whose rows past k the Gram route frees in place; D = 5,000 is cut into
+    # blocks of 2,048 and 2,952 columns
+    data = rng.standard_normal((300, 5000))
+    model, scores = fit_pca(data, 200)
+
+    def tracer(frame, event, arg):
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        traced, traced_scores = fit_pca(data, 200)
+    finally:
+        sys.settrace(previous)
+    assert traced.components.tobytes() == model.components.tobytes()
+    assert traced_scores.tobytes() == scores.tobytes()

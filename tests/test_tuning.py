@@ -476,7 +476,7 @@ def test_an_interrupted_grid_keeps_the_stacks_it_finished(prepared, monkeypatch,
     monkeypatch.setattr(photonrc.tuning, "STACK_NODES", N_NODES)  # one group to a stack
     spec = _small_grid(ridge_lambda=LAMBDAS)  # two groups of three lambdas
     full = run_grid(spec, prepared)
-    real = photonrc.pipeline.train_ridge
+    real = photonrc.tuning.train_ridge
     trained = []
 
     def interrupted(*args, **kwargs):
@@ -485,7 +485,7 @@ def test_an_interrupted_grid_keeps_the_stacks_it_finished(prepared, monkeypatch,
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(photonrc.pipeline, "train_ridge", interrupted)
+    monkeypatch.setattr(photonrc.tuning, "train_ridge", interrupted)
     log = tmp_path / "grid_log.csv"
     with pytest.raises(KeyboardInterrupt):
         run_grid(spec, prepared, log_path=log)
@@ -495,7 +495,7 @@ def test_an_interrupted_grid_keeps_the_stacks_it_finished(prepared, monkeypatch,
     assert kept.endswith(b"\n") and len(kept.splitlines()) == 1 + 3  # no torn row
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid_log.csv"]
 
-    monkeypatch.setattr(photonrc.pipeline, "train_ridge", real)
+    monkeypatch.setattr(photonrc.tuning, "train_ridge", real)
     calls = _count_reservoir_runs(monkeypatch)
     resumed = run_grid(spec, prepared, log_path=log, resume=True)
     assert len(calls) == 1  # the second group only
@@ -507,14 +507,14 @@ def test_an_interrupted_grid_keeps_the_stacks_it_finished(prepared, monkeypatch,
 def test_a_failing_lambda_fails_only_its_own_cell(prepared, monkeypatch):
     spec = _small_grid(ridge_lambda=LAMBDAS)
     clean = {r.key(): r.score for r in run_grid(spec, prepared, workers=1)}
-    original = photonrc.pipeline.train_ridge
+    original = photonrc.tuning.train_ridge
 
     def fragile(states, targets, ridge_lambda=None, **kwargs):
         if ridge_lambda == 1e-3:
             raise ValueError("boom")
         return original(states, targets, ridge_lambda=ridge_lambda, **kwargs)
 
-    monkeypatch.setattr(photonrc.pipeline, "train_ridge", fragile)
+    monkeypatch.setattr(photonrc.tuning, "train_ridge", fragile)
     results = run_grid(spec, prepared, workers=2)
     for r in results:
         if r.ridge_lambda == 1e-3:
