@@ -61,11 +61,11 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
         print(f"  rows {start:>4}..{stop:<4} {seq_id} ({Action(action).label})")
     print("  ...")
 
-    # Streaming yields the frames of every sequence, in manifest order, with
-    # their position inside the sequence.
+    # Streaming yields the pixels of every frame, in manifest order; row t
+    # of the stream belongs to the sequence whose span holds t.
     first = next(stream_frames(manifest))
-    print(f"\nthe stream starts at {first.sequence_id} "
-          f"frame {first.index_in_sequence}")
+    print(f"\nthe stream starts at {index.all_spans[0][0]} frame 0: "
+          f"{first.shape} {first.dtype}")
 
-    mean_all = np.mean([f.pixels.mean() for f in stream_frames(manifest)])
+    mean_all = np.mean([pixels.mean() for pixels in stream_frames(manifest)])
     print(f"corpus mean intensity {mean_all:.2f} (deterministic for seed 42)")

@@ -58,22 +58,23 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
 
     # Per-frame winner-takes-all, then a majority vote per test sequence.
     outputs = apply_readout(model, states)
-    decisions, truths = classify_stream(outputs, index.test_spans)
-    print(f"\n{len(decisions)} test sequences:")
-    for d, t in zip(decisions[:4], truths[:4]):
-        mark = "ok " if d.class_index == t else "MISS"
-        print(f"  {mark} {d.sequence_id:<22} -> {ACTIONS[d.class_index].label:<13} "
-              f"(top frame share {d.frame_fractions.max():.2f})")
+    votes = classify_stream(outputs, index.test_spans)
+    print(f"\n{len(votes)} test sequences:")
+    for (seq_id, _, _, truth), row in zip(index.test_spans[:4], votes):
+        guess = int(row.argmax())
+        mark = "ok " if guess == truth else "MISS"
+        print(f"  {mark} {seq_id:<22} -> {ACTIONS[guess].label:<13} "
+              f"(top frame share {row.max() / row.sum():.2f})")
     print("  ...")
 
-    cm = confusion(decisions, truths)
+    cm = confusion(votes, [truth for *_, truth in index.test_spans])
     print(f"\nconfusion percentages (rows = truth):")
     for action, row in zip(ACTIONS, cm.percentages):
         print(f"  {action.label:<13} " + " ".join(f"{v:5.1f}" for v in row))
     print(score_line(cm))
 
     # Both result tables serialize to CSV.
-    write_sequence_results(work / "sequence_results.csv", decisions, truths)
+    write_sequence_results(work / "sequence_results.csv", index.test_spans, votes)
     write_confusion(work / "confusion.csv", cm)
     head = (work / "sequence_results.csv").read_text().splitlines()
     print(f"\nsequence_results.csv ({len(head)} lines):")

@@ -45,6 +45,7 @@ written, so a name holds a whole file or none.
 import contextlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -193,6 +194,12 @@ def read_cache(path):
     """
     values, layout = read_container(path, "<f4", None)
     return values, tuple(map(int, layout))
+
+
+# the name of a replaced() block's temporary file: its target's name, ".tmp"
+# and the writer's process id.  Such a file exists while its block runs, and
+# after it only if its process was killed
+_TEMPORARY = re.compile(r".+\.tmp\d+")
 
 
 @contextlib.contextmanager

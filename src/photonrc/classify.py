@@ -1,13 +1,16 @@
 """Winner-takes-all decisions, majority votes, and the confusion score.
 
 Each frame is assigned the class of its strongest readout output, and an
-output that is not finite is a numerical error; a sequence takes the class
-attributed to the most of its frames.  Ties break
-toward the lowest class index at both levels, which keeps every decision
-deterministic.  Aggregating sequence decisions against the ground truth
-gives a 6x6 confusion matrix whose rows are percentages; the score is its
-trace, 600 for perfect classification and about 100 for uniform guessing
-over balanced classes.
+output that is not finite is a numerical error.  :func:`classify_stream`
+counts each sequence's frame votes into one row of an (S, 6) int64 vote
+matrix, one row per span of the frame index, in span order; the span is
+the sequence's one record, so its id and truth are read from it and
+nowhere else.  A sequence takes the class attributed to the most of its
+frames, the argmax of its row.  Ties break toward the lowest class index
+at both levels, which keeps every decision deterministic.  Counting the
+rows' decisions against the ground truth gives a 6x6 confusion matrix
+whose rows are percentages; the score is its trace, 600 for perfect
+classification and about 100 for uniform guessing over balanced classes.
 """
 
 import csv
@@ -20,13 +23,6 @@ from .dataset import ACTIONS, Action
 from .errors import DimensionError, NumericalError
 
 N_CLASSES = len(ACTIONS)
-
-
-@dataclass(frozen=True)
-class SequenceDecision:
-    sequence_id: str
-    class_index: int
-    frame_fractions: np.ndarray  # fraction of frames voting for each class
 
 
 @dataclass(frozen=True)
@@ -59,43 +55,36 @@ def classify_frames(outputs, sequence_id=""):
     return np.argmax(Y, axis=1)  # np.argmax returns the first maximum
 
 
-def classify_sequence(frame_classes, sequence_id=""):
-    """Majority vote over one sequence's frame class indices."""
-    if len(frame_classes) == 0:
-        raise DimensionError("cannot classify an empty sequence")
-    votes = np.bincount(frame_classes, minlength=N_CLASSES)
-    fractions = votes / votes.sum()
-    return SequenceDecision(
-        sequence_id=sequence_id,
-        class_index=int(np.argmax(votes)),
-        frame_fractions=fractions,
-    )
-
-
 def classify_stream(outputs, spans):
-    """Sequence decisions for a concatenated output stream.
+    """The (S, 6) int64 vote matrix of a concatenated output stream: row i
+    counts, per class, the frames of span i that :func:`classify_frames`
+    assigns to it.
 
-    ``spans`` is a list of (sequence_id, start, stop, action) tuples as
-    produced by the frame index; returns (decisions, truth class indices).
+    ``spans`` lists (sequence_id, start, stop, action) tuples as produced
+    by the frame index; an empty span raises DimensionError naming its
+    sequence.
     """
-    Y = np.asarray(outputs, dtype=np.float64)
-    decisions = [
-        classify_sequence(classify_frames(Y[start:stop], sequence_id), sequence_id)
-        for sequence_id, start, stop, _ in spans
-    ]
-    return decisions, [int(action) for *_, action in spans]
+    votes = np.empty((len(spans), N_CLASSES), dtype=np.int64)
+    for row, (sequence_id, start, stop, _) in zip(votes, spans):
+        if stop <= start:
+            raise DimensionError(f"cannot classify the empty sequence {sequence_id!r}")
+        row[:] = np.bincount(classify_frames(outputs[start:stop], sequence_id), minlength=N_CLASSES)
+    return votes
 
 
-def confusion(decisions, truths):
-    """Accumulate sequence decisions into the percentage confusion matrix."""
-    if len(decisions) != len(truths):
-        raise DimensionError("decisions and truths must align")
+def confusion(votes, truths):
+    """The percentage confusion matrix of vote rows against their truth
+    class indices; each row decides for its most-voted class, the lowest on
+    a tie."""
+    truths = np.asarray(truths, dtype=np.int64)
+    if len(votes) != len(truths):
+        raise DimensionError("vote rows and truths must align")
+    outside = truths[(truths < 0) | (truths >= N_CLASSES)]
+    if outside.size:
+        raise DimensionError(f"truth class {outside[0]} outside [0, {N_CLASSES})")
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for decision, truth in zip(decisions, truths):
-        truth = int(truth)
-        if not 0 <= truth < N_CLASSES:
-            raise DimensionError(f"truth class {truth} outside [0, {N_CLASSES})")
-        counts[truth, decision.class_index] += 1
+    # np.argmax returns the first maximum, so a tied row decides for its lowest class
+    np.add.at(counts, (truths, np.argmax(votes, axis=1)), 1)
     row_totals = counts.sum(axis=1)
     percentages = np.zeros((N_CLASSES, N_CLASSES))
     occupied = row_totals > 0
@@ -110,22 +99,19 @@ def confusion(decisions, truths):
 # ---------------------------------------------------------------------------
 # Result files
 
-def write_sequence_results(path, decisions, truths):
-    """Per-sequence CSV: id, truth, decision, and the six frame fractions."""
+def write_sequence_results(path, spans, votes):
+    """Per-sequence CSV: id, truth, decision, and the six frame fractions;
+    each span gives its sequence's id and truth, each vote row the rest."""
     with replaced(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sequence_id", "truth", "decision"]
             + [f"fraction_{a.label}" for a in ACTIONS]
         )
-        for decision, truth in zip(decisions, truths):
+        for (sequence_id, _, _, action), row in zip(spans, votes):
             writer.writerow(
-                [
-                    decision.sequence_id,
-                    Action(int(truth)).label,
-                    Action(decision.class_index).label,
-                ]
-                + [f"{v:.10g}" for v in decision.frame_fractions]
+                [sequence_id, Action(action).label, Action(np.argmax(row)).label]
+                + [f"{v:.10g}" for v in row / row.sum()]
             )
 
 

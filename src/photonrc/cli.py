@@ -248,10 +248,10 @@ def cmd_train(args):
 def cmd_evaluate(args):
     data = prepare_data(args.manifest, args.states)  # read a chunk at a time
     model = load_readout_model(args.model)
-    decisions, truths, matrix, _ = evaluate_readout(model, data.features, data)
+    votes, matrix, _ = evaluate_readout(model, data.features, data)
     out_dir = args.out or args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    print(write_results(out_dir, decisions, truths, matrix))
+    print(write_results(out_dir, data.test_spans, votes, matrix))
     return 0
 
 

@@ -32,7 +32,10 @@ keeps that bookkeeping, :class:`FrameIndex`: each row's action, each
 split's rows and each sequence's row span.  :func:`index_frames` builds it
 from the manifest's splits and :func:`validation_index` with a validation
 split carved out of the train split; this module is the only one that
-turns frame counts into rows and spans.
+turns a sequence into its id, rows and action.  :func:`stream_frames`
+yields each frame's pixels alone, and a span, (sequence_id, start, stop,
+action), is each sequence's one record past this module: a reset reads
+its start, and scoring its id and truth.
 
 The manifest is read by :func:`photonrc.cache.read_json`, and each of its
 fields through :func:`photonrc.cache.json_typed`, as every JSON loader reads
@@ -138,15 +141,6 @@ _PATTERN_RE = re.compile(r"[^%]*%0\d+d[^%]*")
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One grayscale frame: ``pixels`` is a (height, width) uint8 array."""
-
-    pixels: np.ndarray
-    sequence_id: str
-    index_in_sequence: int
-
-
-@dataclass(frozen=True)
 class Manifest:
     sequences: tuple
     resolution: tuple  # (height, width)
@@ -182,6 +176,8 @@ def read_pgm(path):
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError:
         raise ParseError(f"{path}: non-numeric PGM header field") from None
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: PGM dimensions must be positive, got {width} x {height}")
     if not 0 < maxval <= 255:
         raise ParseError(f"{path}: only 8-bit PGM supported (maxval={maxval})")
     pos += 1  # single whitespace byte after maxval
@@ -314,11 +310,11 @@ def make_split(actions, train_fraction, seed):
 
 
 def stream_frames(manifest):
-    """Yield the frames of every sequence, sequence by sequence in manifest
-    order, each sequence's in temporal order: the one concatenated video
-    stream the rest of the pipeline consumes, whose rows :func:`index_frames`
-    assigns to the splits.  An absent frame file raises
-    :class:`MissingFrameError` when the stream reaches it.
+    """Yield the (height, width) uint8 pixels of every frame, sequence by
+    sequence in manifest order, each sequence's in temporal order: the one
+    concatenated video stream the rest of the pipeline consumes, whose rows
+    :func:`index_frames` assigns to the splits and sequences.  An absent
+    frame file raises :class:`MissingFrameError` when the stream reaches it.
     """
     height, width = manifest.resolution
     for seq in manifest.sequences:
@@ -335,7 +331,7 @@ def stream_frames(manifest):
                     f"{seq.sequence_id}[{idx}]: frame is {pixels.shape}, "
                     f"manifest declares {(height, width)}"
                 )
-            yield Frame(pixels=pixels, sequence_id=seq.sequence_id, index_in_sequence=idx)
+            yield pixels
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ the rows and targets :func:`train_set` picks.  Each reads its rows'
 bookkeeping from one :class:`~photonrc.dataset.FrameIndex`, which
 :func:`prepare_data` binds to a cache of per-frame rows; the readout's
 one-hot targets are encoded from its per-row actions where a stage needs
-them.
+them.  :func:`evaluate_readout` returns the test spans' vote matrix
+(:func:`~photonrc.classify.classify_stream`), its confusion matrix
+against the spans' actions and the per-class NMSE; :func:`write_results`
+reads each sequence's id and truth from its span.
 
 A pipeline run materializes one artifact per stage under its output
 directory.  Artifact names are content-addressed: each stage's file name
@@ -64,8 +67,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cache import (
-    CacheRows, CacheWriter, json_typed, read_cache_header, read_json, replaced, row_chunks,
-    write_json,
+    _TEMPORARY, CacheRows, CacheWriter, json_typed, read_cache_header, read_json, replaced,
+    row_chunks, write_json,
 )
 from .hog import (
     DEFAULT_CONFIG,
@@ -268,8 +271,8 @@ def extract_hog(manifest, path, hog_config=DEFAULT_CONFIG):
     dim = feature_count(manifest.resolution, hog_config)
     try:
         with CacheWriter(path, dim, layout=layout) as writer:
-            for frame in stream_frames(manifest):
-                values, _ = hog_descriptor(frame.pixels, hog_config)
+            for pixels in stream_frames(manifest):
+                values, _ = hog_descriptor(pixels, hog_config)
                 writer.append(values)
     finally:
         _vote_table.cache_clear()
@@ -396,23 +399,25 @@ def evaluate_readout(model, states, data):
     """Score a readout on the test spans of ``states``, an array or a
     :class:`CacheRows` read a chunk at a time.
 
-    Returns (sequence decisions, truths, confusion matrix, per-class NMSE
-    over the test rows).
+    Returns (the (S, 6) vote matrix of the S test spans, the confusion
+    matrix of its rows against the spans' actions, per-class NMSE over the
+    test rows).
     """
     outputs = apply_readout(model, states)
     if not data.test_spans:
         raise SchemaError("manifest has no test-split sequences")
-    decisions, truths = classify_stream(outputs, data.test_spans)
+    votes = classify_stream(outputs, data.test_spans)
     per_class = nmse_per_output(
         outputs[data.test_rows], encode_targets(data.actions[data.test_rows])
     )
-    return decisions, truths, confusion(decisions, truths), per_class
+    return votes, confusion(votes, [action for *_, action in data.test_spans]), per_class
 
 
-def write_results(out_dir, decisions, truths, matrix):
-    """Write the :data:`RESULT_FILES` to ``out_dir``; returns the score line."""
+def write_results(out_dir, spans, votes, matrix):
+    """Write the :data:`RESULT_FILES` of the vote matrix ``votes`` of
+    ``spans`` and its confusion ``matrix`` to ``out_dir``; returns the score line."""
     path = {key: os.path.join(out_dir, name) for key, name in RESULT_FILES.items()}
-    write_sequence_results(path["sequence_results"], decisions, truths)
+    write_sequence_results(path["sequence_results"], spans, votes)
     write_confusion(path["confusion"], matrix)
     line = score_line(matrix)
     with replaced(path["score"]) as fh:
@@ -530,8 +535,8 @@ def run_pipeline(config):
         model = load_readout_model(readout_path)
 
     with _stage("evaluate"):
-        decisions, truths, matrix, per_class = evaluate_readout(model, states, data)
-        write_results(out_dir, decisions, truths, matrix)
+        votes, matrix, per_class = evaluate_readout(model, states, data)
+        write_results(out_dir, data.test_spans, votes, matrix)
         artifacts.update(RESULT_FILES)
 
     report = PipelineReport(
@@ -585,7 +590,8 @@ def describe_artifacts(out_dir):
         trials = len(logged_trials(grid_log))
     if not os.path.isfile(summary_path):
         if trials is not None:
-            return f"grid-search directory: {trials} trials logged in {GRID_LOG}"
+            lines = [f"grid-search directory: {trials} trials logged in {GRID_LOG}"]
+            return "\n".join(lines + _temporaries(out_dir))
         raise NotAPipelineDirError(f"{out_dir}: no {PIPELINE_FILE} found")
     summary = read_json(summary_path, _check_summary)
 
@@ -622,4 +628,15 @@ def describe_artifacts(out_dir):
         )
     if trials is not None:
         lines.append(f"  grid search: {trials} trials logged")
-    return "\n".join(lines)
+    return "\n".join(lines + _temporaries(out_dir))
+
+
+def _temporaries(out_dir):
+    """A line for each temporary file of :func:`~photonrc.cache.replaced` in
+    ``out_dir``, with its size: a write still running, or one a killed
+    process left.  None is removed."""
+    return [
+        f"  temporary file: {name} ({os.path.getsize(os.path.join(out_dir, name))} bytes)"
+        for name in sorted(os.listdir(out_dir))
+        if _TEMPORARY.fullmatch(name)
+    ]

@@ -252,7 +252,7 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
             if trial_error is None:
                 try:
                     model = train_ridge(train, targets, ridge_lambda=lam, normal=normal)
-                    _, _, matrix, per_class = evaluate_readout(model, group_states, data)
+                    _, matrix, per_class = evaluate_readout(model, group_states, data)
                 except FAILURES as exc:
                     trial_error = exc
             wall_time = group_share + time.perf_counter() - start

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from photonrc.classify import SequenceDecision, confusion
+from photonrc.classify import confusion
 from photonrc.dataset import load_manifest
 from photonrc.hog import feature_count, hog_descriptor
 from photonrc.pca import fit_pca
@@ -176,14 +176,9 @@ def test_criterion_06_fading_memory():
 
 
 def test_criterion_07_score_metric():
-    fractions = np.eye(6)
-    decisions = []
-    truths = []
-    for c in range(6):
-        for i in range(4):
-            decisions.append(SequenceDecision(f"s{c}_{i}", c, fractions[c]))
-            truths.append(c)
-    perfect = confusion(decisions, truths).score
+    rows = np.eye(6)
+    truths = [c for c in range(6) for _ in range(4)]
+    perfect = confusion(rows[truths], truths).score
     ok = perfect == 600.0
 
     rng = np.random.default_rng(2026)
@@ -191,10 +186,7 @@ def test_criterion_07_score_metric():
     total = 0.0
     for _ in range(n_draws):
         guesses = rng.integers(0, 6, size=24)
-        random_decisions = [
-            SequenceDecision("", int(g), fractions[g]) for g in guesses
-        ]
-        total += confusion(random_decisions, truths).score
+        total += confusion(rows[guesses], truths).score
     mean = total / n_draws
     ok = ok and 95.0 <= mean <= 105.0
     _verdict(7, ok, f"perfect = {perfect:g}, random mean = {mean:.2f}")

@@ -7,7 +7,6 @@ import pytest
 
 from photonrc.classify import (
     classify_frames,
-    classify_sequence,
     classify_stream,
     confusion,
     score_line,
@@ -17,8 +16,15 @@ from photonrc.classify import (
 from photonrc.errors import DimensionError
 
 
-def _decisions(classes):
-    return np.asarray(classes, dtype=np.int64)
+def _votes(*guesses):
+    """One vote row per guess, each all of its frames' votes for that class."""
+    return np.eye(6, dtype=np.int64)[list(guesses)]
+
+
+def _sequence_votes(classes, sequence_id="seq"):
+    """The vote row of one span whose frames decide ``classes``."""
+    outputs = np.eye(6)[np.asarray(classes, dtype=np.int64)]
+    return classify_stream(outputs, [(sequence_id, 0, len(outputs), 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +63,27 @@ def test_wrong_column_count_rejected(rng):
 
 def test_majority_vote_fractions():
     classes = [5] * 745 + [3] * 236 + [0] * 19
-    decision = classify_sequence(_decisions(classes), sequence_id="seq")
-    assert decision.class_index == 5
-    np.testing.assert_allclose(
-        decision.frame_fractions, [0.019, 0.0, 0.0, 0.236, 0.0, 0.745]
-    )
-    assert decision.frame_fractions.sum() == pytest.approx(1.0)
+    votes = _sequence_votes(classes)
+    assert np.argmax(votes) == 5
+    fractions = votes / votes.sum()
+    np.testing.assert_allclose(fractions, [0.019, 0.0, 0.0, 0.236, 0.0, 0.745])
+    assert fractions.sum() == pytest.approx(1.0)
 
 
 def test_unanimous_sequence():
-    decision = classify_sequence(_decisions([2] * 30))
-    assert decision.class_index == 2
-    assert decision.frame_fractions[2] == 1.0
+    votes = _sequence_votes([2] * 30)
+    assert np.argmax(votes) == 2
+    assert votes[2] / votes.sum() == 1.0
 
 
 def test_sequence_tie_breaks_low():
-    decision = classify_sequence(_decisions([3] * 10 + [4] * 10))
-    assert decision.class_index == 3
+    votes = _sequence_votes([3] * 10 + [4] * 10)
+    assert confusion([votes], [3]).counts[3, 3] == 1
 
 
 def test_empty_sequence_rejected():
-    with pytest.raises(DimensionError):
-        classify_sequence([])
+    with pytest.raises(DimensionError, match="'b'"):
+        classify_stream(np.eye(6)[[0]], [("a", 0, 1, 0), ("b", 1, 1, 0)])
 
 
 def test_stream_classification_segments_spans(rng):
@@ -86,18 +91,17 @@ def test_stream_classification_segments_spans(rng):
     outputs[:4, 2] = 1.0   # first sequence votes class 2
     outputs[4:, 5] = 1.0   # second votes class 5
     spans = [("a", 0, 4, 2), ("b", 4, 7, 4)]
-    decisions, truths = classify_stream(outputs, spans)
-    assert [d.sequence_id for d in decisions] == ["a", "b"]
-    assert [d.class_index for d in decisions] == [2, 5]
-    assert truths == [2, 4]
+    votes = classify_stream(outputs, spans)
+    assert votes.dtype == np.int64
+    np.testing.assert_array_equal(votes, [[0, 0, 4, 0, 0, 0], [0, 0, 0, 0, 0, 3]])
+    assert confusion(votes, [span[3] for span in spans]).counts[4, 5] == 1
 
 
 # ---------------------------------------------------------------------------
 # Confusion matrix and score
 
 def test_single_correct_sequence():
-    decisions = [classify_sequence(_decisions([1] * 5), "x")]
-    matrix = confusion(decisions, [1])
+    matrix = confusion(_votes(1), [1])
     assert matrix.score == 100.0
     assert matrix.percentages[1, 1] == 100.0
     assert matrix.counts.sum() == 1
@@ -107,25 +111,17 @@ def test_single_correct_sequence():
 
 
 def test_perfect_balanced_classification_scores_600():
-    decisions = []
-    truths = []
-    for c in range(6):
-        for _ in range(25):
-            decisions.append(classify_sequence(_decisions([c] * 9), f"s{c}"))
-            truths.append(c)
-    matrix = confusion(decisions, truths)
+    truths = [c for c in range(6) for _ in range(25)]
+    matrix = confusion(9 * _votes(*truths), truths)
     assert matrix.score == 600.0
     assert matrix.populated_rows == 6
     np.testing.assert_array_equal(matrix.counts, 25 * np.eye(6, dtype=np.int64))
 
 
 def test_rows_are_stochastic(rng):
-    decisions = [
-        classify_sequence(_decisions([int(rng.integers(0, 6))] * 4), str(i))
-        for i in range(60)
-    ]
+    votes = 4 * _votes(*(int(rng.integers(0, 6)) for _ in range(60)))
     truths = [int(rng.integers(0, 6)) for _ in range(60)]
-    matrix = confusion(decisions, truths)
+    matrix = confusion(votes, truths)
     sums = matrix.percentages.sum(axis=1)
     occupied = matrix.counts.sum(axis=1) > 0
     np.testing.assert_allclose(sums[occupied], 100.0, atol=1e-9)
@@ -134,9 +130,7 @@ def test_rows_are_stochastic(rng):
 
 
 def test_score_600_requires_diagonal_counts():
-    decisions = [classify_sequence(_decisions([0] * 3), "a"),
-                 classify_sequence(_decisions([2] * 3), "b")]
-    matrix = confusion(decisions, [0, 1])  # second sequence is wrong
+    matrix = confusion(3 * _votes(0, 2), [0, 1])  # second sequence is wrong
     assert matrix.score < 600.0
     assert matrix.counts[1, 2] == 1
 
@@ -144,17 +138,10 @@ def test_score_600_requires_diagonal_counts():
 def test_permuting_classes_permutes_the_matrix(rng):
     truths = [int(rng.integers(0, 6)) for _ in range(120)]
     guesses = [int(rng.integers(0, 6)) for _ in range(120)]
-    matrix = confusion(
-        [classify_sequence(_decisions([g] * 3), str(i)) for i, g in enumerate(guesses)],
-        truths,
-    )
+    matrix = confusion(3 * _votes(*guesses), truths)
     perm = rng.permutation(6)
     permuted = confusion(
-        [
-            classify_sequence(_decisions([int(perm[g])] * 3), str(i))
-            for i, g in enumerate(guesses)
-        ],
-        [int(perm[t]) for t in truths],
+        3 * _votes(*(int(perm[g]) for g in guesses)), [int(perm[t]) for t in truths]
     )
     np.testing.assert_allclose(
         permuted.percentages[np.ix_(perm, perm)], matrix.percentages, atol=1e-12
@@ -162,22 +149,31 @@ def test_permuting_classes_permutes_the_matrix(rng):
     assert permuted.score == pytest.approx(matrix.score, abs=1e-9)
 
 
+def test_counts_match_a_loop_over_the_rows(rng):
+    votes = rng.integers(0, 3, size=(200, 6))  # few votes, so many rows tie
+    truths = rng.integers(0, 6, size=200)
+    expected = np.zeros((6, 6), dtype=np.int64)
+    for row, truth in zip(votes, truths):
+        winner = max(range(6), key=lambda c: (row[c], -c))  # the lowest most-voted class
+        expected[truth, winner] += 1
+    np.testing.assert_array_equal(confusion(votes, truths).counts, expected)
+
+
 def test_confusion_validation():
     with pytest.raises(DimensionError):
-        confusion([classify_sequence(_decisions([0]), "a")], [0, 1])
-    with pytest.raises(DimensionError):
-        confusion([classify_sequence(_decisions([0]), "a")], [7])
+        confusion(_votes(0), [0, 1])
+    with pytest.raises(DimensionError, match=r"truth class 7 outside \[0, 6\)"):
+        confusion(_votes(0), [7])
 
 
 # ---------------------------------------------------------------------------
 # Result files
 
 def test_sequence_results_csv(tmp_path):
-    decisions = [
-        classify_sequence(_decisions([5] * 3 + [3] * 1), "s01_walking_r1"),
-    ]
+    spans = [("s01_walking_r1", 0, 4, 5)]
+    votes = [_sequence_votes([5] * 3 + [3] * 1, "s01_walking_r1")]
     path = tmp_path / "sequence_results.csv"
-    write_sequence_results(path, decisions, [5])
+    write_sequence_results(path, spans, votes)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -191,8 +187,7 @@ def test_sequence_results_csv(tmp_path):
 
 
 def test_confusion_csv_and_score_line(tmp_path):
-    decisions = [classify_sequence(_decisions([0] * 4), "a")]
-    matrix = confusion(decisions, [0])
+    matrix = confusion(4 * _votes(0), [0])
     path = tmp_path / "confusion.csv"
     write_confusion(path, matrix)
     with open(path, newline="") as fh:

@@ -389,6 +389,28 @@ def test_describe_rejects_a_log_that_is_not_a_grid_log(cli_env, tmp_path, capsys
     assert str(log) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["pipeline", "grid"])
+def test_describe_lists_the_temporary_files_a_killed_write_left(cli_env, tmp_path, capsys, kind):
+    if kind == "pipeline":
+        run = ["--out-dir", str(tmp_path), "pipeline", "run", "--manifest", cli_env["manifest"]]
+        assert main(run + _RUN_FLAGS) == 0
+    else:
+        assert main(_gridsearch_argv(cli_env, tmp_path)) == 0
+    capsys.readouterr()
+    assert main(["describe", str(tmp_path)]) == 0
+    clean = capsys.readouterr().out
+    assert "temporary" not in clean
+    (tmp_path / "states_0.rcf.tmp4242").write_bytes(b"torn")
+    (tmp_path / "grid_log.csv.tmp17").write_bytes(b"")
+    (tmp_path / "notes.tmp").write_bytes(b"no pid")  # not a name replaced() writes
+    assert main(["describe", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == clean + (
+        "  temporary file: grid_log.csv.tmp17 (0 bytes)\n"
+        "  temporary file: states_0.rcf.tmp4242 (4 bytes)\n"
+    )
+    assert (tmp_path / "states_0.rcf.tmp4242").read_bytes() == b"torn"  # describe removes none
+
+
 # ---------------------------------------------------------------------------
 # Usage errors (exit 1)
 
@@ -1085,6 +1107,18 @@ def test_a_missing_frame_fails_the_hog_stage_and_a_rerun_recomputes_it(tmp_path,
     assert main(run) == 0
     for name in (*artifacts.values(), "pipeline.json"):
         assert (torn / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def test_an_empty_test_sequence_fails_evaluate_naming_it(tmp_path, capsys):
+    manifest, _ = _small_corpus(tmp_path / "corpus")
+    doc = json.loads(Path(manifest).read_text())
+    empty = next(seq for seq in doc["sequences"] if seq["split"] == "test")
+    empty["frame_count"] = 0  # legal, with a warning
+    Path(manifest).write_text(json.dumps(doc))
+    run = ["--out-dir", str(tmp_path / "run"), "pipeline", "run", "--manifest", manifest]
+    assert main(run + _RUN_FLAGS) == 2
+    message = f"cannot classify the empty sequence {empty['sequence_id']!r}"
+    assert f"stage 'evaluate' failed: {message}" in capsys.readouterr().err
 
 
 def test_pca_fit_writes_the_features_beside_the_model(cli_env, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from photonrc.dataset import (
     Action,
-    Frame,
     Manifest,
     SequenceMeta,
     Split,
@@ -157,6 +156,14 @@ def test_pgm_rejects_truncation_and_deep_maxval(tmp_path):
         read_pgm(path)
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(ParseError):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("dims", ["-5 4", "4 -5", "-1 -1", "0 4", "4 0", "0 0"])
+def test_pgm_rejects_dimensions_below_one(tmp_path, dims):
+    path = tmp_path / "dims.pgm"
+    path.write_bytes(f"P5\n{dims}\n255\n".encode("ascii") + bytes(64))
+    with pytest.raises(ParseError, match="dimensions must be positive"):
         read_pgm(path)
 
 
@@ -338,11 +345,12 @@ def test_stream_order_and_content(tiny_manifest):
     stream = stream_frames(tiny_manifest)
     for seq in tiny_manifest.sequences:
         for idx in range(seq.frame_count):
-            frame = next(stream)
-            assert isinstance(frame, Frame)
-            assert frame.sequence_id == seq.sequence_id
-            assert frame.index_in_sequence == idx
-            assert frame.pixels.shape == tiny_manifest.resolution
+            pixels = next(stream)
+            assert pixels.dtype == np.uint8
+            assert pixels.shape == tiny_manifest.resolution
+            np.testing.assert_array_equal(
+                pixels, read_pgm(seq.frame_path(tiny_manifest.frame_store_root, idx))
+            )
     with pytest.raises(StopIteration):
         next(stream)
 

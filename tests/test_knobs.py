@@ -1,13 +1,16 @@
-"""The package's settable values and code lines are counted, so a new knob
-or a longer package is a visible edit of :data:`SETTABLE_VALUES` or
-:data:`CODE_LINES`.
+"""The package's settable values, code lines and public names are counted,
+so a new knob, a longer package or a new public name is a visible edit of
+:data:`SETTABLE_VALUES`, :data:`CODE_LINES` or :data:`PUBLIC_NAMES`.
 
 A settable value is an optional parameter of a public function or method
 (``__init__`` included, other dunders not), or a field of a public
 dataclass, in ``src/photonrc``: each is a value a caller can set, which a
 test or a caller has to justify.  A code line is a line of a module in
 ``src/photonrc`` that holds a token other than a comment, outside the
-docstrings of the module, its classes and its functions.
+docstrings of the module, its classes and its functions.  A public name is
+a module-level ``def``, ``class`` or assigned name in ``src/photonrc`` that
+does not start with ``_``; the names ``__init__`` re-exports are imports,
+so they do not count.
 """
 
 import ast
@@ -17,8 +20,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "photonrc"
 
-SETTABLE_VALUES = 121
-CODE_LINES = 2323
+SETTABLE_VALUES = 114
+CODE_LINES = 2310
+PUBLIC_NAMES = 166
 
 # tokens that hold no code: comments, line ends and the indentation markers
 _NOT_CODE = {
@@ -98,4 +102,27 @@ def test_code_lines_are_pinned():
     assert count <= CODE_LINES, (
         f"{count} code lines, {CODE_LINES} pinned: the package grew, so lower what it "
         "no longer needs or raise CODE_LINES with a reason"
+    )
+
+
+def public_names(tree):
+    """The public names a module's AST defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_public_names_are_pinned():
+    count = sum(
+        len(public_names(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in PACKAGE.glob("*.py")
+    )
+    assert count <= PUBLIC_NAMES, (
+        f"{count} public names, {PUBLIC_NAMES} pinned: a new name needs a caller outside "
+        "its module, or a leading underscore, and an edit of PUBLIC_NAMES"
     )
