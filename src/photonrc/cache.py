@@ -209,16 +209,36 @@ def replaced(path, mode="w"):
     temporary one beside ``path``, renamed over it when the block exits, so
     ``path`` holds its old bytes or all the new ones; if the block raises,
     the temporary file is removed.  Every file photonrc writes reaches its
-    name through here."""
+    name through here.  Another ``path`` temporary file whose process no
+    longer runs, which a killed write left, is removed first."""
     tmp = f"{path}.tmp{os.getpid()}"
     fh = open(tmp, mode) if "b" in mode else open(tmp, mode, encoding="utf-8", newline="")
     try:
         with fh:
+            _remove_dead_temporaries(path)
             yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def _remove_dead_temporaries(path):
+    """Remove each ``<path>.tmp<pid>`` whose pid no live process has, where
+    ``os.kill(pid, 0)`` raises ProcessLookupError; a running writer's file
+    stays, whoever runs it."""
+    folder, name = os.path.split(os.fspath(path))
+    for entry in os.listdir(folder or "."):
+        written = re.fullmatch(re.escape(name) + r"\.tmp(\d+)", entry)
+        if written is None:
+            continue
+        try:
+            os.kill(int(written[1]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):  # another run removed it first
+                os.remove(os.path.join(folder, entry))
+        except (PermissionError, OverflowError):  # another user's process; no pid at all
+            pass
 
 
 def write_json(path, doc):

@@ -18,17 +18,25 @@ allows.
 
 With at least as many train rows as nodes (the primal route) the states
 are read once, a chunk of rows at a time (:func:`~photonrc.cache.row_chunks`),
-and each chunk's K'K is added into the upper triangle of one Gram
-(``dsyrk``).  Its lower triangle then takes a copy, which stays while the
-upper one is regularized and factored in place.  With fewer rows (the dual
-route) the equations are solved through (KK' + lambda I) A = D with
+and each chunk's K'K is added into the upper triangle of one float64 Gram.
+A chunk of float32 readings with 0 <= j <= 1023, one-hot targets and
+rows * max j^2 <= 2^24 is summed in float32, which is then exact too: its
+levels are made in float32, 32 rows at a time, in the chunk's own buffer
+when it was read from a state cache (a caller's array is never written),
+and its K'K is added one float32 GEMM panel of columns at a time.  Any
+other chunk, and every chunk after it, is summed by ``dsyrk`` over its
+float64 levels, so either way the sums, and the bytes of every readout,
+are the same.  The Gram's lower triangle then takes a copy, which stays
+while the upper one is regularized and factored in place.  With fewer rows
+(the dual route) the equations are solved through (KK' + lambda I) A = D with
 W = K'A, over the levels of every train row, which satisfies the same
 normal equations exactly and yields the minimum-norm interpolator at
 lambda = 0.  Either route must leave a relative residual of at most 1e-6
 on the primal normal equations, taken with the kept Gram or the kept
-levels, or training fails with SingularError.  So training holds one Gram
-and one chunk of rows at a time, or, on the dual route, the levels of
-every train row.
+levels, or training fails with SingularError.  So training holds one Gram,
+one chunk of rows with its levels (the float32 route: in the chunk itself,
+and one panel of K'K) at a time, or, on the dual route, the levels of every
+train row.
 
 A model file is a float64 container (:mod:`photonrc.cache`) of the M x N
 weights whose one meta value is lambda.  It is read only if it is exactly
@@ -58,6 +66,12 @@ DEFAULT_LAMBDA_SCALE = 1e-4  # lambda = scale * trace(X'X) / N when unspecified
 LEVELS = INTENSITY_LEVELS - 1  # a detector reading is j / LEVELS for an integer j
 # rows per block of the level conversion, so its temporaries fit in the CPU cache
 _LEVEL_ROWS = 32
+_LEVELS32 = np.float32(LEVELS)
+# float32 holds every integer up to 2^24, so a float32 sum of non-negative
+# integers whose total is at most this is exact in any order
+_FLOAT32_EXACT = 2**24
+# Gram columns per float32 GEMM panel; its product is _PANEL x N float32
+_PANEL = 256
 
 
 def encode_targets(frame_classes):
@@ -125,7 +139,10 @@ class NormalEquations:
     :class:`~photonrc.cache.CacheRows`; ``gram`` is K'K when there are at
     least as many rows as columns (the primal route) and KK' otherwise (the
     dual route), with ``dual_levels`` then K itself, in Fortran order and
-    exactly symmetric; ``rhs`` is K'D.
+    exactly symmetric; ``rhs`` is K'D.  On the primal route a chunk of
+    float32 readings with one-hot targets and rows * max j^2 <= 2^24 adds
+    its sums in float32, exactly, and any other chunk in float64; the
+    float64 ``gram`` and ``rhs`` are the same either way.
     """
 
     states: object
@@ -165,9 +182,60 @@ def normal_equations(states, targets):
         return NormalEquations(states, D, gram, K.T @ D, dual_levels=K)
     gram = np.zeros((cols, cols), order="F")
     rhs = np.zeros((cols, D.shape[1]))
+    # once a chunk's sums are not exact in float32, the Gram may hold
+    # non-integers, whose rounding only dsyrk's order of additions keeps
+    exact = True
     for first, chunk in row_chunks(states):
-        gram = _add_chunk(gram, rhs, levels(chunk), D[first : first + chunk.shape[0]])
+        d = D[first : first + chunk.shape[0]]
+        K = _float32_levels(chunk, d, isinstance(states, CacheRows)) if exact else None
+        exact = K is not None
+        if exact:
+            _add_float32_chunk(gram, rhs, K, d)
+        else:
+            gram = _add_chunk(gram, rhs, levels(chunk), d)
+        del chunk, K  # so the next chunk is read with none held
     return NormalEquations(states, D, _mirror_upper(gram), rhs)
+
+
+def _float32_levels(x, targets, in_place):
+    """The levels of the float32 readings ``x`` in float32, made 32 rows at a
+    time in ``x`` itself when ``in_place`` and in a new array otherwise; or
+    None, with ``x`` as it was, unless the chunk's sums are exact in float32.
+
+    They are when every entry is a reading j / LEVELS with 0 <= j <= LEVELS,
+    by :func:`levels`' test taken in float32 (equal to its float64 one for
+    each such j), the ``targets`` are 0 or 1, and rows * max j^2 <= 2^24:
+    every partial sum of K'K and K'D is then an integer of at most 2^24.
+    """
+    rows = x.shape[0]
+    if x.dtype != np.float32 or not np.array_equal(targets, targets.astype(bool)):
+        return None
+    K = x if in_place else np.empty(x.shape, np.float32)
+    j = np.empty((min(rows, _LEVEL_ROWS), x.shape[1]), np.float32)
+    top = 0.0
+    for a in range(0, rows, _LEVEL_ROWS):
+        xb = x[a : a + _LEVEL_ROWS]
+        jb = j[: xb.shape[0]]
+        np.rint(np.multiply(xb, _LEVELS32, out=jb), out=jb)
+        top = max(top, float(jb.max()))
+        if not (jb.min() >= 0 and top <= LEVELS and rows * top * top <= _FLOAT32_EXACT
+                and np.array_equal(jb / _LEVELS32, xb)):
+            if in_place:  # each level j of a block that passed divides back to its x
+                np.divide(x[:a], _LEVELS32, out=x[:a])
+            return None
+        K[a : a + _LEVEL_ROWS] = jb
+    return K
+
+
+def _add_float32_chunk(gram, rhs, K, D):
+    """Add K'K to the upper triangle of ``gram``, in place, and K'D to ``rhs``,
+    for levels K that :func:`_float32_levels` made: each float32 product is
+    exact, and a panel of ``gram``'s columns takes one at a time."""
+    rhs += K.T @ D.astype(np.float32)
+    n = gram.shape[0]
+    for p0 in range(0, n, _PANEL):
+        p1 = min(p0 + _PANEL, n)
+        gram[:p1, p0:p1] += (K[:, p0:p1].T @ K[:, :p1]).T
 
 
 def _add_chunk(gram, rhs, K, D):

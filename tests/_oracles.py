@@ -4,7 +4,9 @@ These deliberately avoid the vectorized code paths of the package: plain
 Python loops, one pixel and one block at a time, so a bug in the fast path
 cannot hide in its own reflection.  :func:`version_1_bytes` writes the
 per-kind binary formats an earlier photonrc wrote, for the tests of how
-the container reader treats them.
+the container reader treats them.  :func:`count_ridge_routes` counts the
+chunks the ridge sums take in float32 and in float64, and can refuse the
+float32 sums, which leaves the float64 ones as the reference.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 
 from photonrc.cache import read_cache, read_cache_header
 from photonrc.pca import load_pca_model
+from photonrc import readout
 from photonrc.readout import load_readout_model
 
 
@@ -254,3 +257,22 @@ def version_1_bytes(path):
     model = load_pca_model(path)
     head = b"RCPCA001" + u64(*model.components.shape, model.n_samples) + f64(model.total_variance)
     return head + b"".join(a.tobytes() for a in (model.mean, model.eigenvalues, model.components))
+
+
+def count_ridge_routes(monkeypatch, float64=False):
+    """A count of the primal ridge route's chunks by the sums they take, which
+    ``monkeypatch`` keeps; ``float64=True`` refuses every chunk the float32
+    sums, which gives the float64 route alone."""
+    chunks = {"float32": 0, "float64": 0}
+
+    def counted(route, add_chunk):
+        def add(*args):
+            chunks[route] += 1
+            return add_chunk(*args)
+        return add
+
+    if float64:
+        monkeypatch.setattr(readout, "_float32_levels", lambda *args: None)
+    monkeypatch.setattr(readout, "_add_float32_chunk", counted("float32", readout._add_float32_chunk))
+    monkeypatch.setattr(readout, "_add_chunk", counted("float64", readout._add_chunk))
+    return chunks

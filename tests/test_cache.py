@@ -1,7 +1,10 @@
 """The binary container: round trips, headers, corruption, kinds; the JSON rule."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +349,21 @@ def test_a_write_that_raises_leaves_the_old_file_and_no_temporary_one(tmp_path):
             writer.append(np.zeros((2, 4)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
     assert path.read_bytes() == old
+
+
+def test_a_write_removes_the_temporary_files_of_dead_writers_only(tmp_path):
+    # a killed write's file names an exited process; a running writer's, a live one
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0
+    dead, live = child.pid, os.getppid()
+    for name in (f"doc.json.tmp{dead}", f"doc.json.tmp{live}", f"other.json.tmp{dead}",
+                 "doc.json.tmpx"):
+        (tmp_path / name).write_bytes(b"torn")
+    write_json(tmp_path / "doc.json", {"a": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["doc.json", f"doc.json.tmp{live}", f"other.json.tmp{dead}", "doc.json.tmpx"]
+    )
+    assert (tmp_path / f"doc.json.tmp{live}").read_bytes() == b"torn"
 
 
 # the loaders of the four JSON documents; each field they read gets its type

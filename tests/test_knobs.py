@@ -21,7 +21,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "photonrc"
 
 SETTABLE_VALUES = 114
-CODE_LINES = 2310
+CODE_LINES = 2360
 PUBLIC_NAMES = 166
 
 # tokens that hold no code: comments, line ends and the indentation markers

@@ -38,7 +38,7 @@ from photonrc.pipeline import (
 from photonrc.reservoir import HyperParams
 from photonrc.tuning import GridSpec, run_grid, run_trial
 
-from _oracles import fix_signs_oracle, float32_ulps, version_1_bytes
+from _oracles import count_ridge_routes, fix_signs_oracle, float32_ulps, version_1_bytes
 
 PARAMS = HyperParams(
     feedback_gain=0.8, input_gain=0.01, coupling_gain=0.1, coupling_density=0.05
@@ -403,6 +403,24 @@ def test_single_cell_trial_matches_pipeline(pipe):
     result = run_trial(data, config.n_nodes, config.params, config.ridge_lambda, config.seed)
     assert result.score == report.score
     np.testing.assert_array_equal(result.nmse_per_class, report.nmse_per_class)
+
+
+def test_a_pipeline_run_sums_every_chunk_of_its_states_in_float32(pipe, tmp_path, monkeypatch):
+    # the float64 sums give the same bytes, so only a count shows that a
+    # run's own states, small detector levels, never fall back to them
+    config, report = pipe
+    clone = tmp_path / "train"
+    shutil.copytree(report.out_dir, clone)
+    readout_file = report.artifacts["readout_model"]
+    (clone / readout_file).unlink()
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+    chunks = count_ridge_routes(monkeypatch)
+    run_pipeline(dataclasses.replace(config, out_dir=str(clone)))
+    train_rows = prepare_data(config.manifest_path, None).train_rows.size
+    assert train_rows >= config.n_nodes  # the primal route
+    assert chunks == {"float32": len(cache.chunk_stops(train_rows)), "float64": 0}
+    assert chunks["float32"] > 1
+    assert (clone / readout_file).read_bytes() == (Path(report.out_dir) / readout_file).read_bytes()
 
 
 def test_overlong_hog_cache_is_recomputed_on_reuse(pipe, tmp_path):

@@ -3,6 +3,7 @@
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonrc import cache
+from photonrc import cache, readout
 from photonrc.cache import CacheRows, CacheWriter, read_cache_header
 from photonrc.errors import (
     DegenerateTargetError,
@@ -21,9 +22,11 @@ from photonrc.errors import (
 )
 from photonrc.readout import (
     ReadoutModel,
+    _float32_levels,
     _mirror_upper,
     apply_readout,
     encode_targets,
+    levels,
     load_readout_model,
     nmse,
     normal_equations,
@@ -32,7 +35,7 @@ from photonrc.readout import (
     train_ridge,
 )
 from photonrc.reservoir import RESPONSE
-from _oracles import ridge_oracle
+from _oracles import count_ridge_routes, ridge_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,11 @@ def _integer_levels(states):
     return np.rint(1023.0 * np.asarray(states, dtype=np.float64))
 
 
+def _readings(levels):
+    """The float32 readings j / 1023 of integer levels j, as a state cache holds them."""
+    return (np.asarray(levels) / 1023).astype(np.float32)
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("rows, cols", [(150, 100), (100, 300)], ids=["primal", "dual"])
 def test_normal_equations_gram_is_exactly_symmetric_for_every_layout(rng, layout, rows, cols):
@@ -217,13 +225,22 @@ def _state_cache(path, states):
     return CacheRows(path)
 
 
-@pytest.mark.parametrize("rows", [600, 300])  # the primal and the dual route
-def test_ridge_training_holds_one_gram_and_two_chunks(tmp_path, rng, monkeypatch, rows):
+@pytest.mark.parametrize(
+    "rows, top, chunk_rows",
+    [
+        pytest.param(600, 1023, 128, id="600"),  # the primal route, in float64
+        pytest.param(300, 1023, 128, id="300"),  # the dual route
+        # the primal route in float32: chunks of 512 and 688 rows, whose
+        # float64 levels would outgrow the budget by 1.7 MB
+        pytest.param(1200, 15, 512, id="float32"),
+    ],
+)
+def test_ridge_training_holds_one_gram_and_two_chunks(tmp_path, rng, monkeypatch, rows, top,
+                                                       chunk_rows):
     # the train rows stay in a state cache, read a chunk at a time
-    chunk_rows = 128
     monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
     n = 400
-    states = _state_cache(tmp_path / "states.rcf", RESPONSE[rng.integers(0, 256, size=(rows, n))])
+    states = _state_cache(tmp_path / "states.rcf", _readings(rng.integers(0, top + 1, (rows, n))))
     D = encode_targets(rng.integers(0, 6, size=rows))
     tracemalloc.start()
     try:
@@ -231,7 +248,12 @@ def test_ridge_training_holds_one_gram_and_two_chunks(tmp_path, rng, monkeypatch
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if rows >= n:
+    if rows >= n and rows * top**2 <= 2**24:
+        # the N x N Gram, one longest chunk in float32, converted in place,
+        # and one float32 panel of K'K
+        longest = max(np.diff([0] + cache.chunk_stops(rows)))
+        budget = 8 * n * n + 4 * longest * n + 4 * readout._PANEL * n
+    elif rows >= n:
         # the N x N Gram and two of the longest chunks in float64 levels
         budget = 8 * n * n + 2 * 8 * (3 * chunk_rows // 2) * n
     else:
@@ -270,6 +292,125 @@ def test_level_sums_are_exact_for_any_chunking_and_layout(seed, rows, cols):
                         except SingularError as exc:  # every chunking alike
                             seen.add((lam, str(exc)))
     assert len(seen) == 2
+
+
+def _float64_route(states, D, lambdas=()):
+    """normal_equations of ``states`` and the weights of each lambda, every
+    chunk summed in float64 levels as before the float32 sums."""
+    with pytest.MonkeyPatch.context() as patch:
+        count_ridge_routes(patch, float64=True)
+        normal = normal_equations(states, D)
+        return normal, [_train_or_fail(states, D, lam) for lam in lambdas]
+
+
+def _train_or_fail(states, D, lam):
+    try:
+        model = train_ridge(states, D, lam)
+        return model.ridge_lambda, model.weights.tobytes()
+    except SingularError as exc:
+        return str(exc)
+
+
+def test_the_float32_reading_test_is_levels_float64_one():
+    # a reading's level j is rint(1023 x) in float32, and x is a reading
+    # when j / 1023 in float32 is x; levels() takes j / 1023 in float64
+    j = np.arange(1024)
+    np.testing.assert_array_equal(
+        j.astype(np.float32) / np.float32(1023), (j / 1023).astype(np.float32)
+    )
+    # so the float32 route takes the readings of j = 0 ... 1023 at their
+    # levels() level, and refuses their neighbours and every other level's
+    x = _readings(j)
+    assert np.array_equal(_float32_levels(x[None, :], np.zeros((1, 6)), False)[0], j)
+    assert np.array_equal(levels(x), j)
+    others = [
+        np.nextafter(x, np.float32(-np.inf)), np.nextafter(x, np.float32(np.inf)),
+        _readings([-1, 1024, 1025, 2046]),
+    ]
+    for value in np.concatenate(others):
+        assert _float32_levels(np.array([[value]]), np.zeros((1, 6)), False) is None
+        k = levels(np.array([[value]]))[0, 0]
+        assert not (k == np.rint(k) and 0 <= k <= 1023 and _readings(k) == value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    top=st.one_of(st.sampled_from([128, 256, 512]), st.integers(128, 1023)),
+    side=st.sampled_from([-1, 0, 1]),
+    chunks=st.integers(1, 3),
+    cols=st.integers(1, 12),
+)
+def test_float32_sums_equal_the_integer_oracle_on_both_sides_of_the_bound(
+    seed, top, side, chunks, cols
+):
+    # chunks of rows * top^2 just below, at (2^24 when top is a power of
+    # two) and just above 2^24; one column at top everywhere takes its
+    # diagonal to the bound
+    rng = np.random.default_rng(seed)
+    chunk = 2**24 // top**2 + side
+    rows = chunk * chunks
+    J = rng.integers(0, top + 1, size=(rows, cols))
+    J[:, rng.integers(cols)] = top
+    X = _readings(J)
+    D = encode_targets(rng.integers(0, 6, size=rows))
+    K = J.astype(np.int64)
+    lambdas = (None, 1e-3)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache, "CHUNK_ROWS", chunk)
+        path = Path(tmp) / "states.rcf"
+        cached = _state_cache(path, X)
+        before = X.tobytes(), path.read_bytes()
+        parent, trained = _float64_route(X, D, lambdas)
+        for states in (X, cached):
+            routes = count_ridge_routes(patch)
+            normal = normal_equations(states, D)
+            float32 = chunk * top**2 <= 2**24
+            assert routes == {"float32": chunks * float32, "float64": chunks * (not float32)}
+            assert np.array_equal(normal.gram, (K.T @ K).astype(np.float64))
+            assert np.array_equal(normal.rhs, (K.T @ D.astype(np.int64)).astype(np.float64))
+            assert normal.gram.tobytes() == parent.gram.tobytes()
+            assert normal.rhs.tobytes() == parent.rhs.tobytes()
+            assert normal.default_lambda == parent.default_lambda
+            assert [_train_or_fail(states, D, lam) for lam in lambdas] == trained
+        assert (X.tobytes(), path.read_bytes()) == before
+
+
+# a chunk the float32 sums refuse: each case's value lands at row 73, in
+# the second 32-row block of the second of three chunks (40, 40, 20 rows)
+REFUSED = {
+    "nan": np.nan,
+    "inf": np.inf,
+    "negative": -3 / 1023,
+    "not a reading": 0.5,
+    "level above 1023": 1024 / 1023,
+}
+
+
+@pytest.mark.parametrize("case", [*REFUSED, "targets not one-hot"])
+def test_a_chunk_the_float32_sums_refuse_gives_the_float64_bytes(tmp_path, rng, monkeypatch, case):
+    monkeypatch.setattr(cache, "CHUNK_ROWS", 40)
+    X = _readings(rng.integers(0, 16, size=(100, 8)))
+    D = encode_targets(rng.integers(0, 6, size=100))
+    if case in REFUSED:
+        X[73, 5] = REFUSED[case]
+    else:
+        D[73] *= 2
+    path = tmp_path / "states.rcf"
+    cached = _state_cache(path, X)
+    before = X.tobytes(), path.read_bytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the float64 sums
+        parent, trained = _float64_route(X, D, (None, 1e-3))
+        for states in (X, cached):
+            routes = count_ridge_routes(monkeypatch)
+            normal = normal_equations(states, D)
+            # the first chunk takes the float32 sums; from the refused one
+            # on, every chunk takes the float64 ones
+            assert routes == {"float32": 1, "float64": 2}
+            for name in ("gram", "rhs"):
+                assert getattr(normal, name).tobytes() == getattr(parent, name).tobytes()
+            assert [_train_or_fail(states, D, lam) for lam in (None, 1e-3)] == trained
+    assert (X.tobytes(), path.read_bytes()) == before
 
 
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
