@@ -8,35 +8,38 @@ training solves the regularized normal equations
 
 and the readout output is y = X W.  X holds what the detector reads,
 q10(sin^2) of every node: each reading is j / 1023 for an integer level j.
-Training sums the equations over K = 1023 X (:func:`levels`), which holds
-those integers exactly, in float64.  Every partial sum of K'K, K'D and the
-trace is then an integer below 2^53, for up to about 8.6e9 rows, so the
-sums are exact and equal for any chunking, BLAS blocking or thread count,
-and the factor 1023 is applied once, to the solution (W = 1023 V).  Other
-float rows train through the same sums, which are then as exact as float64
-allows.
+Training sums the equations over K = 1023 X (:func:`_levels`), which holds
+those integers exactly.  Every partial sum of K'K, K'D and the trace is
+then an integer below 2^53, for up to about 8.6e9 rows, so the sums are
+exact and equal for any chunking, BLAS blocking or thread count, and the
+factor 1023 is applied once, to the solution (W = 1023 V).  Other float
+rows train through the same sums, over the float64 products 1023 x, which
+are then as exact as float64 allows.
 
-With at least as many train rows as nodes (the primal route) the states
-are read once, a chunk of rows at a time (:func:`~photonrc.cache.row_chunks`),
-and each chunk's K'K is added into the upper triangle of one float64 Gram.
-A chunk of float32 readings with 0 <= j <= 1023, one-hot targets and
-rows * max j^2 <= 2^24 is summed in float32, which is then exact too: its
-levels are made in float32, 32 rows at a time, in the chunk's own buffer
-when it was read from a state cache (a caller's array is never written),
-and its K'K is added one float32 GEMM panel of columns at a time.  Any
-other chunk, and every chunk after it, is summed by ``dsyrk`` over its
-float64 levels, so either way the sums, and the bytes of every readout,
-are the same.  The Gram's lower triangle then takes a copy, which stays
+One level rule sets the precision.  Float32 rows whose every entry is a
+reading with 0 <= j <= 1023 get float32 levels, made 32 rows at a time in
+the rows' own buffer when they were read from a state cache (a caller's
+array is never written); any other rows get float64 levels.  With at least
+as many train rows as nodes (the primal route) the states are read once, a
+chunk of rows at a time (:func:`~photonrc.cache.row_chunks`).  A chunk
+keeps float32 levels when its targets are one-hot and rows * max j^2 <=
+2^24, where float32 sums of integers are exact too, and is promoted to
+float64 otherwise.  One routine, :func:`_add_gram`, adds each chunk's K'K
+into the upper triangle of one float64 Gram, one GEMM panel of columns at a
+time, in either precision: an exact panel holds the same integers in both,
+so the sums, and the bytes of every readout, do not depend on which chunks
+took float32.  The Gram's lower triangle then takes a copy, which stays
 while the upper one is regularized and factored in place.  With fewer rows
 (the dual route) the equations are solved through (KK' + lambda I) A = D with
-W = K'A, over the levels of every train row, which satisfies the same
-normal equations exactly and yields the minimum-norm interpolator at
-lambda = 0.  Either route must leave a relative residual of at most 1e-6
-on the primal normal equations, taken with the kept Gram or the kept
-levels, or training fails with SingularError.  So training holds one Gram,
-one chunk of rows with its levels (the float32 route: in the chunk itself,
-and one panel of K'K) at a time, or, on the dual route, the levels of every
-train row.
+W = K'A, over the float64 levels of every train row, whose KK' the same
+routine adds up; this satisfies the same normal equations exactly and
+yields the minimum-norm interpolator at lambda = 0.  Either route must
+leave a relative residual of at most 1e-6 on the primal normal equations,
+taken with the kept Gram or the kept levels, or training fails with
+SingularError.  So training holds one Gram, one chunk of rows with its
+levels (for float32 levels of a cache's rows: in the chunk itself) and one
+panel of K'K at a time, or, on the dual route, the levels of every train
+row.
 
 A model file is a float64 container (:mod:`photonrc.cache`) of the M x N
 weights whose one meta value is lambda.  It is read only if it is exactly
@@ -70,7 +73,7 @@ _LEVELS32 = np.float32(LEVELS)
 # float32 holds every integer up to 2^24, so a float32 sum of non-negative
 # integers whose total is at most this is exact in any order
 _FLOAT32_EXACT = 2**24
-# Gram columns per float32 GEMM panel; its product is _PANEL x N float32
+# Gram columns per GEMM panel; its product is _PANEL x N in the levels' type
 _PANEL = 256
 
 
@@ -111,20 +114,37 @@ def check_ridge_lambda(ridge_lambda):
         raise ValueError(f"ridge_lambda must be None (auto) or finite and >= 0, got {ridge_lambda!r}")
 
 
-def levels(rows):
-    """K = LEVELS * x of the float rows x, in float64: the integer j exactly
-    where x is the reading j / LEVELS in x's own type, and LEVELS * x elsewhere.
+def _levels(rows, in_place=False):
+    """K = LEVELS * x of the float rows x.  When x is float32 and every
+    entry a reading j / LEVELS with 0 <= j <= LEVELS, K is those integers j
+    in float32, made 32 rows at a time, in x itself when ``in_place``.
+    Otherwise K is float64: j exactly where x is the reading j / LEVELS in
+    x's own type, and the float64 product LEVELS * x elsewhere; x is then
+    as it was.
 
-    For float32 x the product is exact, but only near j; rounding it gives j
-    wherever j / LEVELS rounds back to x.
+    For float32 x, j is rint(LEVELS * x) taken in float32, and x is a
+    reading when j / LEVELS in float32 is x, which equals that test taken in
+    float64 for each such j.
     """
     x = np.asarray(rows)
-    if x.dtype != np.float32:
-        x = np.asarray(x, dtype=np.float64)
+    if x.dtype == np.float32:
+        K = x if in_place else np.empty(x.shape, np.float32)
+        j = np.empty((min(x.shape[0], _LEVEL_ROWS), x.shape[1]), np.float32)
+        for a in range(0, x.shape[0], _LEVEL_ROWS):
+            xb = x[a : a + _LEVEL_ROWS]
+            jb = j[: xb.shape[0]]
+            np.rint(np.multiply(xb, _LEVELS32, out=jb), out=jb)
+            if not (jb.min() >= 0 and jb.max() <= LEVELS and np.array_equal(jb / _LEVELS32, xb)):
+                if in_place:  # each level j of a block that passed divides back to its x
+                    np.divide(x[:a], _LEVELS32, out=x[:a])
+                break
+            K[a : a + _LEVEL_ROWS] = jb
+        else:
+            return K
     K = np.empty(x.shape)
     for a in range(0, x.shape[0], _LEVEL_ROWS):
-        xb, kb = x[a:a + _LEVEL_ROWS], K[a:a + _LEVEL_ROWS]
-        np.multiply(xb, LEVELS, out=kb)
+        xb, kb = x[a : a + _LEVEL_ROWS], K[a : a + _LEVEL_ROWS]
+        np.multiply(xb, LEVELS, out=kb, dtype=np.float64)
         j = np.rint(kb)
         np.copyto(kb, j, where=(j / LEVELS).astype(x.dtype) == xb)
     return K
@@ -132,17 +152,17 @@ def levels(rows):
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """The ridge system of one training set, in levels K = :func:`levels` of
-    the states, which any number of lambdas solve.
+    """The ridge system of one training set, in levels K = :func:`_levels`
+    of the states, which any number of lambdas solve.
 
     ``states`` are the train rows, an array or a
     :class:`~photonrc.cache.CacheRows`; ``gram`` is K'K when there are at
     least as many rows as columns (the primal route) and KK' otherwise (the
-    dual route), with ``dual_levels`` then K itself, in Fortran order and
-    exactly symmetric; ``rhs`` is K'D.  On the primal route a chunk of
-    float32 readings with one-hot targets and rows * max j^2 <= 2^24 adds
-    its sums in float32, exactly, and any other chunk in float64; the
-    float64 ``gram`` and ``rhs`` are the same either way.
+    dual route), with ``dual_levels`` then K itself, in float64; ``rhs`` is
+    K'D.  ``gram`` is float64 and exactly symmetric.  On the primal route a
+    chunk of float32 levels with one-hot targets and rows * max j^2 <= 2^24
+    is summed in float32, exactly, and any other chunk in float64; one
+    routine adds both, so ``gram`` and ``rhs`` are the same either way.
     """
 
     states: object
@@ -175,75 +195,37 @@ def normal_equations(states, targets):
         raise DimensionError(f"{rows} state rows vs {D.shape[0]} target rows")
     if rows < 1:
         raise DimensionError("need at least one training row")
+    in_place = isinstance(states, CacheRows)  # rows read from a cache are a new array
     if rows < cols:
-        # K.T is K in Fortran order, which dsyrk reads without a copy
-        K = levels(states)
-        gram = _mirror_upper(blas.dsyrk(1.0, K.T, trans=1, lower=0))
+        K = _levels(states, in_place).astype(np.float64, copy=False)
+        gram = _mirror_upper(_add_gram(np.zeros((rows, rows), order="F"), K.T))
         return NormalEquations(states, D, gram, K.T @ D, dual_levels=K)
     gram = np.zeros((cols, cols), order="F")
     rhs = np.zeros((cols, D.shape[1]))
-    # once a chunk's sums are not exact in float32, the Gram may hold
-    # non-integers, whose rounding only dsyrk's order of additions keeps
-    exact = True
     for first, chunk in row_chunks(states):
         d = D[first : first + chunk.shape[0]]
-        K = _float32_levels(chunk, d, isinstance(states, CacheRows)) if exact else None
-        exact = K is not None
-        if exact:
-            _add_float32_chunk(gram, rhs, K, d)
-        else:
-            gram = _add_chunk(gram, rhs, levels(chunk), d)
+        K = _levels(chunk, in_place)
+        # float32 sums stay where every partial sum of K'K and K'D is an
+        # integer of at most 2^24
+        one_hot = np.array_equal(d, d.astype(bool))
+        if K.dtype == np.float32 and not (one_hot and len(K) * float(K.max()) ** 2 <= _FLOAT32_EXACT):
+            K = K.astype(np.float64)
+        rhs += K.T @ d.astype(K.dtype)
+        _add_gram(gram, K)
         del chunk, K  # so the next chunk is read with none held
     return NormalEquations(states, D, _mirror_upper(gram), rhs)
 
 
-def _float32_levels(x, targets, in_place):
-    """The levels of the float32 readings ``x`` in float32, made 32 rows at a
-    time in ``x`` itself when ``in_place`` and in a new array otherwise; or
-    None, with ``x`` as it was, unless the chunk's sums are exact in float32.
-
-    They are when every entry is a reading j / LEVELS with 0 <= j <= LEVELS,
-    by :func:`levels`' test taken in float32 (equal to its float64 one for
-    each such j), the ``targets`` are 0 or 1, and rows * max j^2 <= 2^24:
-    every partial sum of K'K and K'D is then an integer of at most 2^24.
-    """
-    rows = x.shape[0]
-    if x.dtype != np.float32 or not np.array_equal(targets, targets.astype(bool)):
-        return None
-    K = x if in_place else np.empty(x.shape, np.float32)
-    j = np.empty((min(rows, _LEVEL_ROWS), x.shape[1]), np.float32)
-    top = 0.0
-    for a in range(0, rows, _LEVEL_ROWS):
-        xb = x[a : a + _LEVEL_ROWS]
-        jb = j[: xb.shape[0]]
-        np.rint(np.multiply(xb, _LEVELS32, out=jb), out=jb)
-        top = max(top, float(jb.max()))
-        if not (jb.min() >= 0 and top <= LEVELS and rows * top * top <= _FLOAT32_EXACT
-                and np.array_equal(jb / _LEVELS32, xb)):
-            if in_place:  # each level j of a block that passed divides back to its x
-                np.divide(x[:a], _LEVELS32, out=x[:a])
-            return None
-        K[a : a + _LEVEL_ROWS] = jb
-    return K
-
-
-def _add_float32_chunk(gram, rhs, K, D):
-    """Add K'K to the upper triangle of ``gram``, in place, and K'D to ``rhs``,
-    for levels K that :func:`_float32_levels` made: each float32 product is
-    exact, and a panel of ``gram``'s columns takes one at a time."""
-    rhs += K.T @ D.astype(np.float32)
+def _add_gram(gram, K):
+    """Add K'K to the upper triangle of ``gram``, in place, one panel of
+    _PANEL columns at a time; returns ``gram``.  A panel of integer levels
+    holds the same integers in float32 and in float64, so the same float64
+    additions follow either way."""
     n = gram.shape[0]
     for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
         gram[:p1, p0:p1] += (K[:, p0:p1].T @ K[:, :p1]).T
-
-
-def _add_chunk(gram, rhs, K, D):
-    """Add K'K to the upper triangle of ``gram``, in place, and K'D to ``rhs``;
-    returns ``gram``.  Taking the chunk's levels as an argument frees them
-    before the next chunk's are made."""
-    rhs += K.T @ D
-    return blas.dsyrk(1.0, K.T, beta=1.0, c=gram, trans=0, lower=0, overwrite_c=1)
+    return gram
 
 
 # the edge of the square tiles _mirror_upper copies

@@ -260,19 +260,18 @@ def version_1_bytes(path):
 
 
 def count_ridge_routes(monkeypatch, float64=False):
-    """A count of the primal ridge route's chunks by the sums they take, which
-    ``monkeypatch`` keeps; ``float64=True`` refuses every chunk the float32
-    sums, which gives the float64 route alone."""
+    """A count of the primal ridge route's chunks by the type of the levels
+    their Gram sums take, which ``monkeypatch`` keeps; ``float64=True`` sets
+    the float32 sums' bound below every chunk, which gives the float64 route
+    alone."""
     chunks = {"float32": 0, "float64": 0}
+    add_gram = readout._add_gram
 
-    def counted(route, add_chunk):
-        def add(*args):
-            chunks[route] += 1
-            return add_chunk(*args)
-        return add
+    def counted(gram, K):
+        chunks[K.dtype.name] += 1
+        return add_gram(gram, K)
 
     if float64:
-        monkeypatch.setattr(readout, "_float32_levels", lambda *args: None)
-    monkeypatch.setattr(readout, "_add_float32_chunk", counted("float32", readout._add_float32_chunk))
-    monkeypatch.setattr(readout, "_add_chunk", counted("float64", readout._add_chunk))
+        monkeypatch.setattr(readout, "_FLOAT32_EXACT", -1)
+    monkeypatch.setattr(readout, "_add_gram", counted)
     return chunks

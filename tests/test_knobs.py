@@ -21,8 +21,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "photonrc"
 
 SETTABLE_VALUES = 114
-CODE_LINES = 2360
-PUBLIC_NAMES = 166
+CODE_LINES = 2350
+PUBLIC_NAMES = 165
 
 # tokens that hold no code: comments, line ends and the indentation markers
 _NOT_CODE = {

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from photonrc.errors import (
     SchemaError,
 )
 from photonrc import pipeline as pipeline_module
+from photonrc.cli import main
 from photonrc.hog import _vote_table
 from photonrc.pca import fit_pca, save_pca_model, transform
 from photonrc.pipeline import (
@@ -810,6 +813,69 @@ def test_a_crash_in_the_middle_of_a_stage_is_recomputed_on_reuse(
     for name in (*report.artifacts.values(), PIPELINE_FILE):
         assert (copy_dir / name).read_bytes() == (cold / name).read_bytes(), name
     assert "INTEGRITY WARNING" not in describe_artifacts(copy_dir)
+
+
+# ---------------------------------------------------------------------------
+# A run killed while it writes a cache
+
+# a child `pipeline run` that ends its process by os._exit, with no clean-up,
+# once the writer of the cache file argv[1] has appended its second block
+KILLED_RUN = """
+import os, sys
+from photonrc import cache
+from photonrc.cli import main
+
+name = sys.argv[1]
+append = cache.CacheWriter.append
+appended = 0
+
+def killed_append(self, rows):
+    global appended
+    append(self, rows)
+    if os.path.basename(self._fh.name).startswith(name + ".tmp"):
+        appended += 1
+        if appended == 2:
+            os._exit(9)
+
+cache.CHUNK_ROWS = 64  # so the feature cache takes more than one block
+cache.CacheWriter.append = killed_append
+sys.exit(main(sys.argv[2:]))
+"""
+
+# the artifacts a killed stage's run reuses: those of the stages before it
+BEFORE = {"hog": (), "features": ("hog",), "states": ("hog", "pca_model", "features")}
+
+
+@pytest.mark.parametrize("killed", sorted(BEFORE))
+def test_a_run_killed_while_it_writes_a_cache_leaves_nothing_after_its_rerun(
+    pipe, tmp_path, killed
+):
+    config, report = pipe
+    cold, out_dir = Path(report.out_dir), tmp_path / "killed"
+    out_dir.mkdir()
+    for key in BEFORE[killed]:
+        shutil.copy2(cold / report.artifacts[key], out_dir / report.artifacts[key])
+    run = [
+        "--out-dir", str(out_dir), "pipeline", "run", "--manifest", config.manifest_path,
+        "--components", str(config.pca_components), "--n-nodes", str(config.n_nodes),
+        *(f"--{gain.replace('_', '-')}={value}" for gain, value in
+          dataclasses.asdict(config.params).items()),
+    ]
+    src = str(Path(pipeline_module.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    name = report.artifacts[killed]
+    child = subprocess.Popen([sys.executable, "-c", KILLED_RUN, name, *run], env=env,
+                             stdout=subprocess.DEVNULL)
+    assert child.wait(timeout=300) == 9
+    # the killed writer's file outlives it
+    assert [p.name for p in out_dir.glob("*.tmp*")] == [f"{name}.tmp{child.pid}"]
+
+    assert main(run) == 0
+    written = {*report.artifacts.values(), *RESULT_FILES, PIPELINE_FILE}
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*written, "config.json"])
+    for name in written:
+        assert (out_dir / name).read_bytes() == (cold / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Ridge-trained linear readout: targets, solvers, NMSE, model files."""
 
+import ast
 import os
 import tempfile
 import tracemalloc
@@ -22,11 +23,10 @@ from photonrc.errors import (
 )
 from photonrc.readout import (
     ReadoutModel,
-    _float32_levels,
+    _levels,
     _mirror_upper,
     apply_readout,
     encode_targets,
-    levels,
     load_readout_model,
     nmse,
     normal_equations,
@@ -311,26 +311,51 @@ def _train_or_fail(states, D, lam):
         return str(exc)
 
 
-def test_the_float32_reading_test_is_levels_float64_one():
+def test_the_float32_reading_test_is_the_float64_one():
     # a reading's level j is rint(1023 x) in float32, and x is a reading
-    # when j / 1023 in float32 is x; levels() takes j / 1023 in float64
+    # when j / 1023 in float32 is x; the float64 levels take j / 1023 in float64
     j = np.arange(1024)
     np.testing.assert_array_equal(
         j.astype(np.float32) / np.float32(1023), (j / 1023).astype(np.float32)
     )
-    # so the float32 route takes the readings of j = 0 ... 1023 at their
-    # levels() level, and refuses their neighbours and every other level's
+    # so the readings of j = 0 ... 1023 take the float32 levels j, as their
+    # float64 readings take the float64 ones, and their neighbours and every
+    # other level's take float64 levels that are not readings
     x = _readings(j)
-    assert np.array_equal(_float32_levels(x[None, :], np.zeros((1, 6)), False)[0], j)
-    assert np.array_equal(levels(x), j)
+    K = _levels(x[None, :])
+    assert K.dtype == np.float32 and np.array_equal(K[0], j)
+    K = _levels(j[None, :] / 1023)
+    assert K.dtype == np.float64 and np.array_equal(K[0], j)
     others = [
         np.nextafter(x, np.float32(-np.inf)), np.nextafter(x, np.float32(np.inf)),
         _readings([-1, 1024, 1025, 2046]),
     ]
     for value in np.concatenate(others):
-        assert _float32_levels(np.array([[value]]), np.zeros((1, 6)), False) is None
-        k = levels(np.array([[value]]))[0, 0]
+        k = _levels(np.array([[value]]))[0, 0]
+        assert k.dtype == np.float64
         assert not (k == np.rint(k) and 0 <= k <= 1023 and _readings(k) == value)
+
+
+def test_the_level_of_a_float32_non_reading_is_its_float64_product():
+    # float32(0.1) is no reading; 1023 times it is 102.30000152438879, where
+    # a float32 product rounds to 102.30000305175781
+    x = np.array([[0.1, 5 / 1023, 0.5]], dtype=np.float32)
+    K = _levels(x)
+    assert K.dtype == np.float64
+    assert K[0].tolist() == [1023 * float(x[0, 0]), 5.0, 1023 * float(x[0, 2])]
+    assert K[0, 0] == 102.30000152438879
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_a_block_that_is_no_reading_leaves_the_rows_as_they_were(rng, in_place):
+    # the first two 32-row blocks take float32 levels before the third fails
+    x = _readings(rng.integers(0, 1024, size=(80, 7)))
+    x[70, 3] = 0.5
+    before = x.copy()
+    K = _levels(x, in_place)
+    assert K.dtype == np.float64
+    assert x.tobytes() == before.tobytes()
+    assert np.array_equal(K, np.where(x == 0.5, 511.5, _integer_levels(x)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,7 +409,11 @@ REFUSED = {
     "negative": -3 / 1023,
     "not a reading": 0.5,
     "level above 1023": 1024 / 1023,
+    # a reading, but 40 * 1023^2 > 2^24: the bound alone refuses it
+    "past the bound": 1.0,
 }
+# the cases whose levels are integers, which an int64 oracle sums
+INTEGER = ("past the bound", "targets not one-hot")
 
 
 @pytest.mark.parametrize("case", [*REFUSED, "targets not one-hot"])
@@ -404,13 +433,34 @@ def test_a_chunk_the_float32_sums_refuse_gives_the_float64_bytes(tmp_path, rng, 
         for states in (X, cached):
             routes = count_ridge_routes(monkeypatch)
             normal = normal_equations(states, D)
-            # the first chunk takes the float32 sums; from the refused one
-            # on, every chunk takes the float64 ones
-            assert routes == {"float32": 1, "float64": 2}
+            # only the refused chunk takes the float64 sums: the others
+            # hold levels below 16, which no bound refuses
+            assert routes == {"float32": 2, "float64": 1}
             for name in ("gram", "rhs"):
                 assert getattr(normal, name).tobytes() == getattr(parent, name).tobytes()
+            if case in INTEGER:
+                K = _integer_levels(X).astype(np.int64)
+                assert np.array_equal(normal.gram, (K.T @ K).astype(np.float64))
+                assert np.array_equal(normal.rhs, (K.T @ D.astype(np.int64)).astype(np.float64))
             assert [_train_or_fail(states, D, lam) for lam in (None, 1e-3)] == trained
     assert (X.tobytes(), path.read_bytes()) == before
+
+
+def test_one_routine_adds_into_a_gram():
+    # both routes and both level types add K'K by _add_gram, and nothing
+    # else adds into a slice of an array in readout.py; dsyrk is not called
+    tree = ast.parse(Path(readout.__file__).read_text(encoding="utf-8"))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "dsyrk" not in names
+    adders = {
+        function.name
+        for function in tree.body if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+        and any(isinstance(index, ast.Slice) for index in ast.walk(node.target.slice))
+    }
+    assert adders == {"_add_gram"}
 
 
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
