@@ -37,9 +37,9 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     print(f"manifest written to {manifest_path}")
 
     manifest = load_manifest(manifest_path)
-    counts = manifest.counts()
+    n_train = sum(seq.split is Split.TRAIN for seq in manifest.sequences)
     print(f"{len(manifest.sequences)} sequences at {manifest.resolution} "
-          f"(train {counts[Split.TRAIN]}, test {counts[Split.TEST]})")
+          f"(train {n_train}, test {len(manifest.sequences) - n_train})")
 
     # The split is stratified: every class keeps the same train share.
     for action in Action:

@@ -8,19 +8,21 @@
 
 import numpy as np
 
+from photonrc import hog
 from photonrc.hog import (
     HogConfig,
     cell_histograms,
     descriptor_layout,
     feature_count,
-    gradient_field,
     hog_descriptor,
 )
 
-# A vertical step edge: all gradient energy points along angle 0.
+# A vertical step edge: all gradient energy points along angle 0.  The
+# centred differences and their (magnitude, angle) are the module's own
+# private steps, which the histograms below take internally.
 edge = np.zeros((8, 8))
 edge[:, 4:] = 255.0
-magnitude, angle = gradient_field(edge)
+magnitude, angle = hog._orientation(*hog._differences(edge))
 print("step edge gradient magnitudes (one row):")
 print(" ", magnitude[4])
 print("  angles on the edge columns:", np.unique(angle[:, 3:5]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from photonrc.cache import read_cache
 from photonrc.dataset import index_frames, load_manifest
-from photonrc.pca import fit_pca, reconstruct, transform
+from photonrc.pca import fit_pca, transform
 from photonrc.pipeline import extract_hog
 from photonrc.synthetic import generate_corpus
 
@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory(prefix="photonrc_demo_") as tmp:
     # Projection compresses every frame; reconstruction comes back close.
     features = transform(model, values)
     print(f"\nprojected features: {features.shape}")
-    approx = reconstruct(model, features)
+    approx = features @ model.components + model.mean  # back to feature space
     err = np.linalg.norm(values - approx) / np.linalg.norm(values)
     print(f"relative reconstruction error at K=40: {err:.4f}")
 

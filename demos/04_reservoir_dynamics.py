@@ -14,12 +14,12 @@ from scipy import sparse
 
 from photonrc.reservoir import (
     PHASE_STEP,
+    RESPONSE,
     HyperParams,
     ReservoirMatrices,
     detect,
-    first_coincidence,
     generate_matrices,
-    intensity_response,
+    phase_code,
     quantize_intensity,
     quantize_phase,
     run_reservoir,
@@ -114,8 +114,9 @@ big = generate_matrices(256, 20, HyperParams(0.8, 0.01, 0.1, 0.01), seed=3)
 drive = rng.uniform(-1.0, 1.0, size=(100, 20))
 a = run_reservoir(big, drive, initial_state=quantize_intensity(rng.uniform(size=256)))
 b = run_reservoir(big, drive, initial_state=quantize_intensity(rng.uniform(size=256)))
-step = first_coincidence(a, b)
+differ = np.flatnonzero(np.any(a != b, axis=1))  # the steps where they differ
+step = int(differ[-1]) + 1 if differ.size else 0
 print(f"\n256-node reservoir, two random initial states: trajectories "
       f"coincide exactly from step {step} on")
-print(f"response map check: intensity_response(pi/2) = "
-      f"{intensity_response(np.pi / 2)}")
+print(f"response map check: RESPONSE[phase_code(pi/2)] = "
+      f"{RESPONSE[phase_code(np.pi / 2)]}")

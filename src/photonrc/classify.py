@@ -37,7 +37,7 @@ class ConfusionMatrix:
         return int(np.count_nonzero(self.counts.sum(axis=1)))
 
 
-def classify_frames(outputs, sequence_id=""):
+def _classify_frames(outputs, sequence_id=""):
     """Per-row argmax class indices (lowest index wins ties).
 
     A row that is not finite raises NumericalError naming ``sequence_id``,
@@ -57,7 +57,7 @@ def classify_frames(outputs, sequence_id=""):
 
 def classify_stream(outputs, spans):
     """The (S, 6) int64 vote matrix of a concatenated output stream: row i
-    counts, per class, the frames of span i that :func:`classify_frames`
+    counts, per class, the frames of span i that :func:`_classify_frames`
     assigns to it.
 
     ``spans`` lists (sequence_id, start, stop, action) tuples as produced
@@ -68,7 +68,7 @@ def classify_stream(outputs, spans):
     for row, (sequence_id, start, stop, _) in zip(votes, spans):
         if stop <= start:
             raise DimensionError(f"cannot classify the empty sequence {sequence_id!r}")
-        row[:] = np.bincount(classify_frames(outputs[start:stop], sequence_id), minlength=N_CLASSES)
+        row[:] = np.bincount(_classify_frames(outputs[start:stop], sequence_id), minlength=N_CLASSES)
     return votes
 
 

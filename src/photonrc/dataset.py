@@ -147,13 +147,6 @@ class Manifest:
     frame_store_root: str
     split_seed: int
 
-    def counts(self):
-        """Return {split: number of sequences}."""
-        out = {Split.TRAIN: 0, Split.TEST: 0}
-        for seq in self.sequences:
-            out[seq.split] += 1
-        return out
-
 
 # ---------------------------------------------------------------------------
 # PGM (P5) reading and writing

@@ -79,29 +79,11 @@ def _differences(img):
     return dx, dy
 
 
-def gradient(pixels):
-    """Centered-difference gradients with replicate edge padding.
-
-    Returns (dx, dy) as float64 arrays shaped like the input; dx is the
-    horizontal derivative (columns), dy the vertical (rows).  On a uint8
-    frame every value is an integer in [-255, 255]; :func:`cell_histograms`
-    takes those same differences in int32 and looks up the votes of each
-    pair in a table (see the module docstring).  Frames of every other
-    dtype vote from these float64 gradients.
-    """
-    return _differences(np.asarray(pixels, dtype=np.float64))
-
-
 def _orientation(dx, dy):
     mag = np.hypot(dx, dy)
     theta = np.degrees(np.arctan2(dy, dx)) % 180.0
     theta = np.where(theta >= 180.0, theta - 180.0, theta)  # mod can emit 180.0 exactly
     return mag, theta
-
-
-def gradient_field(pixels):
-    """Per-pixel (magnitude, orientation-in-degrees) with angles in [0, 180)."""
-    return _orientation(*gradient(pixels))
 
 
 def _votes(dx, dy, num_bins):

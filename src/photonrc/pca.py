@@ -209,20 +209,6 @@ def transform(model, data):
     return out[0] if squeeze else out
 
 
-def reconstruct(model, projected):
-    """Map projected rows back to feature space (lossy unless full rank)."""
-    Y = np.asarray(projected, dtype=np.float64)
-    squeeze = Y.ndim == 1
-    if squeeze:
-        Y = Y[None, :]
-    if Y.shape[1] != model.n_components:
-        raise DimensionError(
-            f"projection has {Y.shape[1]} columns, model has {model.n_components}"
-        )
-    out = Y @ model.components + model.mean
-    return out[0] if squeeze else out
-
-
 def save_pca_model(model, path):
     meta = np.concatenate([model.mean, model.eigenvalues, [model.n_samples, model.total_variance]])
     write_container(path, np.asarray(model.components, dtype="<f8"), meta)

@@ -86,7 +86,9 @@ from .classify import (
     write_sequence_results,
 )
 from .dataset import index_frames, load_manifest, stream_frames, validation_index
-from .errors import FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError
+from .errors import (
+    FAILURES, DimensionError, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError,
+)
 from .pca import fit_pca, save_pca_model, transform
 # not called here, as the PCA stage returns the model it saves and every cache
 # is read a chunk at a time; bound so that perfbench/tracing.py WRAPS can
@@ -435,7 +437,9 @@ def run_pipeline(config):
     also the one place that decides whether the stage is reused: under the
     "reuse" policy, only if each binary artifact it names is complete with
     the shape the stage expects (:func:`_is_complete`).  A reused stage
-    reads no upstream cache.
+    reads no upstream cache.  The dataset stage refuses a run that the
+    train, evaluate or PCA stage would refuse, and ``config.json`` is written
+    with ``pipeline.json``, so a failed run leaves both as they were.
     """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -464,15 +468,20 @@ def run_pipeline(config):
 
     with _stage("dataset"):
         manifest = load_manifest(config.manifest_path)
-        if not manifest.sequences:
-            raise SchemaError(f"{config.manifest_path}: manifest lists no sequences")
         data = prepare_data(manifest, None)
         n_frames = data.total_frames
         manifest_hash = file_sha256(config.manifest_path)
         hog_layout = descriptor_layout(manifest.resolution)
         feature_dim = feature_count(manifest.resolution)
-
-    write_json(os.path.join(out_dir, CONFIG_FILE), config.as_dict())
+        # what the train, evaluate and PCA stages would refuse, refused before HOG
+        if data.train_rows.size == 0:
+            raise SchemaError(f"{config.manifest_path}: manifest has no train-split sequences")
+        if not data.test_spans:
+            raise SchemaError(f"{config.manifest_path}: manifest has no test-split sequences")
+        if config.pca_components > feature_dim:
+            raise DimensionError(
+                f"{config.pca_components} PCA components asked of {feature_dim} HOG features"
+            )
 
     # each stage reads its upstream cache only when it recomputes
     with _stage("hog"):
@@ -563,6 +572,8 @@ def run_pipeline(config):
         "score": matrix.score,
         "populated_classes": matrix.populated_rows,
     }
+    # beside the record of the run it configures, so no config.json names a failed run
+    write_json(os.path.join(out_dir, CONFIG_FILE), config.as_dict())
     write_json(os.path.join(out_dir, PIPELINE_FILE), summary)
     return report
 

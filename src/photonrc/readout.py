@@ -195,6 +195,8 @@ def normal_equations(states, targets):
         raise DimensionError(f"{rows} state rows vs {D.shape[0]} target rows")
     if rows < 1:
         raise DimensionError("need at least one training row")
+    if cols < 1:
+        raise DimensionError("need at least one state column")
     in_place = isinstance(states, CacheRows)  # rows read from a cache are a new array
     if rows < cols:
         K = _levels(states, in_place).astype(np.float64, copy=False)

@@ -105,11 +105,6 @@ def detect(phase):
 RESPONSE = detect(_PHASE_GRID[:PHASE_LEVELS])
 
 
-def intensity_response(phase):
-    """Detector reading for a given interferometer phase: q10(sin^2(q8(phase)))."""
-    return RESPONSE[phase_code(phase)]
-
-
 @dataclass(frozen=True)
 class HyperParams:
     """Gains and coupling density of one reservoir configuration.
@@ -184,8 +179,8 @@ def generate_matrices(n_nodes, input_dim, params, seed):
     if n < 1 or k_in < 1:
         raise ValueError("n_nodes and input_dim must be positive")
     count = coupling_count(n, params.coupling_density)
-    if count > n * n - n:
-        raise OverflowError(
+    if count > n * n - n:  # a configuration no reservoir of n nodes can hold
+        raise ValueError(
             f"density {params.coupling_density} asks for {count} couplings, "
             f"only {n * n - n} off-diagonal slots exist"
         )
@@ -299,19 +294,6 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
             else:
                 out.append(values)
     return readings
-
-
-def first_coincidence(states_a, states_b):
-    """First step from which two trajectories agree exactly forever after.
-
-    Returns None if they still differ at the last step.
-    """
-    diff = np.any(states_a != states_b, axis=1)
-    hits = np.nonzero(diff)[0]
-    if hits.size == 0:
-        return 0
-    last = int(hits[-1])
-    return None if last == states_a.shape[0] - 1 else last + 1
 
 
 # ---------------------------------------------------------------------------

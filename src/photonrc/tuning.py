@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cache import json_typed, read_json, replaced, write_json
+from .cache import json_typed, read_json, replaced
 from .classify import N_CLASSES
 from .dataset import ACTIONS
 from .errors import FAILURES, SchemaError
@@ -124,14 +124,6 @@ class GridSpec:
     def cells(self):
         """Cartesian product of all value lists, in deterministic order."""
         return list(itertools.product(*(getattr(self, name) for name in AXES)))
-
-
-def save_grid_spec(spec, path):
-    doc = {name: list(getattr(spec, name)) for name in AXES}
-    doc.update(
-        n_nodes=spec.n_nodes, variant=spec.variant, allow_out_of_range=spec.allow_out_of_range
-    )
-    write_json(path, doc)
 
 
 def load_grid_spec(path):

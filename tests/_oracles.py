@@ -7,6 +7,8 @@ per-kind binary formats an earlier photonrc wrote, for the tests of how
 the container reader treats them.  :func:`count_ridge_routes` counts the
 chunks the ridge sums take in float32 and in float64, and can refuse the
 float32 sums, which leaves the float64 ones as the reference.
+:func:`first_coincidence` is the test metric of fading memory: the step
+from which two trajectories agree for good.
 """
 
 import math
@@ -173,6 +175,19 @@ def run_reservoir_oracle(matrices, inputs, variant, initial_state=None, spans=No
                 x = quantize_phase_oracle(matrices.weights @ fed + drive[t])
             states[t] = x
     return states
+
+
+def first_coincidence(states_a, states_b):
+    """First step from which two trajectories agree exactly forever after.
+
+    Returns None if they still differ at the last step.
+    """
+    diff = np.any(states_a != states_b, axis=1)
+    hits = np.nonzero(diff)[0]
+    if hits.size == 0:
+        return 0
+    last = int(hits[-1])
+    return None if last == states_a.shape[0] - 1 else last + 1
 
 
 def sample_offdiagonal_oracle(rng, n_nodes, count):

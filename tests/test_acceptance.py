@@ -28,7 +28,6 @@ from photonrc.reservoir import (
     PHASE_STEP,
     HyperParams,
     ReservoirMatrices,
-    first_coincidence,
     generate_matrices,
     quantize_intensity,
     quantize_phase,
@@ -39,7 +38,7 @@ from photonrc.reservoir import (
 from photonrc.synthetic import generate_corpus
 from photonrc.tuning import GridSpec, best_trial, run_grid
 
-from _oracles import hog_oracle, ridge_oracle
+from _oracles import first_coincidence, hog_oracle, ridge_oracle
 
 KTH_MANIFEST = os.environ.get("RC_KTH_MANIFEST", "")
 

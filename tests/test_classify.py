@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from photonrc.classify import (
-    classify_frames,
+    _classify_frames,
     classify_stream,
     confusion,
     score_line,
@@ -31,31 +31,31 @@ def _sequence_votes(classes, sequence_id="seq"):
 # Frame decisions
 
 def test_argmax_decision():
-    assert classify_frames([[0.1, 0.9, 0.2, 0.0, 0.0, 0.0]]).tolist() == [1]
+    assert _classify_frames([[0.1, 0.9, 0.2, 0.0, 0.0, 0.0]]).tolist() == [1]
 
 
 def test_ties_break_toward_lowest_index():
-    decisions = classify_frames([[0.5] * 6, [0.0, 0.3, 0.3, 0.0, 0.0, 0.0]])
+    decisions = _classify_frames([[0.5] * 6, [0.0, 0.3, 0.3, 0.0, 0.0, 0.0]])
     assert decisions.tolist() == [0, 1]
 
 
 def test_decisions_invariant_under_monotone_maps(rng):
     outputs = rng.standard_normal((50, 6))
-    base = classify_frames(outputs).tolist()
+    base = _classify_frames(outputs).tolist()
     for fn in (np.exp, lambda v: 2.0 * v + 1.0, np.arctan, lambda v: v**3):
-        assert classify_frames(fn(outputs)).tolist() == base
+        assert _classify_frames(fn(outputs)).tolist() == base
 
 
 def test_decisions_invariant_under_uniform_shift(rng):
     outputs = rng.standard_normal((40, 6))
-    base = classify_frames(outputs).tolist()
+    base = _classify_frames(outputs).tolist()
     for c in (-3.0, 0.25, 100.0):
-        assert classify_frames(outputs + c).tolist() == base
+        assert _classify_frames(outputs + c).tolist() == base
 
 
 def test_wrong_column_count_rejected(rng):
     with pytest.raises(DimensionError):
-        classify_frames(rng.standard_normal((4, 5)))
+        _classify_frames(rng.standard_normal((4, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exit codes and artifacts of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,17 +12,17 @@ import numpy as np
 import pytest
 
 from photonrc import cache, pipeline
-from photonrc.cache import CacheWriter, read_cache, read_cache_header
+from photonrc.cache import CacheWriter, read_cache, read_cache_header, write_json
 from photonrc.cli import _hyperparams, build_parser, main
 from photonrc.hog import HogConfig, feature_count
-from photonrc.dataset import load_manifest
+from photonrc.dataset import Split, load_manifest, save_manifest
 from photonrc.errors import (
     ParseError, PipelineStageError, SchemaError, SingularError, exit_code,
 )
-from photonrc.pipeline import PipelineConfig, describe_artifacts, prepare_data
+from photonrc.pipeline import PCA_FIT_ON, PipelineConfig, describe_artifacts, prepare_data
 from photonrc.reservoir import RESPONSE, load_reservoir_spec
 from photonrc.synthetic import generate_corpus
-from photonrc.tuning import GridSpec, load_grid_spec, run_grid, save_grid_spec
+from photonrc.tuning import GridSpec, load_grid_spec, run_grid
 
 from _oracles import float32_ulps, version_1_bytes
 
@@ -161,13 +162,11 @@ def test_reservoir_reset_needs_manifest(cli_env, tmp_path):
 
 def _gridsearch_argv(cli_env, tmp_path):
     grid_path = tmp_path / "grid.json"
-    save_grid_spec(
-        GridSpec(
-            feedback_gain=(0.5, 0.8), input_gain=(0.01,), coupling_gain=(0.1,),
-            coupling_density=(0.05,), n_nodes=16,
-        ),
-        grid_path,
+    spec = GridSpec(
+        feedback_gain=(0.5, 0.8), input_gain=(0.01,), coupling_gain=(0.1,),
+        coupling_density=(0.05,), n_nodes=16,
     )
+    write_json(grid_path, dataclasses.asdict(spec))
     return [
         "gridsearch", "--grid", str(grid_path), "--manifest", cli_env["manifest"],
         "--features", cli_env["features"], "--log", str(tmp_path / "grid_log.csv"),
@@ -346,7 +345,7 @@ def test_no_stage_reads_the_whole_state_cache(tiny_corpus, tmp_path, monkeypatch
 
 def test_describe_defaults_to_out_dir(cli_env, tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
-    save_grid_spec(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16), grid_path)
+    write_json(grid_path, dataclasses.asdict(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16)))
     assert main([
         "--out-dir", str(tmp_path), "gridsearch", "--grid", str(grid_path),
         "--manifest", cli_env["manifest"], "--features", cli_env["features"],
@@ -733,7 +732,7 @@ def json_inputs(cli_env, tmp_path_factory):
     """A sound file of each JSON input: manifest, grid spec, reservoir spec, pipeline.json."""
     root = tmp_path_factory.mktemp("json_inputs")
     grid = root / "grid.json"
-    save_grid_spec(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16), grid)
+    write_json(grid, dataclasses.asdict(GridSpec((0.5,), (0.01,), (0.1,), (0.05,), n_nodes=16)))
     assert main([
         "--out-dir", str(root / "run"), "pipeline", "run", "--manifest", cli_env["manifest"],
         "--components", "12", "--n-nodes", "32", "--coupling-density", "0.05",
@@ -876,14 +875,39 @@ def test_singular_training_is_numerical_error(cli_env, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_impossible_coupling_is_numerical_error(cli_env, tmp_path, capsys):
+def test_impossible_coupling_is_usage_error(cli_env, tmp_path, capsys):
     code = main([
         "--out-dir", str(tmp_path), "pipeline", "run",
         "--manifest", cli_env["manifest"], "--components", "12",
         "--n-nodes", "16", "--coupling-density", "1.0",
     ])
-    assert code == 3
-    assert "stage 'reservoir'" in capsys.readouterr().err
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error: stage 'reservoir'")
+
+
+@pytest.mark.parametrize("fit_on", PCA_FIT_ON)
+@pytest.mark.parametrize("case", ["train split only", "test split only", "components"])
+def test_a_run_that_cannot_finish_stops_in_its_dataset_stage(
+    cli_env, tmp_path, capsys, case, fit_on
+):
+    manifest = load_manifest(cli_env["manifest"])
+    components = 12
+    if case == "components":  # one more than the frames' HOG features
+        components = feature_count(manifest.resolution) + 1
+    else:
+        kept = Split.TRAIN if case == "train split only" else Split.TEST
+        sequences = tuple(seq for seq in manifest.sequences if seq.split is kept)
+        manifest = dataclasses.replace(manifest, sequences=sequences)
+    path = tmp_path / "manifest.json"
+    save_manifest(manifest, path)
+    out_dir = tmp_path / "run"
+    code = main([
+        "--out-dir", str(out_dir), "pipeline", "run", "--manifest", str(path),
+        "--components", str(components), "--n-nodes", "16", "--pca-fit-on", fit_on,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: stage 'dataset' failed")
+    assert not list(out_dir.glob("hog_*"))
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1055,7 @@ def _after_hog(manifest, cold, out, capsys):
     art = {name: str(cold / filename) for name, filename in _cold_artifacts(cold).items()}
     shutil.copytree(cold, out / "run")
     grid = out / "grid.json"
-    save_grid_spec(GridSpec((0.5, 0.8), (0.01,), (0.1,), (0.05,), n_nodes=16), grid)
+    write_json(grid, dataclasses.asdict(GridSpec((0.5, 0.8), (0.01,), (0.1,), (0.05,), n_nodes=16)))
     commands = [
         # a reuse pipeline run over a copy of the cold run
         ["--out-dir", str(out / "run"), "pipeline", "run", "--manifest", manifest, *_RUN_FLAGS],

@@ -13,8 +13,6 @@ from photonrc.hog import (
     cell_histograms,
     descriptor_layout,
     feature_count,
-    gradient,
-    gradient_field,
     hog_descriptor,
 )
 
@@ -23,6 +21,16 @@ from _oracles import cell_histograms_oracle, hog_oracle
 
 # ---------------------------------------------------------------------------
 # Gradients
+
+def gradient(pixels):
+    """Float64 centred differences (dx, dy), as the formula route takes them."""
+    return hog._differences(np.asarray(pixels, dtype=np.float64))
+
+
+def gradient_field(pixels):
+    """Per-pixel (magnitude, orientation in degrees in [0, 180))."""
+    return hog._orientation(*gradient(pixels))
+
 
 def test_constant_frame_has_zero_magnitude():
     mag, theta = gradient_field(np.full((12, 12), 77.0))

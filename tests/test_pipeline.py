@@ -726,7 +726,25 @@ def test_impossible_coupling_fails_in_reservoir_stage(pipe, tmp_path):
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(bad)
     assert info.value.stage == "reservoir"
-    assert isinstance(info.value.cause, OverflowError)
+    assert type(info.value.cause) is ValueError  # a usage error, exit 1
+
+
+def test_a_failed_run_leaves_the_record_of_the_finished_run_before_it(pipe, tmp_path):
+    config, report = pipe
+    out_dir = tmp_path / "run"
+    shutil.copytree(report.out_dir, out_dir)
+    record = {name: (out_dir / name).read_bytes() for name in ("config.json", PIPELINE_FILE)}
+    described = describe_artifacts(out_dir)
+    failing = dataclasses.replace(
+        config,
+        out_dir=str(out_dir),
+        params=dataclasses.replace(PARAMS, coupling_density=1.0),
+    )
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(failing)
+    assert info.value.stage == "reservoir"
+    assert {name: (out_dir / name).read_bytes() for name in record} == record
+    assert describe_artifacts(out_dir) == described
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,12 @@ def test_training_validation_errors(rng):
         train_ridge(X[0], D)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_states_without_columns_are_a_dimension_error(dtype):
+    with pytest.raises(DimensionError, match="at least one state column"):
+        normal_equations(np.zeros((5, 0), dtype=dtype), encode_targets([0, 1, 2, 3, 4]))
+
+
 @pytest.mark.parametrize("rows", [30, 8])  # the primal and the dual route
 def test_shared_normal_equations_train_each_lambda_alike(rng, rows):
     states = rng.uniform(0, 2 * np.pi, size=(rows, 12)).astype(np.float32)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from _oracles import (
+    first_coincidence,
     intensity_response_oracle,
     quantize_intensity_oracle,
     quantize_phase_oracle,
@@ -31,9 +32,7 @@ from photonrc.reservoir import (
     ReservoirSpec,
     coupling_count,
     detect,
-    first_coincidence,
     generate_matrices,
-    intensity_response,
     load_reservoir_spec,
     phase_code,
     quantize_intensity,
@@ -120,9 +119,9 @@ def test_intensity_quantizer_rounds_half_up():
 
 
 def test_intensity_response_chain():
-    assert intensity_response(0.0) == 0.0
-    assert intensity_response(np.pi / 2) == 1.0
-    assert np.all(np.isin(intensity_response(np.linspace(-5, 5, 200)), INTENSITY_GRID))
+    assert RESPONSE[phase_code(0.0)] == 0.0
+    assert RESPONSE[phase_code(np.pi / 2)] == 1.0
+    assert np.all(np.isin(RESPONSE[phase_code(np.linspace(-5, 5, 200))], INTENSITY_GRID))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,8 @@ def test_vanishing_density_gives_pure_diagonal():
 
 
 def test_full_density_overflows():
-    with pytest.raises(OverflowError):
+    # a density no reservoir of 8 nodes can hold is a configuration error
+    with pytest.raises(ValueError, match="only 56 off-diagonal slots exist"):
         generate_matrices(8, 2, HyperParams(0.8, 0.01, 0.1, 1.0), seed=0)
 
 
@@ -434,14 +434,14 @@ def test_quantize_phase_matches_formula_on_adversarial_values(levels):
 
 def test_intensity_response_matches_formula_on_adversarial_values():
     x = _adversarial(PHASE_LEVELS)
-    assert _same(intensity_response(x), intensity_response_oracle(x))
+    assert _same(RESPONSE[phase_code(x)], intensity_response_oracle(x))
     assert _same(RESPONSE, intensity_response_oracle(PHASE_GRID))
 
 
 def test_kernel_matches_formula_on_scalars():
     for x in (0.0, -0.0, 1.0, TWO_PI, -1e-300, 999.5):
         assert quantize_phase(x) == quantize_phase_oracle(x)
-        assert intensity_response(x) == intensity_response_oracle(x)
+        assert RESPONSE[phase_code(x)] == intensity_response_oracle(x)
 
 
 def test_phase_code_rejects_non_finite_phases():
@@ -479,7 +479,7 @@ def test_quantize_phase_matches_formula(x):
 @settings(max_examples=300, deadline=None)
 @given(x=_phases)
 def test_intensity_response_matches_formula(x):
-    assert _same(intensity_response(x), intensity_response_oracle(x))
+    assert _same(RESPONSE[phase_code(x)], intensity_response_oracle(x))
 
 
 @settings(max_examples=60, deadline=None)
