@@ -67,6 +67,10 @@ _HEAD = struct.Struct("<8sI4sQQQ")
 # threads, 2-vCPU Xeon), with the same bytes.  A 1,024-row HOG chunk is
 # 39 MB in float32.
 CHUNK_ROWS = 1024
+# Rows per block of a CacheRows read into one array.  A float64 read of
+# 9,576-wide HOG rows thus stages 2.5 MB of float32 beside its output, where a
+# CHUNK_ROWS chunk would stage 39 MB
+_ARRAY_ROWS = 64
 
 
 class CacheWriter:
@@ -317,7 +321,12 @@ def row_chunks(rows):
     """``(first_row, block)`` for the rows of an array or of a :class:`CacheRows`,
     in order, as blocks cut by :func:`chunk_stops` (one empty block for no
     rows): views of an array, float32 reads of a cache."""
-    stops = chunk_stops(rows.shape[0])
+    return _row_blocks(rows, CHUNK_ROWS)
+
+
+def _row_blocks(rows, size):
+    """:func:`row_chunks` of ``rows`` in blocks of ``size`` rows."""
+    stops = chunk_stops(rows.shape[0], size)
     firsts = [0] + stops[:-1]
     if isinstance(rows, CacheRows):
         blocks = rows.read_blocks(firsts, stops)
@@ -382,6 +391,6 @@ class CacheRows:
         if copy is False:
             raise ValueError("reading rows from a cache file always makes a new array")
         out = np.empty(self.shape, dtype=np.float32 if dtype is None else dtype)
-        for first, chunk in row_chunks(self):
-            out[first : first + chunk.shape[0]] = chunk
+        for first, block in _row_blocks(self, _ARRAY_ROWS):
+            out[first : first + block.shape[0]] = block
         return out

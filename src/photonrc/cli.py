@@ -225,10 +225,10 @@ def cmd_reservoir_run(args):
         if not args.manifest:
             raise ValueError("--reset-per-sequence requires --manifest")
         spans = prepare_data(args.manifest, features).all_spans
-    if args.save_spec:
-        save_reservoir_spec(spec, _out_path(args, args.save_spec, None))
     out = _out_path(args, args.out, "states.rcf")
     steps = drive_reservoir(spec, args.features, out, spans)
+    if args.save_spec:  # once the reservoir it describes is built
+        save_reservoir_spec(spec, _out_path(args, args.save_spec, None))
     print(f"wrote {out}: {steps} steps x {spec.n_nodes} nodes")
     return 0
 

@@ -16,17 +16,22 @@ the same rows to float64 rounding; stored as float32, an entry moved by at
 most one ulp in the tests and at desk scale.  The covariance route has no
 U and returns no scores.
 
-Memory: fitting holds one float64 copy of the data, which it centres in
-place, and the n x n Gram (or D x D covariance) matrix.  LAPACK's dsyevd
-(through ``scipy.linalg.eigh``) overwrites that matrix with its
-eigenvectors and takes a 2m^2 + O(m) workspace for an m x m matrix; on the
-Gram route that phase, the data, the Gram and the workspace, is the fit's
-peak.  The n x k scores are the kept eigenvector columns, and the k x D
-components overwrite the first k rows of the data a column block at a time,
-whose buffer is then trimmed to k x D; on the covariance route, which frees
-the data before the eigendecomposition, the components are a row-major copy
-of the kept eigenvectors.  Sign fixing orients the components a block of
-rows at a time.
+Memory: fitting reads the data into one float64 copy, which it centres in
+place, forms the n x n Gram (or D x D covariance) matrix from it and then
+frees it, so the eigensolve holds no data row.  LAPACK's dsyevd (through
+``scipy.linalg.eigh``) overwrites that matrix with its eigenvectors and
+takes a 2m^2 + O(m) workspace for an m x m matrix.  On the Gram route the
+n x k scores are the kept eigenvector columns; only then is the data read
+and centred again, with the same mean, so it holds the same bytes, and the
+k x D components overwrite its first k rows a column block at a time,
+whose buffer is then trimmed to k x D.  So the Gram route's phases hold
+n D + n^2 float64 values (the product), 3 n^2 (the eigensolve) and n D +
+n k + k ``_BLOCK_COLS`` (the components: the data, the scores and one
+block's product); at desk scale the last is the peak.  On the covariance
+route the data is read once, and the components are a row-major copy of
+the kept eigenvectors.  Sign fixing orients the components a block of rows
+at a time, and :func:`transform` projects a block of rows at a time into
+one float64 result.
 
 The model file is a float64 container (:mod:`photonrc.cache`) of the K x D
 components, whose meta holds the D-entry sample mean, the K eigenvalues,
@@ -54,6 +59,12 @@ _BLOCK_ROWS = 64
 # 404-column block did not.  At desk scale 256-column blocks also took about
 # 1.5 times as long as the one product; 2,048-column blocks took no longer
 _BLOCK_COLS = 2048
+# rows per block of a projection, a short last block joined to the one before.
+# Projecting 895 desk-scale HOG rows onto 2,000 components, blocks of 64, 128,
+# 256 and 1,024 rows gave the bytes of one product, and 128-row blocks took
+# 0.30 s against its 0.29 s (medians of 7, 2 BLAS threads).  A 128-row block
+# centred in float64 is 9.8 MB, where a 1,024-row chunk's is 78 MB
+_PROJECT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -99,14 +110,16 @@ def fit_pca(data, n_components):
 
     ``data`` is any array-like, such as a :class:`~photonrc.cache.CacheRows`
     that reads rows from a cache file.  It is read into one new float64
-    array, which is centred in place, so the caller's array never changes.
-    Data that is not finite raises :class:`NumericalError`.  ``scores`` is
-    the (n_samples, n_components) float64 projection of those rows on the
-    Gram route (n_samples < feature_dim), taken from the Gram's
-    eigenvectors, and None on the covariance route.  On the Gram route the
-    model's components are the first rows of that one array, trimmed to
-    K x D; on the covariance route they are a row-major copy of the kept
-    eigenvectors.
+    array, which is centred in place and freed once the Gram or covariance
+    matrix is formed, so the caller's array never changes and the eigensolve
+    holds no copy of it.  Data that is not finite raises
+    :class:`NumericalError`.  ``scores`` is the (n_samples, n_components)
+    float64 projection of those rows on the Gram route (n_samples <
+    feature_dim), taken from the Gram's eigenvectors, and None on the
+    covariance route.  On the Gram route ``data`` is read a second time,
+    after the eigensolve, and the model's components are the first rows of
+    that array, trimmed to K x D; on the covariance route, which reads
+    ``data`` once, they are a row-major copy of the kept eigenvectors.
     """
     X = np.array(data, dtype=np.float64)
     if X.ndim != 2:
@@ -129,10 +142,10 @@ def fit_pca(data, n_components):
         )
 
     if n >= dim:
-        sym = X.T @ X  # the covariance, after which Z is not needed
-        del X
+        sym = X.T @ X  # the covariance
     else:
         sym = X @ X.T  # the Gram matrix
+    del X  # read again on the Gram route, once the eigenvectors are cut to k
     sym /= denom
     try:
         # numpy takes a product with its own transpose by syrk and mirrors
@@ -162,6 +175,9 @@ def fit_pca(data, n_components):
         eigenvalues = vals[order]
         scores = vecs[:, order]  # U, the kept eigenvectors, until scaled below
         del vecs
+        # Z again, read and centred as before, so it holds the same bytes
+        X = np.array(data, dtype=np.float64)
+        X -= mean
         # the components U'Z in Z's own buffer: column block b of U'Z reads
         # only column block b of Z, so each block's product overwrites the
         # first k rows of that block once it is made
@@ -195,7 +211,8 @@ def fit_pca(data, n_components):
 
 
 def transform(model, data):
-    """Project rows onto the principal axes: (X - mean) @ components'."""
+    """Project rows onto the principal axes: (X - mean) @ components', in
+    float64, ``_PROJECT_ROWS`` rows at a time (see :func:`chunk_stops`)."""
     X = np.asarray(data)
     squeeze = X.ndim == 1
     if squeeze:
@@ -204,8 +221,17 @@ def transform(model, data):
         raise DimensionError(
             f"data has {X.shape[1]} features, model expects {model.feature_dim}"
         )
-    # one pass makes the float64 centred rows, with no float64 copy before it
-    out = np.subtract(X, model.mean, dtype=np.float64) @ model.components.T
+    out = np.empty((X.shape[0], model.n_components))
+    start = 0
+    for stop in chunk_stops(X.shape[0], _PROJECT_ROWS):
+        # a block's rows cast to float64 and centred in place: the same bytes
+        # as np.subtract(..., dtype=np.float64), which stages twice the
+        # casting buffers.  The product goes straight into the block's rows
+        centred = X[start:stop].astype(np.float64)
+        centred -= model.mean
+        np.matmul(centred, model.components.T, out=out[start:stop])
+        del centred  # not beside the next block's
+        start = stop
     return out[0] if squeeze else out
 
 

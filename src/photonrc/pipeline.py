@@ -27,19 +27,23 @@ shape and exactly the size its header announces (one rule,
 :func:`_is_complete`); otherwise it is recomputed.  A stage reads its
 upstream cache only when it recomputes.
 
-The PCA stage never holds the whole HOG cache, and reads each HOG row once.
-The fit reads its rows through :class:`~photonrc.cache.CacheRows` straight
-into one float64 array, which it centres in place.  On the Gram route
-(fewer fit rows than HOG features, as at desk scale) the fit rows' features
-are the scores the fit returns, taken from the Gram's eigenvectors (the
-snapshot method, see :mod:`photonrc.pca`); only the other rows are read
-again and projected, ``cache.CHUNK_ROWS`` rows at a time.  On the
-covariance route every row is projected.  :func:`project` writes the
-features on both routes.  At its peak the stage holds the fit rows in
-float64 with the Gram matrix, which its eigenvectors overwrite, and
-LAPACK's eigensolver workspace; the components then overwrite the fit
-rows.  The write holds the model, the float32 scores and one chunk, in
-float32 and in float64.
+The PCA stage never holds the whole HOG cache.  It reads each row that is
+not a fit row once, and the fit rows once on the covariance route and twice
+on the Gram route (fewer fit rows than HOG features, as at desk scale).  The
+fit reads its rows through :class:`~photonrc.cache.CacheRows` into one
+float64 array, which it centres in place and frees once the Gram matrix is
+formed; after the eigensolve it reads and centres them again, and the
+components overwrite them (see :mod:`photonrc.pca`).  On the Gram route the
+fit rows' features are the scores the fit returns, taken from the Gram's
+eigenvectors (the snapshot method); only the other rows are projected,
+``cache.CHUNK_ROWS`` rows at a time.  On the covariance route every row is
+projected.  :func:`project` writes the features on both routes.  At its
+peak the stage holds the fit rows in float64, their float64 scores and one
+block's product of the components; the eigensolve holds the Gram matrix,
+which its eigenvectors overwrite, and LAPACK's workspace, and no fit row.
+The write holds the model, the float32 scores, one float32 chunk with its
+float64 projection, and either 128 of its rows centred in float64 or one
+run's float32 features.
 
 No stage after PCA holds more than one Gram and one chunk of rows.  The
 reservoir stage reads the feature cache a chunk at a time and writes each
@@ -292,13 +296,15 @@ def pca_stage(hog_path, rows, n_components, model_path, features_path):
     ``model_path``; returns the saved model.  A stage that fails before the
     features are whole thus leaves neither file.
 
-    The fit reads its rows from disk straight into its one float64 array.
-    :func:`project` writes the features on both routes.  On the Gram route
-    it is given the fit rows and their scores, which agree with a projection
-    to rounding (1 float32 ulp at most in the tests and at desk scale), and
-    reads and projects only the other rows; the scores are rebound to
-    float32 first, so the float64 ones are freed before the write.  On the
-    covariance route there are no scores and every row is projected.
+    The fit reads its rows from disk into its one float64 array, twice on
+    the Gram route: once for the Gram matrix and once, after the eigensolve,
+    for the components.  :func:`project` writes the features on both routes.
+    On the Gram route it is given the fit rows and their scores, which agree
+    with a projection to rounding (1 float32 ulp at most in the tests and at
+    desk scale), and reads and projects only the other rows; the scores are
+    rebound to float32 first, so the float64 ones are freed before the
+    write.  On the covariance route there are no scores and every row is
+    projected.
     """
     model, scores = fit_pca(CacheRows(hog_path, rows), n_components)
     if scores is None:  # the covariance route
@@ -317,10 +323,10 @@ def project(model, hog_path, path, rows=(), scores=()):
 
     Rows ``rows``, strictly ascending (else ValueError), take their float32
     ``scores`` and are not read; the others are read, a chunk at a time
-    (:func:`~photonrc.cache.row_chunks`), and projected, each before its
-    block of stream rows is made, so that the block never sits beside the
-    projection's float64 copy of the chunk.  As the fit rows ascend, a
-    block's fit rows take one slice of ``scores``, copied with no gather.
+    (:func:`~photonrc.cache.row_chunks`), and projected.  Each run of fit
+    rows goes to the writer as one slice of ``scores``, and each run of
+    projected rows as a float32 copy of its slice of the chunk's projection,
+    so no block of stream rows is made.
     """
     n_frames = read_cache_header(hog_path)[0]
     if np.any(np.diff(rows) <= 0):
@@ -329,6 +335,7 @@ def project(model, hog_path, path, rows=(), scores=()):
     fitted[np.asarray(rows, dtype=np.intp)] = True
     scores = np.reshape(scores, (len(rows), model.n_components))  # () too, as 0 rows
     other = np.flatnonzero(~fitted)
+    written = 0  # fit rows written
     with CacheWriter(path, model.n_components) as writer:
         # with every row fitted, the one empty chunk writes every score
         for first, chunk in row_chunks(CacheRows(hog_path, other)):
@@ -336,12 +343,16 @@ def project(model, hog_path, path, rows=(), scores=()):
             start = int(other[first - 1]) + 1 if first else 0
             stop = int(other[last - 1]) + 1 if last < other.size else n_frames
             projected = transform(model, chunk)
-            block = np.empty((stop - start, model.n_components), dtype=np.float32)
-            # rows before ``start`` hold start - first fitted rows, before ``stop`` stop - last
-            block[fitted[start:stop]] = scores[start - first : stop - last]
-            block[~fitted[start:stop]] = projected
-            writer.append(block)
-            del projected, block  # neither sits beside the next chunk's projection
+            at = 0  # the chunk's projected rows written
+            cuts = (start + 1 + np.flatnonzero(np.diff(fitted[start:stop]))).tolist()
+            for a, b in zip([start, *cuts], [*cuts, stop]):
+                if fitted[a:b].any():  # a run holds fit rows only, or none
+                    writer.append(scores[written : written + b - a])
+                    written += b - a
+                else:
+                    writer.append(projected[at : at + b - a])
+                    at += b - a
+            del projected  # not beside the next chunk's projection
     return n_frames
 
 
@@ -438,8 +449,10 @@ def run_pipeline(config):
     "reuse" policy, only if each binary artifact it names is complete with
     the shape the stage expects (:func:`_is_complete`).  A reused stage
     reads no upstream cache.  The dataset stage refuses a run that the
-    train, evaluate or PCA stage would refuse, and ``config.json`` is written
-    with ``pipeline.json``, so a failed run leaves both as they were.
+    train, evaluate or PCA stage would refuse for its shape alone, the
+    reservoir spec is saved once its reservoir is built, and ``config.json``
+    is written with ``pipeline.json``, so a failed run leaves both as they
+    were.
     """
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -478,9 +491,21 @@ def run_pipeline(config):
             raise SchemaError(f"{config.manifest_path}: manifest has no train-split sequences")
         if not data.test_spans:
             raise SchemaError(f"{config.manifest_path}: manifest has no test-split sequences")
+        for sequence_id, start, stop, _ in data.test_spans:
+            if start == stop:
+                raise SchemaError(
+                    f"{config.manifest_path}: test-split sequence {sequence_id!r} has no frames"
+                )
         if config.pca_components > feature_dim:
             raise DimensionError(
                 f"{config.pca_components} PCA components asked of {feature_dim} HOG features"
+            )
+        # on the Gram route the n centred fit rows have rank n - 1 at most
+        fit_rows = pca_fit_rows(data, config.pca_fit_on)
+        if fit_rows.size < feature_dim and config.pca_components >= fit_rows.size:
+            raise DimensionError(
+                f"{config.pca_components} PCA components asked of {fit_rows.size} fit rows, "
+                f"whose rank is {fit_rows.size - 1} at most"
             )
 
     # each stage reads its upstream cache only when it recomputes
@@ -505,8 +530,7 @@ def run_pipeline(config):
             ("features", "features_{}.rcf", n_frames, config.pca_components),
         )
         if not reused:
-            rows = pca_fit_rows(data, config.pca_fit_on)
-            pca_stage(hog_path, rows, config.pca_components, model_path, features_path)
+            pca_stage(hog_path, fit_rows, config.pca_components, model_path, features_path)
 
     with _stage("reservoir"):
         spec = reservoir_spec(config.n_nodes, config.pca_components, config.params, config.seed)
@@ -525,10 +549,10 @@ def run_pipeline(config):
             ("reservoir_spec", "reservoir_{}.json"),
             ("states", "states_{}.rcf", n_frames, config.n_nodes),
         )
-        save_reservoir_spec(spec, spec_path)
         if not reused:
             spans = data.all_spans if config.reset_per_sequence else None
             drive_reservoir(spec, features_path, states_path, spans)
+        save_reservoir_spec(spec, spec_path)  # once the reservoir it describes is built
         # read a chunk at a time by the train and evaluate stages
         states = CacheRows(states_path)
 

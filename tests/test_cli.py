@@ -883,10 +883,26 @@ def test_impossible_coupling_is_usage_error(cli_env, tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("usage error: stage 'reservoir'")
+    # the artifacts of the stages before it, and no spec of a reservoir no
+    # one can build
+    assert sorted(p.name.split("_")[0] for p in tmp_path.iterdir()) == ["features", "hog", "pca"]
+
+
+def test_reservoir_run_saves_no_spec_of_a_reservoir_it_cannot_build(cli_env, tmp_path, capsys):
+    code = main([
+        "reservoir", "run", "--features", cli_env["features"], "--n-nodes", "16",
+        "--coupling-density", "1.0", "--save-spec", str(tmp_path / "spec.json"),
+        "--out", str(tmp_path / "states.rcf"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fit_on", PCA_FIT_ON)
-@pytest.mark.parametrize("case", ["train split only", "test split only", "components"])
+@pytest.mark.parametrize(
+    "case", ["train split only", "test split only", "components", "gram components"]
+)
 def test_a_run_that_cannot_finish_stops_in_its_dataset_stage(
     cli_env, tmp_path, capsys, case, fit_on
 ):
@@ -894,6 +910,10 @@ def test_a_run_that_cannot_finish_stops_in_its_dataset_stage(
     components = 12
     if case == "components":  # one more than the frames' HOG features
         components = feature_count(manifest.resolution) + 1
+    elif case == "gram components":
+        # 700 of 720 HOG features, above the rank of the 52 train frames or
+        # the 103 frames, which are fewer; the fit would find it in stage pca
+        components = 700
     else:
         kept = Split.TRAIN if case == "train split only" else Split.TEST
         sequences = tuple(seq for seq in manifest.sequences if seq.split is kept)
@@ -907,6 +927,27 @@ def test_a_run_that_cannot_finish_stops_in_its_dataset_stage(
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error: stage 'dataset' failed")
+    assert not list(out_dir.glob("hog_*"))
+
+
+def test_an_empty_test_sequence_stops_in_the_dataset_stage(cli_env, tmp_path, capsys):
+    manifest = load_manifest(cli_env["manifest"])
+    empty = next(seq for seq in manifest.sequences if seq.split is Split.TEST)
+    sequences = tuple(
+        dataclasses.replace(seq, frame_count=0) if seq is empty else seq
+        for seq in manifest.sequences
+    )
+    path = tmp_path / "manifest.json"
+    save_manifest(dataclasses.replace(manifest, sequences=sequences), path)
+    out_dir = tmp_path / "run"
+    code = main([
+        "--out-dir", str(out_dir), "pipeline", "run", "--manifest", str(path),
+        "--components", "12", "--n-nodes", "16",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage 'dataset' failed")
+    assert f"test-split sequence {empty.sequence_id!r} has no frames" in err
     assert not list(out_dir.glob("hog_*"))
 
 
@@ -1131,18 +1172,6 @@ def test_a_missing_frame_fails_the_hog_stage_and_a_rerun_recomputes_it(tmp_path,
     assert main(run) == 0
     for name in (*artifacts.values(), "pipeline.json"):
         assert (torn / name).read_bytes() == (cold / name).read_bytes(), name
-
-
-def test_an_empty_test_sequence_fails_evaluate_naming_it(tmp_path, capsys):
-    manifest, _ = _small_corpus(tmp_path / "corpus")
-    doc = json.loads(Path(manifest).read_text())
-    empty = next(seq for seq in doc["sequences"] if seq["split"] == "test")
-    empty["frame_count"] = 0  # legal, with a warning
-    Path(manifest).write_text(json.dumps(doc))
-    run = ["--out-dir", str(tmp_path / "run"), "pipeline", "run", "--manifest", manifest]
-    assert main(run + _RUN_FLAGS) == 2
-    message = f"cannot classify the empty sequence {empty['sequence_id']!r}"
-    assert f"stage 'evaluate' failed: {message}" in capsys.readouterr().err
 
 
 def test_pca_fit_writes_the_features_beside_the_model(cli_env, tmp_path, monkeypatch, capsys):

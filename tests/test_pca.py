@@ -1,6 +1,7 @@
 """Covariance-method PCA: both eigendecomposition routes, files, errors."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,3 +329,40 @@ def test_a_traced_fit_equals_an_untraced_fit(rng):
         sys.settrace(previous)
     assert traced.components.tobytes() == model.components.tobytes()
     assert traced_scores.tobytes() == scores.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(400, 3000), (1000, 200)], ids=["gram", "covariance"])
+def test_the_eigensolve_holds_no_fit_row(tmp_path, rng, monkeypatch, shape):
+    # the data is freed once the Gram (or covariance) matrix is formed: on
+    # entry to eigh the fit holds that m x m matrix and no copy of the
+    # 400 x 3,000 (9.6 MB) or 1,000 x 200 (1.6 MB) float64 centred rows
+    path = tmp_path / "c.rcf"
+    with CacheWriter(path, shape[1]) as writer:
+        writer.append(rng.standard_normal(shape))
+    real = pca_module.linalg.eigh
+    held = []
+
+    def traced_eigh(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pca_module.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        model, _ = fit_pca(CacheRows(path), 20)
+    finally:
+        tracemalloc.stop()
+    m = min(shape)
+    assert len(held) == 1 and held[0] < 8 * m * m + (1 << 20)
+    assert model.components.shape == (20, shape[1])
+
+
+# 128-row blocks: 300 rows are 128 and 172 (a short last 44 joined to the one
+# before), 356 rows 128, 128 and 100
+@pytest.mark.parametrize("rows", [1, 127, 300, 356])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_blocked_transform_rounds_like_one_product(rng, rows, dtype):
+    model, _ = fit_pca(rng.standard_normal((200, 3000)), 50)
+    values = rng.standard_normal((rows, 3000)).astype(dtype)
+    one = np.subtract(values, model.mean, dtype=np.float64) @ model.components.T
+    assert transform(model, values).tobytes() == one.tobytes()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc import cache
+from photonrc import pca as pca_module
 from photonrc.cache import CacheRows, CacheWriter, read_cache, row_chunks
 from photonrc.dataset import Manifest, save_manifest
 from photonrc.errors import (
@@ -361,9 +362,9 @@ def test_reuse_with_valid_pca_never_reads_the_hog_cache(pipe, tmp_path, monkeypa
         assert (copy_dir / name).read_bytes() == (Path(report.out_dir) / name).read_bytes()
 
 
-def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
-    # on the Gram route: one pass over the fit rows, one over the other rows,
-    # and no whole-cache read
+def test_pca_refit_reads_the_fit_rows_twice_and_the_other_rows_once(pipe, tmp_path, monkeypatch):
+    # on the Gram route: a pass over the fit rows for the Gram matrix, one
+    # for the components, one over the other rows, and no whole-cache read
     config, report = pipe
     copy_dir = tmp_path / "refit"
     shutil.copytree(report.out_dir, copy_dir)
@@ -375,12 +376,32 @@ def test_pca_refit_reads_the_hog_cache_once(pipe, tmp_path, monkeypatch):
     n_fit = data.train_rows.size
     n_frames = data.total_frames
     # then the evaluate stage's pass over the reused state cache
-    assert passes == [(hog, n_fit), (hog, n_frames - n_fit), (report.artifacts["states"], n_frames)]
+    assert passes == [
+        (hog, n_fit), (hog, n_fit), (hog, n_frames - n_fit), (report.artifacts["states"], n_frames)
+    ]
     assert reads == []
     assert again.score == report.score
     assert (copy_dir / "pipeline.json").read_bytes() == (
         Path(report.out_dir) / "pipeline.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("dim", [600, 30], ids=["gram", "covariance"])
+def test_pca_stage_passes_over_the_hog_cache(tmp_path, rng, monkeypatch, dim):
+    # the fit reads its rows twice on the Gram route, whose projection then
+    # reads only the other rows, and once on the covariance route, whose
+    # projection reads every row; no whole-cache read
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, dim) as writer:
+        writer.append(rng.standard_normal((100, dim)))
+    rows = np.arange(0, 100, 3)
+    reads, passes = _record_cache_reads(monkeypatch)
+    pipeline_module.pca_stage(hog, rows, 8, tmp_path / "pca.bin", tmp_path / "f.rcf")
+    if rows.size < dim:
+        assert passes == [("hog.rcf", rows.size)] * 2 + [("hog.rcf", 100 - rows.size)]
+    else:
+        assert passes == [("hog.rcf", rows.size), ("hog.rcf", 100)]
+    assert reads == []
 
 
 def test_reuse_refits_a_torn_pca_model(pipe, tmp_path):
@@ -548,9 +569,10 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     # one bound per phase: the fit, up to the call of project, and the
     # write.  numpy reports its array allocations to tracemalloc, and
     # scipy's eigh allocates LAPACK's workspace as numpy arrays, so that is
-    # seen too
+    # seen too.  64-row projection blocks, so a chunk is cut into blocks
     chunk_rows = 128
     monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(pca_module, "_PROJECT_ROWS", 64)
     rng = np.random.default_rng(5)
     hog = tmp_path / "hog.rcf"
     with CacheWriter(hog, dim) as writer:
@@ -576,31 +598,40 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     gram = n_fit < dim
     m = min(n_fit, dim)  # the Gram matrix is n x n, the covariance D x D
     small = 1 << 17  # numpy's casting buffers and Python objects
-    # the fit: the eigenvectors overwrite the m x m matrix, and dsyevd's
-    # workspace is 2 m^2 + O(m) more.  On the Gram route the fit rows are
-    # held through the eigendecomposition and the components overwrite
-    # them; the n x k scores, the kept eigenvector columns, are made after
-    # the workspace is freed.  On the covariance route the rows are freed
-    # before it, and the k x D components (k <= m = D) are made after it.
-    # The rows are read as float32 chunks, the longest a short last one
-    # joined; 1 MB covers the small arrays
-    held = 3 * m * m if gram else 2 * m * m
-    assert traced["fit"] < 8 * (n_fit * dim + held) + 4 * 3 * chunk_rows // 2 * dim + (1 << 20)
+
+    def widest(n, size):
+        return max(np.diff([0] + cache.chunk_stops(n, size)))
+
+    # the fit's phases, in float64 values: the centred rows beside the
+    # m x m product of them; the eigensolve, whose eigenvectors overwrite
+    # that matrix beside dsyevd's 2 m^2 + O(m) workspace, with no row held;
+    # then on the Gram route the rows read again beside the n x k scores and
+    # one column block's k-row product, and on the covariance route the
+    # k x D components copied from the D x D eigenvectors.  The rows are
+    # read as 64-row float32 blocks, the longest a short last one joined;
+    # 1 MB covers the small arrays
+    phases = [n_fit * dim + m * m, 3 * m * m]
+    if gram:
+        phases.append(n_fit * dim + n_fit * k + k * widest(dim, pca_module._BLOCK_COLS))
+    else:
+        phases.append(m * m + k * dim)
+    staging = 4 * widest(n_fit, cache._ARRAY_ROWS) * dim
+    assert traced["fit"] < 8 * max(phases) + staging + (1 << 20)
     # the write holds the model and, on the Gram route, the float32 scores,
     # and not the float64 ones
     model = 8 * (k * dim + dim + k)
     scores = 4 * n_fit * k if gram else 0
     assert traced["held"] < model + scores + small
-    # beside them, one chunk of the rows it projects in float32 and the
-    # chunk's float64 projection, with either the chunk's float64 centred
-    # copy or, once that is freed, one float32 block of stream rows, as long
-    # as the stream on the Gram route.  The fit rows' scores are sliced into
-    # the block, never gathered: in the "gram-block" case the block
-    # outweighs the copy, so a gathered copy of the scores would break the bound
-    c = max(np.diff([0] + cache.chunk_stops(n_frames - n_fit if gram else n_frames)))
-    block = n_frames if gram else c
+    # beside them, one float32 chunk of the rows it projects and the chunk's
+    # float64 projection, with either one block of the chunk centred in
+    # float64 or one run's float32 copy of its projection.  The fit rows'
+    # scores go to the writer as slices, and no block of stream rows is
+    # made: in the "gram-block" case a float32 block as long as the stream,
+    # or a gathered copy of the scores, would break the bound
+    c = widest(n_frames - n_fit if gram else n_frames, chunk_rows)
+    b = widest(c, pca_module._PROJECT_ROWS)
     index = 9 * n_frames  # each stream row's fitted flag, and the rows it reads
-    peak = 4 * c * dim + 8 * c * k + max(8 * c * dim, 4 * block * k)
+    peak = 4 * c * dim + 8 * c * k + max(8 * b * dim, 4 * c * k)
     assert traced["write"] < model + scores + peak + index + small
 
 
