@@ -100,8 +100,9 @@ for u in inputs:
 print(f"phase-form steps read what the loop reads: "
       f"{np.array_equal(np.float32(read), states_i)}")
 
-# Spans restart the state, cutting memory at sequence boundaries.
-spans = [(0, 25), (25, 50)]
+# Spans, a frame index's (sequence_id, start, stop, action) tuples, restart
+# the state, cutting memory at sequence boundaries.
+spans = [("a", 0, 25, 0), ("b", 25, 50, 0)]
 reset = run_reservoir(mats, inputs, spans=spans)
 print(f"free-running and reset runs agree before the cut: "
       f"{np.array_equal(reset[:25], states_i[:25])}, "

@@ -28,7 +28,8 @@ three per-kind formats of version 1 (magics ``RCFEAT01``, ``RCPCA001`` and
 :func:`read_cache` loads a whole cache; :class:`CacheRows` reads selected
 rows of one from disk a chunk at a time, so a stage that streams a cache
 never holds all of it.  :func:`row_chunks` cuts an array and a cache into
-the same chunks, and gives each chunk's first row.
+the same blocks of a size its caller picks, and gives each block's first
+row: each stage reads its rows in the blocks it computes on.
 
 :func:`read_json` reads every JSON document (the manifest, both specs and
 ``pipeline.json``) and :func:`write_json` writes all but the manifest, whose
@@ -61,11 +62,9 @@ _VALUE_TYPES = ("<f4", "<f8")
 # magic, version, value type, rows, cols, meta length
 _HEAD = struct.Struct("<8sI4sQQQ")
 
-# Rows per chunk of a CacheRows read.  Projecting 2,895 x 9,576 HOG rows
-# onto 2,000 components took 1.13 s in chunks of 512 rows, 1.08 s in chunks
-# of 1,024 and 1.04 s as one product over every row (medians of 10, 2 BLAS
-# threads, 2-vCPU Xeon), with the same bytes.  A 1,024-row HOG chunk is
-# 39 MB in float32.
+# Rows per chunk of a row_chunks walk that names no size: the ridge
+# readout's sums and its application.  A 1,024-row chunk of 4,096 float32
+# readings is 16 MB
 CHUNK_ROWS = 1024
 # Rows per block of a CacheRows read into one array.  A float64 read of
 # 9,576-wide HOG rows thus stages 2.5 MB of float32 beside its output, where a
@@ -317,15 +316,12 @@ def chunk_stops(n, size=None):
     return stops + [n]
 
 
-def row_chunks(rows):
+def row_chunks(rows, size=None):
     """``(first_row, block)`` for the rows of an array or of a :class:`CacheRows`,
-    in order, as blocks cut by :func:`chunk_stops` (one empty block for no
-    rows): views of an array, float32 reads of a cache."""
-    return _row_blocks(rows, CHUNK_ROWS)
-
-
-def _row_blocks(rows, size):
-    """:func:`row_chunks` of ``rows`` in blocks of ``size`` rows."""
+    in order, as blocks of ``size`` rows (CHUNK_ROWS, read when the walk
+    starts, by default) cut by :func:`chunk_stops` (one empty block for no
+    rows): views of an array, float32 reads of a cache.  The one walk of
+    every stage that streams rows."""
     stops = chunk_stops(rows.shape[0], size)
     firsts = [0] + stops[:-1]
     if isinstance(rows, CacheRows):
@@ -391,6 +387,6 @@ class CacheRows:
         if copy is False:
             raise ValueError("reading rows from a cache file always makes a new array")
         out = np.empty(self.shape, dtype=np.float32 if dtype is None else dtype)
-        for first, block in _row_blocks(self, _ARRAY_ROWS):
+        for first, block in row_chunks(self, _ARRAY_ROWS):
             out[first : first + block.shape[0]] = block
         return out

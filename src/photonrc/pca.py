@@ -30,8 +30,9 @@ n k + k ``_BLOCK_COLS`` (the components: the data, the scores and one
 block's product); at desk scale the last is the peak.  On the covariance
 route the data is read once, and the components are a row-major copy of
 the kept eigenvectors.  Sign fixing orients the components a block of rows
-at a time, and :func:`transform` projects a block of rows at a time into
-one float64 result.
+at a time.  :func:`transform` is one float64 product of whatever rows it is
+given; a stage that projects a cache walks it in blocks
+(:func:`photonrc.pipeline.project`).
 
 The model file is a float64 container (:mod:`photonrc.cache`) of the K x D
 components, whose meta holds the D-entry sample mean, the K eigenvalues,
@@ -59,12 +60,6 @@ _BLOCK_ROWS = 64
 # 404-column block did not.  At desk scale 256-column blocks also took about
 # 1.5 times as long as the one product; 2,048-column blocks took no longer
 _BLOCK_COLS = 2048
-# rows per block of a projection, a short last block joined to the one before.
-# Projecting 895 desk-scale HOG rows onto 2,000 components, blocks of 64, 128,
-# 256 and 1,024 rows gave the bytes of one product, and 128-row blocks took
-# 0.30 s against its 0.29 s (medians of 7, 2 BLAS threads).  A 128-row block
-# centred in float64 is 9.8 MB, where a 1,024-row chunk's is 78 MB
-_PROJECT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,33 @@ def _fix_signs(components):
     return signs
 
 
+def gram_route(shape, n_components):
+    """Whether a fit of ``n_components`` components to data of ``shape``
+    takes the Gram route (fewer rows than features) rather than the
+    covariance route: the one shape rule of a fit, which :func:`fit_pca`
+    applies before it reads a row and the pipeline's dataset stage before
+    any HOG row is made.
+
+    DimensionError unless the data is 2-D and ``n_components`` lies in
+    [1, D]; RankError for fewer than two rows; and on the Gram route a
+    DimensionError for ``n_components >= n``, as n centred rows have rank
+    n - 1 at most.
+    """
+    if len(shape) != 2:
+        raise DimensionError("PCA input must be a 2-D array")
+    n, dim = shape
+    if n < 2:
+        raise RankError("PCA needs at least two samples")
+    if not 1 <= n_components <= dim:
+        raise DimensionError(f"n_components must lie in [1, {dim}], got {n_components}")
+    if n < dim and n_components >= n:
+        raise DimensionError(
+            f"{n_components} components asked of {n} rows, whose centred rank is "
+            f"{n - 1} at most"
+        )
+    return n < dim
+
+
 def fit_pca(data, n_components):
     """Fit a PCA model to ``data`` of shape (n_samples, feature_dim); returns
     (model, scores).
@@ -120,16 +142,13 @@ def fit_pca(data, n_components):
     after the eigensolve, and the model's components are the first rows of
     that array, trimmed to K x D; on the covariance route, which reads
     ``data`` once, they are a row-major copy of the kept eigenvectors.
+    The shape rule, :func:`gram_route`, runs on ``np.shape(data)``, so a
+    shape no fit can take raises before any row is read.
     """
-    X = np.array(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError("PCA input must be a 2-D array")
-    n, dim = X.shape
-    if n < 2:
-        raise RankError("PCA needs at least two samples")
     k = int(n_components)
-    if not 1 <= k <= dim:
-        raise DimensionError(f"n_components must lie in [1, {dim}], got {k}")
+    gram = gram_route(np.shape(data), k)  # before any row is read
+    X = np.array(data, dtype=np.float64)
+    n, dim = X.shape
 
     with np.errstate(invalid="ignore"):  # inf - inf, which the check below names
         mean = X.mean(axis=0)
@@ -141,10 +160,7 @@ def fit_pca(data, n_components):
             f"PCA input is not finite: its total variance is {total_variance}"
         )
 
-    if n >= dim:
-        sym = X.T @ X  # the covariance
-    else:
-        sym = X @ X.T  # the Gram matrix
+    sym = X @ X.T if gram else X.T @ X  # the Gram matrix or the covariance
     del X  # read again on the Gram route, once the eigenvectors are cut to k
     sym /= denom
     try:
@@ -157,7 +173,7 @@ def fit_pca(data, n_components):
     except np.linalg.LinAlgError as exc:  # a ValueError, which reads as a usage error
         raise NumericalError(f"PCA eigendecomposition failed: {exc}") from exc
     del sym
-    if n >= dim:
+    if not gram:
         order = np.argsort(vals)[::-1][:k]
         eigenvalues = np.maximum(vals[order], 0.0)
         components = vecs.T[order]  # rows of the C-order transpose
@@ -211,28 +227,18 @@ def fit_pca(data, n_components):
 
 
 def transform(model, data):
-    """Project rows onto the principal axes: (X - mean) @ components', in
-    float64, ``_PROJECT_ROWS`` rows at a time (see :func:`chunk_stops`)."""
+    """Project rows onto the principal axes: (X - mean) @ components', one
+    float64 product of the rows given.  The rows are cast to float64 and
+    centred in place: the same bytes as np.subtract(..., dtype=np.float64),
+    which stages twice the casting buffers."""
     X = np.asarray(data)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
-    if X.shape[1] != model.feature_dim:
+    if X.shape[-1] != model.feature_dim:
         raise DimensionError(
-            f"data has {X.shape[1]} features, model expects {model.feature_dim}"
+            f"data has {X.shape[-1]} features, model expects {model.feature_dim}"
         )
-    out = np.empty((X.shape[0], model.n_components))
-    start = 0
-    for stop in chunk_stops(X.shape[0], _PROJECT_ROWS):
-        # a block's rows cast to float64 and centred in place: the same bytes
-        # as np.subtract(..., dtype=np.float64), which stages twice the
-        # casting buffers.  The product goes straight into the block's rows
-        centred = X[start:stop].astype(np.float64)
-        centred -= model.mean
-        np.matmul(centred, model.components.T, out=out[start:stop])
-        del centred  # not beside the next block's
-        start = stop
-    return out[0] if squeeze else out
+    centred = X.astype(np.float64)
+    centred -= model.mean
+    return centred @ model.components.T
 
 
 def save_pca_model(model, path):

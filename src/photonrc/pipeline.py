@@ -35,19 +35,24 @@ float64 array, which it centres in place and frees once the Gram matrix is
 formed; after the eigensolve it reads and centres them again, and the
 components overwrite them (see :mod:`photonrc.pca`).  On the Gram route the
 fit rows' features are the scores the fit returns, taken from the Gram's
-eigenvectors (the snapshot method); only the other rows are projected,
-``cache.CHUNK_ROWS`` rows at a time.  On the covariance route every row is
-projected.  :func:`project` writes the features on both routes.  At its
-peak the stage holds the fit rows in float64, their float64 scores and one
-block's product of the components; the eigensolve holds the Gram matrix,
-which its eigenvectors overwrite, and LAPACK's workspace, and no fit row.
-The write holds the model, the float32 scores, one float32 chunk with its
-float64 projection, and either 128 of its rows centred in float64 or one
-run's float32 features.
+eigenvectors (the snapshot method); only the other rows are projected.  On
+the covariance route every row is projected.  :func:`project` writes the
+features on both routes.  At its peak the stage holds the fit rows in
+float64, their float64 scores and one block's product of the components;
+the eigensolve holds the Gram matrix, which its eigenvectors overwrite, and
+LAPACK's workspace, and no fit row.  The write holds the model, the float32
+scores and one block of 128 rows: its float32 read, its float64 projection,
+and either its rows centred in float64 or one run's float32 features.
 
-No stage after PCA holds more than one Gram and one chunk of rows.  The
-reservoir stage reads the feature cache a chunk at a time and writes each
-block of readings as it is made.  The train and evaluate stages read the
+Each stage that streams rows walks them with one
+:func:`~photonrc.cache.row_chunks` loop, reading a cache's rows in the
+block it computes on: the projection in 128-row blocks, the reservoir in
+:data:`~photonrc.reservoir.DRIVE_ROWS` drive blocks, the readout in
+``cache.CHUNK_ROWS`` chunks.  No stage after PCA holds more than one Gram
+and one chunk of rows.  The reservoir stage reads the feature cache and
+writes the readings one drive block at a time, through
+:func:`~photonrc.reservoir.run_reservoir`, the one call that runs a
+reservoir, which a grid stack shares.  The train and evaluate stages read the
 state cache through :class:`~photonrc.cache.CacheRows`: the ridge readout
 sums its normal equations exactly over row chunks (see
 :mod:`photonrc.readout`), and the readout is applied a chunk at a time, cut
@@ -91,9 +96,9 @@ from .classify import (
 )
 from .dataset import index_frames, load_manifest, stream_frames, validation_index
 from .errors import (
-    FAILURES, DimensionError, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError,
+    FAILURES, NotAPipelineDirError, ParseError, PipelineStageError, SchemaError,
 )
-from .pca import fit_pca, save_pca_model, transform
+from .pca import fit_pca, gram_route, save_pca_model, transform
 # not called here, as the PCA stage returns the model it saves and every cache
 # is read a chunk at a time; bound so that perfbench/tracing.py WRAPS can
 # patch them on this module
@@ -115,7 +120,6 @@ from .reservoir import (
     ReservoirSpec,
     run_reservoir,
     save_reservoir_spec,
-    stack_matrices,
 )
 
 PIPELINE_FILE = "pipeline.json"
@@ -316,17 +320,27 @@ def pca_stage(hog_path, rows, n_components, model_path, features_path):
     return model
 
 
+# rows per block of a projection, a short last block joined to the one before.
+# Projecting 895 desk-scale HOG rows onto 2,000 components, blocks of 64, 128,
+# 256 and 1,024 rows gave the bytes of one product, and 128-row blocks took
+# 0.30 s against its 0.29 s (medians of 7, 2 BLAS threads).  A 128-row block
+# centred in float64 is 9.8 MB, where a 1,024-row chunk's is 78 MB
+_PROJECT_ROWS = 128
+
+
 def project(model, hog_path, path, rows=(), scores=()):
     """Write the PCA features of every row of the HOG cache at ``hog_path``
     to a feature cache, in stream order; returns the row count.  The one
     writer of a feature cache, for :func:`pca_stage` and CLI ``pca transform``.
 
     Rows ``rows``, strictly ascending (else ValueError), take their float32
-    ``scores`` and are not read; the others are read, a chunk at a time
-    (:func:`~photonrc.cache.row_chunks`), and projected.  Each run of fit
-    rows goes to the writer as one slice of ``scores``, and each run of
-    projected rows as a float32 copy of its slice of the chunk's projection,
-    so no block of stream rows is made.
+    ``scores`` and are not read; the others are read and projected a block
+    of :data:`_PROJECT_ROWS` at a time (:func:`~photonrc.cache.row_chunks`),
+    each block by one :func:`~photonrc.pca.transform`, which gives the bytes
+    of one product over every row.  Each run of fit rows goes to the writer
+    as one slice of ``scores``, and each run of projected rows as a float32
+    copy of its slice of the block's projection, so no block of stream rows
+    is made.
     """
     n_frames = read_cache_header(hog_path)[0]
     if np.any(np.diff(rows) <= 0):
@@ -337,13 +351,13 @@ def project(model, hog_path, path, rows=(), scores=()):
     other = np.flatnonzero(~fitted)
     written = 0  # fit rows written
     with CacheWriter(path, model.n_components) as writer:
-        # with every row fitted, the one empty chunk writes every score
-        for first, chunk in row_chunks(CacheRows(hog_path, other)):
-            last = first + chunk.shape[0]
+        # with every row fitted, the one empty block writes every score
+        for first, block in row_chunks(CacheRows(hog_path, other), _PROJECT_ROWS):
+            last = first + block.shape[0]
             start = int(other[first - 1]) + 1 if first else 0
             stop = int(other[last - 1]) + 1 if last < other.size else n_frames
-            projected = transform(model, chunk)
-            at = 0  # the chunk's projected rows written
+            projected = transform(model, block)
+            at = 0  # the block's projected rows written
             cuts = (start + 1 + np.flatnonzero(np.diff(fitted[start:stop]))).tolist()
             for a, b in zip([start, *cuts], [*cuts, stop]):
                 if fitted[a:b].any():  # a run holds fit rows only, or none
@@ -352,7 +366,7 @@ def project(model, hog_path, path, rows=(), scores=()):
                 else:
                     writer.append(projected[at : at + b - a])
                     at += b - a
-            del projected  # not beside the next chunk's projection
+            del block, projected  # not beside the next block's
     return n_frames
 
 
@@ -366,35 +380,18 @@ def reservoir_spec(n_nodes, input_dim, params, seed):
     )
 
 
-def reservoir_states(specs, inputs, spans, out=None):
-    """Drive the reservoirs ``specs`` describe with ``inputs``, an array or a
-    :class:`CacheRows`; returns their float32 detector readings, or with
-    ``out`` set appends them to it a block at a time (:func:`run_reservoir`).
-
-    The reservoirs step in lockstep as one block-diagonal reservoir
-    (:func:`stack_matrices`): the result holds each spec's N columns side
-    by side in spec order, each equal to that spec's own run.  ``spans``
-    lists (sequence_id, start, stop, action) tuples whose starts reset the
-    state; None runs one unbroken stream.  The readings are float32 as the
-    state cache stores them, so an in-memory trial sees exactly the values
-    a pipeline run reads back.
-    """
-    if spans is not None:
-        spans = [(start, stop) for _, start, stop, _ in spans]
-    matrices = stack_matrices([spec.build() for spec in specs])
-    return run_reservoir(matrices, inputs, spans=spans, out=out)
-
-
 def drive_reservoir(spec, features_path, path, spans):
     """Write the readings of the reservoir ``spec`` describes, driven by the
     feature cache at ``features_path``, to a state cache; returns the row count.
 
-    The features are read and the readings written a block at a time.
-    ``spans`` is as for :func:`reservoir_states`.
+    The features are read and the readings written a drive block at a time
+    (:func:`~photonrc.reservoir.run_reservoir`).  ``spans`` lists
+    (sequence_id, start, stop, action) tuples whose starts reset the state;
+    None runs one unbroken stream.
     """
     features = CacheRows(features_path)
     with CacheWriter(path, spec.n_nodes) as writer:
-        reservoir_states([spec], features, spans, out=writer)
+        run_reservoir(spec.build(), features, spans=spans, out=writer)
     return features.shape[0]
 
 
@@ -496,17 +493,8 @@ def run_pipeline(config):
                 raise SchemaError(
                     f"{config.manifest_path}: test-split sequence {sequence_id!r} has no frames"
                 )
-        if config.pca_components > feature_dim:
-            raise DimensionError(
-                f"{config.pca_components} PCA components asked of {feature_dim} HOG features"
-            )
-        # on the Gram route the n centred fit rows have rank n - 1 at most
         fit_rows = pca_fit_rows(data, config.pca_fit_on)
-        if fit_rows.size < feature_dim and config.pca_components >= fit_rows.size:
-            raise DimensionError(
-                f"{config.pca_components} PCA components asked of {fit_rows.size} fit rows, "
-                f"whose rank is {fit_rows.size - 1} at most"
-            )
+        gram_route((fit_rows.size, feature_dim), config.pca_components)
 
     # each stage reads its upstream cache only when it recomputes
     with _stage("hog"):

@@ -226,9 +226,13 @@ def stack_matrices(matrices):
     )
 
 
-# input rows whose drive B u(n) one GEMM computes; a row's drive bytes do not
-# depend on the block it is computed in, and a chunk of cache.CHUNK_ROWS
-# rows holds four of these blocks
+# input rows per drive block, whose drive B u(n) one GEMM computes.  A row's
+# drive bytes depend on the block's size: a 1-row block (numpy's GEMV path)
+# rounds otherwise than the same row inside a 383-row GEMM, and at K = 50,
+# N = 64 so did blocks of up to 18 rows; blocks of 44 rows and more matched
+# at each of five shapes from K = 8, N = 256 to K = 2,000, N = 1,024.  The
+# join of cache.chunk_stops keeps every block at DRIVE_ROWS // 2 rows or
+# more, or the whole stream, so the drive is that of one GEMM over it
 DRIVE_ROWS = 256
 
 # the reading of every phase code as the state cache stores it
@@ -243,20 +247,23 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
 
     ``readings[t]`` is the detector reading q10(sin^2) of every node after
     consuming ``inputs[t]``.  ``inputs`` is an array or a
-    :class:`~photonrc.cache.CacheRows`, which is read a chunk at a time
-    (:func:`~photonrc.cache.row_chunks`).  ``initial_state`` is the reading
-    the couplings start from (zeros by default).  ``spans`` is an optional
-    list of (start, stop) row ranges that tile the rows in order; the state
-    resets to ``initial_state`` at the start of each span, which cuts memory
-    across sequence boundaries.  With ``out`` set, the readings go to
-    ``out.append`` (a :class:`~photonrc.cache.CacheWriter`) as they are
-    made, :data:`DRIVE_ROWS` rows at a time, and None is returned.
+    :class:`~photonrc.cache.CacheRows`.  ``initial_state`` is the reading
+    the couplings start from (zeros by default).  ``spans`` lists a
+    :class:`~photonrc.dataset.FrameIndex`'s (sequence_id, start, stop,
+    action) spans, which tile the rows in order; the state resets to
+    ``initial_state`` at the start of each, which cuts memory across
+    sequence boundaries.  None runs one unbroken stream.  With ``out`` set,
+    the readings go to ``out.append`` (a :class:`~photonrc.cache.CacheWriter`)
+    a block at a time as they are made, and None is returned.  Several
+    reservoirs step in lockstep as one :func:`stack_matrices` reservoir.
 
-    Every node phase is one of the 256 codes of :func:`phase_code`, so each
-    reading is a lookup in :data:`RESPONSE`.  The run carries the float64
-    reading from step to step, chunk boundaries included, and holds one
-    chunk of inputs, the drive of :data:`DRIVE_ROWS` of them and one uint8
-    code per node and step of that block, which it turns into float32
+    The run walks ``inputs`` in :data:`DRIVE_ROWS` blocks
+    (:func:`~photonrc.cache.row_chunks`), reading a cache's rows in the
+    block it computes on.  Each block's drive is one GEMM; every node phase
+    is one of the 256 codes of :func:`phase_code`, so each reading is a
+    lookup in :data:`RESPONSE`.  The float64 reading carries from step to
+    step, block edges included, and a block holds its inputs, their drive
+    and one uint8 code per node and step, which it turns into float32
     readings, as the state cache stores them, when the block is done.
     """
     if not isinstance(inputs, CacheRows):
@@ -272,27 +279,24 @@ def run_reservoir(matrices, inputs, initial_state=None, spans=None, out=None):
         x0 = np.asarray(initial_state, dtype=np.float64)
         if x0.shape != (n,):
             raise SchemaError(f"initial_state must have shape ({n},)")
-    resets = {start for start, _ in spans or ()}
+    resets = {start for _, start, _, _ in spans or ()}
     weights = matrices.weights
     input_weights = matrices.input_weights
     readings = np.empty((inputs.shape[0], n), dtype=np.float32) if out is None else None
-    codes = np.empty((DRIVE_ROWS, n), dtype=np.uint8)
     x = x0
-    for first, block in row_chunks(inputs):
-        for lo in range(0, block.shape[0], DRIVE_ROWS):
-            t = first + lo  # the first row of the drive block
-            drive = np.asarray(block[lo:lo + DRIVE_ROWS], dtype=np.float64) @ input_weights.T
-            for i in range(drive.shape[0]):
-                if t + i in resets:
-                    x = x0
-                k = phase_code(weights @ x + drive[i])
-                x = RESPONSE[k]
-                codes[i] = k
-            values = _RESPONSE32[codes[:drive.shape[0]]]
-            if out is None:
-                readings[t:t + drive.shape[0]] = values
-            else:
-                out.append(values)
+    for first, block in row_chunks(inputs, DRIVE_ROWS):
+        drive = np.asarray(block, dtype=np.float64) @ input_weights.T
+        codes = np.empty(drive.shape, dtype=np.uint8)
+        for i, row in enumerate(drive):
+            if first + i in resets:
+                x = x0
+            k = phase_code(weights @ x + row)
+            x = RESPONSE[k]
+            codes[i] = k
+        if out is None:
+            readings[first : first + len(codes)] = _RESPONSE32[codes]
+        else:
+            out.append(_RESPONSE32[codes])
     return readings
 
 

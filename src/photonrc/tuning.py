@@ -29,8 +29,8 @@ which also name a grid's first value lists and the :class:`CellGains`
 every result carries, and the NMSE columns follow
 :data:`~photonrc.dataset.ACTIONS` (:data:`NMSE_FIELDS`).  Data prepared
 from a cache path (:func:`~photonrc.pipeline.prepare_data`) holds its
-:class:`~photonrc.cache.CacheRows`, so the grid reads its features a chunk
-at a time.
+:class:`~photonrc.cache.CacheRows`, so the grid reads its features one
+drive block at a time (:func:`~photonrc.reservoir.run_reservoir`).
 
 Results are canonically ordered (score descending, then parameters, then
 seed), so the stacking and completion order never affect the outcome.
@@ -50,9 +50,9 @@ from .cache import json_typed, read_json, replaced
 from .classify import N_CLASSES
 from .dataset import ACTIONS
 from .errors import FAILURES, SchemaError
-from .pipeline import evaluate_readout, reservoir_spec, reservoir_states, train_set
+from .pipeline import evaluate_readout, reservoir_spec, train_set
 from .readout import check_ridge_lambda, normal_equations, train_ridge
-from .reservoir import VARIANTS, HyperParams
+from .reservoir import VARIANTS, HyperParams, run_reservoir, stack_matrices
 
 # not called here; bound so that perfbench/tracing.py WRAPS can patch them on this module
 from .pipeline import (  # noqa: F401
@@ -64,7 +64,6 @@ from .pipeline import (  # noqa: F401
     load_manifest,
     nmse_per_output,
     read_cache,
-    run_reservoir,
 )
 from .reservoir import generate_matrices  # noqa: F401
 
@@ -194,7 +193,9 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
 
     ``groups`` lists ((gains, seed), lambdas) pairs, the gains a
     :class:`CellGains`, which every result of the group carries.  One
-    :func:`reservoir_states` call runs every group's reservoir, whose states
+    :func:`~photonrc.reservoir.run_reservoir` call steps every group's
+    reservoir in lockstep, as one :func:`~photonrc.reservoir.stack_matrices`
+    reservoir whose states hold each group's N columns side by side; they
     are float32 as in the pipeline's state cache, so a one-cell grid
     reproduces a pipeline run bit for bit.  Each group then picks its train
     rows and targets (:func:`~photonrc.pipeline.train_set`) and builds their
@@ -211,12 +212,13 @@ def _run_stack(data, n_nodes, groups, reset_per_sequence=False):
     start = time.perf_counter()
     failure = None
     try:
-        specs = [
-            reservoir_spec(n_nodes, data.input_dim, HyperParams(*gains), seed)
+        # the stack's weights are bound to no name, so they are freed when the
+        # run returns rather than held through the readouts (8 MB of input
+        # weights at 4,096 nodes and K = 256)
+        states = run_reservoir(stack_matrices([
+            reservoir_spec(n_nodes, data.input_dim, HyperParams(*gains), seed).build()
             for (gains, seed), _ in groups
-        ]
-        spans = data.all_spans if reset_per_sequence else None
-        states = reservoir_states(specs, data.features, spans)
+        ]), data.features, spans=data.all_spans if reset_per_sequence else None)
     except FAILURES as exc:
         if len(groups) > 1:
             return [

@@ -164,7 +164,7 @@ def run_reservoir_oracle(matrices, inputs, variant, initial_state=None, spans=No
     n = matrices.n_nodes
     x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=np.float64)
     states = np.empty((U.shape[0], n))
-    for start, stop in spans or [(0, U.shape[0])]:
+    for _, start, stop, _ in spans or [(None, 0, U.shape[0], None)]:
         x = x0
         for t in range(start, stop):
             if variant == "intensity":

@@ -121,9 +121,10 @@ def test_run_grid_calls_the_traced_reservoir_and_readout_names(tiny_features, mo
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("run_reservoir", "apply_readout"):
-        counting(pipeline, name)
-    counting(tuning, "train_ridge")  # the grid shares each group's normal equations itself
+    counting(pipeline, "apply_readout")
+    # the grid runs its stacks and shares each group's normal equations itself
+    for name in ("run_reservoir", "train_ridge"):
+        counting(tuning, name)
     counting(reservoir, "generate_matrices")
     spec = GridSpec(
         feedback_gain=(0.5, 0.7), input_gain=(0.01,), coupling_gain=(0.1,),
@@ -159,5 +160,5 @@ def test_cold_pipeline_calls_the_traced_pca_names(tiny_corpus, tmp_path, monkeyp
     # and not read back
     data = pipeline.prepare_data(str(tiny_corpus), None)
     other = CacheRows(tmp_path / report.artifacts["hog"], data.test_rows)
-    chunks = len(list(row_chunks(other)))
-    assert calls == ["fit_pca"] + ["transform"] * chunks + ["save_pca_model"]
+    blocks = len(list(row_chunks(other, pipeline._PROJECT_ROWS)))
+    assert calls == ["fit_pca"] + ["transform"] * blocks + ["save_pca_model"]

@@ -930,6 +930,26 @@ def test_a_run_that_cannot_finish_stops_in_its_dataset_stage(
     assert not list(out_dir.glob("hog_*"))
 
 
+def test_pca_fit_refuses_components_beyond_the_fit_rows_rank_before_reading(
+    cli_env, tmp_path, capsys, monkeypatch
+):
+    # as many components as train rows, fewer than the HOG features: the
+    # Gram route's rank bound, a data error before any row is read
+    reads = []
+    read = cache.CacheRows._read
+    monkeypatch.setattr(
+        cache.CacheRows, "_read", lambda self, fh, rows: reads.append(1) or read(self, fh, rows)
+    )
+    n = prepare_data(cli_env["manifest"], None).train_rows.size
+    code = main([
+        "--out-dir", str(tmp_path), "pca", "fit", "--in", cli_env["hog"],
+        "--manifest", cli_env["manifest"], "--k", str(n),
+    ])
+    assert code == 2
+    assert f"whose centred rank is {n - 1} at most" in capsys.readouterr().err
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
 def test_an_empty_test_sequence_stops_in_the_dataset_stage(cli_env, tmp_path, capsys):
     manifest = load_manifest(cli_env["manifest"])
     empty = next(seq for seq in manifest.sequences if seq.split is Split.TEST)

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 
 from photonrc import pca as pca_module
-from photonrc.cache import CacheRows, CacheWriter, read_cache_header
+from photonrc import pipeline
+from photonrc.cache import CacheRows, CacheWriter, chunk_stops, read_cache, read_cache_header
 from photonrc.errors import DimensionError, NumericalError, ParseError, RankError
 from photonrc.pca import (
     _fix_signs,
@@ -135,10 +136,46 @@ def test_wide_data_uses_gram_route_consistently(rng):
 
 def test_gram_route_rejects_components_beyond_rank(rng):
     X = rng.standard_normal((5, 10))  # centered rank is at most 4
-    with pytest.raises(RankError):
+    with pytest.raises(DimensionError, match="rank is 4 at most"):
         fit_pca(X, 5)
     model, _ = fit_pca(X, 4)
     assert model.n_components == 4
+    # three distinct rows, each twice: a centred rank of 2, below n - 1 = 5,
+    # which only the eigensolve finds
+    twice = np.repeat(rng.standard_normal((3, 10)), 2, axis=0)
+    with pytest.raises(RankError, match="rank 2"):
+        fit_pca(twice, 3)
+
+
+@pytest.mark.parametrize(
+    "n, k, error",
+    [(6, 6, DimensionError), (6, 11, DimensionError), (6, 0, DimensionError), (1, 1, RankError)],
+    ids=["gram-rank", "above-features", "no-components", "one-row"],
+)
+def test_a_shape_no_fit_can_take_is_refused_before_any_read(tmp_path, rng, monkeypatch, n, k,
+                                                              error):
+    path = tmp_path / "rows.rcf"
+    with CacheWriter(path, 10) as writer:
+        writer.append(rng.standard_normal((n, 10)))
+    reads, solves = [], []
+    read, eigh = CacheRows._read, pca_module.linalg.eigh
+
+    def counted_read(self, fh, rows):
+        reads.append(rows.size)
+        return read(self, fh, rows)
+
+    def counted_eigh(*args, **kwargs):
+        solves.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(CacheRows, "_read", counted_read)
+    monkeypatch.setattr(pca_module.linalg, "eigh", counted_eigh)
+    with pytest.raises(error):
+        fit_pca(CacheRows(path), k)
+    assert reads == [] and solves == []
+    if n > 1:  # the counters see a fit that can run
+        fit_pca(CacheRows(path), 2)
+        assert reads and solves == [1]
 
 
 def test_fit_validation_errors(rng):
@@ -357,12 +394,28 @@ def test_the_eigensolve_holds_no_fit_row(tmp_path, rng, monkeypatch, shape):
     assert model.components.shape == (20, shape[1])
 
 
-# 128-row blocks: 300 rows are 128 and 172 (a short last 44 joined to the one
-# before), 356 rows 128, 128 and 100
+# the projection's 128-row blocks: 300 rows are 128 and 172 (a short last 44
+# joined to the one before), 356 rows 128, 128 and 100
 @pytest.mark.parametrize("rows", [1, 127, 300, 356])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_blocked_transform_rounds_like_one_product(rng, rows, dtype):
+def test_a_blocked_transform_rounds_like_one_product(tmp_path, rng, monkeypatch, rows, dtype):
+    # pipeline.project's blocks give the bytes of one product over every row:
+    # in float64, as transform returns them, and in float32, as the feature
+    # cache stores them
     model, _ = fit_pca(rng.standard_normal((200, 3000)), 50)
-    values = rng.standard_normal((rows, 3000)).astype(dtype)
+    values = rng.standard_normal((rows, 3000)).astype(np.float32)
+    hog = tmp_path / "hog.rcf"
+    with CacheWriter(hog, values.shape[1]) as writer:
+        writer.append(values)
+    blocks = []
+
+    def kept(model, block):
+        blocks.append(transform(model, block))
+        return blocks[-1]
+
+    monkeypatch.setattr(pipeline, "transform", kept)
+    pipeline.project(model, hog, tmp_path / "features.rcf")
+    assert len(blocks) == len(chunk_stops(rows, pipeline._PROJECT_ROWS))
+    got = np.concatenate(blocks) if dtype is np.float64 else read_cache(tmp_path / "features.rcf")[0]
     one = np.subtract(values, model.mean, dtype=np.float64) @ model.components.T
-    assert transform(model, values).tobytes() == one.tobytes()
+    assert got.tobytes() == one.astype(dtype).tobytes()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from photonrc import cache
 from photonrc import pca as pca_module
+from photonrc import reservoir as reservoir_module
 from photonrc.cache import CacheRows, CacheWriter, read_cache, row_chunks
 from photonrc.dataset import Manifest, save_manifest
 from photonrc.errors import (
@@ -545,8 +546,8 @@ def test_project_refuses_fit_rows_that_are_not_strictly_ascending(tmp_path, rng,
 
 @pytest.mark.parametrize("n_frames", [1025, 1124, 1300])
 def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, n_frames):
-    # 512-row chunks; a last chunk of 1 or 100 rows joins the one before
-    monkeypatch.setattr(cache, "CHUNK_ROWS", 512)
+    # 512-row blocks; a last block of 1 or 100 rows joins the one before
+    monkeypatch.setattr(pipeline_module, "_PROJECT_ROWS", 512)
     values = rng.standard_normal((n_frames, 3000)).astype(np.float32)
     hog = tmp_path / "hog.rcf"
     with CacheWriter(hog, values.shape[1]) as writer:
@@ -556,7 +557,7 @@ def test_chunked_projection_rounds_like_one_product(tmp_path, rng, monkeypatch, 
     expected = _whole_transform_bytes(model, values, tmp_path / "whole.rcf")
     assert (tmp_path / "f.rcf").read_bytes() == expected
     # equal before the float32 rounding too
-    chunked = np.concatenate([transform(model, c) for _, c in row_chunks(CacheRows(hog))])
+    chunked = np.concatenate([transform(model, c) for _, c in row_chunks(CacheRows(hog), 512)])
     assert chunked.tobytes() == transform(model, values).tobytes()
 
 
@@ -569,10 +570,8 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     # one bound per phase: the fit, up to the call of project, and the
     # write.  numpy reports its array allocations to tracemalloc, and
     # scipy's eigh allocates LAPACK's workspace as numpy arrays, so that is
-    # seen too.  64-row projection blocks, so a chunk is cut into blocks
-    chunk_rows = 128
-    monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr(pca_module, "_PROJECT_ROWS", 64)
+    # seen too.  64-row projection blocks
+    monkeypatch.setattr(pipeline_module, "_PROJECT_ROWS", 64)
     rng = np.random.default_rng(5)
     hog = tmp_path / "hog.rcf"
     with CacheWriter(hog, dim) as writer:
@@ -622,26 +621,25 @@ def test_pca_stage_memory_stays_within_its_budget(tmp_path, monkeypatch, n_frame
     model = 8 * (k * dim + dim + k)
     scores = 4 * n_fit * k if gram else 0
     assert traced["held"] < model + scores + small
-    # beside them, one float32 chunk of the rows it projects and the chunk's
-    # float64 projection, with either one block of the chunk centred in
-    # float64 or one run's float32 copy of its projection.  The fit rows'
-    # scores go to the writer as slices, and no block of stream rows is
-    # made: in the "gram-block" case a float32 block as long as the stream,
-    # or a gathered copy of the scores, would break the bound
-    c = widest(n_frames - n_fit if gram else n_frames, chunk_rows)
-    b = widest(c, pca_module._PROJECT_ROWS)
+    # beside them, one float32 block of the rows it projects and the block's
+    # float64 projection, with either the block centred in float64 or one
+    # run's float32 copy of its projection.  The fit rows' scores go to the
+    # writer as slices, and no block of stream rows is made: in the
+    # "gram-block" case a float32 block as long as the stream, or a gathered
+    # copy of the scores, would break the bound
+    b = widest(n_frames - n_fit if gram else n_frames, pipeline_module._PROJECT_ROWS)
     index = 9 * n_frames  # each stream row's fitted flag, and the rows it reads
-    peak = 4 * c * dim + 8 * c * k + max(8 * b * dim, 4 * c * k)
+    peak = 4 * b * dim + 8 * b * k + max(8 * b * dim, 4 * b * k)
     assert traced["write"] < model + scores + peak + index + small
 
 
 @pytest.mark.parametrize("reset", [False, True], ids=["one-stream", "reset-per-sequence"])
-@pytest.mark.parametrize("chunk_rows", [100, 256])
+@pytest.mark.parametrize("drive_rows", [100, 256])
 def test_streamed_reservoir_stage_equals_the_whole_array_run(tmp_path, rng, monkeypatch,
-                                                             chunk_rows, reset):
-    # 1,100 rows: four or eleven chunks, the 256-row ones on drive-block
-    # edges and the 100-row ones off them; every span crosses a chunk edge
-    monkeypatch.setattr(cache, "CHUNK_ROWS", chunk_rows)
+                                                             drive_rows, reset):
+    # 1,100 rows: eleven 100-row drive blocks, or four 256-row ones with the
+    # 76-row tail joined to the last; every span crosses a block edge
+    monkeypatch.setattr(reservoir_module, "DRIVE_ROWS", drive_rows)
     features = (3.0 * rng.normal(size=(1100, 12))).astype(np.float32)
     features_path = tmp_path / "features.rcf"
     with CacheWriter(features_path, 12) as writer:
@@ -658,9 +656,7 @@ def test_streamed_reservoir_stage_equals_the_whole_array_run(tmp_path, rng, monk
     rows = pipeline_module.drive_reservoir(
         spec, features_path, states_path, spans if reset else None
     )
-    whole = pipeline_module.run_reservoir(
-        spec.build(), features, spans=list(zip(bounds[:-1], bounds[1:])) if reset else None
-    )
+    whole = pipeline_module.run_reservoir(spec.build(), features, spans=spans if reset else None)
     assert rows == 1100
     assert read_cache(states_path)[0].tobytes() == whole.tobytes()
 
@@ -801,8 +797,8 @@ def _crash_in(stage, monkeypatch):
         real = pipeline_module.hog_descriptor
         monkeypatch.setattr(pipeline_module, "hog_descriptor", _crash_on_call(5, real))
         return ("hog",), ()
-    if stage == "pca":  # on the second chunk of the projection, before the model is saved
-        monkeypatch.setattr(cache, "CHUNK_ROWS", 64)
+    if stage == "pca":  # on the second block of the projection, before the model is saved
+        monkeypatch.setattr(pipeline_module, "_PROJECT_ROWS", 64)
         real = pipeline_module.transform
         monkeypatch.setattr(pipeline_module, "transform", _crash_on_call(1, real))
         return ("pca_model", "features"), ()
@@ -871,7 +867,7 @@ def test_a_crash_in_the_middle_of_a_stage_is_recomputed_on_reuse(
 # once the writer of the cache file argv[1] has appended its second block
 KILLED_RUN = """
 import os, sys
-from photonrc import cache
+from photonrc import cache, pipeline, reservoir
 from photonrc.cli import main
 
 name = sys.argv[1]
@@ -886,7 +882,8 @@ def killed_append(self, rows):
         if appended == 2:
             os._exit(9)
 
-cache.CHUNK_ROWS = 64  # so the feature cache takes more than one block
+# so the feature and state caches take more than one block
+pipeline._PROJECT_ROWS = reservoir.DRIVE_ROWS = 64
 cache.CacheWriter.append = killed_append
 sys.exit(main(sys.argv[2:]))
 """

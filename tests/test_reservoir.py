@@ -322,7 +322,7 @@ def test_span_resets_match_independent_runs(rng):
     params = HyperParams(0.8, 0.3, 0.2, 0.2)
     m = generate_matrices(6, 2, params, seed=8)
     inputs = rng.uniform(-1, 1, size=(10, 2))
-    whole = run_reservoir(m, inputs, spans=[(0, 4), (4, 10)])
+    whole = run_reservoir(m, inputs, spans=_spans([0, 4, 10]))
     first = run_reservoir(m, inputs[:4])
     second = run_reservoir(m, inputs[4:])
     np.testing.assert_array_equal(whole[:4], first)
@@ -395,6 +395,12 @@ def test_fading_memory_is_reported_not_fatal():
 def _same(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _spans(bounds):
+    """The frame-index spans, (sequence_id, start, stop, action), that cut
+    the rows at ``bounds``."""
+    return [(f"s{i}", a, b, 0) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def _oracle_readings(matrices, inputs, form, initial_state=None, spans=None):
@@ -504,7 +510,7 @@ def test_run_reservoir_matches_step_by_step_formulas(
     m = generate_matrices(n, 3, params, seed=seed)
     inputs = scale * rng.uniform(-1.0, 1.0, size=(steps, 3))
     bounds = sorted({0, steps, *(c for c in cuts if c < steps)})
-    spans = list(zip(bounds[:-1], bounds[1:])) if cuts else None
+    spans = _spans(bounds) if cuts else None
     # from the zero state the two forms of the recurrence read the same bytes,
     # and run_reservoir reads them too
     zero = np.zeros(n)
@@ -539,7 +545,7 @@ def test_run_reservoir_matches_step_by_step_formulas(
 def test_run_reservoir_matches_formulas_at_scale(form, rng):
     m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
     inputs = rng.normal(size=(60, 8)) * 4.0
-    spans = [(0, 25), (25, 60)]
+    spans = _spans([0, 25, 60])
     x0 = rng.uniform(-7.0, 7.0, size=256)
     want, start = _oracle_readings(m, inputs, form, initial_state=x0, spans=spans)
     assert _same(run_reservoir(m, inputs, initial_state=start, spans=spans), want)
@@ -547,13 +553,15 @@ def test_run_reservoir_matches_formulas_at_scale(form, rng):
 
 @pytest.mark.parametrize("form", VARIANTS)
 def test_run_reservoir_drive_blocks_match_one_gemm(form, rng):
-    # three drive blocks, and spans that cross both block edges
+    # two drive blocks, the last of them with an 88-row or a 1-row tail
+    # joined to it, and spans that cross the block edge
     rows = DRIVE_ROWS
     m = generate_matrices(256, 8, HyperParams(0.8, 0.05, 0.1, 0.02), seed=5)
-    inputs = rng.normal(size=(2 * rows + 88, 8)) * 4.0
-    spans = [(0, rows - 56), (rows - 56, 2 * rows + 1), (2 * rows + 1, 2 * rows + 88)]
-    want, _ = _oracle_readings(m, inputs, form, spans=spans)
-    assert _same(run_reservoir(m, inputs, spans=spans), want)
+    for bounds in ([0, rows - 56, 2 * rows + 1, 2 * rows + 88], [0, rows - 56, 2 * rows + 1]):
+        inputs = rng.normal(size=(bounds[-1], 8)) * 4.0
+        spans = _spans(bounds)
+        want, _ = _oracle_readings(m, inputs, form, spans=spans)
+        assert _same(run_reservoir(m, inputs, spans=spans), want)
 
 
 # the start of each part: arbitrary values, or the readings of arbitrary phases
@@ -569,7 +577,7 @@ def test_stacked_reservoirs_step_as_the_separate_ones(form, rng):
     x0 = rng.uniform(-7.0, 7.0, size=97)
     if form == "phase":
         x0 = detect(x0)
-    spans = [(0, 120), (120, 300)]
+    spans = _spans([0, 120, 300])
     got = run_reservoir(stack, inputs, initial_state=x0, spans=spans)
     start = 0
     for m in parts:

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-import photonrc.pipeline
 import photonrc.tuning
 from photonrc.cache import read_cache, write_json
 from photonrc.dataset import FrameIndex, Split, load_manifest
@@ -386,13 +385,13 @@ LAMBDAS = (None, 1e-3, 1.0)
 
 def _count_reservoir_runs(monkeypatch):
     calls = []
-    original = photonrc.pipeline.run_reservoir
+    original = photonrc.tuning.run_reservoir
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(photonrc.pipeline, "run_reservoir", counted)
+    monkeypatch.setattr(photonrc.tuning, "run_reservoir", counted)
     return calls
 
 
